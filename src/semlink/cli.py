@@ -21,7 +21,7 @@ from . import (
     type_dictionary,
     type_extraction,
 )
-from .errors import CapacityError, SemlinkError
+from .errors import CapacityError, FormatError, SemlinkError
 
 
 def _printable(label: str) -> str:
@@ -271,15 +271,27 @@ def link_score(docs_path, entities, words, model_path, assignments_path):
         click.echo(f"{doc.doc_id}\t{score:.6f}")
 
 
+def _tsv_fields(line: str, count: int, path, line_no: int) -> list[str]:
+    fields = line.split("\t")
+    if len(fields) != count:
+        raise FormatError(
+            f"expected {count} tab-separated fields, found {len(fields)}", path=path, line=line_no
+        )
+    return fields
+
+
 def _read_assignment_tsv(path) -> dict[str, list[str]]:
     out: dict[str, list] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            doc_id, idx, label = line.split("\t")
-            out.setdefault(doc_id, []).append((int(idx), label))
+            doc_id, idx, label = _tsv_fields(line, 3, path, line_no)
+            try:
+                out.setdefault(doc_id, []).append((int(idx), label))
+            except ValueError:
+                raise FormatError(f"mention index {idx!r} is not an integer", path=path, line=line_no) from None
     return {doc: [label for _i, label in sorted(items)] for doc, items in out.items()}
 
 
@@ -314,9 +326,13 @@ def eval_f1(docs_path, pred, out_path):
 def eval_runs(scores):
     """Mean and Student-t 95% CI over repeated runs."""
     if scores.startswith("@"):
-        values = [float(l) for l in Path(scores[1:]).read_text("utf-8").split()]
+        source, tokens = scores[1:], Path(scores[1:]).read_text("utf-8").split()
     else:
-        values = [float(s) for s in scores.split(",") if s.strip()]
+        source, tokens = None, [s for s in scores.split(",") if s.strip()]
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError as e:
+        raise FormatError(f"bad score: {e}", path=source) from None
     summary = evaluation.summarize_runs(values)
     click.echo(json.dumps(summary.to_dict(), sort_keys=True))
 
@@ -370,12 +386,11 @@ def eval_geometry(baseline, reinforced, pairs, out_path):
     reinf_table = embed_io.load_table(reinforced)
     probe = []
     with open(pairs, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            a, b, kind = line.split("\t")
-            probe.append((a, b, kind))
+            probe.append(tuple(_tsv_fields(line, 3, pairs, line_no)))
     report = evaluation.geometry_report(base_table, reinf_table, probe)
     if out_path:
         evaluation.write_json(report.to_dict(), out_path)

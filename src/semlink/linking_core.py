@@ -13,6 +13,23 @@ exhaustive argmax (with a capacity guard) or per-mention greedy on the local
 score.  Training runs SGD on a max-margin ranking loss over the non-gold
 candidates of each mention; it is piecewise linear in the diagonals, so the
 analytic subgradient is exact away from hinge kinks.
+
+Training works on one packed layout, built once per ``train`` call.  For
+trainable mention n with context feature f, gold vector g, teacher-forced
+pair context p and its negatives padded to M rows (with a mask):
+
+* ``FD[n, m] = (neg_m - g) * f``
+* ``PD[n, m] = (neg_m - g) * p``  (only when pairwise terms are trained)
+
+Since every score is linear in its diagonal, the hinge violation of (n, m)
+is ``margin - s(g) + s(neg_m) = margin + FD[n, m] @ B + PD[n, m] @ C``, and
+its subgradient in (B, C) is (FD[n, m], PD[n, m]).  The per-instance SGD
+step (two mat-vecs), the full-batch loss and its subgradient all use this
+identity.
+
+Dev mentions with usable gold are packed once as well (features, sorted
+candidate vectors, mask, gold index), so dev F1 per epoch is one einsum and
+a first-maximum argmax, the same greedy scorer ``infer`` uses.
 """
 
 from __future__ import annotations
@@ -32,6 +49,7 @@ from .errors import (
     EmptyTrainingError,
     FormatError,
     InvalidDocumentError,
+    NonFiniteError,
     RelationArityError,
 )
 
@@ -89,7 +107,7 @@ class LinkingModel:
             if diag.shape != (self.dim,):
                 raise DimensionError(f"{name} has shape {diag.shape}, expected ({self.dim},)")
             if not np.isfinite(diag).all():
-                raise ValueError(f"{name} contains non-finite values")
+                raise NonFiniteError(f"{name} contains non-finite values")
         if self.relation_weighting not in ("uniform", "softmax"):
             raise ValueError(f"unknown relation weighting {self.relation_weighting!r}")
 
@@ -129,12 +147,17 @@ class LinkingModel:
         if len(head) != 2 or not all(p.lstrip("-").isdigit() for p in head):
             raise FormatError(f"malformed model header {lines[0]!r}", path=path)
         dim, K = int(head[0]), int(head[1])
+        if dim < 1 or K < 0:
+            raise FormatError(f"model header {lines[0]!r} needs dim >= 1 and K >= 0", path=path)
         need = 1 + 2 + K
         if len(lines) < need:
             raise FormatError(f"expected {need} lines, found {len(lines)}", path=path)
         diags = []
         for line_no in range(1, need):
-            values = [float(v) for v in lines[line_no].split()]
+            try:
+                values = [float(v) for v in lines[line_no].split()]
+            except ValueError as e:
+                raise FormatError(str(e), path=path, line=line_no + 1) from None
             if len(values) != dim:
                 raise FormatError(
                     f"diagonal has {len(values)} values, expected {dim}",
@@ -274,16 +297,52 @@ def _check_candidates(doc: LinkingDocument) -> None:
             )
 
 
-def _greedy_local(doc, model, entities, feats) -> list[str]:
-    out = []
-    for mention, feat in zip(doc.mentions, feats):
-        best_label, best_score = None, None
-        for label in sorted(mention.candidates):
-            s = local_score(_entity_vector(entities, label), model.B, feat)
-            if best_score is None or s > best_score:
-                best_label, best_score = label, s
-        out.append(best_label)
-    return out
+def _check_dims(entities: EmbeddingTable, words: EmbeddingTable) -> None:
+    if entities.dim != words.dim:
+        raise DimensionError(
+            f"entity dimension {entities.dim} != word dimension {words.dim}"
+        )
+
+
+def _entity_rows(entities: EmbeddingTable, labels: Sequence[str]) -> np.ndarray:
+    """float64 rows of ``labels``, shape (len(labels), dim)."""
+    return entities.matrix[[entities.index(c) for c in labels]].astype(np.float64)
+
+
+@dataclass
+class _CandidateBlock:
+    """Mentions packed for local scoring, candidates in sorted label order."""
+
+    labels: list[list[str]]  # sorted candidate labels per mention
+    features: np.ndarray     # (N, d) context features
+    vectors: np.ndarray      # (N, M, d) candidate vectors, zero-padded to M
+    mask: np.ndarray         # (N, M) True on real candidates
+
+
+def _pack_candidates(
+    mentions: Sequence[Mention], entities: EmbeddingTable, words: EmbeddingTable
+) -> _CandidateBlock:
+    _check_dims(entities, words)
+    labels = [sorted(m.candidates) for m in mentions]
+    width = max((len(ls) for ls in labels), default=0)
+    features = np.zeros((len(mentions), words.dim))
+    vectors = np.zeros((len(mentions), width, entities.dim))
+    mask = np.zeros((len(mentions), width), dtype=bool)
+    for n, (m, ls) in enumerate(zip(mentions, labels)):
+        features[n] = context_feature(m, words).vector
+        vectors[n, : len(ls)] = _entity_rows(entities, ls)
+        mask[n, : len(ls)] = True
+    return _CandidateBlock(labels, features, vectors, mask)
+
+
+def _greedy_picks(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
+    """Per-mention index of the first candidate with the highest local score."""
+    if B.shape != (block.vectors.shape[2],):
+        raise DimensionError(f"B has shape {B.shape}, expected ({block.vectors.shape[2]},)")
+    scores = np.einsum("nmd,d,nd->nm", block.vectors, B, block.features)
+    scores[~block.mask] = -np.inf
+    # argmax returns the first maximum: ties go to the smallest label
+    return scores.argmax(axis=1)
 
 
 def infer(
@@ -302,12 +361,12 @@ def infer(
     coherence entirely.
     """
     _check_candidates(doc)
-    feats = _context_features(doc, words)
-
     if strategy == "greedy-local":
-        return _greedy_local(doc, model, entities, feats)
+        block = _pack_candidates(doc.mentions, entities, words)
+        return [ls[p] for ls, p in zip(block.labels, _greedy_picks(block, model.B))]
     if strategy != "exhaustive":
         raise ValueError(f"unknown strategy {strategy!r}")
+    feats = _context_features(doc, words)
 
     product = 1
     for m in doc.mentions:
@@ -359,7 +418,6 @@ class TrainConfig:
     seed: int = 0
     train_pairwise: bool = False
     shuffle: bool = True
-    eval_strategy: str = "greedy-local"
 
 
 @dataclass
@@ -372,12 +430,33 @@ class TrainResult:
     skipped_mentions: int
 
 
+def _violations(FD, PD, B, C, margin: float) -> np.ndarray:
+    """``margin + FD @ B (+ PD @ C)``: hinge violations of the rows of FD."""
+    v = margin + FD @ B
+    if PD is not None:
+        v += PD @ C
+    return v
+
+
 @dataclass
-class _Instance:
-    feature: np.ndarray
-    gold_vec: np.ndarray
-    neg_vecs: list[np.ndarray]
-    pair_context: np.ndarray  # sum of other golds / (n - 1), teacher-forced
+class _TrainingSet:
+    """Hinge terms of every trainable mention n against its negatives m.
+
+    The violation of (n, m) is ``margin + FD[n, m] @ B + PD[n, m] @ C``;
+    rows past a mention's negative count are zero and masked out.
+    """
+
+    FD: np.ndarray            # (N, M, d): (neg - gold) * f
+    PD: Optional[np.ndarray]  # (N, M, d): (neg - gold) * pair_context; None if not trained
+    mask: np.ndarray          # (N, M) True on real negatives
+
+    def __len__(self) -> int:
+        return len(self.FD)
+
+    def instance(self, n: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The unpadded (FD, PD) rows of instance ``n``."""
+        m = self.mask[n]
+        return self.FD[n, m], None if self.PD is None else self.PD[n, m]
 
 
 def _build_instances(
@@ -385,95 +464,89 @@ def _build_instances(
     entities: EmbeddingTable,
     words: EmbeddingTable,
     train_pairwise: bool,
-) -> tuple[list[_Instance], int]:
-    instances: list[_Instance] = []
+) -> tuple[_TrainingSet, int]:
+    """Pack the trainable mentions of ``docs``; also return the skipped count.
+
+    Pair contexts are teacher-forced: the sum of the other mentions' usable
+    golds over (n - 1).
+    """
+    _check_dims(entities, words)
+    diffs: list[np.ndarray] = []  # (neg - gold) per instance
+    feats: list[np.ndarray] = []
+    pair_contexts: list[np.ndarray] = []
     skipped = 0
     for doc in docs:
         n = len(doc.mentions)
-        feats = _context_features(doc, words)
-        gold_vecs: list[Optional[np.ndarray]] = []
-        for m in doc.mentions:
-            gold_vecs.append(
-                _entity_vector(entities, m.gold) if m.gold_in_candidates() else None
-            )
-        for i, (m, feat) in enumerate(zip(doc.mentions, feats)):
+        gold_vecs = [
+            _entity_vector(entities, m.gold) if m.gold_in_candidates() else None
+            for m in doc.mentions
+        ]
+        for i, m in enumerate(doc.mentions):
             if gold_vecs[i] is None:
                 skipped += 1
                 continue
-            negs = [
-                _entity_vector(entities, c) for c in sorted(m.candidates) if c != m.gold
-            ]
-            if train_pairwise and n >= 2:
-                others = [g for j, g in enumerate(gold_vecs) if j != i and g is not None]
-                pair_ctx = (
-                    np.sum(others, axis=0) / (n - 1)
-                    if others
-                    else np.zeros(entities.dim)
-                )
+            negs = [c for c in sorted(m.candidates) if c != m.gold]
+            diffs.append(_entity_rows(entities, negs) - gold_vecs[i])
+            feats.append(context_feature(m, words).vector)
+            others = [g for j, g in enumerate(gold_vecs) if j != i and g is not None]
+            if train_pairwise and others:
+                pair_contexts.append(np.sum(others, axis=0) / (n - 1))
             else:
-                pair_ctx = np.zeros(entities.dim)
-            instances.append(_Instance(feat.vector, gold_vecs[i], negs, pair_ctx))
-    return instances, skipped
-
-
-def _instance_score(inst: _Instance, e: np.ndarray, B, C, train_pairwise: bool) -> float:
-    s = float(np.dot(e * B, inst.feature))
-    if train_pairwise:
-        s += float(np.dot(e * C, inst.pair_context))
-    return s
+                pair_contexts.append(np.zeros(entities.dim))
+    width = max((len(d) for d in diffs), default=0)
+    FD = np.zeros((len(diffs), width, entities.dim))
+    PD = np.zeros_like(FD) if train_pairwise else None
+    mask = np.zeros((len(diffs), width), dtype=bool)
+    for n, (diff, f, pc) in enumerate(zip(diffs, feats, pair_contexts)):
+        FD[n, : len(diff)] = diff * f
+        if PD is not None:
+            PD[n, : len(diff)] = diff * pc
+        mask[n, : len(diff)] = True
+    return _TrainingSet(FD, PD, mask), skipped
 
 
 def margin_loss_and_gradient(
-    instances: list[_Instance],
+    instances: _TrainingSet,
     B: np.ndarray,
     C: np.ndarray,
     margin: float,
     train_pairwise: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Full-batch hinge loss and its subgradient w.r.t. the B and C diagonals."""
-    loss = 0.0
-    gB = np.zeros_like(B)
-    gC = np.zeros_like(C)
-    for inst in instances:
-        s_gold = _instance_score(inst, inst.gold_vec, B, C, train_pairwise)
-        for neg in inst.neg_vecs:
-            s_neg = _instance_score(inst, neg, B, C, train_pairwise)
-            violation = margin - s_gold + s_neg
-            if violation > 0.0:
-                loss += violation
-                gB += inst.feature * (neg - inst.gold_vec)
-                if train_pairwise:
-                    gC += inst.pair_context * (neg - inst.gold_vec)
-    return loss, gB, gC
+    """Full-batch hinge loss and its subgradient w.r.t. the B and C diagonals.
+
+    ``train_pairwise`` must match the flag ``instances`` were built with.
+    """
+    if train_pairwise != (instances.PD is not None):
+        raise ValueError("train_pairwise does not match the packed training set")
+    v = _violations(instances.FD, instances.PD, B, C, margin)
+    active = instances.mask & (v > 0.0)
+    gB = instances.FD[active].sum(axis=0)
+    gC = instances.PD[active].sum(axis=0) if train_pairwise else np.zeros_like(C)
+    return float(v[active].sum()), gB, gC
 
 
-def training_loss(
-    docs,
-    entities: EmbeddingTable,
-    words: EmbeddingTable,
-    model: LinkingModel,
-    margin: float,
-    train_pairwise: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Convenience wrapper building instances and delegating to the batch loss."""
-    instances, _ = _build_instances(docs, entities, words, train_pairwise)
-    return margin_loss_and_gradient(instances, model.B, model.C, margin, train_pairwise)
+@dataclass
+class _DevSet:
+    """Dev mentions with usable gold, packed once for per-epoch evaluation."""
+
+    block: _CandidateBlock
+    gold: np.ndarray  # (N,) index of the gold label in each sorted candidate list
+
+    def f1(self, B: np.ndarray) -> float:
+        """Greedy-local micro-F1; plain accuracy, since coverage is full."""
+        if not len(self.gold):
+            return 0.0
+        return int(np.count_nonzero(_greedy_picks(self.block, B) == self.gold)) / len(self.gold)
 
 
-def _dev_f1(dev_docs, model, entities, words, strategy) -> float:
-    """Micro-F1 of inference on mentions with usable gold (full coverage
-    makes it plain accuracy)."""
-    correct = 0
-    total = 0
+def _pack_dev(dev_docs, entities: EmbeddingTable, words: EmbeddingTable) -> _DevSet:
+    usable = []
     for doc in dev_docs:
-        predicted = infer(doc, model, entities, words, strategy=strategy)
-        for m, p in zip(doc.mentions, predicted):
-            if not m.gold_in_candidates():
-                continue
-            total += 1
-            if p == m.gold:
-                correct += 1
-    return correct / total if total else 0.0
+        _check_candidates(doc)
+        usable += [m for m in doc.mentions if m.gold_in_candidates()]
+    block = _pack_candidates(usable, entities, words)
+    gold = np.array([ls.index(m.gold) for ls, m in zip(block.labels, usable)], dtype=np.intp)
+    return _DevSet(block, gold)
 
 
 def train(
@@ -485,55 +558,46 @@ def train(
 ) -> TrainResult:
     """SGD on the per-mention margin loss against all non-gold candidates.
 
-    Deterministic for a given seed.  The loss trace holds the full-batch
-    loss evaluated after each epoch; the dev trace holds dev micro-F1 at the
-    same points when dev documents are supplied.
+    Instances are visited one at a time in a seeded shuffled order; each
+    step scores all of the instance's negatives at once and applies the
+    summed subgradient of its active hinges.  The loss trace holds the
+    full-batch loss evaluated after each epoch; the dev trace holds
+    greedy-local dev micro-F1 at the same points when dev documents are
+    supplied.
     """
     instances, skipped = _build_instances(
         train_docs, entities, words, config.train_pairwise
     )
-    if not instances:
+    if not len(instances):
         raise EmptyTrainingError("no training mention has gold among its candidates")
+    dev = _pack_dev(dev_docs, entities, words) if dev_docs is not None else None
 
     model = LinkingModel.identity(entities.dim)
     rng = np.random.default_rng(config.seed)
 
-    initial_loss, _, _ = margin_loss_and_gradient(
-        instances, model.B, model.C, config.margin, config.train_pairwise
-    )
-    initial_dev = (
-        _dev_f1(dev_docs, model, entities, words, config.eval_strategy)
-        if dev_docs is not None
-        else None
-    )
+    def full_loss() -> float:
+        return margin_loss_and_gradient(
+            instances, model.B, model.C, config.margin, config.train_pairwise
+        )[0]
 
+    initial_loss = full_loss()
+    initial_dev = dev.f1(model.B) if dev is not None else None
+
+    steps = [instances.instance(n) for n in range(len(instances))]
     loss_trace: list[float] = []
     dev_trace: list[float] = []
     for _epoch in range(config.epochs):
         order = rng.permutation(len(instances)) if config.shuffle else range(len(instances))
-        for idx in order:
-            inst = instances[idx]
-            s_gold = _instance_score(inst, inst.gold_vec, model.B, model.C, config.train_pairwise)
-            gB = np.zeros(model.dim)
-            gC = np.zeros(model.dim)
-            active = False
-            for neg in inst.neg_vecs:
-                s_neg = _instance_score(inst, neg, model.B, model.C, config.train_pairwise)
-                if config.margin - s_gold + s_neg > 0.0:
-                    active = True
-                    gB += inst.feature * (neg - inst.gold_vec)
-                    if config.train_pairwise:
-                        gC += inst.pair_context * (neg - inst.gold_vec)
-            if active:
-                model.B -= config.lr * gB
-                if config.train_pairwise:
-                    model.C -= config.lr * gC
-        epoch_loss, _, _ = margin_loss_and_gradient(
-            instances, model.B, model.C, config.margin, config.train_pairwise
-        )
-        loss_trace.append(epoch_loss)
-        if dev_docs is not None:
-            dev_trace.append(_dev_f1(dev_docs, model, entities, words, config.eval_strategy))
+        for n in order:
+            fd, pd = steps[n]
+            active = _violations(fd, pd, model.B, model.C, config.margin) > 0.0
+            if np.count_nonzero(active):
+                model.B -= config.lr * (active @ fd)
+                if pd is not None:
+                    model.C -= config.lr * (active @ pd)
+        loss_trace.append(full_loss())
+        if dev is not None:
+            dev_trace.append(dev.f1(model.B))
 
     return TrainResult(model, loss_trace, dev_trace, initial_loss, initial_dev, skipped)
 
@@ -589,17 +653,20 @@ def load_linking_jsonl(path) -> list[LinkingDocument]:
 
 
 def _strip_prior(candidate) -> str:
-    """Candidates may arrive as 'label:prior'; priors are ignored."""
+    """Candidates may arrive as ``[label, prior]`` or as 'label:prior' with a
+    prior in [0, 1]; priors are ignored.  Any other ':'-suffix is part of
+    the label."""
     if isinstance(candidate, (list, tuple)):
         return str(candidate[0])
     text = str(candidate)
-    if ":" in text:
-        head, _, tail = text.rpartition(":")
+    head, sep, tail = text.rpartition(":")
+    if sep and head:
         try:
-            float(tail)
-            return head
+            prior = float(tail)
         except ValueError:
             return text
+        if 0.0 <= prior <= 1.0:  # false for nan
+            return head
     return text
 
 

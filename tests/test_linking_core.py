@@ -12,6 +12,7 @@ from semlink.errors import (
     EmptyTrainingError,
     FormatError,
     InvalidDocumentError,
+    NonFiniteError,
     RelationArityError,
 )
 from semlink.linking_core import (
@@ -33,6 +34,7 @@ from semlink.linking_core import (
     save_linking_jsonl,
     train,
     _build_instances,
+    _strip_prior,
 )
 
 
@@ -303,6 +305,15 @@ class TestInfer:
         with pytest.raises(InvalidDocumentError):
             infer(doc, LinkingModel.identity(4), entities, words)
 
+    def test_entity_word_dimension_mismatch(self, rng):
+        entities, _, labels, wlabels = toy_world(rng, dim=4)
+        words = EmbeddingTable(3, wlabels, rng.standard_normal((10, 3)).astype(np.float32))
+        doc = random_doc(rng, labels, wlabels, 2, 3)
+        with pytest.raises(DimensionError):
+            infer(doc, LinkingModel.identity(4), entities, words, "greedy-local")
+        with pytest.raises(DimensionError):
+            train([doc], entities, words, TrainConfig(epochs=1))
+
     def test_tie_breaks_lexicographic(self, rng):
         # identical candidate vectors -> tie; smallest label must win
         entities = EmbeddingTable.from_pairs(
@@ -417,6 +428,160 @@ class TestTrain:
                 assert abs(grad[j] - fd) / denom < 1e-4
 
 
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-instance, per-negative trainer and the per-mention
+# greedy dev F1 that the packed training core replaced.
+
+
+def _reference_instances(docs, entities, words, train_pairwise):
+    """(feature, gold, negatives, pair context) per trainable mention."""
+    out = []
+    for doc in docs:
+        n = len(doc.mentions)
+        golds = [
+            entities.vector(m.gold).astype(np.float64) if m.gold_in_candidates() else None
+            for m in doc.mentions
+        ]
+        for i, m in enumerate(doc.mentions):
+            if golds[i] is None:
+                continue
+            negs = [entities.vector(c).astype(np.float64) for c in sorted(m.candidates) if c != m.gold]
+            others = [g for j, g in enumerate(golds) if j != i and g is not None]
+            if train_pairwise and others:
+                pair_ctx = np.sum(others, axis=0) / (n - 1)
+            else:
+                pair_ctx = np.zeros(entities.dim)
+            out.append((context_feature(m, words).vector, golds[i], negs, pair_ctx))
+    return out
+
+
+def _reference_score(inst, e, B, C, train_pairwise):
+    s = float(np.dot(e * B, inst[0]))
+    if train_pairwise:
+        s += float(np.dot(e * C, inst[3]))
+    return s
+
+
+def _reference_loss(instances, B, C, margin, train_pairwise):
+    loss = 0.0
+    for inst in instances:
+        s_gold = _reference_score(inst, inst[1], B, C, train_pairwise)
+        for neg in inst[2]:
+            violation = margin - s_gold + _reference_score(inst, neg, B, C, train_pairwise)
+            if violation > 0.0:
+                loss += violation
+    return loss
+
+
+def _reference_dev_f1(dev_docs, B, entities, words):
+    correct = total = 0
+    for doc in dev_docs:
+        for m in doc.mentions:
+            if not m.gold_in_candidates():
+                continue
+            f = context_feature(m, words)
+            best, best_score = None, None
+            for label in sorted(m.candidates):
+                s = local_score(entities.vector(label).astype(np.float64), B, f)
+                if best_score is None or s > best_score:
+                    best, best_score = label, s
+            total += 1
+            correct += best == m.gold
+    return correct / total if total else 0.0
+
+
+def reference_train(train_docs, entities, words, config, dev_docs):
+    """Returns (B, C, initial loss, loss trace, initial dev F1, dev trace)."""
+    pairwise = config.train_pairwise
+    instances = _reference_instances(train_docs, entities, words, pairwise)
+    B, C = np.ones(entities.dim), np.ones(entities.dim)
+    rng = np.random.default_rng(config.seed)
+    initial_loss = _reference_loss(instances, B, C, config.margin, pairwise)
+    initial_dev = _reference_dev_f1(dev_docs, B, entities, words)
+    losses, devs = [], []
+    for _epoch in range(config.epochs):
+        order = rng.permutation(len(instances)) if config.shuffle else range(len(instances))
+        for idx in order:
+            inst = instances[idx]
+            feature, gold, negs, pair_ctx = inst
+            s_gold = _reference_score(inst, gold, B, C, pairwise)
+            gB, gC = np.zeros(entities.dim), np.zeros(entities.dim)
+            active = False
+            for neg in negs:
+                if config.margin - s_gold + _reference_score(inst, neg, B, C, pairwise) > 0.0:
+                    active = True
+                    gB += feature * (neg - gold)
+                    if pairwise:
+                        gC += pair_ctx * (neg - gold)
+            if active:
+                B -= config.lr * gB
+                if pairwise:
+                    C -= config.lr * gC
+        losses.append(_reference_loss(instances, B, C, config.margin, pairwise))
+        devs.append(_reference_dev_f1(dev_docs, B, entities, words))
+    return B, C, initial_loss, losses, initial_dev, devs
+
+
+def ragged_docs(rng, labels, wlabels, n_docs, prefix):
+    """Documents of 1-4 mentions with 1-5 candidates; some golds missing or unusable."""
+    docs = []
+    for d in range(n_docs):
+        mentions = []
+        for _ in range(int(rng.integers(1, 5))):
+            cands = list(rng.choice(labels, size=int(rng.integers(1, 6)), replace=False))
+            roll = rng.random()
+            if roll < 0.1:
+                gold = None
+            elif roll < 0.2:
+                gold = next(l for l in labels if l not in cands)
+            else:
+                gold = cands[int(rng.integers(len(cands)))]
+            mentions.append(Mention("m", list(rng.choice(wlabels, size=5)), cands, gold))
+        docs.append(LinkingDocument(f"{prefix}{d}", mentions))
+    return docs
+
+
+class TestPackedTrainingOracle:
+    @pytest.mark.parametrize("train_pairwise", [False, True])
+    @pytest.mark.parametrize("world", range(4))
+    def test_train_matches_reference(self, train_pairwise, world):
+        rng = np.random.default_rng(1000 + world)
+        entities, words, labels, wlabels = toy_world(rng, n_entities=12, dim=6)
+        train_docs = ragged_docs(rng, labels, wlabels, 8, "t")
+        dev_docs = ragged_docs(rng, labels, wlabels, 5, "v")
+        cfg = TrainConfig(margin=1.0, lr=0.05, epochs=12, seed=world,
+                          train_pairwise=train_pairwise, shuffle=world != 3)
+        result = train(train_docs, entities, words, cfg, dev_docs=dev_docs)
+        B, C, initial_loss, losses, initial_dev, devs = reference_train(
+            train_docs, entities, words, cfg, dev_docs
+        )
+        unusable = [m for d in train_docs for m in d.mentions if not m.gold_in_candidates()]
+        assert result.skipped_mentions == len(unusable) > 0
+        for got, want in ((result.model.B, B), (result.model.C, C)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert result.initial_dev_f1 == initial_dev
+        assert result.dev_f1_trace == devs
+        assert all(type(f1) is float for f1 in result.dev_f1_trace)
+        np.testing.assert_allclose([result.initial_loss] + result.loss_trace,
+                                   [initial_loss] + losses, rtol=1e-9, atol=1e-9)
+
+    def test_default_fixture_study_epochs(self):
+        from semlink.evaluation import convergence_experiment
+        from semlink.fixtures import FixtureSizes, generate_fixture
+        from semlink.semantic_aggregation import AggregationConfig, aggregate_table
+
+        bundle = generate_fixture(7, FixtureSizes())
+        reinforced = aggregate_table(
+            bundle.wikitext, bundle.assignments, bundle.words, AggregationConfig(T=11, alpha=0.2)
+        )
+        report = convergence_experiment(
+            bundle.train_docs, bundle.dev_docs, bundle.words, bundle.wikitext, reinforced,
+            TrainConfig(margin=1.0, lr=0.01, epochs=120), [1, 2, 3, 4, 5], theta=0.95,
+        )
+        assert report.sets["baseline"].epochs_to_threshold == [30] * 5
+        assert report.sets["reinforced"].epochs_to_threshold == [8] * 5
+
+
 class TestModelIO:
     def test_round_trip(self, tmp_path, rng):
         model = LinkingModel(
@@ -439,6 +604,26 @@ class TestModelIO:
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("nope\n", "ascii")
+        with pytest.raises(FormatError):
+            LinkingModel.load(p)
+
+    @pytest.mark.parametrize("header", ["3 -1", "0 0", "-2 0", "-3 -1"])
+    def test_non_positive_dim_or_negative_k_rejected(self, tmp_path, header):
+        p = tmp_path / "m.txt"
+        p.write_text(f"{header}\n1 1 1\n1 1 1\n1 1 1\n", "ascii")
+        with pytest.raises(FormatError):
+            LinkingModel.load(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_diagonal_rejected(self, tmp_path, bad):
+        p = tmp_path / "m.txt"
+        p.write_text(f"2 0\n1 {bad}\n1 1\n", "ascii")
+        with pytest.raises(NonFiniteError):
+            LinkingModel.load(p)
+
+    def test_non_numeric_diagonal_rejected(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("2 0\n1 abc\n1 1\n", "ascii")
         with pytest.raises(FormatError):
             LinkingModel.load(p)
 
@@ -484,6 +669,26 @@ class TestCorpusIO:
         assert m.gold == "City_X"
         assert m.context == ["the", "president", "today"]
         assert docs[1].mentions[0].gold is None
+
+    @pytest.mark.parametrize("text, label", [
+        ("City_X:0.9", "City_X"),
+        ("City_X:0", "City_X"),
+        ("City_X:1.0", "City_X"),
+        ("a:b:0.25", "a:b"),
+        ("Apollo:11", "Apollo:11"),
+        ("x:nan", "x:nan"),
+        ("y:inf", "y:inf"),
+        ("z:-0.5", "z:-0.5"),
+        ("Title:Subtitle", "Title:Subtitle"),
+        (":0.5", ":0.5"),
+        ("plain", "plain"),
+    ])
+    def test_strip_prior_only_strips_probabilities(self, text, label):
+        assert _strip_prior(text) == label
+
+    def test_strip_prior_structured_pair(self):
+        assert _strip_prior(["Apollo:11", 0.3]) == "Apollo:11"
+        assert _strip_prior(("City_X", 0.9)) == "City_X"
 
     def test_gold_violation_flagging(self):
         doc = LinkingDocument(

@@ -319,6 +319,46 @@ class TestCli:
             ])
         assert e.value.code == 3
 
+    @pytest.mark.parametrize("scores", ["0.9,abc", "@file"])
+    def test_eval_runs_bad_score_exits_2(self, tmp_path, capsys, scores):
+        if scores == "@file":
+            path = tmp_path / "scores.txt"
+            path.write_text("0.9\n0.8\nabc\n", "utf-8")
+            scores = f"@{path}"
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "runs", "--scores", scores])
+        assert e.value.code == 2
+        assert "abc" in capsys.readouterr().err
+
+    def test_eval_f1_short_prediction_line_exits_2(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("doc0\tent0001\n", "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "f1", "--docs", str(paths["eval"]), "--pred", str(pred)])
+        assert e.value.code == 2
+        assert f"{pred}:1" in capsys.readouterr().err
+
+    def test_eval_f1_non_integer_index_exits_2(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("doc0\tfirst\tent0001\n", "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "f1", "--docs", str(paths["eval"]), "--pred", str(pred)])
+        assert e.value.code == 2
+
+    def test_eval_geometry_short_pair_line_exits_2(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# header\nent0000\tent0001\n", "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main([
+                "eval", "geometry", "--baseline", str(paths["wikitext"]),
+                "--reinforced", str(paths["wikitext"]), "--pairs", str(pairs),
+            ])
+        assert e.value.code == 2
+        assert f"{pairs}:2" in capsys.readouterr().err
+
     def test_pipeline_run_cli(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         out = tmp_path / "out"
