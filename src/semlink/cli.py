@@ -333,6 +333,8 @@ def eval_runs(scores):
         values = [float(t) for t in tokens]
     except ValueError as e:
         raise FormatError(f"bad score: {e}", path=source) from None
+    if not values:
+        raise FormatError("no scores given", path=source)
     summary = evaluation.summarize_runs(values)
     click.echo(json.dumps(summary.to_dict(), sort_keys=True))
 

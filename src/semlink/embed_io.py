@@ -168,9 +168,16 @@ def load_binary(path, normalize: bool = False) -> EmbeddingTable:
         raise FormatError(f"dimension must be positive, got {dim}", path=path)
 
     vec_bytes = dim * 4
+    pos = nl + 1
+    # every entry takes at least a 1-byte label, the space and its vector
+    if count * (2 + vec_bytes) > len(buf) - pos:
+        raise TruncatedError(
+            f"header promises {count} entries of dimension {dim}, "
+            f"but only {len(buf) - pos} bytes follow it",
+            path=path,
+        )
     labels: list[str] = []
     matrix = np.empty((count, dim), dtype=_F32)
-    pos = nl + 1
     for i in range(count):
         sp = buf.find(b" ", pos)
         if sp < 0:
@@ -192,15 +199,7 @@ def load_binary(path, normalize: bool = False) -> EmbeddingTable:
     if pos != len(buf):
         raise FormatError(f"{len(buf) - pos} trailing bytes after last entry", path=path)
 
-    seen: set[str] = set()
-    for label in labels:
-        if label in seen:
-            raise DuplicateLabelError(f"duplicate label {label!r}")
-        seen.add(label)
-    if not np.isfinite(matrix).all():
-        bad = int(np.argwhere(~np.isfinite(matrix).all(axis=1))[0, 0])
-        raise NonFiniteError(f"non-finite value in vector for label {labels[bad]!r}")
-
+    # the table rejects duplicate labels and non-finite values
     table = EmbeddingTable(dim, labels, matrix)
     return table.normalized() if normalize else table
 

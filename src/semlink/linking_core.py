@@ -30,12 +30,23 @@ identity.
 Dev mentions with usable gold are packed once as well (features, sorted
 candidate vectors, mask, gold index), so dev F1 per epoch is one einsum and
 a first-maximum argmax, the same greedy scorer ``infer`` uses.
+
+Exhaustive inference packs the document the same way and scores every
+assignment at once: with V_i the sorted candidate vectors of mention i, it
+broadcast-adds each mention's local vector (the same einsum) and each
+pair's (k_i, k_j) block -- ``(V_i * C) @ V_j.T / (n - 1)``, or the
+weighted relation forms -- into one ``(k_1, ..., k_n)`` float64 tensor,
+product x 8 bytes (8 MB at ``EXHAUSTIVE_CAPACITY``).  The C-order first
+maximum of that tensor is the lexicographically smallest best label tuple.
+``document_score`` and the pairwise functions keep their scalar form as
+the reference the packed path is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -335,14 +346,64 @@ def _pack_candidates(
     return _CandidateBlock(labels, features, vectors, mask)
 
 
+def _local_scores(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
+    """(N, M) local scores of every packed candidate; padding rows score 0."""
+    return np.einsum("nmd,d,nd->nm", block.vectors, B, block.features)
+
+
 def _greedy_picks(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
     """Per-mention index of the first candidate with the highest local score."""
-    if B.shape != (block.vectors.shape[2],):
-        raise DimensionError(f"B has shape {B.shape}, expected ({block.vectors.shape[2]},)")
-    scores = np.einsum("nmd,d,nd->nm", block.vectors, B, block.features)
+    scores = _local_scores(block, B)
     scores[~block.mask] = -np.inf
     # argmax returns the first maximum: ties go to the smallest label
     return scores.argmax(axis=1)
+
+
+def _pair_block(
+    Vi: np.ndarray, Vj: np.ndarray, model: LinkingModel, n: int, pairwise: str
+) -> np.ndarray:
+    """(k_i, k_j) pairwise scores of every candidate pair of mentions i and j."""
+    if pairwise == "diagonal":
+        return (Vi * model.C) @ Vj.T / (n - 1)
+    # per-relation bilinear forms S[a, b, k], weighted as in relation_weights
+    S = (Vi[:, None] * Vj[None]) @ np.stack(model.relations).T
+    if model.relation_weighting == "uniform":
+        return S @ np.full(model.K, 1.0 / model.K)
+    w = np.exp(S - S.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    return (w * S).sum(axis=-1)
+
+
+def _exhaustive(
+    doc: LinkingDocument,
+    model: LinkingModel,
+    entities: EmbeddingTable,
+    words: EmbeddingTable,
+    pairwise: str,
+) -> list[str]:
+    """``document_score`` argmax over the candidate product, scored as one tensor."""
+    shape = tuple(len(m.candidates) for m in doc.mentions)
+    if math.prod(shape) > EXHAUSTIVE_CAPACITY:
+        raise CapacityError(
+            f"candidate product exceeds {EXHAUSTIVE_CAPACITY}; "
+            "use strategy='greedy-local'"
+        )
+    block = _pack_candidates(doc.mentions, entities, words)
+    local = _local_scores(block, model.B)
+    n = len(shape)
+
+    def along(*axes: int) -> tuple[int, ...]:
+        return tuple(k if a in axes else 1 for a, k in enumerate(shape))
+
+    vecs = [block.vectors[i, :k] for i, k in enumerate(shape)]
+    score = np.zeros(shape)
+    for i, k in enumerate(shape):
+        score += local[i, :k].reshape(along(i))
+    for i, j in itertools.combinations(range(n), 2):
+        score += _pair_block(vecs[i], vecs[j], model, n, pairwise).reshape(along(i, j))
+    # the C-order first maximum is the lexicographically smallest best tuple
+    best = np.unravel_index(score.argmax(), shape)
+    return [ls[b] for ls, b in zip(block.labels, best)]
 
 
 def infer(
@@ -361,53 +422,18 @@ def infer(
     coherence entirely.
     """
     _check_candidates(doc)
+    if strategy not in ("exhaustive", "greedy-local"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if pairwise not in ("diagonal", "relations"):
+        raise ValueError(f"unknown pairwise mode {pairwise!r}")
+    if model.dim != entities.dim:
+        raise DimensionError(f"model dimension {model.dim} != entity dimension {entities.dim}")
     if strategy == "greedy-local":
         block = _pack_candidates(doc.mentions, entities, words)
         return [ls[p] for ls, p in zip(block.labels, _greedy_picks(block, model.B))]
-    if strategy != "exhaustive":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    feats = _context_features(doc, words)
-
-    product = 1
-    for m in doc.mentions:
-        product *= len(m.candidates)
-        if product > EXHAUSTIVE_CAPACITY:
-            raise CapacityError(
-                f"candidate product exceeds {EXHAUSTIVE_CAPACITY}; "
-                "use strategy='greedy-local'"
-            )
-
-    n = len(doc.mentions)
-    cands = [sorted(m.candidates) for m in doc.mentions]
-    vecs = [[_entity_vector(entities, c) for c in cs] for cs in cands]
-    local = [
-        [local_score(v, model.B, feat) for v in vs] for vs, feat in zip(vecs, feats)
-    ]
-    pair: dict[tuple[int, int], np.ndarray] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        block = np.empty((len(cands[i]), len(cands[j])))
-        for a, vi in enumerate(vecs[i]):
-            for b, vj in enumerate(vecs[j]):
-                if pairwise == "diagonal":
-                    block[a, b] = pairwise_score(vi, vj, model.C, n)
-                elif pairwise == "relations":
-                    w = relation_weights(model, vi, vj)
-                    block[a, b] = relation_pairwise_score(vi, vj, model, w)
-                else:
-                    raise ValueError(f"unknown pairwise mode {pairwise!r}")
-        pair[(i, j)] = block
-
-    best_choice, best_score = None, None
-    for choice in itertools.product(*(range(len(cs)) for cs in cands)):
-        score = 0.0
-        for i in range(n):
-            score += local[i][choice[i]]
-        for i, j in itertools.combinations(range(n), 2):
-            score += pair[(i, j)][choice[i], choice[j]]
-        # strict improvement keeps the lexicographically smallest tie
-        if best_score is None or score > best_score:
-            best_choice, best_score = choice, score
-    return [cands[i][best_choice[i]] for i in range(n)]
+    if pairwise == "relations" and model.K < 1:
+        raise RelationArityError("model has no relations")
+    return _exhaustive(doc, model, entities, words, pairwise)
 
 
 @dataclass

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from semlink.embed_io import EmbeddingTable
+
+# Property tests replay the same examples on every run and have no per-example
+# time limit, so they neither flake on a slow machine nor differ between runs.
+settings.register_profile("semlink", derandomize=True, deadline=None)
+settings.load_profile("semlink")
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str, str]] = []
 _ACCEPTANCE_DOCS: dict[str, str] = {}

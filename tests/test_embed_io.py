@@ -105,6 +105,16 @@ class TestBinary:
             with pytest.raises(TruncatedError):
                 load_binary(p)
 
+    def test_header_count_bounded_by_file_size(self, tmp_path):
+        p = tmp_path / "t.bin"
+        write_reference_binary(p, [("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
+        body = p.read_bytes().split(b"\n", 1)[1]
+        # 10^11 entries of dimension 300 would need ~112 TiB: refuse before allocating
+        for header in (b"100000000000 300\n", b"3 2\n"):
+            p.write_bytes(header + body)
+            with pytest.raises(TruncatedError, match="entries"):
+                load_binary(p)
+
     def test_trailing_garbage(self, tmp_path):
         p = tmp_path / "t.bin"
         write_reference_binary(p, [("a", [1.0, 2.0])])

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import (
@@ -270,12 +271,20 @@ class TestInfer:
         model = LinkingModel(4, rng.standard_normal(4), rng.standard_normal(4))
         doc = random_doc(rng, labels, wlabels, 3, 3)
         got = infer(doc, model, entities, words, "exhaustive")
-        best, best_score = None, -np.inf
-        for choice in itertools.product(*(sorted(m.candidates) for m in doc.mentions)):
-            s = document_score(list(choice), doc, model, entities, words)
-            if s > best_score:
-                best, best_score = list(choice), s
-        assert got == best
+        assert got == enumeration_argmax(doc, model, entities, words)[0]
+
+    @pytest.mark.parametrize("weighting", ["uniform", "softmax"])
+    def test_relations_exhaustive_matches_enumeration(self, rng, weighting):
+        entities, words, labels, wlabels = toy_world(rng, n_entities=8)
+        for trial in range(5):
+            model = LinkingModel(
+                4, rng.standard_normal(4), rng.standard_normal(4),
+                relations=[rng.standard_normal(4) for _ in range(3)],
+                relation_weighting=weighting,
+            )
+            doc = random_doc(rng, labels, wlabels, 3 + trial % 2, 3, doc_id=f"d{trial}")
+            got = infer(doc, model, entities, words, "exhaustive", pairwise="relations")
+            assert got == enumeration_argmax(doc, model, entities, words, "relations")[0]
 
     def test_scaling_invariance_of_argmax(self, rng):
         entities, words, labels, wlabels = toy_world(rng)
@@ -311,8 +320,33 @@ class TestInfer:
         doc = random_doc(rng, labels, wlabels, 2, 3)
         with pytest.raises(DimensionError):
             infer(doc, LinkingModel.identity(4), entities, words, "greedy-local")
+        for pairwise in ("diagonal", "relations"):
+            with pytest.raises(DimensionError):
+                infer(doc, LinkingModel.identity(4, 1), entities, words, "exhaustive", pairwise)
         with pytest.raises(DimensionError):
             train([doc], entities, words, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "greedy-local"])
+    @pytest.mark.parametrize("pairwise", ["diagonal", "relations"])
+    def test_model_entity_dimension_mismatch(self, rng, strategy, pairwise):
+        entities, words, labels, wlabels = toy_world(rng, dim=4)
+        doc = random_doc(rng, labels, wlabels, 2, 3)
+        with pytest.raises(DimensionError):
+            infer(doc, LinkingModel.identity(3, 1), entities, words, strategy, pairwise)
+
+    @pytest.mark.parametrize("n_mentions", [1, 2])
+    def test_relations_without_relations_rejected(self, rng, n_mentions):
+        entities, words, labels, wlabels = toy_world(rng)
+        doc = random_doc(rng, labels, wlabels, n_mentions, 3)
+        with pytest.raises(RelationArityError):
+            infer(doc, LinkingModel.identity(4), entities, words, "exhaustive", pairwise="relations")
+
+    @pytest.mark.parametrize("n_mentions", [1, 2])
+    def test_unknown_pairwise_mode_rejected(self, rng, n_mentions):
+        entities, words, labels, wlabels = toy_world(rng)
+        doc = random_doc(rng, labels, wlabels, n_mentions, 3)
+        with pytest.raises(ValueError, match="pairwise"):
+            infer(doc, LinkingModel.identity(4), entities, words, "exhaustive", pairwise="dense")
 
     def test_tie_breaks_lexicographic(self, rng):
         # identical candidate vectors -> tie; smallest label must win
@@ -326,6 +360,80 @@ class TestInfer:
         model = LinkingModel.identity(2)
         assert infer(doc, model, entities, words, "exhaustive") == ["aa"]
         assert infer(doc, model, entities, words, "greedy-local") == ["aa"]
+
+    def test_tie_breaks_lexicographic_across_mentions(self):
+        # "zz" and "aa" share a vector, so the four best assignments tie; the
+        # coherence term moves mention 1 from its local best "mm" to "bb"
+        entities = EmbeddingTable.from_pairs(
+            [("zz", [1.0, 0.5]), ("aa", [1.0, 0.5]), ("mm", [0.2, -1.0]), ("bb", [-0.5, 0.3])]
+        )
+        words = EmbeddingTable.from_pairs([("w", [1.0, 1.0])])
+        doc = LinkingDocument("d", [
+            Mention("m0", context=["w"], candidates=["zz", "mm", "aa"]),
+            Mention("m1", context=["w"], candidates=["bb", "mm"]),
+            Mention("m2", context=["w"], candidates=["aa", "bb", "zz"]),
+        ])
+        model = LinkingModel(2, np.array([1.0, 0.5]), np.array([0.75, 2.0]))
+        got = infer(doc, model, entities, words, "exhaustive")
+        assert got == ["aa", "bb", "aa"]
+        assert got == enumeration_argmax(doc, model, entities, words)[0]
+
+
+def enumeration_argmax(doc, model, entities, words, pairwise="diagonal"):
+    """First maximum of ``document_score`` over the sorted candidate product."""
+    best, best_score = None, -np.inf
+    for choice in itertools.product(*(sorted(m.candidates) for m in doc.mentions)):
+        s = document_score(list(choice), doc, model, entities, words, pairwise=pairwise)
+        if s > best_score:
+            best, best_score = list(choice), s
+    return best, best_score
+
+
+# Quarter-step values, one to four context tokens per mention: every local
+# and pairwise term is then computed exactly or rounded once, identically,
+# by the packed and the scalar path, so their argmaxes agree bit for bit.
+_quarters = st.integers(-8, 8).map(lambda q: q / 4)
+
+
+@st.composite
+def small_linking_worlds(draw):
+    dim = draw(st.integers(1, 3))
+    vector = st.lists(_quarters, min_size=dim, max_size=dim)
+    n_entities = draw(st.integers(2, 5))
+    labels = [f"e{i}" for i in range(n_entities)]
+    entities = EmbeddingTable.from_pairs([(l, draw(vector)) for l in labels], dim)
+    words = EmbeddingTable.from_pairs([(f"w{i}", draw(vector)) for i in range(3)], dim)
+    mentions = [
+        Mention(
+            "m",
+            context=draw(st.lists(st.sampled_from(words.labels), min_size=1, max_size=4)),
+            candidates=draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    mode = draw(st.sampled_from(["diagonal", "uniform", "softmax"]))
+    K = draw(st.sampled_from([1, 2, 4]))
+    model = LinkingModel(
+        dim, np.array(draw(vector)), np.array(draw(vector)),
+        relations=[np.array(draw(vector)) for _ in range(K)],
+        relation_weighting="softmax" if mode == "softmax" else "uniform",
+    )
+    return LinkingDocument("d", mentions), model, entities, words, mode
+
+
+@given(small_linking_worlds())
+def test_exhaustive_infer_equals_enumeration(world):
+    doc, model, entities, words, mode = world
+    pairwise = "diagonal" if mode == "diagonal" else "relations"
+    got = infer(doc, model, entities, words, "exhaustive", pairwise)
+    best, best_score = enumeration_argmax(doc, model, entities, words, pairwise)
+    if mode == "softmax" and got != best:
+        # softmax weights are transcendental, and the two paths may round
+        # them differently: only a tie up to rounding may separate the answers
+        got_score = document_score(got, doc, model, entities, words, pairwise=pairwise)
+        assert got_score == pytest.approx(best_score, rel=1e-12, abs=1e-12)
+    else:
+        assert got == best
 
 
 def separable_world(dim=8, n_groups=4):

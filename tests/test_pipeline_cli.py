@@ -330,6 +330,17 @@ class TestCli:
         assert e.value.code == 2
         assert "abc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scores", ["", ",", " , ", "@file"])
+    def test_eval_runs_no_scores_exits_2(self, tmp_path, capsys, scores):
+        if scores == "@file":
+            path = tmp_path / "scores.txt"
+            path.write_text("\n", "utf-8")
+            scores = f"@{path}"
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "runs", "--scores", scores])
+        assert e.value.code == 2
+        assert "no scores" in capsys.readouterr().err
+
     def test_eval_f1_short_prediction_line_exits_2(self, fixture_dir, tmp_path, capsys):
         root, paths = fixture_dir
         pred = tmp_path / "pred.tsv"
