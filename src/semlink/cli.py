@@ -46,11 +46,10 @@ def dict_group():
 @click.option("--corpus", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--min-count", default=10, show_default=True, help="Frequency threshold for the printed summary.")
-@click.option("--workers", default=1, show_default=True)
-def dict_mine(corpus, out_path, min_count, workers):
+def dict_mine(corpus, out_path, min_count):
     """Count noun frequency over article first sentences."""
     articles = type_extraction.read_article_corpus(corpus)
-    report = type_dictionary.mine_noun_frequency(articles, workers=workers)
+    report = type_dictionary.mine_noun_frequency(articles)
     report.save_tsv(out_path)
     frequent = report.frequent(min_count)
     click.echo(f"sentences={report.total_sentences} nouns={len(report.counts)} frequent={len(frequent)}")
@@ -111,13 +110,12 @@ def types():
 @click.option("--dictionary", required=True, type=click.Path(exists=True))
 @click.option("--remap", type=click.Path(exists=True))
 @click.option("--cap", default=11, show_default=True)
-@click.option("--workers", default=1, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def types_extract(corpus, dictionary, remap, cap, workers, out_path):
+def types_extract(corpus, dictionary, remap, cap, out_path):
     """Extract up to CAP dictionary words per entity."""
     d = type_dictionary.SemanticTypeDictionary.load(dictionary, remap)
     articles = type_extraction.read_article_corpus(corpus)
-    assignments = type_extraction.extract_corpus(articles, d, cap=cap, workers=workers)
+    assignments = type_extraction.extract_corpus(articles, d, cap=cap)
     type_extraction.write_assignments(assignments, out_path)
     covered = sum(1 for a in assignments.values() if a.type_words)
     click.echo(f"extracted types for {len(assignments)} entities ({covered} non-empty)")

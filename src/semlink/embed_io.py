@@ -12,13 +12,17 @@ Two on-disk formats are supported:
 
 Labels are raw bytes apart from 0x20/0x0A; they are decoded with
 surrogateescape so arbitrary dump artifacts survive a load/save cycle.
-Tables are immutable after construction and safe for concurrent reads.
+Tables are immutable after construction, so each caches its float64 row
+norms on first use.  Cosine scoring (`EmbeddingTable.cosines`) and the
+top-k selection over labelled scores (`top_k`) live here, shared by the
+neighbour report and seed expansion.  Float64 work over a whole table runs
+in row blocks of `BLOCK_ROWS`, so no full-size float64 copy is ever made.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +35,9 @@ from .errors import (
 )
 
 _F32 = np.dtype("<f4")
+
+# rows per float64 temporary: 1.2 MB at dimension 300
+BLOCK_ROWS = 512
 
 
 class VectorRef(NamedTuple):
@@ -70,6 +77,7 @@ class EmbeddingTable:
         self.matrix = matrix
         self.matrix.flags.writeable = False
         self._index = index
+        self._norms: Optional[np.ndarray] = None
 
     @classmethod
     def from_pairs(cls, pairs, dim: Optional[int] = None) -> "EmbeddingTable":
@@ -124,17 +132,68 @@ class EmbeddingTable:
         """Row for ``label``; raises MissingLabelError when absent."""
         return self.matrix[self.index(label)]
 
+    def row_norms(self) -> np.ndarray:
+        """Read-only float64 L2 norm of every row, computed once per table."""
+        if self._norms is None:
+            norms = np.empty(len(self))
+            for start in range(0, len(self), BLOCK_ROWS):
+                block = self.matrix[start : start + BLOCK_ROWS].astype(np.float64)
+                norms[start : start + len(block)] = np.linalg.norm(block, axis=1)
+            norms.flags.writeable = False
+            self._norms = norms
+        return self._norms
+
+    def unit_rows(self) -> np.ndarray:
+        """Float64 rows divided by their norms; zero rows stay zero."""
+        return self.matrix / _zero_safe(self.row_norms())[:, None]
+
+    def cosines(self, query, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Float64 cosine of every row (or of ``rows``) to ``query``.
+
+        Zero rows and a zero query score 0.
+        """
+        norms = self.row_norms() if rows is None else self.row_norms()[rows]
+        q = np.asarray(query, dtype=np.float64)
+        qn = np.linalg.norm(q)
+        if qn == 0.0:
+            return np.zeros(len(norms))
+        dots = np.empty(len(norms))
+        for start in range(0, len(norms), BLOCK_ROWS):
+            part = slice(start, start + BLOCK_ROWS)
+            block = self.matrix[part] if rows is None else self.matrix[rows[part]]
+            dots[part] = block.astype(np.float64) @ q
+        scores = dots / (_zero_safe(norms) * qn)
+        scores[norms == 0.0] = 0.0
+        return scores
+
     def normalized(self) -> "EmbeddingTable":
         """Copy with L2-normalized rows; zero rows are left untouched."""
-        m = self.matrix.astype(np.float64)
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return EmbeddingTable(self.dim, list(self.labels), (m / norms).astype(_F32))
+        return EmbeddingTable(self.dim, list(self.labels), self.unit_rows().astype(_F32))
 
 
-def lookup(table: EmbeddingTable, label: str) -> Optional[VectorRef]:
-    """Exact-match lookup; absent labels yield None, not an error."""
-    return table.lookup(label)
+def _zero_safe(norms: np.ndarray) -> np.ndarray:
+    """Norms with zeros replaced by 1, so zero vectors divide to zero."""
+    return np.where(norms == 0.0, 1.0, norms)
+
+
+def top_k(
+    labels: Sequence[str], scores: np.ndarray, k: int, skip: Optional[int] = None
+) -> list[tuple[str, float]]:
+    """The ``k`` best ``(label, score)`` pairs, best first, ties by label.
+
+    Position ``skip`` never appears.  Only the candidates scoring at or above
+    the k-th best score are sorted, so ties across rank k resolve exactly as
+    a full sort would.
+    """
+    candidates = np.arange(len(labels))
+    if skip is not None:
+        candidates = np.delete(candidates, skip)
+    if k < len(candidates):
+        kept = scores[candidates]
+        kth = np.partition(kept, len(kept) - k)[len(kept) - k]
+        candidates = candidates[kept >= kth]
+    order = sorted(candidates.tolist(), key=lambda i: (-scores[i], labels[i]))
+    return [(labels[i], float(scores[i])) for i in order[:k]]
 
 
 def _decode_label(raw: bytes) -> str:

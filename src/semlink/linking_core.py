@@ -284,6 +284,10 @@ def document_score(
         raise InvalidDocumentError(
             f"assignment length {len(assignment)} != {n} mentions"
         )
+    if pairwise not in ("diagonal", "relations"):
+        raise ValueError(f"unknown pairwise mode {pairwise!r}")
+    if pairwise == "relations" and model.K < 1:
+        raise RelationArityError("model has no relations")
     feats = features or _context_features(doc, words)
     vecs = [_entity_vector(entities, label) for label in assignment]
     total = 0.0
@@ -292,11 +296,9 @@ def document_score(
     for i, j in itertools.combinations(range(n), 2):
         if pairwise == "diagonal":
             total += pairwise_score(vecs[i], vecs[j], model.C, n)
-        elif pairwise == "relations":
+        else:
             w = relation_weights(model, vecs[i], vecs[j])
             total += relation_pairwise_score(vecs[i], vecs[j], model, w)
-        else:
-            raise ValueError(f"unknown pairwise mode {pairwise!r}")
     return total
 
 

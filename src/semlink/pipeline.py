@@ -2,19 +2,23 @@
 
 Configuration is a flat key=value text file with CLI overrides.  Every stage
 records content hashes of its inputs and outputs in ``manifest.json``; a
-rerun with identical inputs and parameters skips the stage.  A failing stage
-leaves its outputs behind with a ``.partial`` suffix and aborts the run.
+rerun with identical inputs and parameters skips the stage.  The semlink
+version is one of every stage's parameters, so new code reruns all stages.
+The manifest is replaced atomically, so a crash while writing it leaves the
+previous one intact.  A failing stage leaves its outputs behind with a
+``.partial`` suffix and aborts the run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
+from . import __version__, embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
 from .errors import ConfigError, SemlinkError, StageError
 
 STAGE_ORDER = ("dict", "types", "semantic", "aggregate", "link", "eval")
@@ -163,8 +167,17 @@ class _Manifest:
                 self.stages = {}
 
     def write(self) -> None:
-        payload = {"stages": self.stages}
-        self.path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+        """Write a temporary file beside the manifest, then rename it over."""
+        text = json.dumps({"stages": self.stages}, indent=2, sort_keys=True) + "\n"
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def is_fresh(self, stage: str, inputs: dict[str, str], params: dict) -> bool:
         entry = self.stages.get(stage)
@@ -259,18 +272,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     def _stage_semantic(targets):
         words = _load_words()
         assignments = type_extraction.read_assignments(_types_path())
-        cfg = semantic_aggregation.AggregationConfig(T=config.T, alpha=config.alpha)
-        pairs = []
-        for entity_id, assignment in assignments.items():
-            if not assignment.type_words:
-                continue
-            result = semantic_aggregation.semantic_embedding(assignment, words, cfg)
-            pairs.append((entity_id, result.vector))
-        table = (
-            embed_io.EmbeddingTable.from_pairs(pairs, dim=words.dim)
-            if pairs
-            else embed_io.EmbeddingTable(words.dim)
-        )
+        table = semantic_aggregation.semantic_table(assignments, words, config.T)
         embed_io.save_binary(table, targets[0])
 
     def _stage_aggregate(targets):
@@ -369,6 +371,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
 
     for stage in config.stages:
         spec = spec_builders[stage]()
+        spec.params["semlink"] = __version__
         for p in spec.inputs:
             if not Path(p).exists():
                 raise StageError(stage, f"input missing: {p}")

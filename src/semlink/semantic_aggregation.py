@@ -10,6 +10,14 @@ embedding is the weighted sum
 where ``alpha`` trades heterogeneity of the base vectors against homogeneity
 of the type-driven ones.  Accumulation happens in float64 in extraction
 order; table storage stays float32.
+
+Whole tables go through `semantic_means`: the assignments are compiled once
+into an (N, T) matrix of word-row indices, padded with a zero row, and the
+float64 means are accumulated in blocks of rows, one type-word column at a
+time.  Each row sees the same float64 additions in the same order as
+`semantic_embedding`, which stays as the scalar reference, so both give the
+same bits.  Cosines and top-k neighbours use the table's cached row norms
+(`EmbeddingTable.cosines`, `embed_io.top_k`).
 """
 
 from __future__ import annotations
@@ -17,12 +25,12 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .embed_io import EmbeddingTable, VectorRef
-from .errors import DimensionError, MissingLabelError, MissingWordVectorError
+from .embed_io import BLOCK_ROWS, EmbeddingTable, VectorRef, top_k
+from .errors import DimensionError, MissingWordVectorError
 from .type_extraction import EntityTypeAssignment
 
 log = logging.getLogger(__name__)
@@ -97,6 +105,59 @@ def aggregate(wikitext, semantic, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * base + alpha * sem
 
 
+def semantic_means(
+    assignments: Sequence[Optional[EntityTypeAssignment]],
+    words: EmbeddingTable,
+    T: int,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Semantic means of many entities, ``(rows, means, counts)`` per row block.
+
+    ``means`` is the float64 ``(rows, dim)`` block of what `semantic_embedding`
+    returns for each assignment, bit for bit; ``counts`` holds how many type
+    words each row used.  A ``None`` or empty assignment gets a zero row and
+    count 0.  Missing word vectors raise before any block is produced.
+    """
+    positions: dict[str, int] = {}  # word -> row of `vectors`; row 0 is zero
+    index_rows = []
+    for assignment in assignments:
+        used = assignment.type_words[:T] if assignment is not None else []
+        row = []
+        for word in used:
+            p = positions.get(word)
+            if p is None:
+                if word not in words:
+                    raise MissingWordVectorError(
+                        f"no vector for type word {word!r} of entity {assignment.entity_id!r}"
+                    )
+                p = positions[word] = len(positions) + 1
+            row.append(p)
+        index_rows.append(row + [0] * (T - len(row)))
+    index = np.array(index_rows, dtype=np.intp).reshape(len(index_rows), T)
+    counts = np.count_nonzero(index, axis=1)
+    vectors = np.zeros((len(positions) + 1, words.dim), dtype=np.float32)
+    vectors[1:] = words.matrix[[words.index(w) for w in positions]]
+
+    for start in range(0, len(index), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        block, n = index[rows], counts[rows]
+        acc = np.zeros((len(block), words.dim))
+        for t in range(int(n.max())):
+            acc += vectors[block[:, t]]  # adding the zero row changes nothing
+        acc /= np.maximum(n, 1)[:, None]
+        yield rows, acc, n
+
+
+def semantic_table(
+    assignments: Mapping[str, EntityTypeAssignment], words: EmbeddingTable, T: int
+) -> EmbeddingTable:
+    """Float32 semantic means of the entities that have type words, in order."""
+    typed = [(entity_id, a) for entity_id, a in assignments.items() if a.type_words]
+    matrix = np.empty((len(typed), words.dim), dtype=np.float32)
+    for rows, means, _counts in semantic_means([a for _, a in typed], words, T):
+        matrix[rows] = means
+    return EmbeddingTable(words.dim, [entity_id for entity_id, _ in typed], matrix)
+
+
 def aggregate_table(
     wikitext: EmbeddingTable,
     assignments: Mapping[str, EntityTypeAssignment],
@@ -115,15 +176,12 @@ def aggregate_table(
         )
     out = np.empty_like(wikitext.matrix)
     coverage: Counter = Counter()
-    for i, label in enumerate(wikitext.labels):
-        assignment = assignments.get(label)
-        if assignment is None or not assignment.type_words:
-            out[i] = wikitext.matrix[i]
-            coverage[0] += 1
-            continue
-        sem = semantic_embedding(assignment, words, cfg)
-        coverage[len(sem.used_words)] += 1
-        out[i] = aggregate(wikitext.matrix[i], sem.vector, cfg.alpha).astype(np.float32)
+    rows_in_order = [assignments.get(label) for label in wikitext.labels]
+    for rows, means, counts in semantic_means(rows_in_order, words, cfg.T):
+        base = wikitext.matrix[rows]
+        out[rows] = aggregate(base, means, cfg.alpha)
+        np.copyto(out[rows], base, where=(counts == 0)[:, None])
+        coverage.update(counts.tolist())
     if coverage:
         log.info(
             "reinforced %d entities (T=%d, alpha=%g); coverage histogram %s",
@@ -145,32 +203,14 @@ def cosine(u, v) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def _cosines_to(table: EmbeddingTable, query_vec: np.ndarray) -> np.ndarray:
-    m = table.matrix.astype(np.float64)
-    norms = np.linalg.norm(m, axis=1)
-    qn = np.linalg.norm(query_vec)
-    if qn == 0.0:
-        return np.zeros(len(table))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    scores = (m @ query_vec) / (safe * qn)
-    scores[norms == 0.0] = 0.0
-    return scores
-
-
 def neighbor_report(
     table: EmbeddingTable, query: str, k: int = 10
 ) -> list[tuple[str, float]]:
     """Top-k labels by cosine to the query row, ties lexicographic."""
-    if query not in table:
-        raise MissingLabelError(f"label {query!r} not in table")
+    qi = table.index(query)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = _cosines_to(table, table.vector(query).astype(np.float64))
-    order = sorted(
-        (i for i, label in enumerate(table.labels) if label != query),
-        key=lambda i: (-scores[i], table.labels[i]),
-    )
-    return [(table.labels[i], float(scores[i])) for i in order[:k]]
+    return top_k(table.labels, table.cosines(table.matrix[qi]), k, skip=qi)
 
 
 @dataclass
@@ -193,11 +233,8 @@ def homogeneity_stats(
         raise ValueError("sample_pairs must be >= 1")
     total = n * (n - 1) // 2
 
-    m = table.matrix.astype(np.float64)
-    norms = np.linalg.norm(m, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = m / safe[:, None]
-    unit[norms == 0.0] = 0.0
+    unit = table.unit_rows()
+    unit[table.row_norms() == 0.0] = 0.0
 
     if sample_pairs >= total:
         gram = unit @ unit.T

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from ._text import tokenize
-from .embed_io import EmbeddingTable
+from .embed_io import EmbeddingTable, top_k
 from .errors import FormatError, MissingSeedError, RemapTargetError
 
 log = logging.getLogger(__name__)
@@ -195,49 +194,23 @@ def _iter_first_sentences(corpus):
             yield entity_id, sentence
 
 
-def _count_chunk(chunk, tagger) -> tuple[Counter, int]:
-    counts: Counter = Counter()
-    total = 0
-    for _entity_id, sentence in chunk:
-        total += 1
-        for token in tokenize(sentence):
-            if tagger(token):
-                counts[token] += 1
-    return counts, total
-
-
 def mine_noun_frequency(
     corpus,
     tagger: Optional[Callable[[str], bool]] = None,
-    workers: int = 1,
-    chunk_size: int = 512,
 ) -> NounFrequencyReport:
     """Count noun tokens (lowercased) over the first sentence of each article.
 
     ``corpus`` yields (entity_id, first_sentence) pairs or article records
-    exposing those attributes.  Counting shards associatively, so the worker
-    count never changes the result.
+    exposing those attributes.
     """
     tagger = tagger or default_noun_predicate
-    pairs = _iter_first_sentences(corpus)
-
-    if workers <= 1:
-        counts, total = _count_chunk(pairs, tagger)
-    else:
-        chunks = []
-        chunk: list = []
-        for pair in pairs:
-            chunk.append(pair)
-            if len(chunk) >= chunk_size:
-                chunks.append(chunk)
-                chunk = []
-        if chunk:
-            chunks.append(chunk)
-        counts, total = Counter(), 0
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part_counts, part_total in pool.map(lambda c: _count_chunk(c, tagger), chunks):
-                counts.update(part_counts)
-                total += part_total
+    counts: Counter = Counter()
+    total = 0
+    for _entity_id, sentence in _iter_first_sentences(corpus):
+        total += 1
+        for token in tokenize(sentence):
+            if tagger(token):
+                counts[token] += 1
     return NounFrequencyReport(dict(counts), total)
 
 
@@ -261,26 +234,14 @@ def expand_seeds(
 
     members = set(words_in_articles)
     pool_labels = [label for label in embeddings.labels if label in members]
-    pool = embeddings.matrix[[embeddings.index(l) for l in pool_labels]].astype(np.float64)
-    norms = np.linalg.norm(pool, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
+    pool_rows = np.array([embeddings.index(l) for l in pool_labels], dtype=np.intp)
+    position = {label: i for i, label in enumerate(pool_labels)}
 
     expansions = []
     for seed in seeds:
-        sv = embeddings.vector(seed).astype(np.float64)
-        sn = np.linalg.norm(sv)
-        if sn == 0.0 or len(pool_labels) == 0:
-            scores = np.zeros(len(pool_labels))
-        else:
-            scores = (pool @ sv) / (safe * sn)
-            scores[norms == 0.0] = 0.0
-        order = sorted(
-            (i for i, label in enumerate(pool_labels) if label != seed),
-            key=lambda i: (-scores[i], pool_labels[i]),
-        )
-        expansions.append(
-            SeedExpansion(seed, [(pool_labels[i], float(scores[i])) for i in order[:k]])
-        )
+        scores = embeddings.cosines(embeddings.vector(seed), rows=pool_rows)
+        neighbors = top_k(pool_labels, scores, k, skip=position.get(seed))
+        expansions.append(SeedExpansion(seed, neighbors))
     return expansions
 
 

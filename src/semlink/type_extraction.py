@@ -3,13 +3,13 @@
 Scanning walks the first sentence, then the body, in token order.  At each
 position the longest matching dictionary phrase wins (dictionary phrases are
 underscore-joined; they match the corresponding token sequence in text).
-Collected words are remapped, deduplicated on the remapped form keeping first
-occurrence, and capped.
+Only positions whose token starts some dictionary phrase are tried, so a
+token that starts none costs one hash lookup.  Collected words are remapped, deduplicated on
+the remapped form keeping first occurrence, and capped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -64,6 +64,11 @@ class PhraseMatcher:
         self._root = root
         self._dictionary = dictionary
 
+    def starts(self, tokens: list[str]) -> list[int]:
+        """Positions whose token is the first token of some dictionary word."""
+        root = self._root
+        return [i for i, token in enumerate(tokens) if token in root]
+
     def match_at(self, tokens: list[str], i: int) -> Optional[tuple[str, int]]:
         """Longest dictionary word starting at tokens[i] -> (word, n_tokens)."""
         node = self._root
@@ -95,18 +100,21 @@ def extract_types(
 
     collected: list[str] = []
     seen: set[str] = set()
-    i = 0
-    while i < len(tokens) and len(collected) < cap:
+    free = 0  # first position not consumed by an earlier match
+    for i in matcher.starts(tokens):
+        if i < free:
+            continue
         hit = matcher.match_at(tokens, i)
         if hit is None:
-            i += 1
             continue
         word, consumed = hit
+        free = i + consumed
         mapped = apply_remap(dictionary, word)
         if mapped not in seen:
             seen.add(mapped)
             collected.append(mapped)
-        i += consumed
+            if len(collected) == cap:
+                break
     return EntityTypeAssignment(article.entity_id, collected)
 
 
@@ -114,43 +122,15 @@ def extract_corpus(
     corpus: Iterable[ArticleRecord],
     dictionary: SemanticTypeDictionary,
     cap: int = 11,
-    workers: int = 1,
-    chunk_size: int = 256,
 ) -> dict[str, EntityTypeAssignment]:
-    """One assignment per article, in stream order.
-
-    Articles are independent, so sharding over workers cannot change the
-    result; duplicate entity ids are rejected.
-    """
+    """One assignment per article, in stream order; duplicate ids are rejected."""
     matcher = PhraseMatcher(dictionary)
     out: dict[str, EntityTypeAssignment] = {}
-
-    def _take(assignment: EntityTypeAssignment) -> None:
+    for article in corpus:
+        assignment = extract_types(article, dictionary, cap, matcher)
         if assignment.entity_id in out:
             raise DuplicateEntityError(f"duplicate entity id {assignment.entity_id!r}")
         out[assignment.entity_id] = assignment
-
-    if workers <= 1:
-        for article in corpus:
-            _take(extract_types(article, dictionary, cap, matcher))
-        return out
-
-    def _run_chunk(chunk: list[ArticleRecord]) -> list[EntityTypeAssignment]:
-        return [extract_types(a, dictionary, cap, matcher) for a in chunk]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: list = []
-        chunk: list[ArticleRecord] = []
-        for article in corpus:
-            chunk.append(article)
-            if len(chunk) >= chunk_size:
-                pending.append(pool.submit(_run_chunk, chunk))
-                chunk = []
-        if chunk:
-            pending.append(pool.submit(_run_chunk, chunk))
-        for future in pending:
-            for assignment in future.result():
-                _take(assignment)
     return out
 
 

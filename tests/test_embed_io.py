@@ -10,7 +10,6 @@ from semlink.embed_io import (
     VectorRef,
     load_binary,
     load_text,
-    lookup,
     save_binary,
     save_text,
 )
@@ -208,10 +207,10 @@ class TestText:
 class TestLookup:
     def test_hit_and_miss(self):
         table = EmbeddingTable.from_pairs([("a", [1.0])])
-        ref = lookup(table, "a")
+        ref = table.lookup("a")
         assert isinstance(ref, VectorRef)
         np.testing.assert_array_equal(ref.values, np.float32([1.0]))
-        assert lookup(table, "b") is None
+        assert table.lookup("b") is None
 
     def test_lookup_matches_raw_bytes(self, tmp_path, rng):
         values = {f"w{i}": rng.standard_normal(3).astype(np.float32) for i in range(10)}
@@ -225,7 +224,7 @@ class TestLookup:
         for label, _vals in entries:
             offset += len(label.encode()) + 1
             expected = np.frombuffer(body, dtype="<f4", count=3, offset=offset)
-            np.testing.assert_array_equal(lookup(table, label).values, expected)
+            np.testing.assert_array_equal(table.lookup(label).values, expected)
             offset += 12
 
     def test_lookup_independent_of_insertion_order(self, rng):

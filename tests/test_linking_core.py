@@ -247,6 +247,24 @@ class TestDocumentScore:
             got = document_score(list(choice), doc, model, entities, words)
             assert got == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("n_mentions", [1, 2])
+    def test_unknown_pairwise_mode_rejected(self, rng, n_mentions):
+        entities, words, labels, wlabels = toy_world(rng)
+        doc = random_doc(rng, labels, wlabels, n_mentions, 3)
+        choice = [m.candidates[0] for m in doc.mentions]
+        with pytest.raises(ValueError, match="pairwise"):
+            document_score(choice, doc, LinkingModel.identity(4), entities, words, pairwise="bogus")
+
+    @pytest.mark.parametrize("n_mentions", [1, 2])
+    def test_relations_without_relations_rejected(self, rng, n_mentions):
+        entities, words, labels, wlabels = toy_world(rng)
+        doc = random_doc(rng, labels, wlabels, n_mentions, 3)
+        choice = [m.candidates[0] for m in doc.mentions]
+        with pytest.raises(RelationArityError):
+            document_score(
+                choice, doc, LinkingModel.identity(4), entities, words, pairwise="relations"
+            )
+
 
 class TestInfer:
     def test_single_candidate_everywhere(self, rng):

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from semlink import pipeline
 from semlink.cli import cli, main
 from semlink.embed_io import load_binary, save_binary
 from semlink.errors import ConfigError, StageError
@@ -160,6 +161,44 @@ class TestPipeline:
         status = run_pipeline(PipelineConfig.from_file(cfg_path, {"alpha": "0.1"}))
         assert status["aggregate"] == "done"
         assert status["types"] == "skipped"
+
+    def test_changed_version_reruns_every_stage(self, fixture_dir, tmp_path, monkeypatch):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out,
+                                extra="stages = dict,types,semantic,aggregate\n")
+        run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert set(run_pipeline(PipelineConfig.from_file(cfg_path)).values()) == {"skipped"}
+        monkeypatch.setattr(pipeline, "__version__", "0.0.0+changed")
+        status = run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert set(status.values()) == {"done"}
+        recorded = json.loads((out / "manifest.json").read_text("utf-8"))["stages"]
+        assert {entry["params"]["semlink"] for entry in recorded.values()} == {"0.0.0+changed"}
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_manifest_write_keeps_old_manifest(self, fixture_dir, tmp_path, monkeypatch, failing):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out, extra="stages = dict\n")
+        run_pipeline(PipelineConfig.from_file(cfg_path))
+        manifest = out / "manifest.json"
+        before = manifest.read_bytes()
+
+        def crash(*args):
+            raise OSError("simulated crash while writing the manifest")
+
+        # a crash after the new text is written but before it is durable, or
+        # just before the rename: either way the old manifest must survive
+        monkeypatch.setattr(pipeline.os, failing, crash)
+        more = write_config(tmp_path / "q.cfg", paths, out, extra="stages = dict,types\n")
+        with pytest.raises(OSError, match="simulated crash"):
+            run_pipeline(PipelineConfig.from_file(more))
+        monkeypatch.undo()
+        assert manifest.read_bytes() == before
+        assert set(json.loads(before)["stages"]) == {"dict"}
+        assert [p.name for p in out.iterdir() if "manifest" in p.name] == ["manifest.json"]
+        # the surviving manifest still lets the finished stage be skipped
+        assert run_pipeline(PipelineConfig.from_file(more)) == {"dict": "skipped", "types": "done"}
 
 
 class TestCli:

@@ -1,8 +1,12 @@
 """Mean-of-type-words embeddings, linear aggregation, and geometry helpers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from semlink import embed_io, semantic_aggregation
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import DimensionError, MissingLabelError, MissingWordVectorError
 from semlink.semantic_aggregation import (
@@ -13,6 +17,8 @@ from semlink.semantic_aggregation import (
     homogeneity_stats,
     neighbor_report,
     semantic_embedding,
+    semantic_means,
+    semantic_table,
 )
 from semlink.type_extraction import EntityTypeAssignment
 
@@ -301,3 +307,156 @@ class TestAggregationConfig:
             AggregationConfig(alpha=-0.1)
         with pytest.raises(ValueError):
             AggregationConfig(alpha=1.1)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the blocked whole-table paths against their scalar references.
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays of one dtype, with -0.0 and 0.0 told apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_aggregate_table(wikitext, assignments, words, cfg):
+    """Row-at-a-time reinforcement through `semantic_embedding` and `aggregate`."""
+    out = wikitext.matrix.copy()
+    for i, label in enumerate(wikitext.labels):
+        assignment = assignments.get(label)
+        if assignment is not None and assignment.type_words:
+            sem = semantic_embedding(assignment, words, cfg)
+            out[i] = aggregate(wikitext.matrix[i], sem.vector, cfg.alpha).astype(np.float32)
+    return out
+
+
+@st.composite
+def aggregation_worlds(draw):
+    # vectors come from a seeded generator over a wide exponent range, so the
+    # float64 sums round and any change in the order of the additions shows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vectors(n, dim):
+        return rng.standard_normal((n, dim)) * 2.0 ** rng.integers(-30, 30, (n, dim))
+
+    dim = draw(st.integers(1, 4))
+    n_words = draw(st.integers(1, 7))
+    words = EmbeddingTable(dim, [f"w{i}" for i in range(n_words)], vectors(n_words, dim))
+    n = draw(st.integers(0, 13))
+    entities = EmbeddingTable(dim, [f"e{i:02d}" for i in range(n)], vectors(n, dim))
+    # absent, empty, shorter than T, exactly T and longer than T assignments;
+    # one world in four has a type word without a vector
+    vocabulary = words.labels + (["ghost"] if draw(st.integers(0, 3)) == 0 else [])
+    assignments = {}
+    for label in entities.labels:
+        count = draw(st.integers(-1, 8))
+        if count >= 0:
+            chosen = draw(st.permutations(vocabulary))[:count]
+            assignments[label] = EntityTypeAssignment(label, chosen)
+    cfg = AggregationConfig(
+        T=draw(st.integers(1, 5)),
+        alpha=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99)),
+    )
+    block = draw(st.integers(1, 5))  # rows per block, so blocks straddle the table
+    return words, entities, assignments, cfg, block
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except MissingWordVectorError as e:
+        return None, str(e)
+
+
+@given(aggregation_worlds())
+def test_blocked_aggregate_table_matches_scalar_reference(world):
+    words, entities, assignments, cfg, block = world
+    with mock.patch.object(semantic_aggregation, "BLOCK_ROWS", block):
+        got, got_error = _outcome(lambda: aggregate_table(entities, assignments, words, cfg))
+    want, want_error = _outcome(lambda: reference_aggregate_table(entities, assignments, words, cfg))
+    assert got_error == want_error
+    if want_error is None:
+        assert got.labels == entities.labels
+        assert same_bits(got.matrix, want)
+
+
+@given(aggregation_worlds())
+def test_blocked_semantic_means_match_semantic_embedding(world):
+    words, entities, assignments, cfg, block = world
+    rows = [assignments.get(label) for label in entities.labels]
+
+    def blocked():
+        means = np.empty((len(rows), words.dim))
+        counts = np.empty(len(rows), dtype=int)
+        for part, block_means, block_counts in semantic_means(rows, words, cfg.T):
+            means[part], counts[part] = block_means, block_counts
+        return means, counts, semantic_table(assignments, words, cfg.T)
+
+    def scalar():
+        results = [
+            semantic_embedding(a or EntityTypeAssignment("absent"), words, cfg) for a in rows
+        ]
+        typed = [a for a in assignments.values() if a.type_words]
+        vectors = [semantic_embedding(a, words, cfg).vector for a in typed]
+        return results, typed, np.array(vectors, dtype=np.float32).reshape(len(typed), words.dim)
+
+    with mock.patch.object(semantic_aggregation, "BLOCK_ROWS", block):
+        got, got_error = _outcome(blocked)
+    want, want_error = _outcome(scalar)
+    assert got_error == want_error
+    if want_error is None:
+        (means, counts, table), (results, typed, typed_vectors) = got, want
+        # float64 means bit for bit: same additions in the same order
+        assert same_bits(means, np.array([r.vector for r in results]).reshape(means.shape))
+        assert counts.tolist() == [len(r.used_words) for r in results]
+        assert table.labels == [a.entity_id for a in typed]
+        assert same_bits(table.matrix, typed_vectors)
+
+
+def reference_neighbor_report(table, query, k):
+    """Full float64 copy, full norms and a full sort over every other label."""
+    m = table.matrix.astype(np.float64)
+    q = table.vector(query).astype(np.float64)
+    norms = np.linalg.norm(m, axis=1)
+    qn = np.linalg.norm(q)
+    if qn == 0.0:
+        scores = np.zeros(len(table))
+    else:
+        scores = (m @ q) / (np.where(norms == 0.0, 1.0, norms) * qn)
+        scores[norms == 0.0] = 0.0
+    order = sorted(
+        (i for i, label in enumerate(table.labels) if label != query),
+        key=lambda i: (-scores[i], table.labels[i]),
+    )
+    return [(table.labels[i], float(scores[i])) for i in order[:k]]
+
+
+@st.composite
+def tied_tables(draw):
+    # small integer components: many rows share a direction (exact cosine
+    # ties), some rows are zero, and every dot product is exact
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 14))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), min_size=n, max_size=n))
+    labels = draw(st.permutations([f"x{i:02d}" for i in range(n)]))
+    table = EmbeddingTable.from_pairs(list(zip(labels, rows)), dim)
+    query = draw(st.sampled_from(labels))
+    k = draw(st.integers(1, n + 1))
+    return table, query, k, draw(st.integers(1, 4))
+
+
+@given(tied_tables())
+def test_neighbor_report_matches_full_sort(world):
+    table, query, k, block = world
+    with mock.patch.object(embed_io, "BLOCK_ROWS", block):
+        got = neighbor_report(table, query, k)
+    assert got == reference_neighbor_report(table, query, k)
+
+
+def test_row_norms_cached_and_read_only(make_table):
+    table = make_table(7, 5)
+    norms = table.row_norms()
+    assert norms is table.row_norms()
+    np.testing.assert_array_equal(norms, np.linalg.norm(table.matrix.astype(np.float64), axis=1))
+    with pytest.raises(ValueError):
+        norms[0] = 1.0

@@ -81,14 +81,6 @@ class TestMineNounFrequency:
         assert report.total_sentences == 20
         assert report.counts == HAND_TALLY
 
-    def test_sharded_equals_sequential(self):
-        sequential = mine_noun_frequency(SENTENCES * 50, tagger=lambda t: t in NOUNS)
-        sharded = mine_noun_frequency(
-            SENTENCES * 50, tagger=lambda t: t in NOUNS, workers=4, chunk_size=37
-        )
-        assert sharded.counts == sequential.counts
-        assert sharded.total_sentences == sequential.total_sentences
-
     def test_frequent_threshold(self):
         report = mine_noun_frequency(SENTENCES, tagger=lambda t: t in NOUNS)
         frequent = dict(report.frequent(min_count=3))

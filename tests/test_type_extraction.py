@@ -1,11 +1,14 @@
 """Per-entity type extraction: cap, order, phrases, dedup, corpus streaming."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from semlink._text import tokenize
 from semlink.errors import DuplicateEntityError, FormatError
-from semlink.type_dictionary import SemanticTypeDictionary
+from semlink.type_dictionary import SemanticTypeDictionary, apply_remap
 from semlink.type_extraction import (
     ArticleRecord,
+    PhraseMatcher,
     extract_corpus,
     extract_types,
     read_article_corpus,
@@ -82,6 +85,52 @@ class TestExtractTypes:
             extract_types(ArticleRecord("e", "t", "x"), SemanticTypeDictionary())
 
 
+def reference_extract_types(article, dictionary, cap):
+    """Try a dictionary match at every token position, in order."""
+    matcher = PhraseMatcher(dictionary)
+    tokens = tokenize(article.first_sentence) + tokenize(article.body)
+    collected, seen, i = [], set(), 0
+    while i < len(tokens) and len(collected) < cap:
+        hit = matcher.match_at(tokens, i)
+        if hit is None:
+            i += 1
+            continue
+        word, consumed = hit
+        mapped = apply_remap(dictionary, word)
+        if mapped not in seen:
+            seen.add(mapped)
+            collected.append(mapped)
+        i += consumed
+    return collected
+
+
+_TOKENS = ["a", "b", "c", "d", "x"]
+
+
+@st.composite
+def phrase_worlds(draw):
+    # one- to three-token phrases over a tiny vocabulary overlap and nest
+    phrase = st.lists(st.sampled_from(_TOKENS[:4]), min_size=1, max_size=3).map("_".join)
+    words = draw(st.lists(phrase, min_size=1, max_size=8, unique=True))
+    targets = [w for w in words if draw(st.booleans())]
+    remap = {}
+    for w in words:
+        if w not in targets and targets and draw(st.booleans()):
+            remap[w] = draw(st.sampled_from(targets))
+    dictionary = SemanticTypeDictionary(words=set(words), remap=remap)
+    first = draw(st.lists(st.sampled_from(_TOKENS), max_size=12))
+    body = draw(st.lists(st.sampled_from(_TOKENS), max_size=12))
+    article = ArticleRecord("e", "t", first_sentence=" ".join(first), body=" ".join(body))
+    return dictionary, article, draw(st.integers(1, 4))
+
+
+@given(phrase_worlds())
+def test_extract_types_matches_per_position_scan(world):
+    dictionary, article, cap = world
+    got = extract_types(article, dictionary, cap=cap).type_words
+    assert got == reference_extract_types(article, dictionary, cap)
+
+
 class TestExtractCorpus:
     def _articles(self, n):
         d_words = ["lawyer", "writer", "player"]
@@ -106,14 +155,6 @@ class TestExtractCorpus:
         articles = [ArticleRecord("e", "t", "lawyer."), ArticleRecord("e", "t", "lawyer.")]
         with pytest.raises(DuplicateEntityError):
             extract_corpus(articles, d)
-
-    def test_sharded_equals_sequential(self):
-        d, articles = self._articles(1000)
-        sequential = extract_corpus(articles, d)
-        sharded = extract_corpus(articles, d, workers=4, chunk_size=73)
-        assert list(sharded) == list(sequential)
-        for k in sequential:
-            assert sharded[k].type_words == sequential[k].type_words
 
     def test_permutation_independent_per_article(self, rng):
         d, articles = self._articles(40)
