@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 capacity exceeded.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -333,6 +334,9 @@ def eval_runs(scores):
         raise FormatError(f"bad score: {e}", path=source) from None
     if not values:
         raise FormatError("no scores given", path=source)
+    for token, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise FormatError(f"non-finite score {token!r}", path=source)
     summary = evaluation.summarize_runs(values)
     click.echo(json.dumps(summary.to_dict(), sort_keys=True))
 

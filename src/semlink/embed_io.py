@@ -201,11 +201,17 @@ def _decode_label(raw: bytes) -> str:
 
 
 def _encode_label(label: str) -> bytes:
-    raw = label.encode("utf-8", errors="surrogateescape")
+    try:
+        raw = label.encode("utf-8", errors="surrogateescape")
+    except UnicodeEncodeError:
+        raise FormatError(f"label {label!r} has no byte form") from None
     if not raw:
         raise FormatError("empty label")
     if b" " in raw or b"\n" in raw:
         raise FormatError(f"label {label!r} contains whitespace")
+    # escaped bytes that spell valid UTF-8 would read back as other text
+    if _decode_label(raw) != label:
+        raise FormatError(f"label {label!r} would not read back as itself")
     return raw
 
 
@@ -220,8 +226,9 @@ def load_binary(path, normalize: bool = False) -> EmbeddingTable:
     except UnicodeDecodeError:
         raise FormatError("header is not ASCII", path=path) from None
     parts = header.split(" ")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise FormatError(f"malformed header {header!r}", path=path)
+    # at most 18 digits each, so neither int() nor numpy's row size overflows
+    if len(parts) != 2 or not all(p.isdigit() and len(p) <= 18 for p in parts):
+        raise FormatError(f"malformed header {header[:60]!r}", path=path)
     count, dim = int(parts[0]), int(parts[1])
     if dim < 1:
         raise FormatError(f"dimension must be positive, got {dim}", path=path)
@@ -257,9 +264,15 @@ def load_binary(path, normalize: bool = False) -> EmbeddingTable:
             pos += 1
     if pos != len(buf):
         raise FormatError(f"{len(buf) - pos} trailing bytes after last entry", path=path)
+    return _loaded_table(path, dim, labels, matrix, normalize)
 
-    # the table rejects duplicate labels and non-finite values
-    table = EmbeddingTable(dim, labels, matrix)
+
+def _loaded_table(path, dim, labels, matrix, normalize: bool) -> EmbeddingTable:
+    try:
+        table = EmbeddingTable(dim, labels, matrix)
+    except FormatError as e:
+        # duplicate labels or non-finite values: name the file they came from
+        raise type(e)(str(e), path=path) from None
     return table.normalized() if normalize else table
 
 
@@ -301,15 +314,20 @@ def load_text(path, dim: Optional[int] = None, normalize: bool = False) -> Embed
     if dim is None:
         raise FormatError("empty text table and no dimension given", path=path)
     matrix = np.array(rows, dtype=_F32).reshape(len(rows), dim)
-    table = EmbeddingTable(dim, labels, matrix)
-    return table.normalized() if normalize else table
+    return _loaded_table(path, dim, labels, matrix, normalize)
 
 
 def save_text(table: EmbeddingTable, path) -> None:
     """Write the text form with 9 significant digits per component."""
+    # checked before the file is opened, so a refused table writes nothing
+    for label in table.labels:
+        # the binary format's rules, and no whitespace of any kind, since the
+        # reader splits lines with str.split()
+        _encode_label(label)
+        if any(ch.isspace() for ch in label):
+            raise FormatError(f"label {label!r} contains whitespace")
     with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
         for i, label in enumerate(table.labels):
-            _encode_label(label)  # same charset rule as the binary format
             values = " ".join(format(float(v), ".9g") for v in table.matrix[i])
             fh.write(f"{label} {values}\n")
 

@@ -25,11 +25,11 @@ class TruncatedError(FormatError):
     """A binary embedding file ended before the declared entry count."""
 
 
-class DuplicateLabelError(SemlinkError):
+class DuplicateLabelError(FormatError):
     """Two embedding entries share the same label."""
 
 
-class NonFiniteError(SemlinkError, ValueError):
+class NonFiniteError(FormatError, ValueError):
     """An embedding vector contains NaN or infinity."""
 
 

@@ -11,6 +11,7 @@ previous one intact.  A failing stage leaves its outputs behind with a
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -238,7 +239,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     def _model_path() -> Path:
         return _artifact(config, enabled, "model", "model.txt", "link")
 
+    @functools.cache
     def _load_words():
+        # loaded on first use and shared by every later stage of this run
         return embed_io.load_table(config.words, normalize=config.normalize_words)
 
     def _load_docs(path):

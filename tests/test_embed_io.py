@@ -1,9 +1,12 @@
 """Embedding table I/O: bit-exact binary round-trips, text parsing, lookup."""
 
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semlink.embed_io import (
     EmbeddingTable,
@@ -17,6 +20,7 @@ from semlink.errors import (
     DuplicateLabelError,
     FormatError,
     MissingLabelError,
+    NonFiniteError,
     TruncatedError,
 )
 
@@ -114,6 +118,28 @@ class TestBinary:
             with pytest.raises(TruncatedError, match="entries"):
                 load_binary(p)
 
+    @pytest.mark.parametrize("header", [
+        b"9" * 5000 + b" 3\n",  # beyond int()'s digit limit
+        b"0 100000000000000000000\n",  # more dimensions than numpy can index
+        b"0 4611686018427387904\n",  # a row of 2**62 floats overflows its byte size
+    ], ids=["5000-digit-count", "dim-1e20", "dim-2**62"])
+    def test_oversized_header_numbers(self, tmp_path, header):
+        p = tmp_path / "t.bin"
+        p.write_bytes(header)
+        with pytest.raises(FormatError, match="malformed header"):
+            load_binary(p)
+
+    def test_table_errors_are_format_errors_with_path(self, tmp_path):
+        p = tmp_path / "t.bin"
+        write_reference_binary(p, [("a", [1.0]), ("a", [2.0])])
+        with pytest.raises(DuplicateLabelError, match=re.escape(str(p))) as e:
+            load_binary(p)
+        assert isinstance(e.value, FormatError)
+        write_reference_binary(p, [("a", [float("nan")])])
+        with pytest.raises(NonFiniteError, match=re.escape(str(p))) as e:
+            load_binary(p)
+        assert isinstance(e.value, FormatError)
+
     def test_trailing_garbage(self, tmp_path):
         p = tmp_path / "t.bin"
         write_reference_binary(p, [("a", [1.0, 2.0])])
@@ -150,6 +176,17 @@ class TestBinary:
         table = EmbeddingTable.from_pairs([("a b", [1.0])])
         with pytest.raises(FormatError):
             save_binary(table, tmp_path / "x.bin")
+
+    @pytest.mark.parametrize("save", [save_binary, save_text], ids=["binary", "text"])
+    @pytest.mark.parametrize("label", [
+        "a\ud800",  # a lone surrogate has no byte form
+        "caf\udcc3\udca9",  # escaped bytes that spell "é" would read back as "café"
+    ], ids=["lone-surrogate", "escaped-utf8"])
+    def test_save_rejects_labels_that_cannot_read_back(self, tmp_path, save, label):
+        table = EmbeddingTable.from_pairs([(label, [1.0])])
+        with pytest.raises(FormatError):
+            save(table, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
     def test_normalize_flag(self, tmp_path):
         p = tmp_path / "t.bin"
@@ -255,3 +292,120 @@ class TestTableInvariants:
         table = EmbeddingTable.from_pairs([("a", [1.0])])
         with pytest.raises(ValueError):
             table.matrix[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# Property tests: round-trips over arbitrary labels and shapes, and damaged
+# binary files
+
+# any code point, lone surrogates and whitespace included
+ANY_CHAR = st.characters(exclude_categories=())
+# what each format can carry: binary labels are bytes apart from 0x20/0x0A,
+# text labels are split on any whitespace
+BINARY_CHAR = st.characters(exclude_categories=("Cs",), exclude_characters=" \n")
+TEXT_CHAR = st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace())
+FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tables(draw, alphabet, min_rows=0):
+    dim = draw(st.integers(1, 5))
+    labels = draw(st.lists(
+        st.text(alphabet, min_size=1, max_size=6), min_size=min_rows, max_size=6, unique=True
+    ))
+    values = draw(st.lists(FLOAT32, min_size=len(labels) * dim, max_size=len(labels) * dim))
+    return EmbeddingTable(dim, labels, np.array(values, dtype=np.float32).reshape(-1, dim))
+
+
+def same_table(a, b):
+    # bit equality, so -0.0 and subnormals must survive too
+    return a.dim == b.dim and a.labels == b.labels and a.matrix.tobytes() == b.matrix.tobytes()
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    # module-scoped: every example of a property test reuses one directory
+    return tmp_path_factory.mktemp("io_properties")
+
+
+@given(table=tables(BINARY_CHAR))
+def test_binary_round_trip(io_dir, table):
+    path = io_dir / "t.bin"
+    save_binary(table, path)
+    raw = path.read_bytes()
+    loaded = load_binary(path)
+    assert same_table(loaded, table)
+    save_binary(loaded, path)
+    assert path.read_bytes() == raw
+
+
+@given(table=tables(TEXT_CHAR))
+def test_text_round_trip(io_dir, table):
+    path = io_dir / "t.txt"
+    save_text(table, path)
+    assert same_table(load_text(path, dim=table.dim), table)
+
+
+@pytest.mark.parametrize("save, load", [
+    (save_binary, lambda path, dim: load_binary(path)),
+    (save_text, lambda path, dim: load_text(path, dim=dim)),
+], ids=["binary", "text"])
+@given(table=tables(ANY_CHAR, min_rows=1))
+def test_save_refuses_or_round_trips(io_dir, save, load, table):
+    """A label the format cannot carry is refused on save, never written
+    into a file that loads as something else or fails to load."""
+    path = io_dir / "any"
+    path.unlink(missing_ok=True)
+    try:
+        save(table, path)
+    except FormatError:
+        assert not path.exists()  # no partial file that loads as fewer rows
+        return
+    assert same_table(load(path, table.dim), table)
+
+
+@st.composite
+def damaged_binaries(draw):
+    table = draw(tables(BINARY_CHAR, min_rows=1))
+    entries = [label.encode("utf-8") + b" " + row.tobytes()
+               for label, row in zip(table.labels, table.matrix)]
+    raw = bytearray(f"{len(table)} {table.dim}\n".encode("ascii") + b"".join(entries))
+    damage = draw(st.sampled_from(
+        ["value", "repeat", "truncate", "overwrite", "copy", "insert", "header", "garbage"]
+    ))
+    if damage == "value":  # one vector component becomes NaN, an infinity or any float
+        at = len(raw) - draw(st.integers(1, len(table) * table.dim)) * 4
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(width=32))
+        raw[at:at + 4] = struct.pack("<f", value)
+    elif damage == "repeat":  # an entry written twice, the count raised to match
+        raw[:raw.index(b"\n")] = f"{len(table) + 1} {table.dim}".encode("ascii")
+        raw += draw(st.sampled_from(entries))
+    elif damage == "truncate":
+        del raw[draw(st.integers(raw.index(b"\n") + 1, len(raw) - 1)):]
+    elif damage == "overwrite":
+        at = draw(st.integers(0, len(raw) - 1))
+        chunk = draw(st.binary(min_size=1, max_size=8))
+        raw[at:at + len(chunk)] = chunk
+    elif damage == "copy":  # a piece of the file over a later place in it
+        start, stop, at = sorted(draw(st.integers(0, len(raw))) for _ in range(3))
+        raw[at:at + stop - start] = raw[start:stop]
+    elif damage == "insert":
+        at = draw(st.integers(0, len(raw)))
+        raw[at:at] = draw(st.binary(min_size=1, max_size=8))
+    elif damage == "header":
+        count, dim = draw(st.integers(0, 10**25)), draw(st.integers(0, 10**25))
+        raw[:raw.index(b"\n") + 1] = f"{count} {dim}\n".encode("ascii")
+    else:
+        raw = bytearray(draw(st.binary(max_size=64)))
+    return bytes(raw)
+
+
+@given(raw=damaged_binaries())
+def test_damaged_binary_raises_only_format_errors(io_dir, raw):
+    path = io_dir / "damaged.bin"
+    path.write_bytes(raw)
+    try:
+        table = load_binary(path)
+    except FormatError:
+        return
+    assert isinstance(table, EmbeddingTable)

@@ -1,6 +1,10 @@
 """Micro-F1 counting, Student-t CIs, convergence and geometry studies."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from semlink.evaluation import (
     geometry_report,
     gold_map,
     micro_f1,
+    _t_quantile,
     summarize_runs,
 )
 from semlink.fixtures import FixtureSizes, generate_fixture
@@ -20,7 +25,7 @@ from semlink.linking_core import LinkingDocument, Mention, TrainConfig, train
 from semlink.semantic_aggregation import AggregationConfig, aggregate, aggregate_table
 
 # frozen Student-t 97.5% quantiles by degrees of freedom (statistics tables)
-T_975 = {2: 4.302652729911275, 4: 2.7764451051977987, 9: 2.2621571627409915}
+T_975 = {2: 4.302652729749463, 4: 2.7764451051977987, 9: 2.262157162798206}
 
 
 class TestMicroF1:
@@ -84,11 +89,63 @@ class TestMicroF1:
             gold_map([doc])
 
 
+class TestTQuantile:
+    # df 1 and 2 have closed forms, tan(0.475 pi) and 0.95 sqrt(2 / 0.0975);
+    # the others were checked with mpmath
+    @pytest.mark.parametrize("df, expected", [
+        (1, 12.706204736174696),
+        (2, 4.302652729749463),
+        (3, 3.1824463052837078),
+        (4, 2.7764451051977934),
+        (9, 2.262157162798206),
+        (29, 2.045229642132703),
+        (99, 1.9842169515864174),
+        (999, 1.9623414611334493),
+    ])
+    def test_975_quantile(self, df, expected):
+        assert _t_quantile(0.975, df) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", [0.6, 0.9, 0.99, 0.9995])
+    def test_closed_forms_at_other_probabilities(self, p):
+        a = 2 * p - 1  # P(|T| < t)
+        assert _t_quantile(p, 1) == pytest.approx(math.tan(math.pi * a / 2), rel=1e-12)
+        assert _t_quantile(p, 2) == pytest.approx(a * math.sqrt(2 / (1 - a * a)), rel=1e-12)
+
+    def test_decreases_toward_normal_quantile(self):
+        values = [_t_quantile(0.975, df) for df in range(1, 60)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] > 1.959963984540054
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, semlink.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 class TestSummarizeRuns:
     def test_constant_scores(self):
-        summary = summarize_runs([0.9, 0.9, 0.9])
+        with pytest.warns(UserWarning, match="do not differ"):
+            summary = summarize_runs([0.9, 0.9, 0.9])
         assert summary.mean == pytest.approx(0.9)
-        assert summary.ci95_halfwidth == pytest.approx(0.0)
+        assert summary.ci95_halfwidth == 0.0
+
+    def test_varying_scores_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summarize_runs([0.9, 0.9, 0.91])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            summarize_runs([0.9, bad, 0.8])
+
+    def test_paper_style_five_runs(self):
+        summary = summarize_runs([0.9258, 0.9249, 0.9266, 0.9271, 0.9263])
+        assert summary.ci95_halfwidth == pytest.approx(0.0010410743621653712, rel=1e-12)
 
     def test_single_run_warns(self):
         with pytest.warns(UserWarning):

@@ -66,6 +66,26 @@ class TestPipeline:
         again = run_pipeline(PipelineConfig.from_file(cfg_path))
         assert again == {s: "skipped" for s in again}
 
+    def test_word_table_loaded_once_per_run(self, fixture_dir, tmp_path, monkeypatch):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out)
+        loaded = []
+        real_load = pipeline.embed_io.load_table
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(str(path))
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline.embed_io, "load_table", counting_load)
+        status = run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert set(status.values()) == {"done"}
+        # dict, semantic, aggregate, link and eval all use the word table
+        assert loaded.count(str(paths["words"])) == 1
+        loaded.clear()
+        run_pipeline(PipelineConfig.from_file(cfg_path, overrides={"alpha": "0.3"}))
+        assert loaded.count(str(paths["words"])) == 1
+
     def test_pipeline_matches_manual_stage_composition(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         out = tmp_path / "out"
@@ -379,6 +399,22 @@ class TestCli:
             main(["eval", "runs", "--scores", scores])
         assert e.value.code == 2
         assert "no scores" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scores", ["0.9,nan,0.8", "0.9,inf", "-inf,0.9", "@file"])
+    def test_eval_runs_non_finite_score_exits_2(self, tmp_path, capsys, scores):
+        path = None
+        if scores == "@file":
+            path = tmp_path / "scores.txt"
+            path.write_text("0.9\nNaN\n0.8\n", "utf-8")
+            scores = f"@{path}"
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "runs", "--scores", scores])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite score" in captured.err
+        if path is not None:
+            assert str(path) in captured.err
 
     def test_eval_f1_short_prediction_line_exits_2(self, fixture_dir, tmp_path, capsys):
         root, paths = fixture_dir
