@@ -98,6 +98,9 @@ class LinkingDocument:
         ]
 
 
+RELATION_WEIGHTINGS = ("uniform", "softmax")
+
+
 @dataclass
 class LinkingModel:
     """Diagonal bilinear scorer parameters."""
@@ -119,7 +122,7 @@ class LinkingModel:
                 raise DimensionError(f"{name} has shape {diag.shape}, expected ({self.dim},)")
             if not np.isfinite(diag).all():
                 raise NonFiniteError(f"{name} contains non-finite values")
-        if self.relation_weighting not in ("uniform", "softmax"):
+        if self.relation_weighting not in RELATION_WEIGHTINGS:
             raise ValueError(f"unknown relation weighting {self.relation_weighting!r}")
 
     @property
@@ -151,7 +154,13 @@ class LinkingModel:
 
     @classmethod
     def load(cls, path) -> "LinkingModel":
-        lines = Path(path).read_text(encoding="ascii").splitlines()
+        """Read a model file; every error is a `FormatError` naming the file."""
+        data = Path(path).read_bytes()
+        try:
+            lines = data.decode("ascii").splitlines()
+        except UnicodeDecodeError as e:
+            line_no = data.count(b"\n", 0, e.start) + 1
+            raise FormatError(f"non-ASCII byte 0x{data[e.start]:02x}", path=path, line=line_no) from None
         if not lines:
             raise FormatError("empty model file", path=path)
         head = lines[0].split()
@@ -176,7 +185,13 @@ class LinkingModel:
                 )
             diags.append(np.asarray(values))
         weighting = lines[need].strip() if len(lines) > need and lines[need].strip() else "uniform"
-        return cls(dim, diags[0], diags[1], diags[2:], weighting)
+        if weighting not in RELATION_WEIGHTINGS:
+            raise FormatError(f"unknown relation weighting {weighting!r}", path=path, line=need + 1)
+        try:
+            return cls(dim, diags[0], diags[1], diags[2:], weighting)
+        except FormatError as e:
+            # non-finite values: name the file they came from
+            raise type(e)(str(e), path=path) from None
 
 
 @dataclass

@@ -7,13 +7,23 @@ version is one of every stage's parameters, so new code reruns all stages.
 The manifest is replaced atomically, so a crash while writing it leaves the
 previous one intact.  A failing stage leaves its outputs behind with a
 ``.partial`` suffix and aborts the run.
+
+One run does each piece of work once.  Each file is hashed at most once per
+run (a stage's outputs are hashed again when it records them); the word
+table and ``types.tsv`` are read on first use and shared by later stages;
+and ``link`` and ``eval`` use the table ``aggregate`` built in the same run
+instead of reading ``reinforced.bin`` back.  Nothing is kept from one run to
+the next.  Bad configuration values end in a `ConfigError` naming the key,
+the value and the file line or ``--set``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -29,6 +39,31 @@ _PATH_KEYS = (
     "dictionary", "types_file", "reinforced", "model",
     "train", "dev", "eval",
 )
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+# parameter -> (what its value must be, parser raising ValueError otherwise)
+_KINDS = {
+    **{key: ("an integer", int) for key in ("T", "cap", "window", "epochs", "seed")},
+    **{key: ("a finite number", _finite) for key in ("alpha", "margin", "lr")},
+    "normalize_words": ("one of 1/0/true/false/yes/no", _boolean),
+}
 
 
 @dataclass
@@ -65,37 +100,53 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, overrides: Optional[dict] = None) -> "PipelineConfig":
+        """Read ``key = value`` lines, then apply ``--set`` overrides.
+
+        Errors name the key, the value and where it came from: the file and
+        line, or ``--set``.
+        """
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line_no = data.count(b"\n", 0, e.start) + 1
+            raise ConfigError(
+                f"{path}:{line_no}: not UTF-8 text (byte 0x{data[e.start]:02x})"
+            ) from None
         values: dict = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+        origins: dict = {}
+        for line_no, raw in enumerate(io.StringIO(text, newline=None), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
+            origins[key.strip()] = f"{path}:{line_no}"
         for key, value in (overrides or {}).items():
             values[key.strip()] = value
-        return cls._coerce(values)
+            origins[key.strip()] = "--set"
+        return cls._coerce(values, origins)
 
     @classmethod
-    def _coerce(cls, values: dict) -> "PipelineConfig":
+    def _coerce(cls, values: dict, origins: dict) -> "PipelineConfig":
         known = {f.name for f in fields(cls)}
         cfg = cls()
         for key, value in values.items():
+            where = origins[key]
             if key not in known:
-                raise ConfigError(f"unknown configuration key {key!r}")
+                raise ConfigError(f"{where}: unknown configuration key {key!r}")
             if key == "stages":
                 cfg.stages = [s.strip() for s in str(value).split(",") if s.strip()]
             elif key in _PATH_KEYS or key == "out":
                 setattr(cfg, key, Path(value) if value not in (None, "") else None)
-            elif key in ("T", "cap", "window", "epochs", "seed"):
-                setattr(cfg, key, int(value))
-            elif key in ("alpha", "margin", "lr"):
-                setattr(cfg, key, float(value))
-            elif key == "normalize_words":
-                setattr(cfg, key, str(value).lower() in ("1", "true", "yes"))
+            elif key in _KINDS:
+                kind, parse = _KINDS[key]
+                try:
+                    setattr(cfg, key, parse(str(value)))
+                except ValueError:
+                    raise ConfigError(f"{where}: {key} = {value!r} is not {kind}") from None
             else:
                 setattr(cfg, key, value)
         if cfg.out is None:
@@ -161,11 +212,23 @@ class _Manifest:
     def __init__(self, path: Path):
         self.path = path
         self.stages: dict = {}
+        self._digests: dict[Path, str] = {}  # this run's hashes, by resolved path
         if path.exists():
             try:
                 self.stages = json.loads(path.read_text("utf-8")).get("stages", {})
             except (json.JSONDecodeError, OSError):
                 self.stages = {}
+
+    def digest(self, path: Path) -> str:
+        """SHA-256 of a file, computed at most once per run.
+
+        Within a run only the pipeline's own stages change files, and
+        `record` re-hashes every output a stage writes.
+        """
+        key = Path(path).resolve()
+        if key not in self._digests:
+            self._digests[key] = _sha256(key)
+        return self._digests[key]
 
     def write(self) -> None:
         """Write a temporary file beside the manifest, then rename it over."""
@@ -188,15 +251,17 @@ class _Manifest:
             return False
         for out_path, digest in entry.get("outputs", {}).items():
             p = Path(out_path)
-            if not p.exists() or _sha256(p) != digest:
+            if not p.exists() or self.digest(p) != digest:
                 return False
         return True
 
     def record(self, stage: str, inputs: dict[str, str], params: dict, outputs: list[Path]) -> None:
+        for p in outputs:  # just written: hash them again
+            self._digests.pop(Path(p).resolve(), None)
         self.stages[stage] = {
             "inputs": inputs,
             "params": params,
-            "outputs": {str(p): _sha256(p) for p in outputs},
+            "outputs": {str(p): self.digest(p) for p in outputs},
         }
         self.write()
 
@@ -239,10 +304,22 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     def _model_path() -> Path:
         return _artifact(config, enabled, "model", "model.txt", "link")
 
+    # each is loaded on first use and shared by every later stage of this run
     @functools.cache
     def _load_words():
-        # loaded on first use and shared by every later stage of this run
         return embed_io.load_table(config.words, normalize=config.normalize_words)
+
+    @functools.cache
+    def _load_assignments():
+        return type_extraction.read_assignments(_types_path())
+
+    reinforced = None  # the table aggregate built, when it ran in this run
+
+    def _load_reinforced():
+        nonlocal reinforced
+        if reinforced is None:
+            reinforced = embed_io.load_table(_reinforced_path())
+        return reinforced
 
     def _load_docs(path):
         if Path(path).suffix.lower() in (".tsv", ".conll"):
@@ -273,22 +350,20 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         type_extraction.write_assignments(assignments, targets[0])
 
     def _stage_semantic(targets):
-        words = _load_words()
-        assignments = type_extraction.read_assignments(_types_path())
-        table = semantic_aggregation.semantic_table(assignments, words, config.T)
+        table = semantic_aggregation.semantic_table(_load_assignments(), _load_words(), config.T)
         embed_io.save_binary(table, targets[0])
 
     def _stage_aggregate(targets):
-        words = _load_words()
+        nonlocal reinforced
         wikitext = embed_io.load_table(config.wikitext)
-        assignments = type_extraction.read_assignments(_types_path())
         cfg = semantic_aggregation.AggregationConfig(T=config.T, alpha=config.alpha)
-        table = semantic_aggregation.aggregate_table(wikitext, assignments, words, cfg)
+        table = semantic_aggregation.aggregate_table(wikitext, _load_assignments(), _load_words(), cfg)
         embed_io.save_binary(table, targets[0])
+        reinforced = table
 
     def _stage_link(targets):
         words = _load_words()
-        entities = embed_io.load_table(_reinforced_path())
+        entities = _load_reinforced()
         train_docs = _load_docs(config.train)
         dev_docs = _load_docs(config.dev) if config.dev else None
         cfg = linking_core.TrainConfig(
@@ -307,7 +382,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
 
     def _stage_eval(targets):
         words = _load_words()
-        entities = embed_io.load_table(_reinforced_path())
+        entities = _load_reinforced()
         model = linking_core.LinkingModel.load(_model_path())
         docs = _load_docs(config.eval)
         predictions = {
@@ -378,7 +453,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         for p in spec.inputs:
             if not Path(p).exists():
                 raise StageError(stage, f"input missing: {p}")
-        input_hashes = {str(p): _sha256(Path(p)) for p in spec.inputs}
+        input_hashes = {str(p): manifest.digest(p) for p in spec.inputs}
         if manifest.is_fresh(stage, input_hashes, spec.params):
             status[stage] = "skipped"
             continue

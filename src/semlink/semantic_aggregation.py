@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -256,13 +256,3 @@ def homogeneity_stats(
         values = np.asarray(values_list)
     return HomogeneityStats(float(values.mean()), float(values.std()), len(values))
 
-
-def coverage_histogram(
-    labels: Iterable[str], assignments: Mapping[str, EntityTypeAssignment], T: int
-) -> dict[int, int]:
-    """How many entities would contribute 0, 1, ..., T type words."""
-    hist: Counter = Counter()
-    for label in labels:
-        assignment = assignments.get(label)
-        hist[min(len(assignment.type_words), T) if assignment else 0] += 1
-    return dict(sorted(hist.items()))

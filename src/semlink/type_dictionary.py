@@ -201,17 +201,17 @@ def mine_noun_frequency(
     """Count noun tokens (lowercased) over the first sentence of each article.
 
     ``corpus`` yields (entity_id, first_sentence) pairs or article records
-    exposing those attributes.
+    exposing those attributes.  Every token is counted first and ``tagger``
+    is then called once per distinct token, so it must judge a token alone,
+    without its sentence.  Nouns keep the order of their first occurrence.
     """
     tagger = tagger or default_noun_predicate
     counts: Counter = Counter()
     total = 0
     for _entity_id, sentence in _iter_first_sentences(corpus):
         total += 1
-        for token in tokenize(sentence):
-            if tagger(token):
-                counts[token] += 1
-    return NounFrequencyReport(dict(counts), total)
+        counts.update(tokenize(sentence))
+    return NounFrequencyReport({t: c for t, c in counts.items() if tagger(t)}, total)
 
 
 def expand_seeds(

@@ -753,6 +753,26 @@ class TestModelIO:
         with pytest.raises(FormatError):
             LinkingModel.load(p)
 
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"2 0\n1 \xe9\n1 1\n", FormatError),
+            (b"2 0\n1 1\n1 1\nuniform \xc3\xa9\n", FormatError),
+            (b"2 0\nnan 1\n1 1\n", NonFiniteError),
+            (b"2 0\n1 1\n1 1e999\n", NonFiniteError),
+            (b"2 0\n1 1\n1 1\nbogus\n", FormatError),
+        ],
+        ids=["non-ascii-diagonal", "non-ascii-weighting", "nan", "overflow", "unknown-weighting"],
+    )
+    def test_load_errors_are_format_errors_with_path(self, tmp_path, content, error):
+        p = tmp_path / "m.txt"
+        p.write_bytes(content)
+        with pytest.raises(error) as e:
+            LinkingModel.load(p)
+        assert isinstance(e.value, FormatError)
+        assert e.value.path == p
+        assert str(p) in str(e.value)
+
 
 class TestCorpusIO:
     def test_jsonl_round_trip(self, rng, tmp_path):

@@ -1,6 +1,8 @@
 """Staged pipeline runs, manifest idempotence, and the CLI surface."""
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -86,6 +88,77 @@ class TestPipeline:
         run_pipeline(PipelineConfig.from_file(cfg_path, overrides={"alpha": "0.3"}))
         assert loaded.count(str(paths["words"])) == 1
 
+    def test_each_artifact_hashed_and_read_once_per_run(self, fixture_dir, tmp_path, monkeypatch):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out)
+        hashed, parsed, loaded = Counter(), Counter(), Counter()
+        real_sha256 = pipeline._sha256
+        real_read = pipeline.type_extraction.read_assignments
+        real_load = pipeline.embed_io.load_table
+
+        def counting_sha256(path):
+            hashed[Path(path).resolve()] += 1
+            return real_sha256(path)
+
+        def counting_read(path, *args, **kwargs):
+            parsed[Path(path).name] += 1
+            return real_read(path, *args, **kwargs)
+
+        def counting_load(path, *args, **kwargs):
+            loaded[Path(path).name] += 1
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_sha256", counting_sha256)
+        monkeypatch.setattr(pipeline.type_extraction, "read_assignments", counting_read)
+        monkeypatch.setattr(pipeline.embed_io, "load_table", counting_load)
+
+        def run(overrides, skipped):
+            hashed.clear(), parsed.clear(), loaded.clear()
+            status = run_pipeline(PipelineConfig.from_file(cfg_path, overrides))
+            assert [s for s in status if status[s] == "skipped"] == skipped, status
+            assert max(hashed.values()) == 1, hashed
+            assert hashed[Path(paths["words"]).resolve()] == 1
+
+        run({}, [])  # cold
+        assert parsed["types.tsv"] == 1
+        assert loaded["reinforced.bin"] == 0  # link and eval use aggregate's table
+        run({"alpha": "0.3"}, ["dict", "types"])  # sweep
+        assert parsed["types.tsv"] == 1
+        assert loaded["reinforced.bin"] == 0
+        run({"alpha": "0.3"}, list(pipeline.STAGE_ORDER))  # no-op
+        assert parsed["types.tsv"] == 0 and loaded["reinforced.bin"] == 0
+        # aggregate skipped, link and eval rerun: they share one load
+        run({"alpha": "0.3", "epochs": "2"}, ["dict", "types", "semantic", "aggregate"])
+        assert parsed["types.tsv"] == 0 and loaded["reinforced.bin"] == 1
+
+    def test_input_edited_between_runs_is_hashed_again(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        train = tmp_path / "train.jsonl"
+        lines = paths["train"].read_text("utf-8").splitlines(keepends=True)
+        train.write_text("".join(lines), "utf-8")
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out, extra=f"train = {train}\n")
+        assert set(run_pipeline(PipelineConfig.from_file(cfg_path)).values()) == {"done"}
+        train.write_text("".join(lines[1:]), "utf-8")
+        status = run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert status == {"dict": "skipped", "types": "skipped", "semantic": "skipped",
+                          "aggregate": "skipped", "link": "done", "eval": "done"}
+        assert set(run_pipeline(PipelineConfig.from_file(cfg_path)).values()) == {"skipped"}
+
+    def test_damaged_output_is_rebuilt_and_hashed_again(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out)
+        run_pipeline(PipelineConfig.from_file(cfg_path))
+        types = (out / "types.tsv").read_bytes()
+        (out / "types.tsv").write_bytes(b"damaged\tlawyer\n")
+        # types reruns and writes the same file, so its consumers stay fresh
+        status = run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert [s for s in status if status[s] == "done"] == ["types"]
+        assert (out / "types.tsv").read_bytes() == types
+        assert set(run_pipeline(PipelineConfig.from_file(cfg_path)).values()) == {"skipped"}
+
     def test_pipeline_matches_manual_stage_composition(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         out = tmp_path / "out"
@@ -164,6 +237,39 @@ class TestPipeline:
         p.write_text("nonsense = 1\n", "utf-8")
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(p)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("T", "abc"), ("alpha", "x"), ("epochs", "1.5"), ("lr", "nan"), ("margin", "inf"),
+         ("normalize_words", "maybe"), ("normalize_words", "")],
+    )
+    def test_bad_config_value_names_key_value_and_file(self, tmp_path, key, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"out = {tmp_path / 'o'}\n{key} = {value}\n", "utf-8")
+        with pytest.raises(ConfigError) as e:
+            PipelineConfig.from_file(p)
+        assert f"{p}:2" in str(e.value)
+        assert key in str(e.value) and repr(value) in str(e.value)
+        p.write_text(f"out = {tmp_path / 'o'}\n", "utf-8")
+        with pytest.raises(ConfigError) as e:
+            PipelineConfig.from_file(p, {key: value})
+        assert "--set" in str(e.value) and key in str(e.value)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("0", False), ("true", True), ("False", False), ("YES", True), ("no", False)],
+    )
+    def test_config_booleans(self, tmp_path, value, expected):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"normalize_words = {value}\n", "utf-8")
+        assert PipelineConfig.from_file(p).normalize_words is expected
+
+    def test_config_file_not_utf8(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"T = 3\nstrategy = caf\xe9\n")
+        with pytest.raises(ConfigError) as e:
+            PipelineConfig.from_file(p)
+        assert f"{p}:2" in str(e.value) and "UTF-8" in str(e.value)
 
     def test_invalid_parameters_rejected(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
@@ -454,6 +560,33 @@ class TestCli:
         r = runner.invoke(cli, ["pipeline", "run", "--config", str(cfg_path)])
         assert r.exit_code == 0, r.output
         assert "dict: done" in r.output and "types: done" in r.output
+
+    @pytest.mark.parametrize(
+        "content, needle",
+        [(b"epochs = 1.5\n", "epochs"), (b"normalize_words = maybe\n", "normalize_words"),
+         (b"alpha = \xe9\n", "UTF-8")],
+    )
+    def test_pipeline_run_bad_config_exits_2(self, tmp_path, capsys, content, needle):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(content)
+        with pytest.raises(SystemExit) as e:
+            main(["pipeline", "run", "--config", str(p)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{p}:1" in err and needle in err
+
+    def test_model_file_error_exits_2(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        model.write_bytes(b"2 0\n1 \xe9\n1 1\n")
+        with pytest.raises(SystemExit) as e:
+            main([
+                "link", "infer", "--docs", str(paths["eval"]),
+                "--entities", str(paths["wikitext"]), "--words", str(paths["words"]),
+                "--model", str(model), "--out", str(tmp_path / "p.tsv"),
+            ])
+        assert e.value.code == 2
+        assert str(model) in capsys.readouterr().err
 
     def test_fixtures_make_cli(self, tmp_path):
         runner = CliRunner()

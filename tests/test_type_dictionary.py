@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from semlink._text import tokenize
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import FormatError, MissingSeedError, RemapTargetError
 from semlink.type_dictionary import (
@@ -80,6 +81,25 @@ class TestMineNounFrequency:
         report = mine_noun_frequency(SENTENCES, tagger=lambda t: t in NOUNS)
         assert report.total_sentences == 20
         assert report.counts == HAND_TALLY
+
+    def test_tagger_called_once_per_distinct_token(self):
+        calls = []
+
+        def tagger(token):
+            calls.append(token)
+            return token in NOUNS
+
+        report = mine_noun_frequency(SENTENCES, tagger=tagger)
+        # the per-occurrence loop this replaced, as the reference
+        expected = {}
+        for _entity_id, sentence in SENTENCES:
+            for token in tokenize(sentence):
+                if token in NOUNS:
+                    expected[token] = expected.get(token, 0) + 1
+        assert report.counts == expected
+        assert list(report.counts) == list(expected)  # first-occurrence order
+        distinct = {t for _e, sentence in SENTENCES for t in tokenize(sentence)}
+        assert sorted(calls) == sorted(distinct)
 
     def test_frequent_threshold(self):
         report = mine_noun_frequency(SENTENCES, tagger=lambda t: t in NOUNS)

@@ -1,7 +1,10 @@
 """Per-entity type extraction: cap, order, phrases, dedup, corpus streaming."""
 
+import re
+import string
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from semlink._text import tokenize
 from semlink.errors import DuplicateEntityError, FormatError
@@ -102,6 +105,29 @@ def reference_extract_types(article, dictionary, cap):
             collected.append(mapped)
         i += consumed
     return collected
+
+
+# Characters where a byte-level or ASCII-only rule could part from the regex:
+# case mappings onto ASCII (KELVIN SIGN, dotted capital I), a lowercase letter
+# with no ASCII form, no-break space, line/paragraph and file/group/record/unit
+# separators, and a lone surrogate.
+_TRICKY = "\u212a\u0130\u00df\u00a0\u2028\u2029\x1c\x1d\x1e\x1f\ud800\udfff\u00e9\u212b"
+_TOKEN_RE = re.compile(r"[a-z0-9_']+")
+
+
+@given(st.text(alphabet=st.one_of(
+    st.sampled_from(_TRICKY),
+    st.sampled_from(string.ascii_letters + string.digits + "_' \t\n.,-"),
+    st.characters(),
+)))
+@example("Kelvin \u212aELVIN \u0130stanbul stra\u00dfe a\u00a0b c\u2028d e\x1cf\x1dg\x1eh\x1fi j\ud800k")
+def test_tokenize_matches_regex(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
+
+def test_tokenize_examples():
+    assert tokenize("O'Brien's A_B-c \u212a") == ["o'brien's", "a_b", "c", "k"]
+    assert tokenize("\u0130zmir stra\u00dfe caf\u00e9 x\ud800y") == ["i", "zmir", "stra", "e", "caf", "x", "y"]
 
 
 _TOKENS = ["a", "b", "c", "d", "x"]
