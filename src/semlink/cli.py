@@ -200,14 +200,7 @@ def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, 
     result = linking_core.train(train_docs, entity_table, word_table, cfg, dev_docs=dev_docs)
     result.model.save(out_model)
     if out_trace:
-        payload = {
-            "initial_loss": result.initial_loss,
-            "loss": result.loss_trace,
-            "initial_dev_f1": result.initial_dev_f1,
-            "dev_f1": result.dev_f1_trace,
-            "skipped_mentions": result.skipped_mentions,
-        }
-        evaluation.write_json(payload, out_trace)
+        evaluation.write_json(result.trace(), out_trace)
     final_loss = result.loss_trace[-1] if result.loss_trace else result.initial_loss
     click.echo(f"trained {epochs} epochs, final loss {final_loss:.4f}")
 

@@ -202,30 +202,6 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
     )
 
 
-def validate_bundle(bundle: FixtureBundle) -> list[str]:
-    """Structural checks over generated data; empty list means clean."""
-    problems = []
-    for doc_set, name in (
-        (bundle.train_docs, "train"),
-        (bundle.dev_docs, "dev"),
-        (bundle.eval_docs, "eval"),
-    ):
-        for doc in doc_set:
-            for i, m in enumerate(doc.mentions):
-                if m.gold is None or m.gold not in m.candidates:
-                    problems.append(f"{name}:{doc.doc_id}:mention{i}: gold not in candidates")
-                for c in m.candidates:
-                    if c not in bundle.wikitext:
-                        problems.append(f"{name}:{doc.doc_id}:mention{i}: candidate {c} unembedded")
-    for label, assignment in bundle.assignments.items():
-        for w in assignment.type_words:
-            if w not in bundle.words:
-                problems.append(f"assignment {label}: word {w} unembedded")
-        if len(assignment.type_words) > 11:
-            problems.append(f"assignment {label}: more than 11 type words")
-    return problems
-
-
 def make_fixtures(seed: int, sizes: FixtureSizes, out_dir) -> dict[str, Path]:
     """Generate and write the full fixture set; returns the path map."""
     out = Path(out_dir)

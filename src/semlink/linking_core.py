@@ -89,14 +89,6 @@ class LinkingDocument:
         if not self.mentions:
             raise InvalidDocumentError(f"document {self.doc_id!r} has no mentions")
 
-    def gold_violations(self) -> list[int]:
-        """Indices of mentions whose gold is set but not among candidates."""
-        return [
-            i
-            for i, m in enumerate(self.mentions)
-            if m.gold is not None and m.gold not in m.candidates
-        ]
-
 
 RELATION_WEIGHTINGS = ("uniform", "softmax")
 
@@ -136,12 +128,6 @@ class LinkingModel:
             B=np.ones(dim),
             C=np.ones(dim),
             relations=[np.ones(dim) for _ in range(n_relations)],
-        )
-
-    def copy(self) -> "LinkingModel":
-        return LinkingModel(
-            self.dim, self.B.copy(), self.C.copy(),
-            [r.copy() for r in self.relations], self.relation_weighting,
         )
 
     def save(self, path) -> None:
@@ -471,6 +457,16 @@ class TrainResult:
     initial_loss: float
     initial_dev_f1: Optional[float]
     skipped_mentions: int
+
+    def trace(self) -> dict:
+        """The run's losses, dev F1 and skipped mentions, as a JSON object."""
+        return {
+            "initial_loss": self.initial_loss,
+            "loss": self.loss_trace,
+            "initial_dev_f1": self.initial_dev_f1,
+            "dev_f1": self.dev_f1_trace,
+            "skipped_mentions": self.skipped_mentions,
+        }
 
 
 def _violations(FD, PD, B, C, margin: float) -> np.ndarray:

@@ -1,12 +1,24 @@
 """End-to-end pipeline: dict -> types -> semantic -> aggregate -> link -> eval.
 
-Configuration is a flat key=value text file with CLI overrides.  Every stage
-records content hashes of its inputs and outputs in ``manifest.json``; a
-rerun with identical inputs and parameters skips the stage.  The semlink
-version is one of every stage's parameters, so new code reruns all stages.
-The manifest is replaced atomically, so a crash while writing it leaves the
-previous one intact.  A failing stage leaves its outputs behind with a
-``.partial`` suffix and aborts the run.
+Configuration is a flat key=value text file with CLI overrides.  `STAGES`
+declares each stage once: its required and optional input keys, the files
+it writes under ``out`` and the configuration keys it records as its
+parameters.  An input that an earlier stage writes (`_ARTIFACTS`) is read
+from ``out`` when that stage is enabled and from its configured path
+otherwise.  Before any stage runs, every input of every enabled stage,
+required or optional, is checked, so a missing key or a path that is not a
+file ends in a `ConfigError` with nothing written.
+
+Every stage records content hashes in ``manifest.json``: its inputs by
+configuration key and its outputs by file name under ``out``, so the
+manifest does not depend on the working directory or on where ``out``
+lives, and a copied output directory is still up to date.  A rerun with
+identical inputs and parameters skips the stage.  The semlink version is
+one of every stage's parameters, so new code reruns all stages, and so does
+a manifest written before this layout, once.  The manifest is replaced
+atomically, so a crash while writing it leaves the previous one intact.  A
+failing stage leaves its outputs behind with a ``.partial`` suffix and
+aborts the run.
 
 One run does each piece of work once.  Each file is hashed at most once per
 run (a stage's outputs are hashed again when it records them); the word
@@ -27,18 +39,34 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__, embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
 from .errors import ConfigError, SemlinkError, StageError
 
-STAGE_ORDER = ("dict", "types", "semantic", "aggregate", "link", "eval")
+STAGES = {
+    # stage: (required inputs, optional inputs, outputs under `out`, params), in run order
+    "dict": (("seeds",), ("extensions", "remap", "words"), ("dictionary.txt", "remap.tsv"), ()),
+    "types": (("corpus", "dictionary"), ("remap",), ("types.tsv",), ("cap",)),
+    "semantic": (("words", "types_file"), (), ("semantic.bin",), ("T", "alpha", "normalize_words")),
+    "aggregate": (("words", "wikitext", "types_file"), (), ("reinforced.bin",), ("T", "alpha", "normalize_words")),
+    "link": (("words", "reinforced", "train"), ("dev",), ("model.txt", "train_trace.json"),
+             ("margin", "lr", "epochs", "seed", "window")),
+    "eval": (("words", "reinforced", "model", "eval"), (), ("eval.json", "eval.tsv"), ("strategy", "window")),
+}
+STAGE_ORDER = tuple(STAGES)
 
-_PATH_KEYS = (
-    "words", "wikitext", "corpus", "seeds", "extensions", "remap",
-    "dictionary", "types_file", "reinforced", "model",
-    "train", "dev", "eval",
-)
+# input key -> (file it names under `out`, the stage that writes it); a later
+# stage reads that file when the writer is enabled, else the configured path
+_ARTIFACTS = {
+    "dictionary": ("dictionary.txt", "dict"),
+    "remap": ("remap.tsv", "dict"),
+    "types_file": ("types.tsv", "types"),
+    "reinforced": ("reinforced.bin", "aggregate"),
+    "model": ("model.txt", "link"),
+}
+
+_PATH_KEYS = {key for required, optional, _, _ in STAGES.values() for key in required + optional}
 
 
 def _finite(text: str) -> float:
@@ -153,51 +181,46 @@ class PipelineConfig:
             raise ConfigError("output directory 'out' is required")
         return cfg
 
-    # stage -> input config keys that must exist on disk
-    _STAGE_INPUTS = {
-        "dict": ("seeds",),
-        "types": ("corpus",),
-        "semantic": ("words",),
-        "aggregate": ("words", "wikitext"),
-        "link": ("words", "train"),
-        "eval": ("words", "eval"),
-    }
+    def _producer(self, stage: str, key: str) -> Optional[str]:
+        """The enabled earlier stage that writes input `key` of `stage`, if any."""
+        producer = _ARTIFACTS[key][1] if key in _ARTIFACTS else None
+        return producer if producer in self.stages and producer != stage else None
+
+    def inputs(self, stage: str) -> dict[str, Path]:
+        """Input key -> path for each input `stage` has: the file an enabled
+        earlier stage writes under `out`, else the configured path."""
+        required, optional, _, _ = STAGES[stage]
+        found = {}
+        for key in required + optional:
+            if self._producer(stage, key):
+                found[key] = Path(self.out) / _ARTIFACTS[key][0]
+            elif getattr(self, key) is not None:
+                found[key] = Path(getattr(self, key))
+        return found
 
     def validate(self) -> None:
+        """Check parameters and every input of every enabled stage, so that
+        no stage runs unless all of them can."""
         if self.T < 1:
             raise ConfigError(f"T must be >= 1, got {self.T}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
-        unknown = [s for s in self.stages if s not in STAGE_ORDER]
+        unknown = [s for s in self.stages if s not in STAGES]
         if unknown:
             raise ConfigError(f"unknown stages: {', '.join(unknown)}")
         self.stages = [s for s in STAGE_ORDER if s in self.stages]
-        enabled = set(self.stages)
         for stage in self.stages:
-            for key in self._STAGE_INPUTS[stage]:
-                path = getattr(self, key)
-                if path is None:
-                    raise ConfigError(f"stage '{stage}' requires configuration key '{key}'")
-                if not Path(path).exists():
-                    raise ConfigError(f"stage '{stage}' input does not exist: {path}")
-        # mid-pipeline entries: a stage consuming an upstream artifact needs
-        # either the producing stage enabled or an explicit path
-        def _need(stage: str, key: str, producer: str):
-            if stage in enabled and producer not in enabled:
-                path = getattr(self, key)
-                if path is None or not Path(path).exists():
-                    raise ConfigError(
-                        f"stage '{stage}' needs '{key}' (or enable stage '{producer}')"
-                    )
-
-        _need("types", "dictionary", "dict")
-        _need("semantic", "types_file", "types")
-        _need("aggregate", "types_file", "types")
-        _need("link", "reinforced", "aggregate")
-        _need("eval", "reinforced", "aggregate")
-        _need("eval", "model", "link")
+            inputs = self.inputs(stage)
+            required, *_ = STAGES[stage]
+            for key in required:
+                if key not in inputs:
+                    producer = f" (or enable stage '{_ARTIFACTS[key][1]}')" if key in _ARTIFACTS else ""
+                    raise ConfigError(f"stage '{stage}' requires configuration key '{key}'{producer}")
+            for key, path in inputs.items():
+                if not self._producer(stage, key) and not path.is_file():
+                    raise ConfigError(f"stage '{stage}' input '{key}' is not a file: {path}")
 
 
 def _sha256(path: Path) -> str:
@@ -249,38 +272,22 @@ class _Manifest:
             return False
         if entry.get("inputs") != inputs or entry.get("params") != params:
             return False
-        for out_path, digest in entry.get("outputs", {}).items():
-            p = Path(out_path)
+        for name, digest in entry.get("outputs", {}).items():
+            p = self.path.parent / name
             if not p.exists() or self.digest(p) != digest:
                 return False
         return True
 
-    def record(self, stage: str, inputs: dict[str, str], params: dict, outputs: list[Path]) -> None:
-        for p in outputs:  # just written: hash them again
-            self._digests.pop(Path(p).resolve(), None)
+    def record(self, stage: str, inputs: dict[str, str], params: dict, outputs: tuple[str, ...]) -> None:
+        paths = [self.path.parent / name for name in outputs]
+        for p in paths:  # just written: hash them again
+            self._digests.pop(p.resolve(), None)
         self.stages[stage] = {
             "inputs": inputs,
             "params": params,
-            "outputs": {str(p): self.digest(p) for p in outputs},
+            "outputs": {name: self.digest(p) for name, p in zip(outputs, paths)},
         }
         self.write()
-
-
-@dataclass
-class _StageSpec:
-    name: str
-    inputs: list[Path]
-    params: dict
-    outputs: list[Path]
-    run: Callable[[list[Path]], None]  # writes to .partial paths
-
-
-def _artifact(cfg: PipelineConfig, enabled: set, key: str, produced: str, producer: str) -> Path:
-    """Path of an upstream artifact: the produced file when its stage runs,
-    otherwise the explicitly configured input."""
-    if producer in enabled:
-        return cfg.out / produced
-    return Path(getattr(cfg, key))
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
@@ -289,20 +296,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out / "manifest.json")
-    enabled = set(config.stages)
     status: dict[str, str] = {}
-
-    def _dictionary_path() -> Path:
-        return _artifact(config, enabled, "dictionary", "dictionary.txt", "dict")
-
-    def _types_path() -> Path:
-        return _artifact(config, enabled, "types_file", "types.tsv", "types")
-
-    def _reinforced_path() -> Path:
-        return _artifact(config, enabled, "reinforced", "reinforced.bin", "aggregate")
-
-    def _model_path() -> Path:
-        return _artifact(config, enabled, "model", "model.txt", "link")
 
     # each is loaded on first use and shared by every later stage of this run
     @functools.cache
@@ -310,15 +304,15 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         return embed_io.load_table(config.words, normalize=config.normalize_words)
 
     @functools.cache
-    def _load_assignments():
-        return type_extraction.read_assignments(_types_path())
+    def _load_assignments(path):
+        return type_extraction.read_assignments(path)
 
     reinforced = None  # the table aggregate built, when it ran in this run
 
-    def _load_reinforced():
+    def _load_reinforced(path):
         nonlocal reinforced
         if reinforced is None:
-            reinforced = embed_io.load_table(_reinforced_path())
+            reinforced = embed_io.load_table(path)
         return reinforced
 
     def _load_docs(path):
@@ -326,65 +320,50 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             return linking_core.load_aida_tsv(path, window=config.window)
         return linking_core.load_linking_jsonl(path)
 
-    def _stage_dict(targets):
-        vocab = None
-        if config.words is not None and Path(config.words).exists():
-            vocab = set(_load_words().labels)
+    def _stage_dict(inputs, targets):
+        vocab = set(_load_words().labels) if "words" in inputs else None
         d = type_dictionary.build_dictionary(
-            None, config.seeds, config.extensions, config.remap, embedding_vocab=vocab
+            None, inputs["seeds"], inputs.get("extensions"), inputs.get("remap"), embedding_vocab=vocab
         )
         d.save(targets[0], targets[1])
 
-    def _remap_out() -> Optional[Path]:
-        if "dict" in enabled:
-            return out / "remap.tsv"
-        return config.remap
-
-    def _stage_types(targets):
-        remap = _remap_out()
-        d = type_dictionary.SemanticTypeDictionary.load(
-            _dictionary_path(), remap if remap and Path(remap).exists() else None
-        )
-        articles = type_extraction.read_article_corpus(config.corpus)
+    def _stage_types(inputs, targets):
+        d = type_dictionary.SemanticTypeDictionary.load(inputs["dictionary"], inputs.get("remap"))
+        articles = type_extraction.read_article_corpus(inputs["corpus"])
         assignments = type_extraction.extract_corpus(articles, d, cap=config.cap)
         type_extraction.write_assignments(assignments, targets[0])
 
-    def _stage_semantic(targets):
-        table = semantic_aggregation.semantic_table(_load_assignments(), _load_words(), config.T)
+    def _stage_semantic(inputs, targets):
+        assignments = _load_assignments(inputs["types_file"])
+        table = semantic_aggregation.semantic_table(assignments, _load_words(), config.T)
         embed_io.save_binary(table, targets[0])
 
-    def _stage_aggregate(targets):
+    def _stage_aggregate(inputs, targets):
         nonlocal reinforced
-        wikitext = embed_io.load_table(config.wikitext)
+        wikitext = embed_io.load_table(inputs["wikitext"])
         cfg = semantic_aggregation.AggregationConfig(T=config.T, alpha=config.alpha)
-        table = semantic_aggregation.aggregate_table(wikitext, _load_assignments(), _load_words(), cfg)
+        assignments = _load_assignments(inputs["types_file"])
+        table = semantic_aggregation.aggregate_table(wikitext, assignments, _load_words(), cfg)
         embed_io.save_binary(table, targets[0])
         reinforced = table
 
-    def _stage_link(targets):
+    def _stage_link(inputs, targets):
         words = _load_words()
-        entities = _load_reinforced()
-        train_docs = _load_docs(config.train)
-        dev_docs = _load_docs(config.dev) if config.dev else None
+        entities = _load_reinforced(inputs["reinforced"])
+        train_docs = _load_docs(inputs["train"])
+        dev_docs = _load_docs(inputs["dev"]) if "dev" in inputs else None
         cfg = linking_core.TrainConfig(
             margin=config.margin, lr=config.lr, epochs=config.epochs, seed=config.seed
         )
         result = linking_core.train(train_docs, entities, words, cfg, dev_docs=dev_docs)
         result.model.save(targets[0])
-        trace = {
-            "initial_loss": result.initial_loss,
-            "loss": result.loss_trace,
-            "dev_f1": result.dev_f1_trace,
-            "initial_dev_f1": result.initial_dev_f1,
-            "skipped_mentions": result.skipped_mentions,
-        }
-        Path(targets[1]).write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n", "utf-8")
+        evaluation.write_json(result.trace(), targets[1])
 
-    def _stage_eval(targets):
+    def _stage_eval(inputs, targets):
         words = _load_words()
-        entities = _load_reinforced()
-        model = linking_core.LinkingModel.load(_model_path())
-        docs = _load_docs(config.eval)
+        entities = _load_reinforced(inputs["reinforced"])
+        model = linking_core.LinkingModel.load(inputs["model"])
+        docs = _load_docs(inputs["eval"])
         predictions = {
             doc.doc_id: linking_core.infer(
                 doc, model, entities, words, strategy=config.strategy
@@ -396,76 +375,28 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         evaluation.write_json(report.to_dict(), targets[0])
         Path(targets[1]).write_text(evaluation.eval_report_tsv(report), "utf-8")
 
-    # specs are built lazily: disabled stages may lack their config paths
-    spec_builders: dict[str, Callable[[], _StageSpec]] = {
-        "dict": lambda: _StageSpec(
-            "dict",
-            [p for p in (config.seeds, config.extensions, config.remap, config.words) if p],
-            {},
-            [out / "dictionary.txt", out / "remap.tsv"],
-            _stage_dict,
-        ),
-        "types": lambda: _StageSpec(
-            "types",
-            [Path(config.corpus), _dictionary_path()] + ([_remap_out()] if _remap_out() else []),
-            {"cap": config.cap},
-            [out / "types.tsv"],
-            _stage_types,
-        ),
-        "semantic": lambda: _StageSpec(
-            "semantic",
-            [Path(config.words), _types_path()],
-            {"T": config.T, "alpha": config.alpha, "normalize": config.normalize_words},
-            [out / "semantic.bin"],
-            _stage_semantic,
-        ),
-        "aggregate": lambda: _StageSpec(
-            "aggregate",
-            [Path(config.words), Path(config.wikitext), _types_path()],
-            {"T": config.T, "alpha": config.alpha, "normalize": config.normalize_words},
-            [out / "reinforced.bin"],
-            _stage_aggregate,
-        ),
-        "link": lambda: _StageSpec(
-            "link",
-            [Path(config.words), _reinforced_path(), Path(config.train)]
-            + ([Path(config.dev)] if config.dev else []),
-            {
-                "margin": config.margin, "lr": config.lr,
-                "epochs": config.epochs, "seed": config.seed,
-                "window": config.window,
-            },
-            [out / "model.txt", out / "train_trace.json"],
-            _stage_link,
-        ),
-        "eval": lambda: _StageSpec(
-            "eval",
-            [Path(config.words), _reinforced_path(), _model_path(), Path(config.eval)],
-            {"strategy": config.strategy, "window": config.window},
-            [out / "eval.json", out / "eval.tsv"],
-            _stage_eval,
-        ),
+    runners = {
+        "dict": _stage_dict, "types": _stage_types, "semantic": _stage_semantic,
+        "aggregate": _stage_aggregate, "link": _stage_link, "eval": _stage_eval,
     }
-
     for stage in config.stages:
-        spec = spec_builders[stage]()
-        spec.params["semlink"] = __version__
-        for p in spec.inputs:
-            if not Path(p).exists():
-                raise StageError(stage, f"input missing: {p}")
-        input_hashes = {str(p): manifest.digest(p) for p in spec.inputs}
-        if manifest.is_fresh(stage, input_hashes, spec.params):
+        _, _, outputs, param_keys = STAGES[stage]
+        inputs = config.inputs(stage)
+        params = {key: getattr(config, key) for key in param_keys}
+        params["semlink"] = __version__
+        input_hashes = {key: manifest.digest(p) for key, p in inputs.items()}
+        if manifest.is_fresh(stage, input_hashes, params):
             status[stage] = "skipped"
             continue
-        partials = [p.with_suffix(p.suffix + ".partial") for p in spec.outputs]
+        partials = [out / f"{name}.partial" for name in outputs]
         try:
-            spec.run(partials)
+            runners[stage](inputs, partials)
         except SemlinkError as e:
             raise StageError(stage, e) from e
-        for partial, final in zip(partials, spec.outputs):
+        for partial, name in zip(partials, outputs):
             if partial.exists():
-                partial.replace(final)
-        manifest.record(stage, input_hashes, spec.params, spec.outputs)
+                partial.replace(out / name)
+        manifest.record(stage, input_hashes, params, outputs)
         status[stage] = "done"
 
     if not config.stages:

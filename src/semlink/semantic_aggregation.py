@@ -12,12 +12,13 @@ of the type-driven ones.  Accumulation happens in float64 in extraction
 order; table storage stays float32.
 
 Whole tables go through `semantic_means`: the assignments are compiled once
-into an (N, T) matrix of word-row indices, padded with a zero row, and the
-float64 means are accumulated in blocks of rows, one type-word column at a
-time.  Each row sees the same float64 additions in the same order as
-`semantic_embedding`, which stays as the scalar reference, so both give the
-same bits.  Cosines and top-k neighbours use the table's cached row norms
-(`EmbeddingTable.cosines`, `embed_io.top_k`).
+into an (N, W) matrix of word-row indices, padded with a zero row to the
+longest row actually used (W <= T), and the float64 means are accumulated in
+blocks of rows, one type-word column at a time.  Each row sees the same
+float64 additions in the same order as `semantic_embedding`, which stays as
+the scalar reference, so both give the same bits.  Cosines and top-k
+neighbours use the table's cached row norms (`EmbeddingTable.cosines`,
+`embed_io.top_k`).
 """
 
 from __future__ import annotations
@@ -131,8 +132,11 @@ def semantic_means(
                     )
                 p = positions[word] = len(positions) + 1
             row.append(p)
-        index_rows.append(row + [0] * (T - len(row)))
-    index = np.array(index_rows, dtype=np.intp).reshape(len(index_rows), T)
+        index_rows.append(row)
+    width = max(map(len, index_rows), default=0)  # not T, which no input bounds
+    index = np.array(
+        [row + [0] * (width - len(row)) for row in index_rows], dtype=np.intp
+    ).reshape(len(index_rows), width)
     counts = np.count_nonzero(index, axis=1)
     vectors = np.zeros((len(positions) + 1, words.dim), dtype=np.float32)
     vectors[1:] = words.matrix[[words.index(w) for w in positions]]
@@ -211,48 +215,3 @@ def neighbor_report(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return top_k(table.labels, table.cosines(table.matrix[qi]), k, skip=qi)
-
-
-@dataclass
-class HomogeneityStats:
-    """Mean/std of cosine over sampled distinct entity pairs."""
-
-    mean: float
-    std: float
-    pairs_sampled: int
-
-
-def homogeneity_stats(
-    table: EmbeddingTable, sample_pairs: int, seed: int = 0
-) -> HomogeneityStats:
-    """Deterministic pairwise-cosine summary; exhaustive when sample covers all."""
-    n = len(table)
-    if n < 2:
-        raise ValueError("need at least 2 entries")
-    if sample_pairs < 1:
-        raise ValueError("sample_pairs must be >= 1")
-    total = n * (n - 1) // 2
-
-    unit = table.unit_rows()
-    unit[table.row_norms() == 0.0] = 0.0
-
-    if sample_pairs >= total:
-        gram = unit @ unit.T
-        iu = np.triu_indices(n, k=1)
-        values = gram[iu]
-    else:
-        rng = np.random.default_rng(seed)
-        seen: set[tuple[int, int]] = set()
-        values_list = []
-        while len(values_list) < sample_pairs:
-            i, j = int(rng.integers(n)), int(rng.integers(n))
-            if i == j:
-                continue
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            values_list.append(float(np.dot(unit[pair[0]], unit[pair[1]])))
-        values = np.asarray(values_list)
-    return HomogeneityStats(float(values.mean()), float(values.std()), len(values))
-

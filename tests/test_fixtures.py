@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from semlink.fixtures import FixtureSizes, generate_fixture, make_fixtures, validate_bundle
+from semlink.fixtures import FixtureSizes, generate_fixture, make_fixtures
 from semlink.type_extraction import extract_corpus
 
 SMALL = FixtureSizes(
@@ -42,7 +42,14 @@ class TestEmptySizes:
 class TestValidity:
     def test_validator_clean_on_generated_output(self):
         bundle = generate_fixture(9, SMALL)
-        assert validate_bundle(bundle) == []
+        for docs in (bundle.train_docs, bundle.dev_docs, bundle.eval_docs):
+            for doc in docs:
+                for m in doc.mentions:
+                    assert m.gold is not None and m.gold in m.candidates
+                    assert all(c in bundle.wikitext for c in m.candidates)
+        for assignment in bundle.assignments.values():
+            assert all(w in bundle.words for w in assignment.type_words)
+            assert len(assignment.type_words) <= 11
 
     def test_gold_always_in_candidates(self):
         bundle = generate_fixture(12, SMALL)

@@ -835,13 +835,3 @@ class TestCorpusIO:
     def test_strip_prior_structured_pair(self):
         assert _strip_prior(["Apollo:11", 0.3]) == "Apollo:11"
         assert _strip_prior(("City_X", 0.9)) == "City_X"
-
-    def test_gold_violation_flagging(self):
-        doc = LinkingDocument(
-            "d",
-            [
-                Mention("ok", candidates=["a", "b"], gold="a"),
-                Mention("bad", candidates=["a"], gold="zzz"),
-            ],
-        )
-        assert doc.gold_violations() == [1]

@@ -1,6 +1,7 @@
 """Staged pipeline runs, manifest idempotence, and the CLI surface."""
 
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -191,6 +192,75 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(config)
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "key, stages",
+        [("dev", "all"), ("extensions", "all"), ("remap", "all"), ("words", "dict"), ("remap", "types")],
+    )
+    def test_bad_optional_input_fails_before_any_stage(self, fixture_dir, tmp_path, key, stages):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        extra = "" if stages == "all" else f"stages = {stages}\ndictionary = {paths['seeds']}\n"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out, extra=extra)
+        for bad in (tmp_path / "nope", tmp_path):  # missing, or a directory
+            config = PipelineConfig.from_file(cfg_path, {key: str(bad)})
+            with pytest.raises(ConfigError, match=f"'{key}' is not a file"):
+                run_pipeline(config)
+            assert not out.exists() or not any(out.iterdir())
+
+    def test_copied_output_directory_or_other_cwd_skips_every_stage(
+        self, fixture_dir, tmp_path, monkeypatch
+    ):
+        root, paths = fixture_dir
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path / "p.cfg", paths, "out")
+        assert set(run_pipeline(PipelineConfig.from_file(cfg_path)).values()) == {"done"}
+        entry = json.loads((tmp_path / "out" / "manifest.json").read_text("utf-8"))["stages"]["types"]
+        assert set(entry["inputs"]) == {"corpus", "dictionary", "remap"}
+        assert set(entry["outputs"]) == {"types.tsv"}
+
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        status = run_pipeline(PipelineConfig.from_file(cfg_path, {"out": str(tmp_path / "out")}))
+        assert status == {s: "skipped" for s in pipeline.STAGE_ORDER}
+        shutil.copytree(tmp_path / "out", elsewhere / "copy")
+        status = run_pipeline(PipelineConfig.from_file(cfg_path, {"out": "copy"}))
+        assert status == {s: "skipped" for s in pipeline.STAGE_ORDER}
+
+    def test_old_format_manifest_reruns_each_stage_once(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out)
+        run_pipeline(PipelineConfig.from_file(cfg_path))
+        # the earlier layout keyed inputs and outputs by path as given
+        config = PipelineConfig.from_file(cfg_path)
+        config.validate()
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        for stage, entry in manifest["stages"].items():
+            inputs = config.inputs(stage)
+            entry["inputs"] = {str(inputs[key]): digest for key, digest in entry["inputs"].items()}
+            entry["outputs"] = {str(out / name): digest for name, digest in entry["outputs"].items()}
+            if "normalize_words" in entry["params"]:
+                entry["params"]["normalize"] = entry["params"].pop("normalize_words")
+        (out / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        status = run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert status == {s: "done" for s in pipeline.STAGE_ORDER}
+        assert set(run_pipeline(PipelineConfig.from_file(cfg_path)).values()) == {"skipped"}
+
+    def test_train_trace_matches_link_train_cli(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig.from_file(write_config(tmp_path / "p.cfg", paths, out)))
+        trace = tmp_path / "trace.json"
+        r = CliRunner().invoke(cli, [
+            "link", "train", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+            "--entities", str(out / "reinforced.bin"), "--words", str(paths["words"]),
+            "--epochs", "3", "--out-model", str(tmp_path / "model.txt"), "--out-trace", str(trace),
+        ])
+        assert r.exit_code == 0, r.output
+        assert trace.read_bytes() == (out / "train_trace.json").read_bytes()
+        assert (tmp_path / "model.txt").read_bytes() == (out / "model.txt").read_bytes()
 
     def test_stage_failure_keeps_partial_and_names_stage(self, fixture_dir, tmp_path):
         root, paths = fixture_dir

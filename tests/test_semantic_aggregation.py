@@ -1,5 +1,6 @@
 """Mean-of-type-words embeddings, linear aggregation, and geometry helpers."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import given, strategies as st
 from semlink import embed_io, semantic_aggregation
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import DimensionError, MissingLabelError, MissingWordVectorError
+from semlink.fixtures import FixtureSizes, generate_fixture
 from semlink.semantic_aggregation import (
     AggregationConfig,
     aggregate,
     aggregate_table,
     cosine,
-    homogeneity_stats,
     neighbor_report,
     semantic_embedding,
     semantic_means,
@@ -265,40 +266,6 @@ class TestNeighborReport:
         assert [l for l, _ in neighbor_report(table, "q", k=2)] == ["aaa", "bbb"]
 
 
-class TestHomogeneityStats:
-    def test_identical_vectors(self):
-        table = EmbeddingTable.from_pairs([(f"e{i}", [1.0, 2.0]) for i in range(5)])
-        stats = homogeneity_stats(table, sample_pairs=100, seed=1)
-        assert stats.mean == pytest.approx(1.0)
-        assert stats.std == pytest.approx(0.0)
-
-    def test_two_orthogonal_vectors(self):
-        table = EmbeddingTable.from_pairs([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
-        stats = homogeneity_stats(table, sample_pairs=1)
-        assert stats.mean == pytest.approx(0.0)
-
-    def test_exhaustive_matches_all_pairs_oracle(self, rng):
-        table = EmbeddingTable(
-            4,
-            [f"e{i:02d}" for i in range(50)],
-            rng.standard_normal((50, 4)).astype(np.float32),
-        )
-        stats = homogeneity_stats(table, sample_pairs=10_000, seed=3)
-        values = []
-        for i in range(50):
-            for j in range(i + 1, 50):
-                values.append(cosine(table.matrix[i], table.matrix[j]))
-        assert stats.pairs_sampled == len(values)
-        assert stats.mean == pytest.approx(np.mean(values), abs=1e-12)
-        assert stats.std == pytest.approx(np.std(values), abs=1e-12)
-
-    def test_deterministic_given_seed(self, make_table):
-        table = make_table(30, 5)
-        s1 = homogeneity_stats(table, sample_pairs=40, seed=9)
-        s2 = homogeneity_stats(table, sample_pairs=40, seed=9)
-        assert (s1.mean, s1.std) == (s2.mean, s2.std)
-
-
 class TestAggregationConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -460,3 +427,27 @@ def test_row_norms_cached_and_read_only(make_table):
     np.testing.assert_array_equal(norms, np.linalg.norm(table.matrix.astype(np.float64), axis=1))
     with pytest.raises(ValueError):
         norms[0] = 1.0
+
+
+def test_huge_T_allocates_only_the_type_words_used():
+    # T bounds how many type words an entity may use, not how many it has, so
+    # it must not size an allocation: at T = 10**6 the 18 entities of the test
+    # fixture used to pad their index rows to a million columns each
+    bundle = generate_fixture(7, FixtureSizes(
+        entities=18, groups=6, train_docs=6, dev_docs=3, eval_docs=3,
+        mentions_per_doc=3, dim=16, filler_words=40,
+    ))
+    cfg = AggregationConfig(T=10**6, alpha=0.2)
+    rows = [bundle.assignments.get(label) for label in bundle.wikitext.labels]
+    tracemalloc.start()
+    try:
+        blocks = list(semantic_means(rows, bundle.words, cfg.T))
+        table = aggregate_table(bundle.wikitext, bundle.assignments, bundle.words, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    means = np.concatenate([block_means for _, block_means, _ in blocks])
+    want = [semantic_embedding(a, bundle.words, cfg).vector for a in rows]
+    assert same_bits(means, np.array(want))
+    assert same_bits(table.matrix, reference_aggregate_table(bundle.wikitext, bundle.assignments, bundle.words, cfg))
