@@ -211,7 +211,7 @@ def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, 
 @click.option("--words", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--strategy", default="exhaustive", show_default=True,
-              type=click.Choice(["exhaustive", "greedy-local"]))
+              type=click.Choice(linking_core.STRATEGIES))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def link_infer(docs_path, entities, words, model_path, strategy, out_path):
     """Pick one candidate per mention; writes '<doc>\\t<idx>\\t<label>' TSV."""
@@ -334,6 +334,17 @@ def eval_runs(scores):
     click.echo(json.dumps(summary.to_dict(), sort_keys=True))
 
 
+def _seed_list(text: str) -> list[int]:
+    """Comma-separated non-negative integers; repeats are kept."""
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise FormatError("no seeds given")
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise FormatError(f"seed {token!r} is not a non-negative integer")
+    return [int(t) for t in tokens]
+
+
 @eval_group.command("converge")
 @click.option("--train", "train_path", required=True, type=click.Path(exists=True))
 @click.option("--dev", "dev_path", required=True, type=click.Path(exists=True))
@@ -355,7 +366,7 @@ def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, thet
     word_table = embed_io.load_table(words)
     base_table = embed_io.load_table(baseline)
     reinf_table = embed_io.load_table(reinforced)
-    seed_list = [int(s) for s in seeds.split(",") if s.strip()]
+    seed_list = _seed_list(seeds)
     cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs)
     report = evaluation.convergence_experiment(
         train_docs, dev_docs, word_table, base_table, reinf_table, cfg, seed_list, theta=theta

@@ -14,7 +14,7 @@ score.  Training runs SGD on a max-margin ranking loss over the non-gold
 candidates of each mention; it is piecewise linear in the diagonals, so the
 analytic subgradient is exact away from hinge kinks.
 
-Training works on one packed layout, built once per ``train`` call.  For
+Training works on one packed layout, built once per entity table.  For
 trainable mention n with context feature f, gold vector g, teacher-forced
 pair context p and its negatives padded to M rows (with a mask):
 
@@ -23,9 +23,15 @@ pair context p and its negatives padded to M rows (with a mask):
 
 Since every score is linear in its diagonal, the hinge violation of (n, m)
 is ``margin - s(g) + s(neg_m) = margin + FD[n, m] @ B + PD[n, m] @ C``, and
-its subgradient in (B, C) is (FD[n, m], PD[n, m]).  The per-instance SGD
-step (two mat-vecs), the full-batch loss and its subgradient all use this
-identity.
+its subgradient in (B, C) is (FD[n, m], PD[n, m]).  The SGD step, the
+full-batch loss and its subgradient all use this identity.
+
+``train_runs`` trains R = tables x seeds runs in lockstep, the shape of the
+convergence study: the runs share documents, negatives and step count, so
+each step gathers one instance per run into an (R, M, d) block and updates
+the (R, d) diagonals with two batched mat-vecs, one numpy call each for all
+runs.  Context features are computed once for all tables.  ``train`` is
+its one-run case, so there is one SGD loop.
 
 Dev mentions with usable gold are packed once as well (features, sorted
 candidate vectors, mask, gold index), so dev F1 per epoch is one einsum and
@@ -65,6 +71,7 @@ from .errors import (
 )
 
 EXHAUSTIVE_CAPACITY = 10**6
+STRATEGIES = ("exhaustive", "greedy-local")
 
 
 @dataclass
@@ -333,17 +340,29 @@ class _CandidateBlock:
     mask: np.ndarray         # (N, M) True on real candidates
 
 
+def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
+    """(N, d) context features of ``mentions``."""
+    features = np.zeros((len(mentions), words.dim))
+    for n, m in enumerate(mentions):
+        features[n] = context_feature(m, words).vector
+    return features
+
+
 def _pack_candidates(
-    mentions: Sequence[Mention], entities: EmbeddingTable, words: EmbeddingTable
+    mentions: Sequence[Mention],
+    entities: EmbeddingTable,
+    words: EmbeddingTable,
+    features: Optional[np.ndarray] = None,
 ) -> _CandidateBlock:
+    """Pack ``mentions``; ``features`` are their context features if known."""
     _check_dims(entities, words)
+    if features is None:
+        features = _features(mentions, words)
     labels = [sorted(m.candidates) for m in mentions]
     width = max((len(ls) for ls in labels), default=0)
-    features = np.zeros((len(mentions), words.dim))
     vectors = np.zeros((len(mentions), width, entities.dim))
     mask = np.zeros((len(mentions), width), dtype=bool)
-    for n, (m, ls) in enumerate(zip(mentions, labels)):
-        features[n] = context_feature(m, words).vector
+    for n, ls in enumerate(labels):
         vectors[n, : len(ls)] = _entity_rows(entities, ls)
         mask[n, : len(ls)] = True
     return _CandidateBlock(labels, features, vectors, mask)
@@ -425,7 +444,7 @@ def infer(
     coherence entirely.
     """
     _check_candidates(doc)
-    if strategy not in ("exhaustive", "greedy-local"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if pairwise not in ("diagonal", "relations"):
         raise ValueError(f"unknown pairwise mode {pairwise!r}")
@@ -469,14 +488,6 @@ class TrainResult:
         }
 
 
-def _violations(FD, PD, B, C, margin: float) -> np.ndarray:
-    """``margin + FD @ B (+ PD @ C)``: hinge violations of the rows of FD."""
-    v = margin + FD @ B
-    if PD is not None:
-        v += PD @ C
-    return v
-
-
 @dataclass
 class _TrainingSet:
     """Hinge terms of every trainable mention n against its negatives m.
@@ -492,55 +503,51 @@ class _TrainingSet:
     def __len__(self) -> int:
         return len(self.FD)
 
-    def instance(self, n: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """The unpadded (FD, PD) rows of instance ``n``."""
-        m = self.mask[n]
-        return self.FD[n, m], None if self.PD is None else self.PD[n, m]
+
+def _usable(docs: Sequence[LinkingDocument]) -> list[Mention]:
+    """The mentions of ``docs`` whose gold is among their candidates."""
+    return [m for doc in docs for m in doc.mentions if m.gold_in_candidates()]
 
 
 def _build_instances(
-    docs: Iterable[LinkingDocument],
+    docs: Sequence[LinkingDocument],
     entities: EmbeddingTable,
     words: EmbeddingTable,
     train_pairwise: bool,
+    features: Optional[np.ndarray] = None,
 ) -> tuple[_TrainingSet, int]:
     """Pack the trainable mentions of ``docs``; also return the skipped count.
 
+    ``features`` are the trainable mentions' context features if known.
     Pair contexts are teacher-forced: the sum of the other mentions' usable
     golds over (n - 1).
     """
     _check_dims(entities, words)
-    diffs: list[np.ndarray] = []  # (neg - gold) per instance
-    feats: list[np.ndarray] = []
-    pair_contexts: list[np.ndarray] = []
-    skipped = 0
+    trainable = _usable(docs)
+    if features is None:
+        features = _features(trainable, words)
+    negatives = [[c for c in sorted(m.candidates) if c != m.gold] for m in trainable]
+    width = max((len(negs) for negs in negatives), default=0)
+    FD = np.zeros((len(trainable), width, entities.dim))
+    PD = np.zeros_like(FD) if train_pairwise else None
+    mask = np.zeros((len(trainable), width), dtype=bool)
+    n = 0
     for doc in docs:
-        n = len(doc.mentions)
-        gold_vecs = [
+        golds = [
             _entity_vector(entities, m.gold) if m.gold_in_candidates() else None
             for m in doc.mentions
         ]
-        for i, m in enumerate(doc.mentions):
-            if gold_vecs[i] is None:
-                skipped += 1
+        for i, gold in enumerate(golds):
+            if gold is None:
                 continue
-            negs = [c for c in sorted(m.candidates) if c != m.gold]
-            diffs.append(_entity_rows(entities, negs) - gold_vecs[i])
-            feats.append(context_feature(m, words).vector)
-            others = [g for j, g in enumerate(gold_vecs) if j != i and g is not None]
-            if train_pairwise and others:
-                pair_contexts.append(np.sum(others, axis=0) / (n - 1))
-            else:
-                pair_contexts.append(np.zeros(entities.dim))
-    width = max((len(d) for d in diffs), default=0)
-    FD = np.zeros((len(diffs), width, entities.dim))
-    PD = np.zeros_like(FD) if train_pairwise else None
-    mask = np.zeros((len(diffs), width), dtype=bool)
-    for n, (diff, f, pc) in enumerate(zip(diffs, feats, pair_contexts)):
-        FD[n, : len(diff)] = diff * f
-        if PD is not None:
-            PD[n, : len(diff)] = diff * pc
-        mask[n, : len(diff)] = True
+            diff = _entity_rows(entities, negatives[n]) - gold
+            FD[n, : len(diff)] = diff * features[n]
+            others = [g for j, g in enumerate(golds) if j != i and g is not None]
+            if PD is not None and others:
+                PD[n, : len(diff)] = diff * (np.sum(others, axis=0) / (len(golds) - 1))
+            mask[n, : len(diff)] = True
+            n += 1
+    skipped = sum(len(doc.mentions) for doc in docs) - len(trainable)
     return _TrainingSet(FD, PD, mask), skipped
 
 
@@ -557,7 +564,9 @@ def margin_loss_and_gradient(
     """
     if train_pairwise != (instances.PD is not None):
         raise ValueError("train_pairwise does not match the packed training set")
-    v = _violations(instances.FD, instances.PD, B, C, margin)
+    v = margin + instances.FD @ B
+    if train_pairwise:
+        v += instances.PD @ C
     active = instances.mask & (v > 0.0)
     gB = instances.FD[active].sum(axis=0)
     gC = instances.PD[active].sum(axis=0) if train_pairwise else np.zeros_like(C)
@@ -578,14 +587,117 @@ class _DevSet:
         return int(np.count_nonzero(_greedy_picks(self.block, B) == self.gold)) / len(self.gold)
 
 
-def _pack_dev(dev_docs, entities: EmbeddingTable, words: EmbeddingTable) -> _DevSet:
-    usable = []
+def _pack_dev(
+    dev_docs: Sequence[LinkingDocument],
+    entities: EmbeddingTable,
+    words: EmbeddingTable,
+    features: Optional[np.ndarray] = None,
+) -> _DevSet:
+    """Pack the usable dev mentions; ``features`` are their context features if known."""
     for doc in dev_docs:
         _check_candidates(doc)
-        usable += [m for m in doc.mentions if m.gold_in_candidates()]
-    block = _pack_candidates(usable, entities, words)
+    usable = _usable(dev_docs)
+    block = _pack_candidates(usable, entities, words, features)
     gold = np.array([ls.index(m.gold) for ls, m in zip(block.labels, usable)], dtype=np.intp)
     return _DevSet(block, gold)
+
+
+def train_runs(
+    train_docs: Sequence[LinkingDocument],
+    tables: Sequence[EmbeddingTable],
+    words: EmbeddingTable,
+    config: TrainConfig,
+    seeds: Sequence[int],
+    dev_docs: Optional[Sequence[LinkingDocument]] = None,
+) -> list[TrainResult]:
+    """Train one model per (entity table, seed), all runs in lockstep.
+
+    SGD on the per-mention margin loss against all non-gold candidates.
+    Each run visits the instances one at a time in the order its seed
+    shuffles them (``config.seed`` is not used); each step scores all of
+    an instance's negatives at once and applies the summed subgradient of
+    its active hinges.  The loss trace holds the full-batch loss evaluated
+    after each epoch; the dev trace holds greedy-local dev micro-F1 at the
+    same points when dev documents are supplied.
+
+    The R = tables x seeds runs share documents, negatives and step count,
+    so one loop steps them all: step t gathers each run's instance into an
+    (R, M, d) block and updates the (R, d) diagonals with two batched
+    mat-vecs.  A run's arithmetic does not depend on the other runs, so
+    each result equals a one-run call bit for bit.  Results are
+    table-major: run ``t * len(seeds) + s`` is (``tables[t]``, ``seeds[s]``).
+    """
+    if not tables or not seeds:
+        raise ValueError("need at least one table and one seed")
+    # which mentions count, and their context features, do not depend on the table
+    features = _features(_usable(train_docs), words)
+    sets = []
+    for table in tables:
+        instances, skipped = _build_instances(train_docs, table, words, config.train_pairwise, features)
+        sets.append(instances)
+    N = len(sets[0])
+    if not N:
+        raise EmptyTrainingError("no training mention has gold among its candidates")
+    devs = None
+    if dev_docs is not None:
+        features = _features(_usable(dev_docs), words)
+        devs = [_pack_dev(dev_docs, t, words, features) for t in tables]
+
+    R = len(tables) * len(seeds)
+    table_of = [r // len(seeds) for r in range(R)]
+    # every table's instances, stacked: run r's instance n is row table_of[r] * N + n
+    FD = np.concatenate([s.FD for s in sets])
+    PD = np.concatenate([s.PD for s in sets]) if config.train_pairwise else None
+    offsets = np.array(table_of)[:, None] * N
+    B = np.ones((R, words.dim))
+    C = np.ones((R, words.dim))
+    Bcol, Ccol = B[:, :, None], C[:, :, None]  # views: (R, d, 1) columns for matmul
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    margin, lr = config.margin, config.lr
+
+    def evaluate(r: int) -> tuple[float, Optional[float]]:
+        t = table_of[r]
+        loss = margin_loss_and_gradient(sets[t], B[r], C[r], margin, config.train_pairwise)[0]
+        return loss, devs[t].f1(B[r]) if devs is not None else None
+
+    # per run: (loss, dev F1) before training, then after each epoch
+    history = [[evaluate(r)] for r in range(R)]
+    for _epoch in range(config.epochs):
+        if config.shuffle:
+            order = np.stack([rng.permutation(N) for rng in rngs] * len(tables))
+        else:
+            order = np.broadcast_to(np.arange(N), (R, N))
+        for rows in (order + offsets).T:
+            F = FD.take(rows, axis=0)
+            if PD is None:
+                # the same test as margin + F @ B > 0: the sum's sign survives rounding
+                active = np.matmul(F, Bcol) > -margin
+            else:
+                P = PD.take(rows, axis=0)
+                v = np.matmul(F, Bcol)
+                v += margin
+                v += np.matmul(P, Ccol)
+                active = v > 0.0
+            # padding rows are zero: active or not, they add nothing
+            if np.count_nonzero(active):
+                active = active.transpose(0, 2, 1)
+                B -= lr * np.matmul(active, F)[:, 0]
+                if PD is not None:
+                    C -= lr * np.matmul(active, P)[:, 0]
+        for r in range(R):
+            history[r].append(evaluate(r))
+
+    return [
+        TrainResult(
+            LinkingModel(words.dim, B[r].copy(), C[r].copy()),
+            loss_trace=[loss for loss, _ in epochs],
+            dev_f1_trace=[f1 for _, f1 in epochs] if devs is not None else [],
+            initial_loss=initial_loss,
+            initial_dev_f1=initial_dev_f1,
+            skipped_mentions=skipped,
+        )
+        for r, ((initial_loss, initial_dev_f1), *epochs) in enumerate(history)
+    ]
 
 
 def train(
@@ -595,50 +707,8 @@ def train(
     config: TrainConfig,
     dev_docs: Optional[Sequence[LinkingDocument]] = None,
 ) -> TrainResult:
-    """SGD on the per-mention margin loss against all non-gold candidates.
-
-    Instances are visited one at a time in a seeded shuffled order; each
-    step scores all of the instance's negatives at once and applies the
-    summed subgradient of its active hinges.  The loss trace holds the
-    full-batch loss evaluated after each epoch; the dev trace holds
-    greedy-local dev micro-F1 at the same points when dev documents are
-    supplied.
-    """
-    instances, skipped = _build_instances(
-        train_docs, entities, words, config.train_pairwise
-    )
-    if not len(instances):
-        raise EmptyTrainingError("no training mention has gold among its candidates")
-    dev = _pack_dev(dev_docs, entities, words) if dev_docs is not None else None
-
-    model = LinkingModel.identity(entities.dim)
-    rng = np.random.default_rng(config.seed)
-
-    def full_loss() -> float:
-        return margin_loss_and_gradient(
-            instances, model.B, model.C, config.margin, config.train_pairwise
-        )[0]
-
-    initial_loss = full_loss()
-    initial_dev = dev.f1(model.B) if dev is not None else None
-
-    steps = [instances.instance(n) for n in range(len(instances))]
-    loss_trace: list[float] = []
-    dev_trace: list[float] = []
-    for _epoch in range(config.epochs):
-        order = rng.permutation(len(instances)) if config.shuffle else range(len(instances))
-        for n in order:
-            fd, pd = steps[n]
-            active = _violations(fd, pd, model.B, model.C, config.margin) > 0.0
-            if np.count_nonzero(active):
-                model.B -= config.lr * (active @ fd)
-                if pd is not None:
-                    model.C -= config.lr * (active @ pd)
-        loss_trace.append(full_loss())
-        if dev is not None:
-            dev_trace.append(dev.f1(model.B))
-
-    return TrainResult(model, loss_trace, dev_trace, initial_loss, initial_dev, skipped)
+    """One run of `train_runs`: ``entities`` with seed ``config.seed``."""
+    return train_runs(train_docs, [entities], words, config, [config.seed], dev_docs)[0]
 
 
 # ---------------------------------------------------------------------------

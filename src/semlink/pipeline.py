@@ -207,6 +207,13 @@ class PipelineConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
+        for key in ("window", "epochs", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.strategy not in linking_core.STRATEGIES:
+            raise ConfigError(
+                f"strategy must be one of {', '.join(linking_core.STRATEGIES)}, got {self.strategy!r}"
+            )
         unknown = [s for s in self.stages if s not in STAGES]
         if unknown:
             raise ConfigError(f"unknown stages: {', '.join(unknown)}")

@@ -235,6 +235,39 @@ class TestConvergenceExperiment:
                 bundle.wikitext, reinforced, TrainConfig(epochs=1), seeds=[1],
             )
 
+    def test_degenerate_study_warns_per_set(self):
+        bundle = generate_fixture(7, FixtureSizes())
+        reinforced = aggregate_table(
+            bundle.wikitext, bundle.assignments, bundle.words, AggregationConfig(T=11, alpha=0.2)
+        )
+        args = (bundle.train_docs, bundle.dev_docs, bundle.words, bundle.wikitext, reinforced,
+                TrainConfig(margin=1.0, lr=0.01, epochs=120))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = convergence_experiment(*args, [1, 2, 3, 4, 5], theta=0.95)
+        messages = [str(w.message) for w in caught]
+        assert report.sets["baseline"].epochs_to_threshold == [30] * 5
+        assert report.sets["reinforced"].epochs_to_threshold == [8] * 5
+        assert len(messages) == 2
+        for name, epoch, message in zip(("baseline", "reinforced"), (30, 8), messages):
+            assert f"all 5 seeds of {name!r}" in message and f"epoch {epoch}:" in message
+            assert "only reorder the shuffle" in message
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            convergence_experiment(*args, [1], theta=0.95)
+        assert caught == []
+
+    def test_censored_seeds_do_not_warn(self):
+        bundle, reinforced = small_world()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = convergence_experiment(
+                bundle.train_docs, bundle.dev_docs, bundle.words, bundle.wikitext, reinforced,
+                TrainConfig(epochs=1, lr=1e-9), seeds=[1, 2], theta=1.01,
+            )
+        assert report.sets["baseline"].censored == 2
+        assert caught == []
+
     def test_epochs_to_threshold_helper(self):
         bundle, _ = small_world()
         result = train(

@@ -1,6 +1,7 @@
 """Bilinear scores vs naive oracles, inference vs enumeration, trainer checks."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from semlink.linking_core import (
     relation_weights,
     save_linking_jsonl,
     train,
+    train_runs,
     _build_instances,
     _strip_prior,
 )
@@ -706,6 +708,46 @@ class TestPackedTrainingOracle:
         )
         assert report.sets["baseline"].epochs_to_threshold == [30] * 5
         assert report.sets["reinforced"].epochs_to_threshold == [8] * 5
+
+
+@st.composite
+def lockstep_studies(draw):
+    """Ragged worlds with 1-3 entity tables over the same labels, 1-4 seeds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    tables = [entities] + [
+        EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    train_docs = ragged_docs(rng, labels, wlabels, 6, "t")
+    dev_docs = ragged_docs(rng, labels, wlabels, 3, "v") if draw(st.booleans()) else None
+    seeds = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    config = TrainConfig(
+        margin=draw(st.sampled_from([0.5, 1.0])), lr=0.05, epochs=draw(st.integers(0, 4)),
+        train_pairwise=draw(st.booleans()), shuffle=draw(st.booleans()),
+    )
+    return train_docs, tables, words, config, seeds, dev_docs
+
+
+@given(lockstep_studies())
+def test_train_runs_equal_separate_train_calls(study):
+    train_docs, tables, words, config, seeds, dev_docs = study
+    runs = train_runs(train_docs, tables, words, config, seeds, dev_docs)
+    assert len(runs) == len(tables) * len(seeds)
+    for r, got in enumerate(runs):
+        table, seed = tables[r // len(seeds)], seeds[r % len(seeds)]
+        want = train(train_docs, table, words, replace(config, seed=seed), dev_docs)
+        assert got.model.B.tobytes() == want.model.B.tobytes()
+        assert got.model.C.tobytes() == want.model.C.tobytes()
+        assert got.trace() == want.trace()
+
+
+def test_train_runs_rejects_tables_of_different_dims(rng):
+    entities, words, labels, wlabels = toy_world(rng, dim=4)
+    wide = EmbeddingTable(5, labels, rng.standard_normal((len(labels), 5)).astype(np.float32))
+    docs = ragged_docs(rng, labels, wlabels, 4, "t")
+    with pytest.raises(DimensionError):
+        train_runs(docs, [entities, wide], words, TrainConfig(epochs=1), [0])
 
 
 class TestModelIO:

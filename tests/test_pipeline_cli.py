@@ -3,6 +3,7 @@
 import json
 import shutil
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ from semlink import pipeline
 from semlink.cli import cli, main
 from semlink.embed_io import load_binary, save_binary
 from semlink.errors import ConfigError, StageError
+from semlink.evaluation import convergence_experiment
 from semlink.fixtures import FixtureSizes, make_fixtures
+from semlink.linking_core import TrainConfig, load_linking_jsonl, train
 from semlink.pipeline import PipelineConfig, run_pipeline
 from semlink.semantic_aggregation import AggregationConfig, aggregate_table
 from semlink.type_extraction import read_assignments
@@ -348,6 +351,23 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(config)
 
+    @pytest.mark.parametrize(
+        "key, value", [("strategy", "bogus"), ("seed", "-1"), ("epochs", "-1"), ("window", "-1")],
+    )
+    def test_bad_training_parameter_fails_before_any_stage(self, fixture_dir, tmp_path, capsys,
+                                                           key, value):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out)
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_file(cfg_path, {key: value}).validate()
+        with pytest.raises(SystemExit) as e:
+            main(["pipeline", "run", "--config", str(cfg_path), "--set", f"{key}={value}"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert key in err and value in err
+        assert not out.exists()
+
     def test_changed_parameter_invalidates_stage(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         out = tmp_path / "out"
@@ -620,6 +640,49 @@ class TestCli:
             ])
         assert e.value.code == 2
         assert f"{pairs}:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds, token", [("", None), (" , ", None), ("1,x", "'x'"),
+                                              ("-1", "'-1'"), ("2,1.5", "'1.5'")])
+    def test_eval_converge_bad_seeds_exit_2(self, fixture_dir, tmp_path, capsys, seeds, token):
+        root, paths = fixture_dir
+        with pytest.raises(SystemExit) as e:
+            main([
+                "eval", "converge", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+                "--words", str(paths["words"]), "--baseline", str(paths["wikitext"]),
+                "--reinforced", str(paths["wikitext"]), f"--seeds={seeds}", "--epochs", "1",
+            ])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert (token or "no seeds given") in err
+
+    def test_eval_converge_out_matches_study(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        out = tmp_path / "study.json"
+        reinforced = tmp_path / "reinforced.bin"
+        words = load_binary(paths["words"])
+        wikitext = load_binary(paths["wikitext"])
+        table = aggregate_table(wikitext, read_assignments(paths["types"]), words,
+                                AggregationConfig(T=11, alpha=0.2))
+        save_binary(table, reinforced)
+        r = CliRunner().invoke(cli, [
+            "eval", "converge", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+            "--words", str(paths["words"]), "--baseline", str(paths["wikitext"]),
+            "--reinforced", str(reinforced), "--seeds", "3,1,3", "--epochs", "6",
+            "--theta", "0.5", "--out", str(out),
+        ])
+        assert r.exit_code == 0, r.output
+        train_docs = load_linking_jsonl(paths["train"])
+        dev_docs = load_linking_jsonl(paths["dev"])
+        config = TrainConfig(margin=1.0, lr=0.01, epochs=6)
+        report = convergence_experiment(train_docs, dev_docs, words, wikitext, load_binary(reinforced),
+                                        config, [3, 1, 3], theta=0.5)
+        assert json.loads(out.read_text("utf-8")) == json.loads(json.dumps(report.to_dict()))
+        for name, entities in (("baseline", wikitext), ("reinforced", load_binary(reinforced))):
+            result = report.sets[name]
+            assert result.seeds == [3, 1, 3]
+            for seed, trace in zip(result.seeds, result.dev_f1_traces):
+                one = train(train_docs, entities, words, replace(config, seed=seed), dev_docs)
+                assert trace == one.dev_f1_trace
 
     def test_pipeline_run_cli(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
