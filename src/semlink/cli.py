@@ -192,6 +192,7 @@ def link():
 @click.option("--out-trace", type=click.Path())
 def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, out_model, out_trace):
     """Fit the local-score diagonal with margin-loss SGD."""
+    pipeline.check_non_negative(epochs=epochs, seed=seed)
     train_docs = linking_core.load_linking_jsonl(train_path)
     dev_docs = linking_core.load_linking_jsonl(dev_path) if dev_path else None
     entity_table = embed_io.load_table(entities)
@@ -361,12 +362,13 @@ def _seed_list(text: str) -> list[int]:
 def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, theta,
                   epochs, lr, margin, out_path, curves):
     """Compare epochs-to-threshold between two embedding tables."""
+    seed_list = _seed_list(seeds)
+    pipeline.check_non_negative(epochs=epochs)
     train_docs = linking_core.load_linking_jsonl(train_path)
     dev_docs = linking_core.load_linking_jsonl(dev_path)
     word_table = embed_io.load_table(words)
     base_table = embed_io.load_table(baseline)
     reinf_table = embed_io.load_table(reinforced)
-    seed_list = _seed_list(seeds)
     cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs)
     report = evaluation.convergence_experiment(
         train_docs, dev_docs, word_table, base_table, reinf_table, cfg, seed_list, theta=theta

@@ -27,11 +27,27 @@ its subgradient in (B, C) is (FD[n, m], PD[n, m]).  The SGD step, the
 full-batch loss and its subgradient all use this identity.
 
 ``train_runs`` trains R = tables x seeds runs in lockstep, the shape of the
-convergence study: the runs share documents, negatives and step count, so
-each step gathers one instance per run into an (R, M, d) block and updates
-the (R, d) diagonals with two batched mat-vecs, one numpy call each for all
-runs.  Context features are computed once for all tables.  ``train`` is
-its one-run case, so there is one SGD loop.
+convergence study: the runs share documents, negatives and step count.  SGD
+is sequential, since a step's active hinges depend on the diagonals the
+step before left, but at a small step size they seldom change within a few
+dozen steps.  So the loop takes a block of up to 64 steps per run at once:
+
+1. guess every step's active hinges from the block's first state, one
+   mat-vec per run over the block's gathered rows (R, k, M, d);
+2. build the state before each step: every step's update from its guessed
+   hinges, chained with ``np.subtract.accumulate``;
+3. test every step's hinges again, against its own state;
+4. each run keeps its steps before its first wrong guess, redoes that step
+   with its tested hinges and resumes after it in the next block.
+
+The kept states are those of one step at a time, bit for bit: the
+accumulate subtracts in sequence, as ``B -= lr * g`` does, and every update
+and every test is the same (1, M) @ (M, d) or (M, d) @ (d, 1) ``matmul``
+slice that a single step computes.  Only the guess may round differently,
+and a wrong guess costs steps, not bits.  A run that finishes its epoch
+before the others steps on an all-zero row, which changes nothing.
+Context features are computed once for all tables.  ``train`` is the
+one-run case, so there is one SGD loop.
 
 Dev mentions with usable gold are packed once as well (features, sorted
 candidate vectors, mask, gold index), so dev F1 per epoch is one einsum and
@@ -551,6 +567,16 @@ def _build_instances(
     return _TrainingSet(FD, PD, mask), skipped
 
 
+def _hinges(
+    instances: _TrainingSet, B: np.ndarray, C: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M) hinge violations of every instance and the mask of active ones."""
+    v = margin + instances.FD @ B
+    if instances.PD is not None:
+        v += instances.PD @ C
+    return v, instances.mask & (v > 0.0)
+
+
 def margin_loss_and_gradient(
     instances: _TrainingSet,
     B: np.ndarray,
@@ -564,10 +590,7 @@ def margin_loss_and_gradient(
     """
     if train_pairwise != (instances.PD is not None):
         raise ValueError("train_pairwise does not match the packed training set")
-    v = margin + instances.FD @ B
-    if train_pairwise:
-        v += instances.PD @ C
-    active = instances.mask & (v > 0.0)
+    v, active = _hinges(instances, B, C, margin)
     gB = instances.FD[active].sum(axis=0)
     gC = instances.PD[active].sum(axis=0) if train_pairwise else np.zeros_like(C)
     return float(v[active].sum()), gB, gC
@@ -602,6 +625,111 @@ def _pack_dev(
     return _DevSet(block, gold)
 
 
+# SGD steps that one speculative block guesses, builds and tests at once
+_BLOCK = 64
+
+
+def _active(
+    F: np.ndarray, P: Optional[np.ndarray], B: np.ndarray, C: np.ndarray, margin: float
+) -> np.ndarray:
+    """(..., M, 1) active hinges of the gathered rows F (and P), (..., M, d),
+    at the diagonals B (and C) given as (..., d, 1) columns."""
+    if P is None:
+        # the same test as margin + F @ B > 0: the sum's sign survives rounding
+        return np.matmul(F, B) > -margin
+    v = np.matmul(F, B)
+    v += margin
+    v += np.matmul(P, C)
+    return v > 0.0
+
+
+class _LockstepSGD:
+    """SGD of R runs over every table's stacked hinge rows, in speculative blocks.
+
+    The work arrays are allocated once: allocated afresh, arrays this large
+    are handed back to the OS when freed and fault in again on every block.
+    """
+
+    def __init__(self, sets: Sequence[_TrainingSet], R: int, margin: float, lr: float):
+        # table t's instance n is row t * N + n; the last row is zero, and a
+        # step on it changes nothing
+        zero = np.zeros((1, *sets[0].FD.shape[1:]))
+        self.FD = np.concatenate([s.FD for s in sets] + [zero])
+        self.PD = np.concatenate([s.PD for s in sets] + [zero]) if sets[0].PD is not None else None
+        self.margin, self.lr = margin, lr
+        self.runs = np.arange(R)
+        self.F = np.empty((R, _BLOCK, *zero.shape[1:]))
+        self.P = np.empty_like(self.F) if self.PD is not None else None
+        # the diagonals before each step of a block and after its last, step-major
+        self.Bs = np.empty((_BLOCK + 1, R, zero.shape[2]))
+        self.Cs = np.empty_like(self.Bs) if self.PD is not None else self.Bs
+
+    def epoch(self, rows: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+        """Run r steps on the stacked rows ``rows[r]`` in order, in place on
+        B[r] and C[r]; each run moves through its rows at its own pace."""
+        R, N = rows.shape
+        # a block that runs past a run's last step gathers the zero row
+        steps = np.full((R, N + _BLOCK), len(self.FD) - 1)
+        steps[:, :N] = rows
+        at = np.zeros((R, 1), dtype=np.intp)
+        while at.min() < N:
+            block = np.take_along_axis(steps, at + np.arange(_BLOCK), axis=1)
+            at = np.minimum(at + self._block(block, B, C)[:, None], N)
+
+    def _block(self, steps: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """Take SGD steps on the rows ``steps`` (R, k) in place on B and C
+        (R, d); return how many steps each run took (at least one).
+
+        Every step's active hinges are guessed from the block's first state,
+        the states they lead to are built, and each step is then tested
+        against its own state.  A run keeps its steps before its first wrong
+        guess, which are exact, and redoes that step with its tested hinges;
+        the rest of its block is left for the next block.
+        """
+        F, P, margin, lr = self.F, self.P, self.margin, self.lr
+        # the rows are in range; 'raise' would copy them through a temporary
+        self.FD.take(steps, axis=0, out=F, mode="clip")
+        if P is not None:
+            self.PD.take(steps, axis=0, out=P, mode="clip")
+        # one mat-vec per run; where it rounds unlike the test, a guess is only wrong
+        R, k, M, d = F.shape
+        flat = (R, k * M, d)
+        guess = _active(
+            F.reshape(flat), P.reshape(flat) if P is not None else None,
+            B[:, :, None], C[:, :, None], margin,
+        ).reshape(R, k, M, 1)
+        self._states(self.Bs, B, guess, F)
+        if P is not None:
+            self._states(self.Cs, C, guess, P)
+        # each step against its own state, with (R, k, d, 1) columns
+        tested = _active(
+            F, P, self.Bs[:-1].swapaxes(0, 1)[..., None], self.Cs[:-1].swapaxes(0, 1)[..., None], margin
+        )
+        wrong = (tested != guess).any(axis=(2, 3))
+        # redoing the last step with its tested hinges is the same as keeping it
+        wrong[:, -1] = True
+        j = wrong.argmax(axis=1)
+        runs = self.runs
+        active = tested[runs, j].swapaxes(1, 2)
+        B[:] = self.Bs[j, runs]
+        B -= lr * np.matmul(active, F[runs, j])[:, 0]
+        if P is not None:
+            C[:] = self.Cs[j, runs]
+            C -= lr * np.matmul(active, P[runs, j])[:, 0]
+        return j + 1
+
+    def _states(self, out: np.ndarray, D: np.ndarray, active: np.ndarray, G: np.ndarray) -> None:
+        """Write to ``out`` (k + 1, R, d) the diagonals ``D`` (R, d) and their
+        values after each step on the rows ``G`` (R, k, M, d) with the hinges
+        ``active`` (R, k, M, 1)."""
+        out[0] = D
+        # padding rows are zero: active or not, they add nothing
+        np.matmul(active.swapaxes(2, 3), G, out=out[1:].swapaxes(0, 1)[:, :, None])
+        out[1:] *= self.lr
+        # accumulate subtracts in sequence, so each state is the in-place D -= X chain
+        np.subtract.accumulate(out, axis=0, out=out)
+
+
 def train_runs(
     train_docs: Sequence[LinkingDocument],
     tables: Sequence[EmbeddingTable],
@@ -621,11 +749,16 @@ def train_runs(
     same points when dev documents are supplied.
 
     The R = tables x seeds runs share documents, negatives and step count,
-    so one loop steps them all: step t gathers each run's instance into an
-    (R, M, d) block and updates the (R, d) diagonals with two batched
-    mat-vecs.  A run's arithmetic does not depend on the other runs, so
-    each result equals a one-run call bit for bit.  Results are
-    table-major: run ``t * len(seeds) + s`` is (``tables[t]``, ``seeds[s]``).
+    so one loop steps them all, in speculative blocks of up to 64 steps
+    per run (see the module docstring): each block guesses its steps'
+    active hinges from its first state, builds the states they lead to
+    with a sequential accumulate, tests each step against its own state,
+    and each run keeps its steps up to its first wrong guess, redone with
+    the tested hinges.  The states, losses and dev F1 are those of taking
+    one step at a time, bit for bit, and a run's arithmetic does not
+    depend on the other runs, so each result equals a one-run call bit for
+    bit.  Results are table-major: run ``t * len(seeds) + s`` is
+    (``tables[t]``, ``seeds[s]``).
     """
     if not tables or not seeds:
         raise ValueError("need at least one table and one seed")
@@ -645,20 +778,16 @@ def train_runs(
 
     R = len(tables) * len(seeds)
     table_of = [r // len(seeds) for r in range(R)]
-    # every table's instances, stacked: run r's instance n is row table_of[r] * N + n
-    FD = np.concatenate([s.FD for s in sets])
-    PD = np.concatenate([s.PD for s in sets]) if config.train_pairwise else None
     offsets = np.array(table_of)[:, None] * N
     B = np.ones((R, words.dim))
     C = np.ones((R, words.dim))
-    Bcol, Ccol = B[:, :, None], C[:, :, None]  # views: (R, d, 1) columns for matmul
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    margin, lr = config.margin, config.lr
+    sgd = _LockstepSGD(sets, R, config.margin, config.lr)
 
     def evaluate(r: int) -> tuple[float, Optional[float]]:
         t = table_of[r]
-        loss = margin_loss_and_gradient(sets[t], B[r], C[r], margin, config.train_pairwise)[0]
-        return loss, devs[t].f1(B[r]) if devs is not None else None
+        v, active = _hinges(sets[t], B[r], C[r], config.margin)
+        return float(v[active].sum()), devs[t].f1(B[r]) if devs is not None else None
 
     # per run: (loss, dev F1) before training, then after each epoch
     history = [[evaluate(r)] for r in range(R)]
@@ -667,23 +796,7 @@ def train_runs(
             order = np.stack([rng.permutation(N) for rng in rngs] * len(tables))
         else:
             order = np.broadcast_to(np.arange(N), (R, N))
-        for rows in (order + offsets).T:
-            F = FD.take(rows, axis=0)
-            if PD is None:
-                # the same test as margin + F @ B > 0: the sum's sign survives rounding
-                active = np.matmul(F, Bcol) > -margin
-            else:
-                P = PD.take(rows, axis=0)
-                v = np.matmul(F, Bcol)
-                v += margin
-                v += np.matmul(P, Ccol)
-                active = v > 0.0
-            # padding rows are zero: active or not, they add nothing
-            if np.count_nonzero(active):
-                active = active.transpose(0, 2, 1)
-                B -= lr * np.matmul(active, F)[:, 0]
-                if PD is not None:
-                    C -= lr * np.matmul(active, P)[:, 0]
+        sgd.epoch(order + offsets, B, C)
         for r in range(R):
             history[r].append(evaluate(r))
 

@@ -94,6 +94,13 @@ _KINDS = {
 }
 
 
+def check_non_negative(**values: int) -> None:
+    """`ConfigError` naming the first of ``values`` that is negative."""
+    for key, value in values.items():
+        if value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
+
+
 @dataclass
 class PipelineConfig:
     out: Path = Path("semlink_out")
@@ -207,9 +214,7 @@ class PipelineConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
-        for key in ("window", "epochs", "seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        check_non_negative(window=self.window, epochs=self.epochs, seed=self.seed)
         if self.strategy not in linking_core.STRATEGIES:
             raise ConfigError(
                 f"strategy must be one of {', '.join(linking_core.STRATEGIES)}, got {self.strategy!r}"

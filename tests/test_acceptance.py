@@ -313,16 +313,18 @@ def test_criterion_08_reinforced_embeddings_converge_faster():
         bundle.wikitext, bundle.assignments, bundle.words, AggregationConfig(T=11, alpha=0.2)
     )
     seeds = [1, 2, 3, 4, 5]
-    report = convergence_experiment(
-        bundle.train_docs,
-        bundle.dev_docs,
-        bundle.words,
-        bundle.wikitext,
-        reinforced,
-        TrainConfig(margin=1.0, lr=0.01, epochs=120),
-        seeds,
-        theta=0.95,
-    )
+    # every seed of this fixture reaches theta in the same epoch, which warns
+    with pytest.warns(UserWarning, match="seeds only reorder the shuffle"):
+        report = convergence_experiment(
+            bundle.train_docs,
+            bundle.dev_docs,
+            bundle.words,
+            bundle.wikitext,
+            reinforced,
+            TrainConfig(margin=1.0, lr=0.01, epochs=120),
+            seeds,
+            theta=0.95,
+        )
     base = report.sets["baseline"]
     reinf = report.sets["reinforced"]
     assert base.censored == 0, "baseline never reached the threshold"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from semlink import linking_core
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import (
     CapacityError,
@@ -23,6 +24,7 @@ from semlink.linking_core import (
     LinkingModel,
     Mention,
     TrainConfig,
+    TrainResult,
     context_feature,
     document_score,
     infer,
@@ -37,6 +39,7 @@ from semlink.linking_core import (
     train,
     train_runs,
     _build_instances,
+    _pack_dev,
     _strip_prior,
 )
 
@@ -702,10 +705,11 @@ class TestPackedTrainingOracle:
         reinforced = aggregate_table(
             bundle.wikitext, bundle.assignments, bundle.words, AggregationConfig(T=11, alpha=0.2)
         )
-        report = convergence_experiment(
-            bundle.train_docs, bundle.dev_docs, bundle.words, bundle.wikitext, reinforced,
-            TrainConfig(margin=1.0, lr=0.01, epochs=120), [1, 2, 3, 4, 5], theta=0.95,
-        )
+        with pytest.warns(UserWarning, match="seeds only reorder the shuffle"):
+            report = convergence_experiment(
+                bundle.train_docs, bundle.dev_docs, bundle.words, bundle.wikitext, reinforced,
+                TrainConfig(margin=1.0, lr=0.01, epochs=120), [1, 2, 3, 4, 5], theta=0.95,
+            )
         assert report.sets["baseline"].epochs_to_threshold == [30] * 5
         assert report.sets["reinforced"].epochs_to_threshold == [8] * 5
 
@@ -748,6 +752,127 @@ def test_train_runs_rejects_tables_of_different_dims(rng):
     docs = ragged_docs(rng, labels, wlabels, 4, "t")
     with pytest.raises(DimensionError):
         train_runs(docs, [entities, wide], words, TrainConfig(epochs=1), [0])
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact oracle for the speculative blocks: the lockstep loop they replaced,
+# one gather, hinge test and update per SGD step.
+
+
+def per_step_train_runs(train_docs, tables, words, config, seeds, dev_docs):
+    """`train_runs`' results, computed one numpy step at a time."""
+    built = [_build_instances(train_docs, t, words, config.train_pairwise) for t in tables]
+    sets = [instances for instances, _ in built]
+    devs = [_pack_dev(dev_docs, t, words) for t in tables] if dev_docs is not None else None
+    N, R = len(sets[0]), len(tables) * len(seeds)
+    table_of = [r // len(seeds) for r in range(R)]
+    FD = np.concatenate([s.FD for s in sets])
+    PD = np.concatenate([s.PD for s in sets]) if config.train_pairwise else None
+    offsets = np.array(table_of)[:, None] * N
+    B, C = np.ones((R, words.dim)), np.ones((R, words.dim))
+    Bcol, Ccol = B[:, :, None], C[:, :, None]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    def evaluate(r):
+        t = table_of[r]
+        loss = margin_loss_and_gradient(sets[t], B[r], C[r], config.margin, config.train_pairwise)[0]
+        return loss, devs[t].f1(B[r]) if devs is not None else None
+
+    history = [[evaluate(r)] for r in range(R)]
+    for _epoch in range(config.epochs):
+        if config.shuffle:
+            order = np.stack([rng.permutation(N) for rng in rngs] * len(tables))
+        else:
+            order = np.broadcast_to(np.arange(N), (R, N))
+        for rows in (order + offsets).T:
+            F = FD.take(rows, axis=0)
+            if PD is None:
+                active = np.matmul(F, Bcol) > -config.margin
+            else:
+                P = PD.take(rows, axis=0)
+                v = np.matmul(F, Bcol)
+                v += config.margin
+                v += np.matmul(P, Ccol)
+                active = v > 0.0
+            if np.count_nonzero(active):
+                active = active.transpose(0, 2, 1)
+                B -= config.lr * np.matmul(active, F)[:, 0]
+                if PD is not None:
+                    C -= config.lr * np.matmul(active, P)[:, 0]
+        for r in range(R):
+            history[r].append(evaluate(r))
+    return [
+        TrainResult(
+            LinkingModel(words.dim, B[r], C[r]),
+            loss_trace=[loss for loss, _ in epochs],
+            dev_f1_trace=[f1 for _, f1 in epochs] if devs is not None else [],
+            initial_loss=initial_loss,
+            initial_dev_f1=initial_dev_f1,
+            skipped_mentions=built[0][1],
+        )
+        for r, ((initial_loss, initial_dev_f1), *epochs) in enumerate(history)
+    ]
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.model.B.tobytes() == w.model.B.tobytes()
+        assert g.model.C.tobytes() == w.model.C.tobytes()
+        assert g.trace() == w.trace()
+
+
+@st.composite
+def block_studies(draw):
+    """Ragged worlds of 6-30 documents, 1-6 lockstep runs, a block length, and
+    a step size large enough to flip hinges inside a block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    n_tables = draw(st.integers(1, 3))
+    tables = [entities] + [
+        EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))
+        for _ in range(n_tables - 1)
+    ]
+    seeds = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6 // n_tables))
+    train_docs = ragged_docs(rng, labels, wlabels, draw(st.integers(6, 30)), "t")
+    dev_docs = ragged_docs(rng, labels, wlabels, 3, "v") if draw(st.booleans()) else None
+    config = TrainConfig(
+        margin=draw(st.sampled_from([0.5, 1.0])), lr=draw(st.sampled_from([0.05, 2.0])),
+        epochs=draw(st.integers(0, 4)), train_pairwise=draw(st.booleans()), shuffle=draw(st.booleans()),
+    )
+    block = draw(st.sampled_from([1, 2, 3, linking_core._BLOCK]))
+    return train_docs, tables, words, config, seeds, dev_docs, block
+
+
+@given(block_studies())
+def test_blocks_equal_per_step_training(study):
+    train_docs, tables, words, config, seeds, dev_docs, block = study
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linking_core, "_BLOCK", block)
+        got = train_runs(train_docs, tables, words, config, seeds, dev_docs)
+    assert_same_bits(got, per_step_train_runs(train_docs, tables, words, config, seeds, dev_docs))
+
+
+@pytest.mark.parametrize("train_pairwise", [False, True])
+def test_runs_resume_from_their_first_wrong_guess(monkeypatch, train_pairwise):
+    rng = np.random.default_rng(11)
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    tables = [entities, EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))]
+    train_docs = ragged_docs(rng, labels, wlabels, 40, "t")
+    dev_docs = ragged_docs(rng, labels, wlabels, 5, "v")
+    config = TrainConfig(lr=2.0, epochs=3, train_pairwise=train_pairwise)
+    taken = []
+    block = linking_core._LockstepSGD._block
+
+    def spy(self, steps, B, C):
+        taken.append(block(self, steps, B, C))
+        return taken[-1]
+
+    monkeypatch.setattr(linking_core._LockstepSGD, "_block", spy)
+    got = train_runs(train_docs, tables, words, config, [0, 1, 2], dev_docs)
+    # some block stopped short for some runs only
+    assert any(len(set(n)) > 1 for n in taken)
+    assert_same_bits(got, per_step_train_runs(train_docs, tables, words, config, [0, 1, 2], dev_docs))
 
 
 class TestModelIO:

@@ -655,6 +655,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert (token or "no seeds given") in err
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("link train", "--seed", "-1"),
+        ("link train", "--epochs", "-2"),
+        ("eval converge", "--epochs", "-3"),
+    ])
+    def test_negative_training_argument_exits_2_before_any_load(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, command, option, value
+    ):
+        root, paths = fixture_dir
+
+        def no_load(path):
+            pytest.fail(f"table {path} loaded before the arguments were checked")
+
+        monkeypatch.setattr("semlink.cli.embed_io.load_table", no_load)
+        model = tmp_path / "model.txt"
+        args = {
+            "link train": ["--entities", str(paths["wikitext"]), "--out-model", str(model)],
+            "eval converge": ["--baseline", str(paths["wikitext"]), "--reinforced", str(paths["wikitext"]),
+                              "--out", str(tmp_path / "study.json")],
+        }[command]
+        with pytest.raises(SystemExit) as e:
+            main([*command.split(), "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+                  "--words", str(paths["words"]), *args, f"{option}={value}"])
+        assert e.value.code == 2
+        assert f"{option[2:]} must be >= 0, got {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_eval_converge_out_matches_study(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         out = tmp_path / "study.json"
