@@ -53,6 +53,19 @@ Dev mentions with usable gold are packed once as well (features, sorted
 candidate vectors, mask, gold index), so dev F1 per epoch is one einsum and
 a first-maximum argmax, the same greedy scorer ``infer`` uses.
 
+Context features and candidate blocks are gathered, not looked up one
+token or one mention at a time.  ``_features`` maps a chunk of mentions'
+context tokens to word rows, takes them in one gather as a zero-padded
+(chunk, L, d) block and adds its L positions, one slice each, into a zero
+float64 sum: each feature is the same sequential ``acc += row`` chain as
+a per-token loop, bit for bit, since a padding row adds +0.0 to a sum that
+is never -0.0.  (``np.add.reduceat`` would not do: it adds a segment's
+first row to the sum of the others, which rounds differently wherever a
+partial sum is inexact in float64.)  ``_pack_candidates`` fills its
+(N, M, d) block with one gather through the (N, M) mask.  Training, dev
+packing and both inference strategies go through these two functions, and
+``context_feature`` is their one-mention case.
+
 Exhaustive inference packs the document the same way and scores every
 assignment at once: with V_i the sorted candidate vectors of mention i, it
 broadcast-adds each mention's local vector (the same einsum) and each
@@ -212,17 +225,10 @@ class ContextFeature:
 
 
 def context_feature(mention: Mention, words: EmbeddingTable) -> ContextFeature:
-    """Average the embeddings of in-vocabulary window tokens."""
-    acc = np.zeros(words.dim, dtype=np.float64)
-    found = 0
-    for token in mention.context:
-        ref = words.lookup(token)
-        if ref is None:
-            continue
-        acc += ref.values.astype(np.float64)
-        found += 1
-    vec = acc / found if found else acc
-    return ContextFeature(vec, oov_count=len(mention.context) - found)
+    """Average the embeddings of in-vocabulary window tokens: `_features` of
+    one mention, with the count of tokens not in ``words``."""
+    oov = sum(token not in words for token in mention.context)
+    return ContextFeature(_features([mention], words)[0], oov_count=oov)
 
 
 def _feature_vector(f) -> np.ndarray:
@@ -289,10 +295,6 @@ def _entity_vector(entities: EmbeddingTable, label: str) -> np.ndarray:
     return entities.vector(label).astype(np.float64)
 
 
-def _context_features(doc: LinkingDocument, words: EmbeddingTable) -> list[ContextFeature]:
-    return [context_feature(m, words) for m in doc.mentions]
-
-
 def document_score(
     assignment: Sequence[str],
     doc: LinkingDocument,
@@ -312,7 +314,7 @@ def document_score(
         raise ValueError(f"unknown pairwise mode {pairwise!r}")
     if pairwise == "relations" and model.K < 1:
         raise RelationArityError("model has no relations")
-    feats = features or _context_features(doc, words)
+    feats = features or _features(doc.mentions, words)
     vecs = [_entity_vector(entities, label) for label in assignment]
     total = 0.0
     for vec, feat in zip(vecs, feats):
@@ -356,11 +358,43 @@ class _CandidateBlock:
     mask: np.ndarray         # (N, M) True on real candidates
 
 
+def _padded_rows(
+    matrix: np.ndarray, rows: Sequence[Sequence[int]], dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M, d) rows of ``matrix`` listed in ``rows``, each list zero-padded
+    to the longest, and the (N, M) mask of real rows: one gather."""
+    counts = np.array([len(r) for r in rows], dtype=np.intp)
+    mask = np.arange(counts.max(initial=0)) < counts[:, None]
+    out = np.zeros((*mask.shape, matrix.shape[1]), dtype=dtype)
+    # the mask's C-order True cells are the listed rows in order
+    out[mask] = matrix.take([i for r in rows for i in r], axis=0)
+    return out, mask
+
+
+# mentions whose context rows one gather takes: the float32 block stays
+# under ~1 MB at d = 300 with ~20 context tokens per mention
+_FEATURE_CHUNK = 32
+
+
 def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
-    """(N, d) context features of ``mentions``."""
+    """(N, d) context features of ``mentions``: the mean of each context's
+    in-vocabulary word rows, zero when none is in ``words``.
+
+    Each chunk of mentions gathers its rows once, zero-padded, and adds them
+    position by position into a zero float64 sum, so every feature is the
+    same sequential ``acc += row`` chain, bit for bit; a padding row adds
+    +0.0 to a sum that is never -0.0, which changes nothing.
+    """
     features = np.zeros((len(mentions), words.dim))
-    for n, m in enumerate(mentions):
-        features[n] = context_feature(m, words).vector
+    row_of = words._index.get
+    for start in range(0, len(mentions), _FEATURE_CHUNK):
+        chunk = mentions[start : start + _FEATURE_CHUNK]
+        rows = [[i for i in map(row_of, m.context) if i is not None] for m in chunk]
+        gathered, mask = _padded_rows(words.matrix, rows, np.float32)
+        acc = features[start : start + len(chunk)]
+        for k in range(mask.shape[1]):
+            acc += gathered[:, k]
+        acc /= np.maximum(mask.sum(axis=1), 1)[:, None]
     return features
 
 
@@ -375,12 +409,8 @@ def _pack_candidates(
     if features is None:
         features = _features(mentions, words)
     labels = [sorted(m.candidates) for m in mentions]
-    width = max((len(ls) for ls in labels), default=0)
-    vectors = np.zeros((len(mentions), width, entities.dim))
-    mask = np.zeros((len(mentions), width), dtype=bool)
-    for n, ls in enumerate(labels):
-        vectors[n, : len(ls)] = _entity_rows(entities, ls)
-        mask[n, : len(ls)] = True
+    rows = [[entities.index(c) for c in ls] for ls in labels]
+    vectors, mask = _padded_rows(entities.matrix, rows, np.float64)
     return _CandidateBlock(labels, features, vectors, mask)
 
 
@@ -658,6 +688,8 @@ class _LockstepSGD:
         self.PD = np.concatenate([s.PD for s in sets] + [zero]) if sets[0].PD is not None else None
         self.margin, self.lr = margin, lr
         self.runs = np.arange(R)
+        # index arrays that pick each run's next block of steps
+        self.run_rows, self.ahead = self.runs[:, None], np.arange(_BLOCK)
         self.F = np.empty((R, _BLOCK, *zero.shape[1:]))
         self.P = np.empty_like(self.F) if self.PD is not None else None
         # the diagonals before each step of a block and after its last, step-major
@@ -673,7 +705,7 @@ class _LockstepSGD:
         steps[:, :N] = rows
         at = np.zeros((R, 1), dtype=np.intp)
         while at.min() < N:
-            block = np.take_along_axis(steps, at + np.arange(_BLOCK), axis=1)
+            block = steps[self.run_rows, at + self.ahead]
             at = np.minimum(at + self._block(block, B, C)[:, None], N)
 
     def _block(self, steps: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -859,28 +891,67 @@ def load_linking_jsonl(path) -> list[LinkingDocument]:
             except json.JSONDecodeError:
                 raise FormatError("invalid JSON", path=path, line=line_no) from None
             try:
-                mentions = [
-                    Mention(
-                        surface=m["surface"],
-                        context=list(m.get("context", [])),
-                        candidates=[_strip_prior(c) for c in m["candidates"]],
-                        gold=m.get("gold"),
-                    )
-                    for m in record["mentions"]
-                ]
-                docs.append(LinkingDocument(record["doc_id"], mentions))
+                docs.append(_document_from(record))
             except KeyError as e:
                 raise FormatError(f"missing field {e}", path=path, line=line_no) from None
+            except FormatError as e:
+                raise FormatError(str(e), path=path, line=line_no) from None
     return docs
+
+
+_JSON_NAMES = {
+    dict: "object", list: "array", str: "string", int: "number", float: "number",
+    bool: "boolean", type(None): "null",
+}
+
+
+_is_str = str.__instancecheck__
+
+
+def _checked(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; a `FormatError` naming ``what`` otherwise."""
+    if not isinstance(value, kind):
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise FormatError(f"{what} must be a JSON {_JSON_NAMES[kind]}, not {got}")
+    return value
+
+
+def _document_from(record) -> LinkingDocument:
+    """The document of one JSONL record; a `FormatError` names a mistyped field.
+
+    Context tokens are hashed as they are and candidate lists are iterated,
+    so a string in place of a list, or a non-string token, would otherwise
+    pass as characters or as out-of-vocabulary words.
+    """
+    _checked(record, dict, "record")
+    mentions = []
+    for m in _checked(record["mentions"], list, "mentions"):
+        _checked(m, dict, "mention")
+        gold = m.get("gold")
+        if gold is not None:
+            _checked(gold, str, "gold")
+        context = _checked(m.get("context", []), list, "context")
+        # one C-level pass over the tokens; the slow path only names the culprit
+        if not all(map(_is_str, context)):
+            _checked(next(t for t in context if not _is_str(t)), str, "context token")
+        mentions.append(Mention(
+            surface=_checked(m["surface"], str, "surface"),
+            context=context,
+            candidates=[_strip_prior(c) for c in _checked(m["candidates"], list, "candidates")],
+            gold=gold,
+        ))
+    return LinkingDocument(_checked(record["doc_id"], str, "doc_id"), mentions)
 
 
 def _strip_prior(candidate) -> str:
     """Candidates may arrive as ``[label, prior]`` or as 'label:prior' with a
     prior in [0, 1]; priors are ignored.  Any other ':'-suffix is part of
-    the label."""
+    the label.  A label that is not a string is a `FormatError`."""
     if isinstance(candidate, (list, tuple)):
-        return str(candidate[0])
-    text = str(candidate)
+        if not candidate:
+            raise FormatError("candidate pair must be [label, prior], got []")
+        return _checked(candidate[0], str, "candidate label")
+    text = _checked(candidate, str, "candidate")
     head, sep, tail = text.rpartition(":")
     if sep and head:
         try:

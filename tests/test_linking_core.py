@@ -39,6 +39,8 @@ from semlink.linking_core import (
     train,
     train_runs,
     _build_instances,
+    _features,
+    _pack_candidates,
     _pack_dev,
     _strip_prior,
 )
@@ -69,6 +71,98 @@ class TestContextFeature:
         oracle = np.mean([words.vector(l).astype(np.float64) for l in labels[2:9]], axis=0)
         np.testing.assert_allclose(f.vector, oracle, atol=1e-7)
         assert f.oov_count == 2
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact oracle for the batched gathers: the per-token context mean and the
+# per-mention candidate rows they replaced.
+
+
+def per_token_feature(mention, words):
+    """The context mean one token at a time, in a zero-initialised float64 sum."""
+    acc = np.zeros(words.dim, dtype=np.float64)
+    found = 0
+    for token in mention.context:
+        ref = words.lookup(token)
+        if ref is None:
+            continue
+        acc += ref.values.astype(np.float64)
+        found += 1
+    return acc / found if found else acc
+
+
+def per_mention_candidates(mentions, entities):
+    """(N, M, d) sorted candidate rows, zero-padded to M, and their (N, M) mask."""
+    width = max((len(m.candidates) for m in mentions), default=0)
+    vectors = np.zeros((len(mentions), width, entities.dim))
+    mask = np.zeros((len(mentions), width), dtype=bool)
+    for n, m in enumerate(mentions):
+        for k, label in enumerate(sorted(m.candidates)):
+            vectors[n, k] = entities.vector(label).astype(np.float64)
+            mask[n, k] = True
+    return vectors, mask
+
+
+# float32 values of every magnitude, so the summation order shows in the bits
+_f32 = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0, width=32),
+)
+
+
+@st.composite
+def gather_worlds(draw):
+    """Mentions of 0-24 context tokens, known, unknown and repeated, with 0-3
+    candidates each, over word and entity tables that share a dimension."""
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(_f32, min_size=dim, max_size=dim)
+    words = EmbeddingTable.from_pairs([(f"w{i}", draw(vector)) for i in range(draw(st.integers(1, 5)))], dim)
+    entities = EmbeddingTable.from_pairs([(f"e{i}", draw(vector)) for i in range(4)], dim)
+    tokens = st.sampled_from(words.labels + ["oov", "w99"])
+    contexts = st.one_of(
+        st.lists(tokens, max_size=24),
+        st.lists(tokens, min_size=1, max_size=1),
+        st.lists(st.sampled_from(["oov", "w99"]), max_size=3),
+    )
+    mentions = [
+        Mention("m", draw(contexts), draw(st.lists(st.sampled_from(entities.labels), max_size=3, unique=True)))
+        for _ in range(draw(st.integers(0, 9)))
+    ]
+    chunk = draw(st.sampled_from([1, 2, 3, linking_core._FEATURE_CHUNK]))
+    return mentions, entities, words, chunk
+
+
+@given(gather_worlds())
+def test_batched_gathers_equal_per_token_and_per_mention_loops(world):
+    mentions, entities, words, chunk = world
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linking_core, "_FEATURE_CHUNK", chunk)
+        features = _features(mentions, words)
+        block = _pack_candidates(mentions, entities, words)
+        singles = [context_feature(m, words) for m in mentions]
+    want = np.zeros((len(mentions), words.dim))
+    for n, m in enumerate(mentions):
+        want[n] = per_token_feature(m, words)
+    assert features.tobytes() == want.tobytes()
+    assert block.features.tobytes() == want.tobytes()
+    for f, w, m in zip(singles, want, mentions):
+        assert f.vector.tobytes() == w.tobytes()
+        assert f.oov_count == sum(t not in words for t in m.context)
+    vectors, mask = per_mention_candidates(mentions, entities)
+    assert block.vectors.shape == vectors.shape
+    assert block.vectors.tobytes() == vectors.tobytes()
+    assert block.mask.tobytes() == mask.tobytes()
+    assert block.labels == [sorted(m.candidates) for m in mentions]
+
+
+def test_features_add_context_rows_in_sequence():
+    # in sequence 2**53 + 1 rounds back to 2**53 twice; summing the ones
+    # first (as np.add.reduceat does after a segment's first row) gives 2**53 + 2
+    words = table_from({"big": [2.0**53], "one": [1.0]})
+    mention = Mention("m", ["big", "one", "one"])
+    assert _features([mention], words).tobytes() == per_token_feature(mention, words).tobytes()
+    assert context_feature(mention, words).vector[0] == 2.0**53 / 3
 
 
 class TestLocalScore:

@@ -15,7 +15,7 @@ from semlink.embed_io import load_binary, save_binary
 from semlink.errors import ConfigError, StageError
 from semlink.evaluation import convergence_experiment
 from semlink.fixtures import FixtureSizes, make_fixtures
-from semlink.linking_core import TrainConfig, load_linking_jsonl, train
+from semlink.linking_core import LinkingModel, TrainConfig, load_linking_jsonl, train
 from semlink.pipeline import PipelineConfig, run_pipeline
 from semlink.semantic_aggregation import AggregationConfig, aggregate_table
 from semlink.type_extraction import read_assignments
@@ -573,6 +573,46 @@ class TestCli:
                 "--model", str(model_path), "--out", str(tmp_path / "p.tsv"),
             ])
         assert e.value.code == 3
+
+    @pytest.mark.parametrize("mention, record, fault", [
+        ({"context": "the quick brown fox"}, {}, "context must be a JSON array, not string"),
+        ({"context": [1, 2, 3]}, {}, "context token must be a JSON string, not number"),
+        ({"context": [["x"]]}, {}, "context token must be a JSON string, not array"),
+        ({"candidates": "ent0001"}, {}, "candidates must be a JSON array, not string"),
+        ({"candidates": [7]}, {}, "candidate must be a JSON string, not number"),
+        ({"candidates": [[]]}, {}, "candidate pair must be [label, prior], got []"),
+        ({"candidates": [[0.5, "ent0001"]]}, {}, "candidate label must be a JSON string, not number"),
+        ({"surface": None}, {}, "surface must be a JSON string, not null"),
+        ({"gold": 3}, {}, "gold must be a JSON string, not number"),
+        ({}, {"mentions": {"surface": "x"}}, "mentions must be a JSON array, not object"),
+        ({}, {"mentions": ["x"]}, "mention must be a JSON object, not string"),
+        ({}, {"doc_id": 12}, "doc_id must be a JSON string, not number"),
+        ({}, "as list", "record must be a JSON object, not array"),
+    ], ids=["string-context", "number-tokens", "array-token", "string-candidates", "number-candidate",
+            "empty-pair", "number-pair-label", "null-surface", "number-gold", "object-mentions",
+            "string-mention", "number-doc-id", "array-record"])
+    def test_link_infer_mistyped_record_exits_2(self, fixture_dir, tmp_path, capsys, mention, record, fault):
+        root, paths = fixture_dir
+        first, second = paths["eval"].read_text("utf-8").splitlines()[:2]
+        bad = json.loads(second)
+        bad["mentions"][0].update(mention)
+        if record == "as list":
+            bad = [bad]
+        else:
+            bad.update(record)
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(f"{first}\n{json.dumps(bad)}\n", "utf-8")
+        model = tmp_path / "model.txt"
+        LinkingModel.identity(SIZES.dim).save(model)
+        with pytest.raises(SystemExit) as e:
+            main([
+                "link", "infer", "--docs", str(docs), "--entities", str(paths["wikitext"]),
+                "--words", str(paths["words"]), "--model", str(model), "--out", str(tmp_path / "p.tsv"),
+            ])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert fault in err
+        assert f"{docs}:2" in err
 
     @pytest.mark.parametrize("scores", ["0.9,abc", "@file"])
     def test_eval_runs_bad_score_exits_2(self, tmp_path, capsys, scores):
