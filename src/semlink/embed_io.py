@@ -17,12 +17,21 @@ norms on first use.  Cosine scoring (`EmbeddingTable.cosines`) and the
 top-k selection over labelled scores (`top_k`) live here, shared by the
 neighbour report and seed expansion.  Float64 work over a whole table runs
 in row blocks of `BLOCK_ROWS`, so no full-size float64 copy is ever made.
+
+`row_means` is the package's one mean of listed rows, shared by context
+features and semantic means.  It gathers a chunk of items' rows at once,
+zero-padded (`padded_rows`), and adds the chunk's positions one slice at a
+time into a zero float64 sum, so each mean is the same sequential
+``acc += row`` chain as a loop over the item's rows, bit for bit: a padding
+row adds +0.0 to a sum that is never -0.0.  (``np.add.reduceat`` would not
+do: it adds a segment's first row to the sum of the others, which rounds
+differently wherever a partial sum is inexact in float64.)
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +47,10 @@ _F32 = np.dtype("<f4")
 
 # rows per float64 temporary: 1.2 MB at dimension 300
 BLOCK_ROWS = 512
+
+# bytes of one `row_means` gather: 32 mentions of ~20 context rows at d = 300
+# take ~0.8 MB
+GATHER_BYTES = 1 << 20
 
 
 class VectorRef(NamedTuple):
@@ -169,6 +182,41 @@ class EmbeddingTable:
     def normalized(self) -> "EmbeddingTable":
         """Copy with L2-normalized rows; zero rows are left untouched."""
         return EmbeddingTable(self.dim, list(self.labels), self.unit_rows().astype(_F32))
+
+
+def padded_rows(
+    matrix: np.ndarray, rows: Sequence[Sequence[int]], dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M, d) rows of ``matrix`` listed in ``rows``, each list zero-padded
+    to the longest, and the (N, M) mask of real rows: one gather."""
+    counts = np.array([len(r) for r in rows], dtype=np.intp)
+    mask = np.arange(counts.max(initial=0)) < counts[:, None]
+    out = np.zeros((*mask.shape, matrix.shape[1]), dtype=dtype)
+    # the mask's C-order True cells are the listed rows in order
+    out[mask] = matrix.take([i for r in rows for i in r], axis=0)
+    return out, mask
+
+
+def row_means(
+    matrix: np.ndarray, rows: Sequence[Sequence[int]]
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Float64 means of the rows of ``matrix`` that ``rows`` lists per item,
+    ``(items, means, counts)`` per chunk of items.
+
+    An item's mean adds its rows in order into a zero float64 sum and divides
+    by ``max(count, 1)``, so an item with no rows gets a zero mean.  A chunk
+    takes as many items as fit one `GATHER_BYTES` gather at the widest item.
+    """
+    width = max(map(len, rows), default=0)
+    step = max(1, GATHER_BYTES // (max(width, 1) * matrix.shape[1] * matrix.itemsize))
+    for start in range(0, len(rows), step):
+        gathered, mask = padded_rows(matrix, rows[start : start + step], matrix.dtype)
+        counts = mask.sum(axis=1)
+        acc = np.zeros((len(mask), matrix.shape[1]))
+        for k in range(mask.shape[1]):
+            acc += gathered[:, k]
+        acc /= np.maximum(counts, 1)[:, None]
+        yield slice(start, start + len(mask)), acc, counts
 
 
 def _zero_safe(norms: np.ndarray) -> np.ndarray:

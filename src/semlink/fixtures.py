@@ -109,11 +109,7 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
         word_labels.append(_label)
         word_rows.append(sizes.filler_scale * rng.standard_normal(d) / np.sqrt(d))
 
-    words = (
-        EmbeddingTable.from_pairs(zip(word_labels, word_rows), dim=d)
-        if word_labels
-        else EmbeddingTable(d)
-    )
+    words = EmbeddingTable.from_pairs(zip(word_labels, word_rows), dim=d)
 
     dictionary = SemanticTypeDictionary(words={w for g in group_words for w in g})
 
@@ -147,11 +143,7 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
             ArticleRecord(entity_id=label, title=label, first_sentence=sentence)
         )
 
-    wikitext = (
-        EmbeddingTable.from_pairs(zip(entity_labels, entity_rows), dim=d)
-        if entity_labels
-        else EmbeddingTable(d)
-    )
+    wikitext = EmbeddingTable.from_pairs(zip(entity_labels, entity_rows), dim=d)
 
     def _make_docs(prefix: str, count: int) -> list[LinkingDocument]:
         docs = []

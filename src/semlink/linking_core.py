@@ -54,17 +54,14 @@ candidate vectors, mask, gold index), so dev F1 per epoch is one einsum and
 a first-maximum argmax, the same greedy scorer ``infer`` uses.
 
 Context features and candidate blocks are gathered, not looked up one
-token or one mention at a time.  ``_features`` maps a chunk of mentions'
-context tokens to word rows, takes them in one gather as a zero-padded
-(chunk, L, d) block and adds its L positions, one slice each, into a zero
-float64 sum: each feature is the same sequential ``acc += row`` chain as
-a per-token loop, bit for bit, since a padding row adds +0.0 to a sum that
-is never -0.0.  (``np.add.reduceat`` would not do: it adds a segment's
-first row to the sum of the others, which rounds differently wherever a
-partial sum is inexact in float64.)  ``_pack_candidates`` fills its
-(N, M, d) block with one gather through the (N, M) mask.  Training, dev
-packing and both inference strategies go through these two functions, and
-``context_feature`` is their one-mention case.
+token or one mention at a time.  ``_features`` maps the mentions' context
+tokens to word rows and takes their means with ``embed_io.row_means``, the
+package's one mean rule: each feature is the same sequential ``acc += row``
+chain as a per-token loop, bit for bit.  ``_pack_candidates`` fills its
+(N, M, d) block with one ``embed_io.padded_rows`` gather, and
+``_build_instances`` gathers every gold and negative the same way.
+Training, dev packing and both inference strategies go through these
+functions, and ``context_feature`` is the one-mention case of ``_features``.
 
 Exhaustive inference packs the document the same way and scores every
 assignment at once: with V_i the sorted candidate vectors of mention i, it
@@ -88,7 +85,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .embed_io import EmbeddingTable
+from .embed_io import EmbeddingTable, padded_rows, row_means
 from .errors import (
     CapacityError,
     DimensionError,
@@ -343,11 +340,6 @@ def _check_dims(entities: EmbeddingTable, words: EmbeddingTable) -> None:
         )
 
 
-def _entity_rows(entities: EmbeddingTable, labels: Sequence[str]) -> np.ndarray:
-    """float64 rows of ``labels``, shape (len(labels), dim)."""
-    return entities.matrix[[entities.index(c) for c in labels]].astype(np.float64)
-
-
 @dataclass
 class _CandidateBlock:
     """Mentions packed for local scoring, candidates in sorted label order."""
@@ -358,43 +350,14 @@ class _CandidateBlock:
     mask: np.ndarray         # (N, M) True on real candidates
 
 
-def _padded_rows(
-    matrix: np.ndarray, rows: Sequence[Sequence[int]], dtype: type
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M, d) rows of ``matrix`` listed in ``rows``, each list zero-padded
-    to the longest, and the (N, M) mask of real rows: one gather."""
-    counts = np.array([len(r) for r in rows], dtype=np.intp)
-    mask = np.arange(counts.max(initial=0)) < counts[:, None]
-    out = np.zeros((*mask.shape, matrix.shape[1]), dtype=dtype)
-    # the mask's C-order True cells are the listed rows in order
-    out[mask] = matrix.take([i for r in rows for i in r], axis=0)
-    return out, mask
-
-
-# mentions whose context rows one gather takes: the float32 block stays
-# under ~1 MB at d = 300 with ~20 context tokens per mention
-_FEATURE_CHUNK = 32
-
-
 def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
     """(N, d) context features of ``mentions``: the mean of each context's
-    in-vocabulary word rows, zero when none is in ``words``.
-
-    Each chunk of mentions gathers its rows once, zero-padded, and adds them
-    position by position into a zero float64 sum, so every feature is the
-    same sequential ``acc += row`` chain, bit for bit; a padding row adds
-    +0.0 to a sum that is never -0.0, which changes nothing.
-    """
+    in-vocabulary word rows, zero when none is in ``words``."""
     features = np.zeros((len(mentions), words.dim))
     row_of = words._index.get
-    for start in range(0, len(mentions), _FEATURE_CHUNK):
-        chunk = mentions[start : start + _FEATURE_CHUNK]
-        rows = [[i for i in map(row_of, m.context) if i is not None] for m in chunk]
-        gathered, mask = _padded_rows(words.matrix, rows, np.float32)
-        acc = features[start : start + len(chunk)]
-        for k in range(mask.shape[1]):
-            acc += gathered[:, k]
-        acc /= np.maximum(mask.sum(axis=1), 1)[:, None]
+    rows = [[i for i in map(row_of, m.context) if i is not None] for m in mentions]
+    for part, means, _counts in row_means(words.matrix, rows):
+        features[part] = means
     return features
 
 
@@ -410,7 +373,7 @@ def _pack_candidates(
         features = _features(mentions, words)
     labels = [sorted(m.candidates) for m in mentions]
     rows = [[entities.index(c) for c in ls] for ls in labels]
-    vectors, mask = _padded_rows(entities.matrix, rows, np.float64)
+    vectors, mask = padded_rows(entities.matrix, rows, np.float64)
     return _CandidateBlock(labels, features, vectors, mask)
 
 
@@ -566,33 +529,36 @@ def _build_instances(
 
     ``features`` are the trainable mentions' context features if known.
     Pair contexts are teacher-forced: the sum of the other mentions' usable
-    golds over (n - 1).
+    golds over (n - 1).  Padding rows, and the PD rows of a mention with no
+    other usable gold, are +0.0.
     """
     _check_dims(entities, words)
     trainable = _usable(docs)
     if features is None:
         features = _features(trainable, words)
-    negatives = [[c for c in sorted(m.candidates) if c != m.gold] for m in trainable]
-    width = max((len(negs) for negs in negatives), default=0)
-    FD = np.zeros((len(trainable), width, entities.dim))
-    PD = np.zeros_like(FD) if train_pairwise else None
-    mask = np.zeros((len(trainable), width), dtype=bool)
-    n = 0
-    for doc in docs:
-        golds = [
-            _entity_vector(entities, m.gold) if m.gold_in_candidates() else None
-            for m in doc.mentions
-        ]
-        for i, gold in enumerate(golds):
-            if gold is None:
-                continue
-            diff = _entity_rows(entities, negatives[n]) - gold
-            FD[n, : len(diff)] = diff * features[n]
-            others = [g for j, g in enumerate(golds) if j != i and g is not None]
-            if PD is not None and others:
-                PD[n, : len(diff)] = diff * (np.sum(others, axis=0) / (len(golds) - 1))
-            mask[n, : len(diff)] = True
-            n += 1
+    index = entities.index
+    # each mention's gold row, then its negatives in sorted label order
+    rows = [[index(m.gold)] + [index(c) for c in sorted(m.candidates) if c != m.gold] for m in trainable]
+    gathered, mask = padded_rows(entities.matrix, rows, np.float64)
+    gold, diff, mask = gathered[:, :1], gathered[:, 1:], mask[:, 1:]
+    diff -= gold  # padding rows become -gold; `where` skips them
+    FD = np.zeros_like(diff)
+    np.multiply(diff, features[:, None], out=FD, where=mask[..., None])
+    PD = None
+    if train_pairwise:
+        pair = np.zeros((len(trainable), entities.dim))
+        paired = np.zeros(len(trainable), dtype=bool)
+        n = 0
+        for doc in docs:
+            k = sum(m.gold_in_candidates() for m in doc.mentions)
+            if k > 1:
+                for i in range(k):
+                    others = np.delete(gold[n : n + k, 0], i, axis=0)
+                    pair[n + i] = np.sum(others, axis=0) / (len(doc.mentions) - 1)
+                paired[n : n + k] = True
+            n += k
+        PD = np.zeros_like(diff)
+        np.multiply(diff, pair[:, None], out=PD, where=(mask & paired[:, None])[..., None])
     skipped = sum(len(doc.mentions) for doc in docs) - len(trainable)
     return _TrainingSet(FD, PD, mask), skipped
 
@@ -940,7 +906,10 @@ def _document_from(record) -> LinkingDocument:
             candidates=[_strip_prior(c) for c in _checked(m["candidates"], list, "candidates")],
             gold=gold,
         ))
-    return LinkingDocument(_checked(record["doc_id"], str, "doc_id"), mentions)
+    doc_id = _checked(record["doc_id"], str, "doc_id")
+    if not mentions:
+        raise FormatError(f"document {doc_id!r} has no mentions")
+    return LinkingDocument(doc_id, mentions)
 
 
 def _strip_prior(candidate) -> str:

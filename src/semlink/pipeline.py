@@ -51,8 +51,9 @@ STAGES = {
     "semantic": (("words", "types_file"), (), ("semantic.bin",), ("T", "alpha", "normalize_words")),
     "aggregate": (("words", "wikitext", "types_file"), (), ("reinforced.bin",), ("T", "alpha", "normalize_words")),
     "link": (("words", "reinforced", "train"), ("dev",), ("model.txt", "train_trace.json"),
-             ("margin", "lr", "epochs", "seed", "window")),
-    "eval": (("words", "reinforced", "model", "eval"), (), ("eval.json", "eval.tsv"), ("strategy", "window")),
+             ("margin", "lr", "epochs", "seed", "window", "normalize_words")),
+    "eval": (("words", "reinforced", "model", "eval"), (), ("eval.json", "eval.tsv"),
+             ("strategy", "window", "normalize_words")),
 }
 STAGE_ORDER = tuple(STAGES)
 

@@ -11,13 +11,11 @@ where ``alpha`` trades heterogeneity of the base vectors against homogeneity
 of the type-driven ones.  Accumulation happens in float64 in extraction
 order; table storage stays float32.
 
-Whole tables go through `semantic_means`: the assignments are compiled once
-into an (N, W) matrix of word-row indices, padded with a zero row to the
-longest row actually used (W <= T), and the float64 means are accumulated in
-blocks of rows, one type-word column at a time.  Each row sees the same
-float64 additions in the same order as `semantic_embedding`, which stays as
-the scalar reference, so both give the same bits.  Cosines and top-k
-neighbours use the table's cached row norms (`EmbeddingTable.cosines`,
+Whole tables go through `semantic_means`, which maps each entity's type
+words to word-table rows and takes their means with `embed_io.row_means`;
+that rule adds the rows in the same order as `semantic_embedding`, which
+stays as the scalar reference, so both give the same bits.  Cosines and
+top-k neighbours use the table's cached row norms (`EmbeddingTable.cosines`,
 `embed_io.top_k`).
 """
 
@@ -30,7 +28,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .embed_io import BLOCK_ROWS, EmbeddingTable, VectorRef, top_k
+from .embed_io import EmbeddingTable, VectorRef, row_means, top_k
 from .errors import DimensionError, MissingWordVectorError
 from .type_extraction import EntityTypeAssignment
 
@@ -116,39 +114,19 @@ def semantic_means(
     ``means`` is the float64 ``(rows, dim)`` block of what `semantic_embedding`
     returns for each assignment, bit for bit; ``counts`` holds how many type
     words each row used.  A ``None`` or empty assignment gets a zero row and
-    count 0.  Missing word vectors raise before any block is produced.
+    count 0.  Missing word vectors raise here, before any block is produced.
     """
-    positions: dict[str, int] = {}  # word -> row of `vectors`; row 0 is zero
-    index_rows = []
+    row_of = words._index.get
+    rows = []
     for assignment in assignments:
         used = assignment.type_words[:T] if assignment is not None else []
-        row = []
-        for word in used:
-            p = positions.get(word)
-            if p is None:
-                if word not in words:
-                    raise MissingWordVectorError(
-                        f"no vector for type word {word!r} of entity {assignment.entity_id!r}"
-                    )
-                p = positions[word] = len(positions) + 1
-            row.append(p)
-        index_rows.append(row)
-    width = max(map(len, index_rows), default=0)  # not T, which no input bounds
-    index = np.array(
-        [row + [0] * (width - len(row)) for row in index_rows], dtype=np.intp
-    ).reshape(len(index_rows), width)
-    counts = np.count_nonzero(index, axis=1)
-    vectors = np.zeros((len(positions) + 1, words.dim), dtype=np.float32)
-    vectors[1:] = words.matrix[[words.index(w) for w in positions]]
-
-    for start in range(0, len(index), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        block, n = index[rows], counts[rows]
-        acc = np.zeros((len(block), words.dim))
-        for t in range(int(n.max())):
-            acc += vectors[block[:, t]]  # adding the zero row changes nothing
-        acc /= np.maximum(n, 1)[:, None]
-        yield rows, acc, n
+        found = list(map(row_of, used))
+        if None in found:
+            raise MissingWordVectorError(
+                f"no vector for type word {used[found.index(None)]!r} of entity {assignment.entity_id!r}"
+            )
+        rows.append(found)
+    return row_means(words.matrix, rows)
 
 
 def semantic_table(

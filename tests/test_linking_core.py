@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semlink import linking_core
+from semlink import embed_io, linking_core
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import (
     CapacityError,
@@ -129,15 +129,19 @@ def gather_worlds(draw):
         Mention("m", draw(contexts), draw(st.lists(st.sampled_from(entities.labels), max_size=3, unique=True)))
         for _ in range(draw(st.integers(0, 9)))
     ]
-    chunk = draw(st.sampled_from([1, 2, 3, linking_core._FEATURE_CHUNK]))
+    # mentions per gather; None keeps the default byte bound
+    chunk = draw(st.sampled_from([1, 2, 3, None]))
     return mentions, entities, words, chunk
 
 
 @given(gather_worlds())
 def test_batched_gathers_equal_per_token_and_per_mention_loops(world):
     mentions, entities, words, chunk = world
+    width = max((sum(t in words for t in m.context) for m in mentions), default=0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linking_core, "_FEATURE_CHUNK", chunk)
+        if chunk is not None:
+            # a gather of `chunk` mentions at the widest context, float32 rows
+            mp.setattr(embed_io, "GATHER_BYTES", chunk * max(width, 1) * words.dim * 4)
         features = _features(mentions, words)
         block = _pack_candidates(mentions, entities, words)
         singles = [context_feature(m, words) for m in mentions]
@@ -163,6 +167,84 @@ def test_features_add_context_rows_in_sequence():
     mention = Mention("m", ["big", "one", "one"])
     assert _features([mention], words).tobytes() == per_token_feature(mention, words).tobytes()
     assert context_feature(mention, words).vector[0] == 2.0**53 / 3
+
+
+def test_long_contexts_add_rows_in_sequence(rng):
+    # at d = 1 the context axis is the contiguous one, where numpy's own sums
+    # (sum, reduceat) add 9 or more rows pairwise, not in sequence
+    words = EmbeddingTable(1, [f"w{i}" for i in range(40)], (
+        rng.standard_normal((40, 1)) * 2.0 ** rng.integers(-30, 30, (40, 1))
+    ).astype(np.float32))
+    mentions = [Mention("m", list(rng.choice(words.labels, size=n))) for n in (9, 17, 40, 64)]
+    want = np.array([per_token_feature(m, words) for m in mentions])
+    assert _features(mentions, words).tobytes() == want.tobytes()
+
+
+def per_mention_instances(docs, entities, words, train_pairwise):
+    """`_build_instances`' FD, PD, mask and skipped count, one mention at a time."""
+    trainable = [m for doc in docs for m in doc.mentions if m.gold_in_candidates()]
+    negatives = [[c for c in sorted(m.candidates) if c != m.gold] for m in trainable]
+    width = max((len(negs) for negs in negatives), default=0)
+    FD = np.zeros((len(trainable), width, entities.dim))
+    PD = np.zeros_like(FD) if train_pairwise else None
+    mask = np.zeros((len(trainable), width), dtype=bool)
+    n = 0
+    for doc in docs:
+        golds = [
+            entities.vector(m.gold).astype(np.float64) if m.gold_in_candidates() else None
+            for m in doc.mentions
+        ]
+        for i, gold in enumerate(golds):
+            if gold is None:
+                continue
+            rows = [entities.vector(c).astype(np.float64) for c in negatives[n]]
+            diff = np.array(rows).reshape(len(rows), entities.dim) - gold
+            FD[n, : len(diff)] = diff * per_token_feature(doc.mentions[i], words)
+            others = [g for j, g in enumerate(golds) if j != i and g is not None]
+            if PD is not None and others:
+                PD[n, : len(diff)] = diff * (np.sum(others, axis=0) / (len(golds) - 1))
+            mask[n, : len(diff)] = True
+            n += 1
+    skipped = sum(len(doc.mentions) for doc in docs) - len(trainable)
+    return FD, PD, mask, skipped
+
+
+@st.composite
+def instance_worlds(draw):
+    """Ragged documents of 1-4 mentions with 0-5 negatives each, golds absent,
+    outside the candidates or outside the table, over float32 values of
+    every magnitude; both ``train_pairwise`` values."""
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(_f32, min_size=dim, max_size=dim)
+    words = EmbeddingTable.from_pairs([(f"w{i}", draw(vector)) for i in range(3)], dim)
+    entities = EmbeddingTable.from_pairs([(f"e{i}", draw(vector)) for i in range(8)], dim)
+
+    def mention():
+        candidates = draw(st.lists(st.sampled_from(entities.labels), min_size=1, max_size=6, unique=True))
+        gold = draw(st.one_of(
+            st.sampled_from(candidates), st.none(), st.sampled_from(entities.labels + ["ghost"])
+        ))
+        return Mention("m", draw(st.lists(st.sampled_from(words.labels + ["oov"]), max_size=4)), candidates, gold)
+
+    docs = [
+        LinkingDocument(f"d{k}", [mention() for _ in range(draw(st.integers(1, 4)))])
+        for k in range(draw(st.integers(0, 5)))
+    ]
+    return docs, entities, words, draw(st.booleans())
+
+
+@given(instance_worlds())
+def test_build_instances_equal_per_mention_builder(world):
+    docs, entities, words, train_pairwise = world
+    got, skipped = _build_instances(docs, entities, words, train_pairwise)
+    FD, PD, mask, want_skipped = per_mention_instances(docs, entities, words, train_pairwise)
+    assert got.FD.shape == FD.shape and got.FD.tobytes() == FD.tobytes()
+    if train_pairwise:
+        assert got.PD.shape == PD.shape and got.PD.tobytes() == PD.tobytes()
+    else:
+        assert got.PD is None
+    assert got.mask.shape == mask.shape and got.mask.tobytes() == mask.tobytes()
+    assert skipped == want_skipped
 
 
 class TestLocalScore:

@@ -1,6 +1,7 @@
 """Staged pipeline runs, manifest idempotence, and the CLI surface."""
 
 import json
+import re
 import shutil
 from collections import Counter
 from dataclasses import replace
@@ -378,6 +379,29 @@ class TestPipeline:
         assert status["aggregate"] == "done"
         assert status["types"] == "skipped"
 
+    def test_normalize_words_reruns_link_and_eval(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        extra = f"stages = link,eval\nreinforced = {paths['wikitext']}\nepochs = 5\n"
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out, extra=extra)
+        run_pipeline(PipelineConfig.from_file(cfg_path, {"normalize_words": "0"}))
+        status = run_pipeline(PipelineConfig.from_file(cfg_path, {"normalize_words": "1"}))
+        assert status == {"link": "done", "eval": "done"}
+        fresh = tmp_path / "fresh"
+        fresh_cfg = write_config(tmp_path / "fresh.cfg", paths, fresh, extra=extra)
+        run_pipeline(PipelineConfig.from_file(fresh_cfg, {"normalize_words": "1"}))
+        assert (out / "eval.json").read_bytes() == (fresh / "eval.json").read_bytes()
+
+    def test_readme_stage_table_matches_stages(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        table = {}
+        for line in readme.splitlines():
+            cells = line.strip().strip("|").split("|")
+            stage = cells[0].strip().strip("`")
+            if line.startswith("|") and len(cells) == 5 and stage in pipeline.STAGES:
+                table[stage] = tuple(tuple(re.findall(r"`([^`]+)`", cell)) for cell in cells[1:])
+        assert list(table.items()) == list(pipeline.STAGES.items())
+
     def test_changed_version_reruns_every_stage(self, fixture_dir, tmp_path, monkeypatch):
         root, paths = fixture_dir
         out = tmp_path / "out"
@@ -588,9 +612,10 @@ class TestCli:
         ({}, {"mentions": ["x"]}, "mention must be a JSON object, not string"),
         ({}, {"doc_id": 12}, "doc_id must be a JSON string, not number"),
         ({}, "as list", "record must be a JSON object, not array"),
+        ({}, {"mentions": []}, "has no mentions"),
     ], ids=["string-context", "number-tokens", "array-token", "string-candidates", "number-candidate",
             "empty-pair", "number-pair-label", "null-surface", "number-gold", "object-mentions",
-            "string-mention", "number-doc-id", "array-record"])
+            "string-mention", "number-doc-id", "array-record", "empty-mentions"])
     def test_link_infer_mistyped_record_exits_2(self, fixture_dir, tmp_path, capsys, mention, record, fault):
         root, paths = fixture_dir
         first, second = paths["eval"].read_text("utf-8").splitlines()[:2]

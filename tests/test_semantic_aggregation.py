@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semlink import embed_io, semantic_aggregation
+from semlink import embed_io
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import DimensionError, MissingLabelError, MissingWordVectorError
 from semlink.fixtures import FixtureSizes, generate_fixture
@@ -328,6 +328,12 @@ def aggregation_worlds(draw):
     return words, entities, assignments, cfg, block
 
 
+def block_bytes(block, assignments, words, T):
+    """A gather bound that makes `semantic_means` take ``block`` rows at a time."""
+    width = max((len(a.type_words[:T]) for a in assignments.values()), default=0)
+    return block * max(width, 1) * words.dim * words.matrix.itemsize
+
+
 def _outcome(fn):
     try:
         return fn(), None
@@ -338,7 +344,7 @@ def _outcome(fn):
 @given(aggregation_worlds())
 def test_blocked_aggregate_table_matches_scalar_reference(world):
     words, entities, assignments, cfg, block = world
-    with mock.patch.object(semantic_aggregation, "BLOCK_ROWS", block):
+    with mock.patch.object(embed_io, "GATHER_BYTES", block_bytes(block, assignments, words, cfg.T)):
         got, got_error = _outcome(lambda: aggregate_table(entities, assignments, words, cfg))
     want, want_error = _outcome(lambda: reference_aggregate_table(entities, assignments, words, cfg))
     assert got_error == want_error
@@ -355,8 +361,11 @@ def test_blocked_semantic_means_match_semantic_embedding(world):
     def blocked():
         means = np.empty((len(rows), words.dim))
         counts = np.empty(len(rows), dtype=int)
+        parts = []
         for part, block_means, block_counts in semantic_means(rows, words, cfg.T):
             means[part], counts[part] = block_means, block_counts
+            parts.append(part.stop - part.start)
+        assert parts[:-1] == [block] * (len(parts) - 1) and parts[-1:] <= [block]
         return means, counts, semantic_table(assignments, words, cfg.T)
 
     def scalar():
@@ -367,7 +376,7 @@ def test_blocked_semantic_means_match_semantic_embedding(world):
         vectors = [semantic_embedding(a, words, cfg).vector for a in typed]
         return results, typed, np.array(vectors, dtype=np.float32).reshape(len(typed), words.dim)
 
-    with mock.patch.object(semantic_aggregation, "BLOCK_ROWS", block):
+    with mock.patch.object(embed_io, "GATHER_BYTES", block_bytes(block, assignments, words, cfg.T)):
         got, got_error = _outcome(blocked)
     want, want_error = _outcome(scalar)
     assert got_error == want_error
