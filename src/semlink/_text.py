@@ -1,4 +1,9 @@
-"""Tokenization helpers shared by dictionary mining and type extraction.
+"""Text input and tokenization shared by every reader of a text file.
+
+Text inputs are UTF-8 with universal newlines.  `read_lines` streams a
+file's non-empty lines, `tsv_fields` splits one, and `read_all` reads a
+small file whole; a byte that is not UTF-8 is a `FormatError` naming the
+file and line.
 
 A token is a maximal run of ``[a-z0-9_']`` in the lowercased text; every
 other character separates tokens.  `tokenize` applies that rule without a
@@ -12,12 +17,15 @@ regex ``[a-z0-9_']+`` treats it; case mappings onto ASCII (KELVIN SIGN ->
 
 import re
 
+from .errors import FormatError
+
 _TOKEN_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789_'"
 _TOKEN_TABLE = bytes(b if b in _TOKEN_BYTES else 0x20 for b in range(256))
 
 # Deliberately split at the first terminator; fixtures are pre-stripped plain
 # text, so abbreviation handling is out of scope here.
 _SENTENCE_END_RE = re.compile(r"(?<=[.!?])\s+")
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def tokenize(text):
@@ -34,3 +42,45 @@ def split_first_sentence(text):
     if m is None:
         return text, ""
     return text[: m.start()], text[m.end() :]
+
+
+def read_lines(path, comments=False):
+    """``(line_no, line)`` of each non-empty line, newline dropped; with
+    ``comments``, ``#`` to the end of the line and the whitespace before it too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if comments:
+                    line = line.split("#", 1)[0].rstrip()
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def read_all(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def tsv_fields(line, count, path, line_no, expected=None) -> list[str]:
+    """The ``count`` tab-separated fields of ``line``, else a `FormatError` saying ``expected``."""
+    fields = line.split("\t")
+    if len(fields) != count:
+        expected = expected or f"expected {count} tab-separated fields, found {len(fields)}"
+        raise FormatError(expected, path=path, line=line_no)
+    return fields
+
+
+def _not_utf8(path) -> FormatError:
+    """The error at the first byte of ``path`` that is not UTF-8.  Decoded with
+    surrogateescape, lines split as before and each bad byte is one surrogate."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if bad := _ESCAPED_BYTE.search(line):
+                return FormatError(f"not UTF-8 text (byte 0x{ord(bad[0]) - 0xDC00:02x})", path=path, line=line_no)
+    return FormatError("not UTF-8 text", path=path)

@@ -22,6 +22,7 @@ from . import (
     type_dictionary,
     type_extraction,
 )
+from ._text import read_all, read_lines, tsv_fields
 from .errors import CapacityError, FormatError, SemlinkError
 
 
@@ -264,27 +265,14 @@ def link_score(docs_path, entities, words, model_path, assignments_path):
         click.echo(f"{doc.doc_id}\t{score:.6f}")
 
 
-def _tsv_fields(line: str, count: int, path, line_no: int) -> list[str]:
-    fields = line.split("\t")
-    if len(fields) != count:
-        raise FormatError(
-            f"expected {count} tab-separated fields, found {len(fields)}", path=path, line=line_no
-        )
-    return fields
-
-
 def _read_assignment_tsv(path) -> dict[str, list[str]]:
     out: dict[str, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            doc_id, idx, label = _tsv_fields(line, 3, path, line_no)
-            try:
-                out.setdefault(doc_id, []).append((int(idx), label))
-            except ValueError:
-                raise FormatError(f"mention index {idx!r} is not an integer", path=path, line=line_no) from None
+    for line_no, line in read_lines(path):
+        doc_id, idx, label = tsv_fields(line, 3, path, line_no)
+        try:
+            out.setdefault(doc_id, []).append((int(idx), label))
+        except ValueError:
+            raise FormatError(f"mention index {idx!r} is not an integer", path=path, line=line_no) from None
     return {doc: [label for _i, label in sorted(items)] for doc, items in out.items()}
 
 
@@ -319,7 +307,7 @@ def eval_f1(docs_path, pred, out_path):
 def eval_runs(scores):
     """Mean and Student-t 95% CI over repeated runs."""
     if scores.startswith("@"):
-        source, tokens = scores[1:], Path(scores[1:]).read_text("utf-8").split()
+        source, tokens = scores[1:], read_all(scores[1:]).split()
     else:
         source, tokens = None, [s for s in scores.split(",") if s.strip()]
     try:
@@ -394,13 +382,8 @@ def eval_geometry(baseline, reinforced, pairs, out_path):
     """Per-pair cosine deltas between two embedding tables."""
     base_table = embed_io.load_table(baseline)
     reinf_table = embed_io.load_table(reinforced)
-    probe = []
-    with open(pairs, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            probe.append(tuple(_tsv_fields(line, 3, pairs, line_no)))
+    probe = [tuple(tsv_fields(line, 3, pairs, line_no))
+             for line_no, line in read_lines(pairs) if not line.startswith("#")]
     report = evaluation.geometry_report(base_table, reinf_table, probe)
     if out_path:
         evaluation.write_json(report.to_dict(), out_path)

@@ -45,12 +45,9 @@ from .errors import (
 
 _F32 = np.dtype("<f4")
 
-# rows per float64 temporary: 1.2 MB at dimension 300
+# rows per temporary, a float64 block or the rows one `row_means` chunk
+# gathers: 1.2 MB of float64 at dimension 300
 BLOCK_ROWS = 512
-
-# bytes of one `row_means` gather: 32 mentions of ~20 context rows at d = 300
-# take ~0.8 MB
-GATHER_BYTES = 1 << 20
 
 
 class VectorRef(NamedTuple):
@@ -205,10 +202,10 @@ def row_means(
 
     An item's mean adds its rows in order into a zero float64 sum and divides
     by ``max(count, 1)``, so an item with no rows gets a zero mean.  A chunk
-    takes as many items as fit one `GATHER_BYTES` gather at the widest item.
+    takes as many items as fit `BLOCK_ROWS` gathered rows at the widest item.
     """
     width = max(map(len, rows), default=0)
-    step = max(1, GATHER_BYTES // (max(width, 1) * matrix.shape[1] * matrix.itemsize))
+    step = max(1, BLOCK_ROWS // max(width, 1))
     for start in range(0, len(rows), step):
         gathered, mask = padded_rows(matrix, rows[start : start + step], matrix.dtype)
         counts = mask.sum(axis=1)

@@ -17,6 +17,7 @@ class FormatError(SemlinkError):
         if path is not None:
             loc = f" [{path}" + (f":{line}" if line is not None else "") + "]"
         super().__init__(message + loc)
+        self.reason = message
         self.path = path
         self.line = line
 
@@ -84,8 +85,9 @@ class AlignmentError(SemlinkError):
         self.offenders = offenders
 
 
-class ConfigError(SemlinkError):
-    """A pipeline configuration is invalid or references missing inputs."""
+class ConfigError(SemlinkError, ValueError):
+    """A parameter is out of range, a configuration is invalid or names missing
+    inputs, or the dictionary is empty.  Also a ValueError, like any bad argument."""
 
 
 class StageError(SemlinkError):

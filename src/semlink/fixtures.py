@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .embed_io import EmbeddingTable, save_binary
+from .errors import ConfigError
 from .linking_core import LinkingDocument, Mention, save_linking_jsonl
 from .type_dictionary import SemanticTypeDictionary
 from .type_extraction import ArticleRecord, EntityTypeAssignment, write_assignments
@@ -50,6 +51,12 @@ class FixtureSizes:
     wikitext_noise: float = 2.0
     filler_scale: float = 2.2
     context_type_fraction: float = 0.45
+
+    def __post_init__(self):  # counts >= 0; dim, candidates and, with entities, groups >= 1
+        least = {"dim": 1, "candidates": 1, "groups": 1 if self.entities else 0}
+        for key, value in asdict(self).items():
+            if isinstance(value, int) and value < least.get(key, 0):
+                raise ConfigError(f"{key} must be >= {least.get(key, 0)}, got {value}")
 
     @classmethod
     def empty(cls, dim: int = 8) -> "FixtureSizes":

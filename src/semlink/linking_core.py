@@ -85,6 +85,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._text import read_lines
 from .embed_io import EmbeddingTable, padded_rows, row_means
 from .errors import (
     CapacityError,
@@ -847,21 +848,20 @@ def save_linking_jsonl(docs: Iterable[LinkingDocument], path) -> None:
 
 def load_linking_jsonl(path) -> list[LinkingDocument]:
     docs: list[LinkingDocument] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                raise FormatError("invalid JSON", path=path, line=line_no) from None
-            try:
-                docs.append(_document_from(record))
-            except KeyError as e:
-                raise FormatError(f"missing field {e}", path=path, line=line_no) from None
-            except FormatError as e:
-                raise FormatError(str(e), path=path, line=line_no) from None
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            raise FormatError("invalid JSON", path=path, line=line_no) from None
+        try:
+            docs.append(_document_from(record))
+        except KeyError as e:
+            raise FormatError(f"missing field {e}", path=path, line=line_no) from None
+        except FormatError as e:
+            raise FormatError(str(e), path=path, line=line_no) from None
     return docs
 
 
@@ -961,33 +961,31 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
             docs.append(LinkingDocument(doc_id, mentions))
         tokens, spans = [], []
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("-DOCSTART-"):
-                _flush()
-                doc_id = line[len("-DOCSTART-") :].strip().strip("()") or f"doc{len(docs)}"
-                continue
-            if doc_id is None:
-                raise FormatError("token line before any -DOCSTART-", path=path, line=line_no)
-            parts = line.split("\t")
-            token = parts[0].lower()
-            if len(parts) == 1 or parts[1] == "I":
-                tokens.append(token)
-                if len(parts) > 1 and spans and spans[-1][1] == len(tokens) - 1:
-                    span = spans[-1]
-                    spans[-1] = (span[0], len(tokens), span[2], span[3], span[4])
-                continue
-            if parts[1] != "B" or len(parts) < 5:
-                raise FormatError(
-                    "expected '<token>\\tB\\t<surface>\\t<gold>\\t<cands>'",
-                    path=path, line=line_no,
-                )
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        if line.startswith("-DOCSTART-"):
+            _flush()
+            doc_id = line[len("-DOCSTART-") :].strip().strip("()") or f"doc{len(docs)}"
+            continue
+        if doc_id is None:
+            raise FormatError("token line before any -DOCSTART-", path=path, line=line_no)
+        parts = line.split("\t")
+        token = parts[0].lower()
+        if len(parts) == 1 or parts[1] == "I":
             tokens.append(token)
-            gold = parts[3] if parts[3] != "--NME--" else None
-            cands = [_strip_prior(c) for c in parts[4].split(",") if c]
-            spans.append((len(tokens) - 1, len(tokens), parts[2], gold, cands))
+            if len(parts) > 1 and spans and spans[-1][1] == len(tokens) - 1:
+                span = spans[-1]
+                spans[-1] = (span[0], len(tokens), span[2], span[3], span[4])
+            continue
+        if parts[1] != "B" or len(parts) < 5:
+            raise FormatError(
+                "expected '<token>\\tB\\t<surface>\\t<gold>\\t<cands>'",
+                path=path, line=line_no,
+            )
+        tokens.append(token)
+        gold = parts[3] if parts[3] != "--NME--" else None
+        cands = [_strip_prior(c) for c in parts[4].split(",") if c]
+        spans.append((len(tokens) - 1, len(tokens), parts[2], gold, cands))
     _flush()
     return docs

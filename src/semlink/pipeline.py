@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -42,7 +41,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
-from .errors import ConfigError, SemlinkError, StageError
+from ._text import read_lines
+from .errors import ConfigError, FormatError, SemlinkError, StageError
 
 STAGES = {
     # stage: (required inputs, optional inputs, outputs under `out`, params), in run order
@@ -141,25 +141,17 @@ class PipelineConfig:
         Errors name the key, the value and where it came from: the file and
         line, or ``--set``.
         """
-        data = Path(path).read_bytes()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            line_no = data.count(b"\n", 0, e.start) + 1
-            raise ConfigError(
-                f"{path}:{line_no}: not UTF-8 text (byte 0x{data[e.start]:02x})"
-            ) from None
         values: dict = {}
         origins: dict = {}
-        for line_no, raw in enumerate(io.StringIO(text, newline=None), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-            origins[key.strip()] = f"{path}:{line_no}"
+        try:
+            for line_no, line in read_lines(path, comments=True):
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+                key, _, value = line.partition("=")
+                values[key.strip()] = value.strip()
+                origins[key.strip()] = f"{path}:{line_no}"
+        except FormatError as e:  # a byte that is not UTF-8
+            raise ConfigError(f"{path}:{e.line}: {e.reason}") from None
         for key, value in (overrides or {}).items():
             values[key.strip()] = value
             origins[key.strip()] = "--set"
@@ -209,10 +201,7 @@ class PipelineConfig:
     def validate(self) -> None:
         """Check parameters and every input of every enabled stage, so that
         no stage runs unless all of them can."""
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        semantic_aggregation.AggregationConfig(T=self.T, alpha=self.alpha)  # ConfigError if either is bad
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
         check_non_negative(window=self.window, epochs=self.epochs, seed=self.seed)
@@ -247,13 +236,13 @@ def _sha256(path: Path) -> str:
 class _Manifest:
     def __init__(self, path: Path):
         self.path = path
-        self.stages: dict = {}
         self._digests: dict[Path, str] = {}  # this run's hashes, by resolved path
-        if path.exists():
-            try:
-                self.stages = json.loads(path.read_text("utf-8")).get("stages", {})
-            except (json.JSONDecodeError, OSError):
-                self.stages = {}
+        # absent, or not a JSON object with a "stages" object: every stage reruns
+        try:
+            stages = json.loads(path.read_bytes())["stages"]
+        except (OSError, ValueError, LookupError, TypeError):
+            stages = {}
+        self.stages: dict = stages if isinstance(stages, dict) else {}
 
     def digest(self, path: Path) -> str:
         """SHA-256 of a file, computed at most once per run.
@@ -281,9 +270,7 @@ class _Manifest:
 
     def is_fresh(self, stage: str, inputs: dict[str, str], params: dict) -> bool:
         entry = self.stages.get(stage)
-        if not entry:
-            return False
-        if entry.get("inputs") != inputs or entry.get("params") != params:
+        if not isinstance(entry, dict) or entry.get("inputs") != inputs or entry.get("params") != params:
             return False
         for name, digest in entry.get("outputs", {}).items():
             p = self.path.parent / name

@@ -29,7 +29,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .embed_io import EmbeddingTable, VectorRef, row_means, top_k
-from .errors import DimensionError, MissingWordVectorError
+from .errors import ConfigError, DimensionError, MissingWordVectorError
 from .type_extraction import EntityTypeAssignment
 
 log = logging.getLogger(__name__)
@@ -44,9 +44,9 @@ class AggregationConfig:
 
     def __post_init__(self):
         if int(self.T) < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+            raise ConfigError(f"T must be >= 1, got {self.T}")
         if not 0.0 <= float(self.alpha) <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
 @dataclass
@@ -96,7 +96,7 @@ def _as_array(v) -> np.ndarray:
 def aggregate(wikitext, semantic, alpha: float) -> np.ndarray:
     """Componentwise (1 - alpha) * base + alpha * semantic, in float64."""
     if not 0.0 <= float(alpha) <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     base = _as_array(wikitext)
     sem = _as_array(semantic)
     if base.shape != sem.shape:
@@ -191,5 +191,5 @@ def neighbor_report(
     """Top-k labels by cosine to the query row, ties lexicographic."""
     qi = table.index(query)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     return top_k(table.labels, table.cosines(table.matrix[qi]), k, skip=qi)

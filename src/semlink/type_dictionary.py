@@ -17,9 +17,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ._text import tokenize
+from ._text import read_lines, tokenize, tsv_fields
 from .embed_io import EmbeddingTable, top_k
-from .errors import FormatError, MissingSeedError, RemapTargetError
+from .errors import ConfigError, FormatError, MissingSeedError, RemapTargetError
 
 log = logging.getLogger(__name__)
 
@@ -95,19 +95,14 @@ class NounFrequencyReport:
     @classmethod
     def load_tsv(cls, path) -> "NounFrequencyReport":
         counts: dict[str, int] = {}
-        total = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#total_sentences\t"):
-                    total = int(line.split("\t")[1])
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise FormatError("expected '<word>\\t<count>'", path=path, line=line_no)
-                counts[parts[0]] = int(parts[1])
+        for line_no, line in read_lines(path):
+            word, count = tsv_fields(line, 2, path, line_no, "expected '<word>\\t<count>'")
+            try:
+                counts[word] = int(count)
+            except ValueError:
+                raise FormatError(f"count {count!r} is not an integer", path=path, line=line_no) from None
+        # no token contains '#', so the header line is never a noun
+        total = counts.pop("#total_sentences", 0)
         return cls(counts, total)
 
 
@@ -226,7 +221,7 @@ def expand_seeds(
     rebuild is reproducible byte for byte.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     seeds = list(seeds)
     for seed in seeds:
         if seed not in embeddings:
@@ -247,38 +242,28 @@ def expand_seeds(
 
 def _read_word_lines(path):
     """Yield (token, optional_category, line_no) from a curated word file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) > 2:
-                raise FormatError("expected '<word>' or '<word>\\t<category>'", path=path, line=line_no)
-            token = normalize_type_word(parts[0])
-            if not token:
-                raise FormatError("empty word", path=path, line=line_no)
-            extra = parts[1].strip() if len(parts) == 2 else None
-            if extra is not None and extra not in CATEGORIES:
-                raise FormatError(f"unknown category {extra!r}", path=path, line=line_no)
-            yield token, extra, line_no
+    for line_no, line in read_lines(path, comments=True):
+        parts = line.split("\t")
+        if len(parts) > 2:
+            raise FormatError("expected '<word>' or '<word>\\t<category>'", path=path, line=line_no)
+        token = normalize_type_word(parts[0])
+        if not token:
+            raise FormatError("empty word", path=path, line=line_no)
+        extra = parts[1].strip() if len(parts) == 2 else None
+        if extra is not None and extra not in CATEGORIES:
+            raise FormatError(f"unknown category {extra!r}", path=path, line=line_no)
+        yield token, extra, line_no
 
 
 def _read_remap_file(path) -> dict[str, str]:
     remap: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise FormatError("expected '<from>\\t<to>'", path=path, line=line_no)
-            # keys keep their surface form (possibly spaced); targets must be
-            # single embeddable labels
-            src = parts[0].strip().lower()
-            dst = normalize_type_word(parts[1])
-            remap[src] = dst
+    for line_no, line in read_lines(path, comments=True):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            raise FormatError("expected '<from>\\t<to>'", path=path, line=line_no)
+        # keys keep their surface form (possibly spaced); targets must be
+        # single embeddable labels
+        remap[parts[0].strip().lower()] = normalize_type_word(parts[1])
     return remap
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from ._text import split_first_sentence, tokenize
-from .errors import DuplicateEntityError, FormatError
+from ._text import read_all, read_lines, split_first_sentence, tokenize, tsv_fields
+from .errors import ConfigError, DuplicateEntityError, FormatError
 from .type_dictionary import SemanticTypeDictionary, apply_remap
 
 
@@ -90,9 +90,9 @@ def extract_types(
 ) -> EntityTypeAssignment:
     """Collect up to ``cap`` distinct (post-remap) type words in text order."""
     if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+        raise ConfigError(f"cap must be >= 1, got {cap}")
     if not dictionary.words:
-        raise ValueError("dictionary is empty")
+        raise ConfigError("dictionary is empty")
     matcher = matcher or PhraseMatcher(dictionary)
 
     tokens = tokenize(article.first_sentence)
@@ -144,17 +144,12 @@ def read_article_corpus(path) -> Iterator[ArticleRecord]:
     if path.is_dir():
         for child in sorted(path.iterdir()):
             if child.is_file():
-                yield ArticleRecord.from_text(child.stem, child.stem, child.read_text("utf-8"))
+                yield ArticleRecord.from_text(child.stem, child.stem, read_all(child))
         return
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError("expected '<entity_id>\\t<title>\\t<text>'", path=path, line=line_no)
-            yield ArticleRecord.from_text(parts[0], parts[1], parts[2])
+    for line_no, line in read_lines(path):
+        yield ArticleRecord.from_text(
+            *tsv_fields(line, 3, path, line_no, "expected '<entity_id>\\t<title>\\t<text>'")
+        )
 
 
 def write_assignments(assignments, path) -> None:
@@ -167,17 +162,9 @@ def write_assignments(assignments, path) -> None:
 
 def read_assignments(path) -> dict[str, EntityTypeAssignment]:
     out: dict[str, EntityTypeAssignment] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected '<entity_id>\\t<w1,w2,...>'", path=path, line=line_no)
-            entity_id, words = parts
-            if entity_id in out:
-                raise DuplicateEntityError(f"duplicate entity id {entity_id!r}")
-            type_words = [w for w in words.split(",") if w]
-            out[entity_id] = EntityTypeAssignment(entity_id, type_words)
+    for line_no, line in read_lines(path):
+        entity_id, words = tsv_fields(line, 2, path, line_no, "expected '<entity_id>\\t<w1,w2,...>'")
+        if entity_id in out:
+            raise DuplicateEntityError(f"duplicate entity id {entity_id!r}")
+        out[entity_id] = EntityTypeAssignment(entity_id, [w for w in words.split(",") if w])
     return out

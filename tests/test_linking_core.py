@@ -129,7 +129,7 @@ def gather_worlds(draw):
         Mention("m", draw(contexts), draw(st.lists(st.sampled_from(entities.labels), max_size=3, unique=True)))
         for _ in range(draw(st.integers(0, 9)))
     ]
-    # mentions per gather; None keeps the default byte bound
+    # mentions per gather; None keeps the default row bound
     chunk = draw(st.sampled_from([1, 2, 3, None]))
     return mentions, entities, words, chunk
 
@@ -140,8 +140,8 @@ def test_batched_gathers_equal_per_token_and_per_mention_loops(world):
     width = max((sum(t in words for t in m.context) for m in mentions), default=0)
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
-            # a gather of `chunk` mentions at the widest context, float32 rows
-            mp.setattr(embed_io, "GATHER_BYTES", chunk * max(width, 1) * words.dim * 4)
+            # a gather of `chunk` mentions at the widest context
+            mp.setattr(embed_io, "BLOCK_ROWS", chunk * max(width, 1))
         features = _features(mentions, words)
         block = _pack_candidates(mentions, entities, words)
         singles = [context_feature(m, words) for m in mentions]

@@ -440,6 +440,18 @@ class TestPipeline:
         # the surviving manifest still lets the finished stage be skipped
         assert run_pipeline(PipelineConfig.from_file(more)) == {"dict": "skipped", "types": "done"}
 
+    @pytest.mark.parametrize("damage", [b'{"stages": {"dict": "\xff"}}', b"[1, 2]", b'{"stages": [1]}', b'"stages"',
+                                        b'{"stages": {"dict": 5}}'],
+                             ids=["not-utf8", "array", "array-stages", "string", "number-entry"])
+    def test_damaged_manifest_reruns_every_stage(self, fixture_dir, tmp_path, damage):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out, extra="stages = dict\n")
+        run_pipeline(PipelineConfig.from_file(cfg_path))
+        (out / "manifest.json").write_bytes(damage)
+        assert run_pipeline(PipelineConfig.from_file(cfg_path)) == {"dict": "done"}
+        assert run_pipeline(PipelineConfig.from_file(cfg_path)) == {"dict": "skipped"}
+
 
 class TestCli:
     def test_embed_convert_round_trip(self, fixture_dir, tmp_path):
@@ -844,3 +856,127 @@ class TestCli:
         ])
         assert r.exit_code == 0, r.output
         assert "mean_delta" in r.output
+
+    @pytest.mark.parametrize("args, needle", [
+        ("embed reinforce --wikitext {wikitext} --words {words} --types {types} --T 0 --out {tmp}/r.bin",
+         "T must be >= 1, got 0"),
+        ("embed reinforce --wikitext {wikitext} --words {words} --types {types} --alpha 2 --out {tmp}/r.bin",
+         "alpha must be in [0, 1], got 2"),
+        ("types extract --corpus {articles} --dictionary {seeds} --cap 0 --out {tmp}/t.tsv", "cap must be >= 1, got 0"),
+        ("embed neighbors --table {wikitext} --query ent0000 -k 0", "k must be >= 1, got 0"),
+        ("dict expand --seeds type00w0 --embeddings {words} --corpus {articles} -k 0 --out {tmp}/x.tsv",
+         "k must be >= 1, got 0"),
+        ("fixtures make --out {tmp}/fx --dim 0", "dim must be >= 1, got 0"),
+        ("fixtures make --out {tmp}/fx --candidates 0", "candidates must be >= 1, got 0"),
+        ("fixtures make --out {tmp}/fx --entities -1", "entities must be >= 0, got -1"),
+        ("fixtures make --out {tmp}/fx --entities 5 --groups 0", "groups must be >= 1, got 0"),
+        ("pipeline run --config {empty_seeds_config}", "stage 'types' failed: dictionary is empty"),
+    ], ids=["reinforce-T", "reinforce-alpha", "extract-cap", "neighbors-k", "expand-k", "fixtures-dim",
+            "fixtures-candidates", "fixtures-entities", "fixtures-groups", "pipeline-empty-seeds"])
+    def test_out_of_range_value_exits_2(self, fixture_dir, tmp_path, capsys, args, needle):
+        root, paths = fixture_dir
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("", "utf-8")
+        config = write_config(tmp_path / "p.cfg", paths, tmp_path / "out",
+                              extra=f"stages = dict,types\nseeds = {seeds}\n")
+        where = {**paths, "tmp": tmp_path, "empty_seeds_config": config}
+        with pytest.raises(SystemExit) as e:
+            main([token.format(**where) for token in args.split()])
+        assert e.value.code == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "fx").exists()
+
+
+# valid lines for the text inputs the fixture set has no file (or no second line) for
+TEXT_LINES = {
+    "remap": [b"alpha\tbeta\n", b"gamma\tdelta\n"],
+    "nouns": [b"#total_sentences\t3\n", b"lawyer\t2\n"],
+    "pred": [b"eval000\t0\tent0000\n", b"eval000\t1\tent0001\n"],
+    "scores": [b"0.9\n", b"0.8\n"],
+    "pairs": [b"ent0000\tent0006\tsame\n", b"ent0000\tent0001\tdifferent\n"],
+    "conll": [b"-DOCSTART- (doc_a)\n", b"city\tB\tthe city\tCity_X\tCity_X,City_Y\n"],
+    "article": [b"ent0001 is a type01w0 entity.\n", b"It has a body.\n"],
+}
+
+
+def with_bad_byte(path, lines):
+    """``lines`` written to ``path`` with a 0xff byte inside the second one."""
+    lines = list(lines)
+    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+# case: (file the bad copy is made of, command line with the bad copy as {bad})
+BAD_BYTE_CASES = {
+    "dict-mine-corpus": ("articles", "dict mine --corpus {bad} --out {tmp}/n.tsv"),
+    "dict-expand-corpus": ("articles", "dict expand --seeds type00w0 --embeddings {words} --corpus {bad} "
+                                       "--out {tmp}/x.tsv"),
+    "dict-expand-seeds": ("seeds", "dict expand --seeds @{bad} --embeddings {words} --corpus {articles} "
+                                   "--out {tmp}/x.tsv"),
+    "dict-build-seeds": ("seeds", "dict build --seeds {bad} --out-words {tmp}/w --out-remap {tmp}/r"),
+    "dict-build-extensions": ("seeds", "dict build --seeds {seeds} --extensions {bad} --out-words {tmp}/w "
+                                      "--out-remap {tmp}/r"),
+    "dict-build-remap": ("remap", "dict build --seeds {seeds} --remap {bad} --out-words {tmp}/w --out-remap {tmp}/r"),
+    "dict-build-nouns": ("nouns", "dict build --seeds {seeds} --nouns {bad} --out-words {tmp}/w --out-remap {tmp}/r"),
+    "types-extract-corpus": ("articles", "types extract --corpus {bad} --dictionary {seeds} --out {tmp}/t.tsv"),
+    "types-extract-corpus-dir": ("article", "types extract --corpus {bad_dir} --dictionary {seeds} "
+                                            "--out {tmp}/t.tsv"),
+    "types-extract-dictionary": ("seeds", "types extract --corpus {articles} --dictionary {bad} --out {tmp}/t.tsv"),
+    "types-extract-remap": ("remap", "types extract --corpus {articles} --dictionary {seeds} --remap {bad} "
+                                     "--out {tmp}/t.tsv"),
+    "embed-reinforce-types": ("types", "embed reinforce --wikitext {wikitext} --words {words} --types {bad} "
+                                       "--out {tmp}/r.bin"),
+    "link-train-train": ("train", "link train --train {bad} --entities {wikitext} --words {words} --epochs 1 "
+                                  "--out-model {tmp}/m.txt"),
+    "link-train-dev": ("dev", "link train --train {train} --dev {bad} --entities {wikitext} --words {words} "
+                              "--epochs 1 --out-model {tmp}/m.txt"),
+    "link-infer-docs": ("eval", "link infer --docs {bad} --entities {wikitext} --words {words} --model {model} "
+                                "--out {tmp}/p.tsv"),
+    "link-score-docs": ("eval", "link score --docs {bad} --entities {wikitext} --words {words} --model {model}"),
+    "link-score-assignments": ("pred", "link score --docs {eval} --entities {wikitext} --words {words} "
+                                       "--model {model} --assignments {bad}"),
+    "link-convert-in": ("conll", "link convert --in {bad} --out {tmp}/d.jsonl"),
+    "eval-f1-docs": ("eval", "eval f1 --docs {bad} --pred {pred}"),
+    "eval-f1-pred": ("pred", "eval f1 --docs {eval} --pred {bad}"),
+    "eval-runs-scores": ("scores", "eval runs --scores @{bad}"),
+    "eval-converge-train": ("train", "eval converge --train {bad} --dev {dev} --words {words} "
+                                     "--baseline {wikitext} --reinforced {wikitext} --epochs 1"),
+    "eval-converge-dev": ("dev", "eval converge --train {train} --dev {bad} --words {words} "
+                                 "--baseline {wikitext} --reinforced {wikitext} --epochs 1"),
+    "eval-geometry-pairs": ("pairs", "eval geometry --baseline {wikitext} --reinforced {wikitext} --pairs {bad}"),
+}
+
+
+@pytest.mark.parametrize("source, args", BAD_BYTE_CASES.values(), ids=BAD_BYTE_CASES.keys())
+def test_text_input_not_utf8_exits_2_naming_file_and_line(fixture_dir, tmp_path, capsys, source, args):
+    root, paths = fixture_dir
+    lines = TEXT_LINES.get(source) or paths[source].read_bytes().splitlines(keepends=True)
+    bad_dir = tmp_path / "corpus"
+    bad_dir.mkdir()
+    (bad_dir / "ent0000.txt").write_bytes(b"ent0000 is a type00w0 entity.\n")
+    bad = with_bad_byte((bad_dir if source == "article" else tmp_path) / f"ent0001.{source}", lines)
+    model = tmp_path / "model.txt"
+    LinkingModel.identity(SIZES.dim).save(model)
+    pred = tmp_path / "pred.tsv"
+    pred.write_bytes(b"".join(TEXT_LINES["pred"]))
+    where = {**paths, "tmp": tmp_path, "bad": bad, "bad_dir": bad_dir, "model": model, "pred": pred}
+    with pytest.raises(SystemExit) as e:
+        main([token.format(**where) for token in args.split()])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2]" in err and "not UTF-8 text (byte 0xff)" in err
+
+
+@pytest.mark.parametrize("key, source, stage", [
+    ("seeds", "seeds", "dict"), ("corpus", "articles", "types"), ("train", "train", "link"),
+    ("dev", "dev", "link"), ("eval", "eval", "eval"),
+])
+def test_pipeline_text_input_not_utf8_is_a_stage_error(fixture_dir, tmp_path, key, source, stage):
+    root, paths = fixture_dir
+    bad = with_bad_byte(tmp_path / f"bad.{source}", paths[source].read_bytes().splitlines(keepends=True))
+    cfg_path = write_config(tmp_path / "p.cfg", paths, tmp_path / "out", extra=f"{key} = {bad}\n")
+    with pytest.raises(StageError) as e:
+        run_pipeline(PipelineConfig.from_file(cfg_path))
+    assert e.value.stage == stage
+    assert f"stage '{stage}' failed" in str(e.value) and f"{bad}:2]" in str(e.value)

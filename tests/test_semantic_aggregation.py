@@ -328,10 +328,10 @@ def aggregation_worlds(draw):
     return words, entities, assignments, cfg, block
 
 
-def block_bytes(block, assignments, words, T):
+def block_rows(block, assignments, T):
     """A gather bound that makes `semantic_means` take ``block`` rows at a time."""
     width = max((len(a.type_words[:T]) for a in assignments.values()), default=0)
-    return block * max(width, 1) * words.dim * words.matrix.itemsize
+    return block * max(width, 1)
 
 
 def _outcome(fn):
@@ -344,7 +344,7 @@ def _outcome(fn):
 @given(aggregation_worlds())
 def test_blocked_aggregate_table_matches_scalar_reference(world):
     words, entities, assignments, cfg, block = world
-    with mock.patch.object(embed_io, "GATHER_BYTES", block_bytes(block, assignments, words, cfg.T)):
+    with mock.patch.object(embed_io, "BLOCK_ROWS", block_rows(block, assignments, cfg.T)):
         got, got_error = _outcome(lambda: aggregate_table(entities, assignments, words, cfg))
     want, want_error = _outcome(lambda: reference_aggregate_table(entities, assignments, words, cfg))
     assert got_error == want_error
@@ -376,7 +376,7 @@ def test_blocked_semantic_means_match_semantic_embedding(world):
         vectors = [semantic_embedding(a, words, cfg).vector for a in typed]
         return results, typed, np.array(vectors, dtype=np.float32).reshape(len(typed), words.dim)
 
-    with mock.patch.object(embed_io, "GATHER_BYTES", block_bytes(block, assignments, words, cfg.T)):
+    with mock.patch.object(embed_io, "BLOCK_ROWS", block_rows(block, assignments, cfg.T)):
         got, got_error = _outcome(blocked)
     want, want_error = _outcome(scalar)
     assert got_error == want_error
