@@ -1,9 +1,15 @@
-"""Text input and tokenization shared by every reader of a text file.
+"""Text input, output and tokenization shared by every text file.
 
 Text inputs are UTF-8 with universal newlines.  `read_lines` streams a
 file's non-empty lines, `tsv_fields` splits one, and `read_all` reads a
 small file whole; a byte that is not UTF-8 is a `FormatError` naming the
 file and line.
+
+Text outputs are UTF-8 with ``\n`` newlines.  `write_lines` builds and
+encodes the whole text before it opens the file, so a failure while the
+lines are computed, or a line with no UTF-8 form (a `FormatError` naming
+the file, line and text), leaves the file as it was.  `write_json` writes
+one JSON value through it, indented and with sorted keys.
 
 A token is a maximal run of ``[a-z0-9_']`` in the lowercased text; every
 other character separates tokens.  `tokenize` applies that rule without a
@@ -15,6 +21,7 @@ regex ``[a-z0-9_']+`` treats it; case mappings onto ASCII (KELVIN SIGN ->
 ``k``) happen in ``lower()`` before the table is applied.
 """
 
+import json
 import re
 
 from .errors import FormatError
@@ -65,6 +72,23 @@ def read_all(path) -> str:
             return fh.read()
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+
+
+def write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a newline to ``path``, once all are built and encoded."""
+    text = "".join(f"{line}\n" for line in lines)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        line_no = text.count("\n", 0, e.start) + 1
+        line = text.split("\n", line_no)[line_no - 1]
+        raise FormatError(f"text with no UTF-8 form: {line!r}", path=path, line=line_no) from None
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def write_json(payload, path) -> None:
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def tsv_fields(line, count, path, line_no, expected=None) -> list[str]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from pathlib import Path
 
 import click
 
@@ -22,7 +21,7 @@ from . import (
     type_dictionary,
     type_extraction,
 )
-from ._text import read_all, read_lines, tsv_fields
+from ._text import read_all, read_lines, tsv_fields, write_json, write_lines
 from .errors import CapacityError, FormatError, SemlinkError
 
 
@@ -74,11 +73,9 @@ def dict_expand(seeds, embeddings, corpus, k, out_path):
     table = embed_io.load_table(embeddings)
     members = type_dictionary.words_in_corpus(type_extraction.read_article_corpus(corpus))
     expansions = type_dictionary.expand_seeds(seed_list, members, table, k=k)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("seed\tword\tsimilarity\n")
-        for exp in expansions:
-            for word, score in exp.neighbors:
-                fh.write(f"{exp.seed}\t{word}\t{score:.6f}\n")
+    write_lines(out_path, ["seed\tword\tsimilarity"] + [
+        f"{exp.seed}\t{word}\t{score:.6f}" for exp in expansions for word, score in exp.neighbors
+    ])
     click.echo(f"expanded {len(seed_list)} seeds -> {out_path}")
 
 
@@ -193,16 +190,15 @@ def link():
 @click.option("--out-trace", type=click.Path())
 def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, out_model, out_trace):
     """Fit the local-score diagonal with margin-loss SGD."""
-    pipeline.check_non_negative(epochs=epochs, seed=seed)
+    cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs, seed=seed)
     train_docs = linking_core.load_linking_jsonl(train_path)
     dev_docs = linking_core.load_linking_jsonl(dev_path) if dev_path else None
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
-    cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs, seed=seed)
     result = linking_core.train(train_docs, entity_table, word_table, cfg, dev_docs=dev_docs)
     result.model.save(out_model)
     if out_trace:
-        evaluation.write_json(result.trace(), out_trace)
+        write_json(result.trace(), out_trace)
     final_loss = result.loss_trace[-1] if result.loss_trace else result.initial_loss
     click.echo(f"trained {epochs} epochs, final loss {final_loss:.4f}")
 
@@ -221,11 +217,11 @@ def link_infer(docs_path, entities, words, model_path, strategy, out_path):
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
     model = linking_core.LinkingModel.load(model_path)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            assignment = linking_core.infer(doc, model, entity_table, word_table, strategy=strategy)
-            for i, label in enumerate(assignment):
-                fh.write(f"{doc.doc_id}\t{i}\t{label}\n")
+    write_lines(out_path, (
+        f"{doc.doc_id}\t{i}\t{label}"
+        for doc in docs
+        for i, label in enumerate(linking_core.infer(doc, model, entity_table, word_table, strategy=strategy))
+    ))
     click.echo(f"inferred {len(docs)} documents -> {out_path}")
 
 
@@ -295,7 +291,7 @@ def eval_f1(docs_path, pred, out_path):
     predictions = _read_assignment_tsv(pred)
     report = evaluation.micro_f1(predictions, gold)
     if out_path:
-        evaluation.write_json(report.to_dict(), out_path)
+        write_json(report.to_dict(), out_path)
     click.echo(
         f"tp={report.tp} fp={report.fp} fn={report.fn} "
         f"P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}"
@@ -351,20 +347,19 @@ def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, thet
                   epochs, lr, margin, out_path, curves):
     """Compare epochs-to-threshold between two embedding tables."""
     seed_list = _seed_list(seeds)
-    pipeline.check_non_negative(epochs=epochs)
+    cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs)
     train_docs = linking_core.load_linking_jsonl(train_path)
     dev_docs = linking_core.load_linking_jsonl(dev_path)
     word_table = embed_io.load_table(words)
     base_table = embed_io.load_table(baseline)
     reinf_table = embed_io.load_table(reinforced)
-    cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs)
     report = evaluation.convergence_experiment(
         train_docs, dev_docs, word_table, base_table, reinf_table, cfg, seed_list, theta=theta
     )
     if out_path:
-        evaluation.write_json(report.to_dict(), out_path)
+        write_json(report.to_dict(), out_path)
     if curves:
-        Path(curves).write_text(evaluation.convergence_curves_tsv(report), "utf-8")
+        write_lines(curves, evaluation.convergence_curves_tsv(report))
     for name, result in report.sets.items():
         click.echo(
             f"{name}: mean_epochs_to_{theta}={result.mean_epochs:.2f} "
@@ -386,8 +381,8 @@ def eval_geometry(baseline, reinforced, pairs, out_path):
              for line_no, line in read_lines(pairs) if not line.startswith("#")]
     report = evaluation.geometry_report(base_table, reinf_table, probe)
     if out_path:
-        evaluation.write_json(report.to_dict(), out_path)
-    click.echo(evaluation.geometry_report_tsv(report), nl=False)
+        write_json(report.to_dict(), out_path)
+    click.echo("\n".join(evaluation.geometry_report_tsv(report)))
 
 
 # ------------------------------------------------------------- pipeline ---

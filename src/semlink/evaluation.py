@@ -12,7 +12,6 @@ geometry study compares pairwise cosines between them.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -355,24 +354,18 @@ def geometry_report(
 
 
 # ---------------------------------------------------------------------------
-# Report serialization (TSV + JSON, consumed by the CLI)
+# Report serialization (TSV lines, consumed by the CLI)
 
 
-def write_json(payload, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def eval_report_tsv(report: EvalReport) -> str:
+def eval_report_tsv(report: EvalReport) -> list[str]:
     lines = ["doc_id\ttp\tfp\tfn"]
     for doc_id, c in sorted(report.per_doc.items()):
         lines.append(f"{doc_id}\t{c.tp}\t{c.fp}\t{c.fn}")
     lines.append(f"#micro\tP={report.micro_precision:.6f}\tR={report.micro_recall:.6f}\tF1={report.micro_f1:.6f}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def geometry_report_tsv(report: GeometryReport) -> str:
+def geometry_report_tsv(report: GeometryReport) -> list[str]:
     lines = ["label_a\tlabel_b\tkind\tcos_baseline\tcos_reinforced\tdelta"]
     for r in report.rows:
         lines.append(
@@ -381,14 +374,14 @@ def geometry_report_tsv(report: GeometryReport) -> str:
         )
     for kind, d in report.mean_delta.items():
         lines.append(f"#mean_delta\t{kind}\t{d:.6f}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def convergence_curves_tsv(report: ConvergenceReport) -> str:
+def convergence_curves_tsv(report: ConvergenceReport) -> list[str]:
     """Gnuplot-friendly long format: set, seed, epoch, dev_f1."""
     lines = ["set\tseed\tepoch\tdev_f1"]
     for name, result in report.sets.items():
         for seed, trace in zip(result.seeds, result.dev_f1_traces):
             for epoch, f1 in enumerate(trace, 1):
                 lines.append(f"{name}\t{seed}\t{epoch}\t{f1:.6f}")
-    return "\n".join(lines) + "\n"
+    return lines

@@ -17,11 +17,11 @@ Same seed, same sizes -> byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 import numpy as np
 
+from ._text import write_json, write_lines
 from .embed_io import EmbeddingTable, save_binary
 from .errors import ConfigError
 from .linking_core import LinkingDocument, Mention, save_linking_jsonl
@@ -223,20 +223,15 @@ def make_fixtures(seed: int, sizes: FixtureSizes, out_dir) -> dict[str, Path]:
 
     save_binary(bundle.words, paths["words"])
     save_binary(bundle.wikitext, paths["wikitext"])
-    with open(paths["articles"], "w", encoding="utf-8") as fh:
-        for a in bundle.articles:
-            text = (a.first_sentence + " " + a.body).strip()
-            fh.write(f"{a.entity_id}\t{a.title}\t{text}\n")
-    with open(paths["seeds"], "w", encoding="utf-8") as fh:
-        for w in sorted(bundle.dictionary.words):
-            fh.write(w + "\n")
-    paths["extensions"].write_text("# curated expansion words (none for fixtures)\n", "utf-8")
-    paths["remap"].write_text("", "utf-8")
+    write_lines(paths["articles"], [
+        f"{a.entity_id}\t{a.title}\t{(a.first_sentence + ' ' + a.body).strip()}" for a in bundle.articles
+    ])
+    write_lines(paths["seeds"], sorted(bundle.dictionary.words))
+    write_lines(paths["extensions"], ["# curated expansion words (none for fixtures)"])
+    write_lines(paths["remap"], [])
     write_assignments(bundle.assignments, paths["types"])
     save_linking_jsonl(bundle.train_docs, paths["train"])
     save_linking_jsonl(bundle.dev_docs, paths["dev"])
     save_linking_jsonl(bundle.eval_docs, paths["eval"])
-    with open(paths["meta"], "w", encoding="utf-8") as fh:
-        json.dump({"seed": seed, "sizes": asdict(sizes)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"seed": seed, "sizes": asdict(sizes)}, paths["meta"])
     return paths

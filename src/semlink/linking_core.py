@@ -85,10 +85,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._text import read_lines
+from ._text import read_lines, write_lines
 from .embed_io import EmbeddingTable, padded_rows, row_means
 from .errors import (
     CapacityError,
+    ConfigError,
     DimensionError,
     EmptyTrainingError,
     FormatError,
@@ -166,11 +167,8 @@ class LinkingModel:
 
     def save(self, path) -> None:
         """Header '<dim> <K>' then B, C, and each relation diagonal as text."""
-        lines = [f"{self.dim} {self.K}"]
-        for diag in [self.B, self.C, *self.relations]:
-            lines.append(" ".join(format(v, ".17g") for v in diag))
-        lines.append(self.relation_weighting)
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        diags = [" ".join(format(v, ".17g") for v in diag) for diag in [self.B, self.C, *self.relations]]
+        write_lines(path, [f"{self.dim} {self.K}", *diags, self.relation_weighting])
 
     @classmethod
     def load(cls, path) -> "LinkingModel":
@@ -470,12 +468,23 @@ def infer(
 
 @dataclass
 class TrainConfig:
+    """SGD settings.  Building one with a non-finite ``margin`` or ``lr``, or
+    with a negative ``epochs`` or ``seed``, raises a `ConfigError`."""
+
     margin: float = 1.0
     lr: float = 0.01
     epochs: int = 20
     seed: int = 0
     train_pairwise: bool = False
     shuffle: bool = True
+
+    def __post_init__(self):
+        for key, value in (("margin", self.margin), ("lr", self.lr)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {value}")
+        for key, value in (("epochs", self.epochs), ("seed", self.seed)):
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
 
 
 @dataclass
@@ -829,21 +838,16 @@ def train(
 
 def save_linking_jsonl(docs: Iterable[LinkingDocument], path) -> None:
     """One JSON document per line: doc_id plus mention records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            record = {
-                "doc_id": doc.doc_id,
-                "mentions": [
-                    {
-                        "surface": m.surface,
-                        "context": m.context,
-                        "candidates": m.candidates,
-                        "gold": m.gold,
-                    }
-                    for m in doc.mentions
-                ],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_lines(path, (
+        json.dumps({
+            "doc_id": doc.doc_id,
+            "mentions": [
+                {"surface": m.surface, "context": m.context, "candidates": m.candidates, "gold": m.gold}
+                for m in doc.mentions
+            ],
+        }, sort_keys=True)
+        for doc in docs
+    ))
 
 
 def load_linking_jsonl(path) -> list[LinkingDocument]:
@@ -939,8 +943,10 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
     line ``<token>\\tB\\t<surface>\\t<gold>\\t<cand1,cand2,...>`` with ``I``
     lines continuing a mention.  Context windows take ``window`` tokens from
     each side of the mention, excluding the mention itself.  A gold of
-    ``--NME--`` becomes None (out-of-KB).
+    ``--NME--`` becomes None (out-of-KB).  A negative ``window`` is a `ConfigError`.
     """
+    if window < 0:
+        raise ConfigError(f"window must be >= 0, got {window}")
     docs: list[LinkingDocument] = []
     doc_id = None
     tokens: list[str] = []

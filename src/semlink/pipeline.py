@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
-from ._text import read_lines
+from ._text import read_lines, write_json, write_lines
 from .errors import ConfigError, FormatError, SemlinkError, StageError
 
 STAGES = {
@@ -93,13 +93,6 @@ _KINDS = {
     **{key: ("a finite number", _finite) for key in ("alpha", "margin", "lr")},
     "normalize_words": ("one of 1/0/true/false/yes/no", _boolean),
 }
-
-
-def check_non_negative(**values: int) -> None:
-    """`ConfigError` naming the first of ``values`` that is negative."""
-    for key, value in values.items():
-        if value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
 
 
 @dataclass
@@ -204,7 +197,9 @@ class PipelineConfig:
         semantic_aggregation.AggregationConfig(T=self.T, alpha=self.alpha)  # ConfigError if either is bad
         if self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
-        check_non_negative(window=self.window, epochs=self.epochs, seed=self.seed)
+        if self.window < 0:
+            raise ConfigError(f"window must be >= 0, got {self.window}")
+        linking_core.TrainConfig(margin=self.margin, lr=self.lr, epochs=self.epochs, seed=self.seed)  # likewise
         if self.strategy not in linking_core.STRATEGIES:
             raise ConfigError(
                 f"strategy must be one of {', '.join(linking_core.STRATEGIES)}, got {self.strategy!r}"
@@ -268,15 +263,17 @@ class _Manifest:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def is_fresh(self, stage: str, inputs: dict[str, str], params: dict) -> bool:
+    def is_fresh(self, stage: str, inputs: dict[str, str], params: dict, outputs: tuple[str, ...]) -> bool:
+        """Whether ``stage`` recorded these inputs and params, and a hash for
+        each of ``outputs`` and no other file, that the file on disk still has."""
         entry = self.stages.get(stage)
         if not isinstance(entry, dict) or entry.get("inputs") != inputs or entry.get("params") != params:
             return False
-        for name, digest in entry.get("outputs", {}).items():
-            p = self.path.parent / name
-            if not p.exists() or self.digest(p) != digest:
-                return False
-        return True
+        recorded = entry.get("outputs")
+        if not isinstance(recorded, dict) or sorted(recorded) != sorted(outputs):
+            return False
+        paths = {self.path.parent / name: digest for name, digest in recorded.items()}
+        return all(p.exists() and self.digest(p) == digest for p, digest in paths.items())
 
     def record(self, stage: str, inputs: dict[str, str], params: dict, outputs: tuple[str, ...]) -> None:
         paths = [self.path.parent / name for name in outputs]
@@ -357,7 +354,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         )
         result = linking_core.train(train_docs, entities, words, cfg, dev_docs=dev_docs)
         result.model.save(targets[0])
-        evaluation.write_json(result.trace(), targets[1])
+        write_json(result.trace(), targets[1])
 
     def _stage_eval(inputs, targets):
         words = _load_words()
@@ -372,8 +369,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         }
         gold = evaluation.gold_map(docs)
         report = evaluation.micro_f1(predictions, gold)
-        evaluation.write_json(report.to_dict(), targets[0])
-        Path(targets[1]).write_text(evaluation.eval_report_tsv(report), "utf-8")
+        write_json(report.to_dict(), targets[0])
+        write_lines(targets[1], evaluation.eval_report_tsv(report))
 
     runners = {
         "dict": _stage_dict, "types": _stage_types, "semantic": _stage_semantic,
@@ -385,7 +382,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         params = {key: getattr(config, key) for key in param_keys}
         params["semlink"] = __version__
         input_hashes = {key: manifest.digest(p) for key, p in inputs.items()}
-        if manifest.is_fresh(stage, input_hashes, params):
+        if manifest.is_fresh(stage, input_hashes, params, outputs):
             status[stage] = "skipped"
             continue
         partials = [out / f"{name}.partial" for name in outputs]

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ._text import read_lines, tokenize, tsv_fields
+from ._text import read_lines, tokenize, tsv_fields, write_lines
 from .embed_io import EmbeddingTable, top_k
 from .errors import ConfigError, FormatError, MissingSeedError, RemapTargetError
 
@@ -87,10 +87,8 @@ class NounFrequencyReport:
         return items
 
     def save_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#total_sentences\t{self.total_sentences}\n")
-            for word, count in sorted(self.counts.items(), key=lambda wc: (-wc[1], wc[0])):
-                fh.write(f"{word}\t{count}\n")
+        ranked = sorted(self.counts.items(), key=lambda wc: (-wc[1], wc[0]))
+        write_lines(path, [f"#total_sentences\t{self.total_sentences}"] + [f"{w}\t{c}" for w, c in ranked])
 
     @classmethod
     def load_tsv(cls, path) -> "NounFrequencyReport":
@@ -150,25 +148,15 @@ class SemanticTypeDictionary:
 
     def save(self, words_path, remap_path=None) -> None:
         """Serialize deterministically: sorted words, sorted remap pairs."""
-        with open(words_path, "w", encoding="utf-8") as fh:
-            for word in sorted(self.words):
-                cat = self.categories.get(word)
-                fh.write(f"{word}\t{cat}\n" if cat else f"{word}\n")
+        cats = self.categories
+        write_lines(words_path, [f"{w}\t{cats[w]}" if cats.get(w) else w for w in sorted(self.words)])
         if remap_path is not None:
-            with open(remap_path, "w", encoding="utf-8") as fh:
-                for src in sorted(self.remap):
-                    fh.write(f"{src}\t{self.remap[src]}\n")
+            write_lines(remap_path, [f"{src}\t{self.remap[src]}" for src in sorted(self.remap)])
 
     @classmethod
     def load(cls, words_path, remap_path=None) -> "SemanticTypeDictionary":
-        words: set[str] = set()
-        categories: dict[str, str] = {}
-        for token, extra, _line in _read_word_lines(words_path):
-            words.add(token)
-            if extra:
-                categories[token] = extra
-        remap = _read_remap_file(remap_path) if remap_path else {}
-        return cls(words=words, remap=remap, categories=categories)
+        """Read a saved dictionary; its words file reads as a curated seed file."""
+        return build_dictionary(None, words_path, None, remap_path)
 
 
 def apply_remap(dictionary: SemanticTypeDictionary, word: str) -> str:

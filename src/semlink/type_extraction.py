@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from ._text import read_all, read_lines, split_first_sentence, tokenize, tsv_fields
+from ._text import read_all, read_lines, split_first_sentence, tokenize, tsv_fields, write_lines
 from .errors import ConfigError, DuplicateEntityError, FormatError
 from .type_dictionary import SemanticTypeDictionary, apply_remap
 
@@ -147,17 +147,18 @@ def read_article_corpus(path) -> Iterator[ArticleRecord]:
                 yield ArticleRecord.from_text(child.stem, child.stem, read_all(child))
         return
     for line_no, line in read_lines(path):
-        yield ArticleRecord.from_text(
-            *tsv_fields(line, 3, path, line_no, "expected '<entity_id>\\t<title>\\t<text>'")
-        )
+        fields = tsv_fields(line, 3, path, line_no, "expected '<entity_id>\\t<title>\\t<text>'")
+        try:
+            article = ArticleRecord.from_text(*fields)
+        except FormatError as e:
+            raise FormatError(e.reason, path=path, line=line_no) from None
+        yield article
 
 
 def write_assignments(assignments, path) -> None:
     """Write '<entity_id>\\t<w1,w2,...>' lines in mapping order."""
     items = assignments.values() if hasattr(assignments, "values") else assignments
-    with open(path, "w", encoding="utf-8") as fh:
-        for assignment in items:
-            fh.write(f"{assignment.entity_id}\t{','.join(assignment.type_words)}\n")
+    write_lines(path, [f"{a.entity_id}\t{','.join(a.type_words)}" for a in items])
 
 
 def read_assignments(path) -> dict[str, EntityTypeAssignment]:

@@ -11,6 +11,7 @@ from semlink import embed_io, linking_core
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import (
     CapacityError,
+    ConfigError,
     DimensionError,
     EmptyTrainingError,
     FormatError,
@@ -665,6 +666,18 @@ def separable_world(dim=8, n_groups=4):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("field, value, message", [
+        ("margin", float("nan"), "margin must be a finite number, got nan"),
+        ("margin", float("-inf"), "margin must be a finite number, got -inf"),
+        ("lr", float("inf"), "lr must be a finite number, got inf"),
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+        ("seed", -2, "seed must be >= 0, got -2"),
+    ])
+    def test_config_checks_its_fields(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{field: value})
+        TrainConfig(margin=0.0, lr=0.0, epochs=0, seed=0)  # the edges are valid
+
     def test_zero_epochs_leaves_identity(self):
         entities, words, docs = separable_world()
         result = train(docs, entities, words, TrainConfig(epochs=0))

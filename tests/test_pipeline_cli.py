@@ -1,6 +1,7 @@
 """Staged pipeline runs, manifest idempotence, and the CLI surface."""
 
 import json
+import os
 import re
 import shutil
 from collections import Counter
@@ -12,11 +13,13 @@ from click.testing import CliRunner
 
 from semlink import pipeline
 from semlink.cli import cli, main
-from semlink.embed_io import load_binary, save_binary
+from semlink.embed_io import EmbeddingTable, load_binary, save_binary
 from semlink.errors import ConfigError, StageError
 from semlink.evaluation import convergence_experiment
 from semlink.fixtures import FixtureSizes, make_fixtures
-from semlink.linking_core import LinkingModel, TrainConfig, load_linking_jsonl, train
+from semlink.linking_core import (
+    LinkingDocument, LinkingModel, Mention, TrainConfig, load_linking_jsonl, save_linking_jsonl, train,
+)
 from semlink.pipeline import PipelineConfig, run_pipeline
 from semlink.semantic_aggregation import AggregationConfig, aggregate_table
 from semlink.type_extraction import read_assignments
@@ -452,6 +455,27 @@ class TestPipeline:
         assert run_pipeline(PipelineConfig.from_file(cfg_path)) == {"dict": "done"}
         assert run_pipeline(PipelineConfig.from_file(cfg_path)) == {"dict": "skipped"}
 
+    @pytest.mark.parametrize("damage", ["no outputs", "one output missing", "outputs as list"])
+    def test_entry_not_listing_every_output_reruns(self, fixture_dir, tmp_path, damage):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out, extra="stages = dict\n")
+        run_pipeline(PipelineConfig.from_file(cfg_path))
+        dictionary = (out / "dictionary.txt").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        entry = manifest["stages"]["dict"]
+        if damage == "no outputs":
+            del entry["outputs"]
+        elif damage == "one output missing":
+            del entry["outputs"]["dictionary.txt"]
+        else:
+            entry["outputs"] = list(entry["outputs"])
+        (out / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        (out / "dictionary.txt").unlink()
+        assert run_pipeline(PipelineConfig.from_file(cfg_path)) == {"dict": "done"}
+        assert (out / "dictionary.txt").read_bytes() == dictionary
+        assert run_pipeline(PipelineConfig.from_file(cfg_path)) == {"dict": "skipped"}
+
 
 class TestCli:
     def test_embed_convert_round_trip(self, fixture_dir, tmp_path):
@@ -736,6 +760,11 @@ class TestCli:
         ("link train", "--seed", "-1"),
         ("link train", "--epochs", "-2"),
         ("eval converge", "--epochs", "-3"),
+        ("link train", "--margin", "nan"),
+        ("link train", "--lr", "nan"),
+        ("link train", "--lr", "inf"),
+        ("eval converge", "--margin", "-inf"),
+        ("eval converge", "--lr", "nan"),
     ])
     def test_negative_training_argument_exits_2_before_any_load(
         self, fixture_dir, tmp_path, capsys, monkeypatch, command, option, value
@@ -756,7 +785,10 @@ class TestCli:
             main([*command.split(), "--train", str(paths["train"]), "--dev", str(paths["dev"]),
                   "--words", str(paths["words"]), *args, f"{option}={value}"])
         assert e.value.code == 2
-        assert f"{option[2:]} must be >= 0, got {value}" in capsys.readouterr().err
+        if value.lstrip("-") in ("nan", "inf"):
+            assert f"{option[2:]} must be a finite number, got {value}" in capsys.readouterr().err
+        else:
+            assert f"{option[2:]} must be >= 0, got {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_eval_converge_out_matches_study(self, fixture_dir, tmp_path):
@@ -871,8 +903,10 @@ class TestCli:
         ("fixtures make --out {tmp}/fx --entities -1", "entities must be >= 0, got -1"),
         ("fixtures make --out {tmp}/fx --entities 5 --groups 0", "groups must be >= 1, got 0"),
         ("pipeline run --config {empty_seeds_config}", "stage 'types' failed: dictionary is empty"),
+        ("link convert --in {articles} --out {tmp}/c.jsonl --window -1", "window must be >= 0, got -1"),
     ], ids=["reinforce-T", "reinforce-alpha", "extract-cap", "neighbors-k", "expand-k", "fixtures-dim",
-            "fixtures-candidates", "fixtures-entities", "fixtures-groups", "pipeline-empty-seeds"])
+            "fixtures-candidates", "fixtures-entities", "fixtures-groups", "pipeline-empty-seeds",
+            "convert-window"])
     def test_out_of_range_value_exits_2(self, fixture_dir, tmp_path, capsys, args, needle):
         root, paths = fixture_dir
         seeds = tmp_path / "seeds.txt"
@@ -980,3 +1014,76 @@ def test_pipeline_text_input_not_utf8_is_a_stage_error(fixture_dir, tmp_path, ke
         run_pipeline(PipelineConfig.from_file(cfg_path))
     assert e.value.stage == stage
     assert f"stage '{stage}' failed" in str(e.value) and f"{bad}:2]" in str(e.value)
+
+
+# ------------------------------------------------------------ text outputs
+
+
+def test_article_with_empty_entity_id_names_file_and_line(fixture_dir, tmp_path, capsys):
+    root, paths = fixture_dir
+    corpus = tmp_path / "articles.tsv"
+    corpus.write_text("ent0000\tT\tent0000 is a type00w0 entity.\n\tT\ttext.\n", "utf-8")
+    with pytest.raises(SystemExit) as e:
+        main(["types", "extract", "--corpus", str(corpus), "--dictionary", str(paths["seeds"]),
+              "--out", str(tmp_path / "t.tsv")])
+    assert e.value.code == 2
+    assert f"article with empty entity_id [{corpus}:2]" in capsys.readouterr().err
+    assert not (tmp_path / "t.tsv").exists()
+
+
+def test_link_infer_raw_byte_label_exits_2_and_keeps_output(fixture_dir, tmp_path, capsys):
+    """A label with no UTF-8 form (raw byte 0xe9 in the table, a lone surrogate in JSON)."""
+    root, paths = fixture_dir
+    table = load_binary(paths["wikitext"])
+    entities = tmp_path / "entities.bin"
+    save_binary(EmbeddingTable(table.dim, ["caf\udce9", *table.labels[1:]], table.matrix), entities)
+    assert entities.read_bytes().count(b"caf\xe9 ") == 1
+    docs = tmp_path / "docs.jsonl"
+    mention = {"surface": "x", "context": [], "candidates": ["caf\udce9"]}
+    docs.write_text(json.dumps({"doc_id": "d", "mentions": [mention]}) + "\n", "utf-8")
+    model = tmp_path / "model.txt"
+    LinkingModel.identity(SIZES.dim).save(model)
+    pred = tmp_path / "pred.tsv"
+    pred.write_bytes(b"old\t0\tent0000\n")
+    with pytest.raises(SystemExit) as e:
+        main(["link", "infer", "--docs", str(docs), "--entities", str(entities), "--words", str(paths["words"]),
+              "--model", str(model), "--out", str(pred)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"[{pred}:1]" in err and "no UTF-8 form" in err and "caf\\udce9" in err
+    assert pred.read_bytes() == b"old\t0\tent0000\n"
+
+
+def test_types_extract_non_utf8_file_name_exits_2_and_keeps_output(fixture_dir, tmp_path, capsys):
+    root, paths = fixture_dir
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ent0000.txt").write_bytes(b"ent0000 is a type00w0 entity.\n")
+    (corpus / os.fsdecode(b"caf\xe9.txt")).write_bytes(b"It is a type01w0 entity.\n")
+    out = tmp_path / "types.tsv"
+    out.write_bytes(b"old\ttype00w0\n")
+    with pytest.raises(SystemExit) as e:
+        main(["types", "extract", "--corpus", str(corpus), "--dictionary", str(paths["seeds"]), "--out", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"[{out}:1]" in err and "no UTF-8 form" in err
+    assert out.read_bytes() == b"old\ttype00w0\n"
+
+
+@pytest.mark.parametrize("existing", [None, b"old\t0\tent0000\n"], ids=["absent", "present"])
+def test_link_infer_capacity_failure_writes_no_predictions(fixture_dir, tmp_path, capsys, existing):
+    root, paths = fixture_dir
+    labels = [f"ent{i:04d}" for i in range(SIZES.entities)]
+    big = LinkingDocument("big", [Mention("m", context=[], candidates=labels) for _ in range(6)])
+    docs = tmp_path / "docs.jsonl"
+    save_linking_jsonl([load_linking_jsonl(paths["eval"])[0], big], docs)
+    model = tmp_path / "model.txt"
+    LinkingModel.identity(SIZES.dim).save(model)
+    pred = tmp_path / "pred.tsv"
+    if existing is not None:
+        pred.write_bytes(existing)
+    with pytest.raises(SystemExit) as e:
+        main(["link", "infer", "--docs", str(docs), "--entities", str(paths["wikitext"]),
+              "--words", str(paths["words"]), "--model", str(model), "--out", str(pred)])
+    assert e.value.code == 3
+    assert (pred.read_bytes() if pred.exists() else None) == existing

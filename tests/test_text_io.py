@@ -1,9 +1,13 @@
-"""The one text reader: every text input is read through ``semlink._text``.
+"""The one text reader and writer: every text file goes through ``semlink._text``.
 
-The guard scans ``src/semlink`` with ``ast``: outside ``_text`` no code opens
-a file in text mode for reading or calls ``.read_text(...)``.  Binary reads
-(``"rb"``, ``read_bytes``) and writes are free; ``embed_io.load_text`` is the
-one exception, since embedding labels are raw bytes kept with surrogateescape.
+The guards scan ``src/semlink`` with ``ast``.  Outside ``_text`` no code opens
+a file in text mode for reading or calls ``.read_text(...)``, and none opens
+one in text mode for writing or calls ``.write_text(...)`` or
+``json.dump(...)``.  Binary reads and writes (``"rb"``, ``"wb"``,
+``read_bytes``, ``write_bytes``) are free.  The exceptions are
+``embed_io.load_text`` and ``embed_io.save_text``, since embedding labels are
+raw bytes kept with surrogateescape, and ``pipeline._Manifest.write``, which
+syncs a temporary file and renames it over the manifest.
 """
 
 import ast
@@ -11,53 +15,83 @@ from pathlib import Path
 
 import pytest
 
-from semlink._text import read_all, read_lines, tsv_fields
+from semlink._text import read_all, read_lines, tsv_fields, write_lines
 from semlink.errors import FormatError
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semlink"
-ALLOWED = {("_text", None), ("embed_io", "load_text")}
+READERS = {"_text", "embed_io.load_text"}
+WRITERS = {"_text", "embed_io.save_text", "pipeline._Manifest.write"}
 
 
-def _mode(call: ast.Call):
-    """The mode an ``open(path, mode)`` or ``path.open(mode)`` call passes, else "r"."""
-    position = 1 if isinstance(call.func, ast.Name) else 0
+def _text_mode(call: ast.Call) -> str:
+    """The mode of a text-mode ``open(path, mode)`` or ``path.open(mode)`` call,
+    "" for a binary open or any other call."""
+    func = call.func
+    if not ((isinstance(func, ast.Name) and func.id == "open") or
+            (isinstance(func, ast.Attribute) and func.attr == "open")):
+        return ""
+    position = 1 if isinstance(func, ast.Name) else 0
     if len(call.args) > position:
-        return call.args[position]
-    return next((k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+        mode = call.args[position]
+    else:
+        mode = next((k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return "rwax+"  # a mode chosen at run time may read or write text
+    return "" if "b" in mode.value else mode.value
 
 
 def _reads_text(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr == "read_text":
         return True
-    is_open = (isinstance(func, ast.Name) and func.id == "open") or (
-        isinstance(func, ast.Attribute) and func.attr == "open"
-    )
-    if not is_open:
-        return False
-    mode = _mode(call)
-    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
-        return True  # a mode chosen at run time may read text
-    return "b" not in mode.value and ("r" in mode.value or "+" in mode.value)
+    return any(c in _text_mode(call) for c in "r+")
+
+
+def _writes_text(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute) and (
+        func.attr == "write_text" or (func.attr == "dump" and getattr(func.value, "id", None) == "json")
+    ):
+        return True
+    return any(c in _text_mode(call) for c in "wax+")
+
+
+def _calls(node, where):
+    """``(where, call)`` for each call under ``node``; ``where`` grows by the
+    name of each class or function the call sits in (``module.Class.method``)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls(child, where)
+
+
+def _outside(package, allowed, matches) -> list[str]:
+    """``module.function:line`` of each call that ``matches`` outside the ``allowed`` scopes."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for where, call in _calls(ast.parse(path.read_text("utf-8")), path.stem):
+            if matches(call) and not any(where == a or where.startswith(a + ".") for a in allowed):
+                found.append(f"{where}:{call.lineno}")
+    return found
 
 
 def text_reads_outside_reader(package=PACKAGE) -> list[str]:
-    """``module.function:line`` of each text-mode read not in `ALLOWED`."""
-    found = []
-    for path in sorted(package.glob("*.py")):
-        if (path.stem, None) in ALLOWED:
-            continue
-        for top in ast.parse(path.read_text("utf-8")).body:
-            if (path.stem, getattr(top, "name", None)) in ALLOWED:
-                continue
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and _reads_text(node):
-                    found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}:{node.lineno}")
-    return found
+    return _outside(package, READERS, _reads_text)
+
+
+def text_writes_outside_writer(package=PACKAGE) -> list[str]:
+    return _outside(package, WRITERS, _writes_text)
 
 
 def test_every_text_input_goes_through_the_reader():
     assert text_reads_outside_reader() == []
+
+
+def test_every_text_output_goes_through_the_writer():
+    assert text_writes_outside_writer() == []
 
 
 def test_guard_sees_text_reads(tmp_path):
@@ -72,6 +106,51 @@ def test_guard_sees_text_reads(tmp_path):
         "utf-8",
     )
     assert text_reads_outside_reader(tmp_path) == [f"mod.f:{n}" for n in range(2, 7)]
+
+
+def test_guard_sees_text_writes(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import json\n"
+        "def f(p, fh):\n"
+        "    open(p, 'w')\n"
+        "    open(p, mode='a', encoding='utf-8')\n"
+        "    p.open('x')\n"
+        "    open(p, 'r+')\n"
+        "    p.write_text('x')\n"
+        "    json.dump({}, fh)\n"
+        "    open(p, 'wb'), p.write_bytes(b''), open(p), json.dumps({}), fh.write('x')\n"
+        "class C:\n"
+        "    def write(self, p):\n"
+        "        open(p, 'w')\n",
+        "utf-8",
+    )
+    assert text_writes_outside_writer(tmp_path) == [f"mod.f:{n}" for n in range(3, 9)] + ["mod.C.write:12"]
+
+
+def test_write_lines_writes_utf8_lines(tmp_path):
+    p = tmp_path / "t.txt"
+    write_lines(p, ["a\tb", "", "caf\u00e9", '{\n  "k": 1\n}'])
+    assert p.read_bytes() == b'a\tb\n\ncaf\xc3\xa9\n{\n  "k": 1\n}\n'
+    write_lines(p, iter([]))
+    assert p.read_bytes() == b""
+
+
+def test_write_lines_leaves_the_file_as_it_was_on_failure(tmp_path):
+    def failing():
+        yield "new"
+        raise RuntimeError("failed while computing")
+
+    for p in (tmp_path / "old.txt", tmp_path / "absent.txt"):
+        if p.name == "old.txt":
+            p.write_bytes(b"old\n")
+        before = p.read_bytes() if p.exists() else None
+        with pytest.raises(RuntimeError):
+            write_lines(p, failing())
+        with pytest.raises(FormatError) as e:
+            write_lines(p, ["ok", '{\n  "k": 1\n}', "caf\udce9 x", "ok"])
+        assert (e.value.path, e.value.line) == (p, 5)  # the file line, not the item
+        assert "text with no UTF-8 form: 'caf\\udce9 x'" in str(e.value)
+        assert (p.read_bytes() if p.exists() else None) == before
 
 
 def test_lines_are_numbered_with_universal_newlines(tmp_path):
