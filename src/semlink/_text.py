@@ -8,8 +8,11 @@ file and line.
 Text outputs are UTF-8 with ``\n`` newlines.  `write_lines` builds and
 encodes the whole text before it opens the file, so a failure while the
 lines are computed, or a line with no UTF-8 form (a `FormatError` naming
-the file, line and text), leaves the file as it was.  `write_json` writes
-one JSON value through it, indented and with sorted keys.
+the file, line and text), leaves the file as it was.  `write_files` does
+the same for the several outputs of one command, and opens every target
+before it writes the first, so one output that cannot be written leaves
+none behind.  `write_json` writes one JSON value (`json_lines`) through
+`write_lines`, indented and with sorted keys.
 
 A token is a maximal run of ``[a-z0-9_']`` in the lowercased text; every
 other character separates tokens.  `tokenize` applies that rule without a
@@ -22,6 +25,7 @@ regex ``[a-z0-9_']+`` treats it; case mappings onto ASCII (KELVIN SIGN ->
 """
 
 import json
+import os
 import re
 
 from .errors import FormatError
@@ -76,19 +80,47 @@ def read_all(path) -> str:
 
 def write_lines(path, lines) -> None:
     """Write each of ``lines`` and a newline to ``path``, once all are built and encoded."""
+    write_files([(path, lines)])
+
+
+def write_files(outputs) -> None:
+    """Write each ``(path, lines)`` of ``outputs`` as `write_lines` does, all
+    or nothing: every text is built and encoded, and every file opened, before
+    the first is written.  A file that cannot be opened leaves no new file."""
+    encoded = [(path, _encoded(path, lines)) for path, lines in outputs]
+    created = []
+    try:
+        for path, _ in encoded:
+            new = not os.path.lexists(path)
+            open(path, "ab").close()
+            if new:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.unlink(path)
+        raise
+    for path, data in encoded:
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+
+def _encoded(path, lines) -> bytes:
     text = "".join(f"{line}\n" for line in lines)
     try:
-        data = text.encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as e:
         line_no = text.count("\n", 0, e.start) + 1
         line = text.split("\n", line_no)[line_no - 1]
         raise FormatError(f"text with no UTF-8 form: {line!r}", path=path, line=line_no) from None
-    with open(path, "wb") as fh:
-        fh.write(data)
+
+
+def json_lines(payload) -> list[str]:
+    """One JSON value, indented and with sorted keys, as the lines to write."""
+    return [json.dumps(payload, indent=2, sort_keys=True)]
 
 
 def write_json(payload, path) -> None:
-    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    write_lines(path, json_lines(payload))
 
 
 def tsv_fields(line, count, path, line_no, expected=None) -> list[str]:

@@ -21,7 +21,7 @@ from . import (
     type_dictionary,
     type_extraction,
 )
-from ._text import read_all, read_lines, tsv_fields, write_json, write_lines
+from ._text import json_lines, read_all, read_lines, tsv_fields, write_files, write_json, write_lines
 from .errors import CapacityError, FormatError, SemlinkError
 
 
@@ -196,9 +196,10 @@ def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, 
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
     result = linking_core.train(train_docs, entity_table, word_table, cfg, dev_docs=dev_docs)
-    result.model.save(out_model)
+    outputs = [(out_model, result.model.lines())]
     if out_trace:
-        write_json(result.trace(), out_trace)
+        outputs.append((out_trace, json_lines(result.trace())))
+    write_files(outputs)
     final_loss = result.loss_trace[-1] if result.loss_trace else result.initial_loss
     click.echo(f"trained {epochs} epochs, final loss {final_loss:.4f}")
 
@@ -208,8 +209,10 @@ def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, 
 @click.option("--entities", required=True, type=click.Path(exists=True))
 @click.option("--words", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--strategy", default="exhaustive", show_default=True,
-              type=click.Choice(linking_core.STRATEGIES))
+@click.option("--strategy", default="greedy-local", show_default=True,
+              type=click.Choice(linking_core.STRATEGIES),
+              help="exhaustive adds pairwise coherence with the model's C; "
+                   "it expects a model whose C was trained pairwise.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def link_infer(docs_path, entities, words, model_path, strategy, out_path):
     """Pick one candidate per mention; writes '<doc>\\t<idx>\\t<label>' TSV."""
@@ -356,10 +359,12 @@ def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, thet
     report = evaluation.convergence_experiment(
         train_docs, dev_docs, word_table, base_table, reinf_table, cfg, seed_list, theta=theta
     )
+    outputs = []
     if out_path:
-        write_json(report.to_dict(), out_path)
+        outputs.append((out_path, json_lines(report.to_dict())))
     if curves:
-        write_lines(curves, evaluation.convergence_curves_tsv(report))
+        outputs.append((curves, evaluation.convergence_curves_tsv(report)))
+    write_files(outputs)
     for name, result in report.sets.items():
         click.echo(
             f"{name}: mean_epochs_to_{theta}={result.mean_epochs:.2f} "

@@ -6,7 +6,10 @@ Two on-disk formats are supported:
   followed by ``count`` entries of ``label bytes, 0x20, dim little-endian
   float32``.  A single 0x0A after an entry is tolerated on read; writes never
   emit it, so round-trips are byte-identical for files in that canonical
-  form.
+  form.  A load reads the file in chunks of `_CHUNK` bytes and copies each
+  vector straight into the table's matrix, so it holds the table plus one
+  chunk; a save checks every label before it opens the file, then writes
+  one entry at a time.
 * text: one ``"<label> v1 v2 ... vd"`` line per entry, floats printed with 9
   significant digits (enough to round-trip float32 exactly).
 
@@ -15,8 +18,9 @@ surrogateescape so arbitrary dump artifacts survive a load/save cycle.
 Tables are immutable after construction, so each caches its float64 row
 norms on first use.  Cosine scoring (`EmbeddingTable.cosines`) and the
 top-k selection over labelled scores (`top_k`) live here, shared by the
-neighbour report and seed expansion.  Float64 work over a whole table runs
-in row blocks of `BLOCK_ROWS`, so no full-size float64 copy is ever made.
+neighbour report and seed expansion.  Float64 work over a whole table, the
+finiteness check and normalisation included, runs in row blocks of
+`BLOCK_ROWS`, so no full-size float64 (or bool) copy is ever made.
 
 `row_means` is the package's one mean of listed rows, shared by context
 features and semantic means.  It gathers a chunk of items' rows at once,
@@ -30,6 +34,7 @@ differently wherever a partial sum is inexact in float64.)
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -48,6 +53,8 @@ _F32 = np.dtype("<f4")
 # rows per temporary, a float64 block or the rows one `row_means` chunk
 # gathers: 1.2 MB of float64 at dimension 300
 BLOCK_ROWS = 512
+# bytes per read of a binary table
+_CHUNK = 1 << 20
 
 
 class VectorRef(NamedTuple):
@@ -73,9 +80,11 @@ class EmbeddingTable:
                 f"matrix shape {matrix.shape} does not match "
                 f"{len(labels)} labels of dimension {self.dim}"
             )
-        if not np.isfinite(matrix).all():
-            bad = int(np.argwhere(~np.isfinite(matrix).all(axis=1))[0, 0])
-            raise NonFiniteError(f"non-finite value in vector for label {labels[bad]!r}")
+        for start in range(0, len(matrix), BLOCK_ROWS):
+            finite = np.isfinite(matrix[start : start + BLOCK_ROWS]).all(axis=1)
+            if not finite.all():
+                bad = start + int(np.argmin(finite))
+                raise NonFiniteError(f"non-finite value in vector for label {labels[bad]!r}")
         index: dict[str, int] = {}
         for i, label in enumerate(labels):
             if not label:
@@ -153,10 +162,6 @@ class EmbeddingTable:
             self._norms = norms
         return self._norms
 
-    def unit_rows(self) -> np.ndarray:
-        """Float64 rows divided by their norms; zero rows stay zero."""
-        return self.matrix / _zero_safe(self.row_norms())[:, None]
-
     def cosines(self, query, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Float64 cosine of every row (or of ``rows``) to ``query``.
 
@@ -177,8 +182,17 @@ class EmbeddingTable:
         return scores
 
     def normalized(self) -> "EmbeddingTable":
-        """Copy with L2-normalized rows; zero rows are left untouched."""
-        return EmbeddingTable(self.dim, list(self.labels), self.unit_rows().astype(_F32))
+        """Copy with L2-normalized rows; zero rows are left untouched.
+
+        Each row is divided by its float64 norm in float64, then rounded to
+        float32, one block of rows at a time.
+        """
+        norms = _zero_safe(self.row_norms())
+        rows = np.empty_like(self.matrix)
+        for start in range(0, len(self), BLOCK_ROWS):
+            part = slice(start, start + BLOCK_ROWS)
+            rows[part] = self.matrix[part] / norms[part, None]
+        return EmbeddingTable(self.dim, list(self.labels), rows)
 
 
 def padded_rows(
@@ -261,15 +275,77 @@ def _encode_label(label: str) -> bytes:
 
 
 def load_binary(path, normalize: bool = False) -> EmbeddingTable:
-    """Load a word2vec-style binary embedding file."""
-    buf = Path(path).read_bytes()
-    nl = buf.find(b"\n")
-    if nl < 0:
-        raise FormatError("missing header line", path=path)
-    try:
-        header = buf[:nl].decode("ascii")
-    except UnicodeDecodeError:
-        raise FormatError("header is not ASCII", path=path) from None
+    """Load a word2vec-style binary embedding file.
+
+    The file is read in chunks of `_CHUNK` bytes, and each vector is copied
+    straight into the table's matrix, so a load holds the table plus about
+    one chunk and one entry.
+    """
+    with open(path, "rb") as fh:
+        count, dim = _read_header(fh, path)
+        vec_bytes = dim * 4
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        # every entry takes at least a 1-byte label, the space and its vector
+        if count * (2 + vec_bytes) > body:
+            raise TruncatedError(
+                f"header promises {count} entries of dimension {dim}, "
+                f"but only {body} bytes follow it",
+                path=path,
+            )
+        labels: list[str] = []
+        matrix = np.empty((count, dim), dtype=_F32)
+        buf, pos = b"", 0
+        for i in range(count):
+            sp = buf.find(b" ", pos)
+            while sp < 0:
+                # buf[pos:] is the start of a label: keep it and read on; the
+                # consumed bytes are dropped before the next chunk is read
+                searched = len(buf) - pos
+                buf, pos = buf[pos:], 0
+                buf += fh.read(_CHUNK)
+                if len(buf) == searched:
+                    raise TruncatedError(f"file ends inside entry {i}", path=path)
+                sp = buf.find(b" ", searched)
+            raw = buf[pos:sp]
+            if not raw:
+                raise FormatError(f"empty label in entry {i}", path=path)
+            if b"\n" in raw:
+                raise FormatError(f"label in entry {i} contains a newline", path=path)
+            pos = sp + 1
+            if len(buf) - pos < vec_bytes:
+                buf, pos = buf[pos:], 0
+                buf += fh.read(max(_CHUNK, vec_bytes - len(buf)))
+                if len(buf) < vec_bytes:
+                    raise TruncatedError(f"file ends inside vector of entry {i}", path=path)
+            matrix[i] = np.frombuffer(buf, dtype=_F32, count=dim, offset=pos)
+            labels.append(_decode_label(raw))
+            pos += vec_bytes
+            if pos == len(buf):
+                buf, pos = fh.read(_CHUNK), 0
+            # entries may carry a single trailing newline
+            if pos < len(buf) and buf[pos] == 0x0A:
+                pos += 1
+        trailing = len(buf) - pos
+        while chunk := fh.read(_CHUNK):
+            trailing += len(chunk)
+    if trailing:
+        raise FormatError(f"{trailing} trailing bytes after last entry", path=path)
+    return _loaded_table(path, dim, labels, matrix, normalize)
+
+
+def _read_header(fh, path) -> tuple[int, int]:
+    """``(count, dim)`` from the header line, holding at most a chunk of it."""
+    head, part, is_ascii = b"", b"", True
+    while not part.endswith(b"\n"):
+        part = fh.readline(_CHUNK)
+        if not part:
+            raise FormatError("missing header line", path=path)
+        is_ascii = is_ascii and part.isascii()
+        # a valid header has at most 37 bytes; the error message shows 60
+        head += part[: 64 - len(head)]
+    if not is_ascii:
+        raise FormatError("header is not ASCII", path=path)
+    header = head.decode("ascii").removesuffix("\n")
     parts = header.split(" ")
     # at most 18 digits each, so neither int() nor numpy's row size overflows
     if len(parts) != 2 or not all(p.isdigit() and len(p) <= 18 for p in parts):
@@ -277,39 +353,7 @@ def load_binary(path, normalize: bool = False) -> EmbeddingTable:
     count, dim = int(parts[0]), int(parts[1])
     if dim < 1:
         raise FormatError(f"dimension must be positive, got {dim}", path=path)
-
-    vec_bytes = dim * 4
-    pos = nl + 1
-    # every entry takes at least a 1-byte label, the space and its vector
-    if count * (2 + vec_bytes) > len(buf) - pos:
-        raise TruncatedError(
-            f"header promises {count} entries of dimension {dim}, "
-            f"but only {len(buf) - pos} bytes follow it",
-            path=path,
-        )
-    labels: list[str] = []
-    matrix = np.empty((count, dim), dtype=_F32)
-    for i in range(count):
-        sp = buf.find(b" ", pos)
-        if sp < 0:
-            raise TruncatedError(f"file ends inside entry {i}", path=path)
-        raw = buf[pos:sp]
-        if not raw:
-            raise FormatError(f"empty label in entry {i}", path=path)
-        if b"\n" in raw:
-            raise FormatError(f"label in entry {i} contains a newline", path=path)
-        end = sp + 1 + vec_bytes
-        if end > len(buf):
-            raise TruncatedError(f"file ends inside vector of entry {i}", path=path)
-        matrix[i] = np.frombuffer(buf, dtype=_F32, count=dim, offset=sp + 1)
-        labels.append(_decode_label(raw))
-        pos = end
-        # entries may carry a single trailing newline
-        if pos < len(buf) and buf[pos] == 0x0A:
-            pos += 1
-    if pos != len(buf):
-        raise FormatError(f"{len(buf) - pos} trailing bytes after last entry", path=path)
-    return _loaded_table(path, dim, labels, matrix, normalize)
+    return count, dim
 
 
 def _loaded_table(path, dim, labels, matrix, normalize: bool) -> EmbeddingTable:
@@ -322,13 +366,13 @@ def _loaded_table(path, dim, labels, matrix, normalize: bool) -> EmbeddingTable:
 
 
 def save_binary(table: EmbeddingTable, path) -> None:
-    """Write the canonical binary form (no per-entry newlines)."""
-    pieces = [f"{len(table)} {table.dim}\n".encode("ascii")]
-    for i, label in enumerate(table.labels):
-        pieces.append(_encode_label(label))
-        pieces.append(b" ")
-        pieces.append(table.matrix[i].tobytes())
-    Path(path).write_bytes(b"".join(pieces))
+    """Write the canonical binary form (no per-entry newlines), one entry at a time."""
+    # encoded before the file is opened, so a refused table writes nothing
+    raw_labels = [_encode_label(label) for label in table.labels]
+    with open(path, "wb") as fh:
+        fh.write(f"{len(table)} {table.dim}\n".encode("ascii"))
+        for raw, row in zip(raw_labels, table.matrix):
+            fh.write(raw + b" " + row.tobytes())
 
 
 def load_text(path, dim: Optional[int] = None, normalize: bool = False) -> EmbeddingTable:

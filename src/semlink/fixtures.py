@@ -121,7 +121,8 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
     dictionary = SemanticTypeDictionary(words={w for g in group_words for w in g})
 
     entity_labels: list[str] = []
-    entity_rows: list[np.ndarray] = []
+    # rounded to float32 row by row, so no float64 copy of the table is held
+    entity_matrix = np.empty((sizes.entities, d), dtype=np.float32)
     articles: list[ArticleRecord] = []
     assignments: dict[str, EntityTypeAssignment] = {}
     entity_group: dict[str, int] = {}
@@ -142,7 +143,7 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
             noise[: sizes.groups] = 0.0
         vec = sizes.wikitext_signal * _unit(type_mean) + sizes.wikitext_noise * _unit(noise)
         entity_labels.append(label)
-        entity_rows.append(vec)
+        entity_matrix[e] = vec
         entity_group[label] = g
         assignments[label] = EntityTypeAssignment(label, chosen)
         sentence = f"{label} is a {' '.join(chosen)} entity."
@@ -150,7 +151,7 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
             ArticleRecord(entity_id=label, title=label, first_sentence=sentence)
         )
 
-    wikitext = EmbeddingTable.from_pairs(zip(entity_labels, entity_rows), dim=d)
+    wikitext = EmbeddingTable(d, entity_labels, entity_matrix)
 
     def _make_docs(prefix: str, count: int) -> list[LinkingDocument]:
         docs = []

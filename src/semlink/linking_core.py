@@ -165,10 +165,13 @@ class LinkingModel:
             relations=[np.ones(dim) for _ in range(n_relations)],
         )
 
-    def save(self, path) -> None:
+    def lines(self) -> list[str]:
         """Header '<dim> <K>' then B, C, and each relation diagonal as text."""
         diags = [" ".join(format(v, ".17g") for v in diag) for diag in [self.B, self.C, *self.relations]]
-        write_lines(path, [f"{self.dim} {self.K}", *diags, self.relation_weighting])
+        return [f"{self.dim} {self.K}", *diags, self.relation_weighting]
+
+    def save(self, path) -> None:
+        write_lines(path, self.lines())
 
     @classmethod
     def load(cls, path) -> "LinkingModel":

@@ -13,12 +13,12 @@ Every stage records content hashes in ``manifest.json``: its inputs by
 configuration key and its outputs by file name under ``out``, so the
 manifest does not depend on the working directory or on where ``out``
 lives, and a copied output directory is still up to date.  A rerun with
-identical inputs and parameters skips the stage.  The semlink version is
-one of every stage's parameters, so new code reruns all stages, and so does
-a manifest written before this layout, once.  The manifest is replaced
-atomically, so a crash while writing it leaves the previous one intact.  A
-failing stage leaves its outputs behind with a ``.partial`` suffix and
-aborts the run.
+identical inputs and parameters skips the stage.  A fingerprint of
+semlink's source files is one of every stage's parameters, so any edit to
+the code reruns all stages, and so does a manifest written before this
+layout, once.  The manifest is replaced atomically, so a crash while
+writing it leaves the previous one intact.  A failing stage leaves its
+outputs behind with a ``.partial`` suffix and aborts the run.
 
 One run does each piece of work once.  Each file is hashed at most once per
 run (a stage's outputs are hashed again when it records them); the word
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from . import __version__, embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
+from . import embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
 from ._text import read_lines, write_json, write_lines
 from .errors import ConfigError, FormatError, SemlinkError, StageError
 
@@ -228,6 +228,16 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def _code_fingerprint() -> str:
+    """sha256 over the name and sha256 of each of semlink's source files, in
+    name order, so an edit to any of them reruns every stage."""
+    h = hashlib.sha256()
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(f"{source.name} {_sha256(source)}\n".encode())
+    return h.hexdigest()
+
+
 class _Manifest:
     def __init__(self, path: Path):
         self.path = path
@@ -380,7 +390,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         _, _, outputs, param_keys = STAGES[stage]
         inputs = config.inputs(stage)
         params = {key: getattr(config, key) for key in param_keys}
-        params["semlink"] = __version__
+        params["semlink"] = _code_fingerprint()
         input_hashes = {key: manifest.digest(p) for key, p in inputs.items()}
         if manifest.is_fresh(stage, input_hashes, params, outputs):
             status[stage] = "skipped"

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ._text import read_lines, tokenize, tsv_fields, write_lines
+from ._text import read_lines, tokenize, tsv_fields, write_files, write_lines
 from .embed_io import EmbeddingTable, top_k
 from .errors import ConfigError, FormatError, MissingSeedError, RemapTargetError
 
@@ -149,9 +149,10 @@ class SemanticTypeDictionary:
     def save(self, words_path, remap_path=None) -> None:
         """Serialize deterministically: sorted words, sorted remap pairs."""
         cats = self.categories
-        write_lines(words_path, [f"{w}\t{cats[w]}" if cats.get(w) else w for w in sorted(self.words)])
+        outputs = [(words_path, [f"{w}\t{cats[w]}" if cats.get(w) else w for w in sorted(self.words)])]
         if remap_path is not None:
-            write_lines(remap_path, [f"{src}\t{self.remap[src]}" for src in sorted(self.remap)])
+            outputs.append((remap_path, [f"{src}\t{self.remap[src]}" for src in sorted(self.remap)]))
+        write_files(outputs)
 
     @classmethod
     def load(cls, words_path, remap_path=None) -> "SemanticTypeDictionary":

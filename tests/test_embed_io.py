@@ -3,12 +3,16 @@
 import math
 import re
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from semlink import embed_io
 from semlink.embed_io import (
+    BLOCK_ROWS,
     EmbeddingTable,
     VectorRef,
     load_binary,
@@ -288,6 +292,14 @@ class TestTableInvariants:
         with pytest.raises(DuplicateLabelError):
             EmbeddingTable.from_pairs([("a", [1.0]), ("a", [2.0])])
 
+    def test_non_finite_names_the_first_bad_row(self):
+        matrix = np.ones((3 * BLOCK_ROWS, 2), dtype=np.float32)
+        matrix[BLOCK_ROWS + 7, 1] = np.inf
+        matrix[2 * BLOCK_ROWS + 1, 0] = np.nan
+        labels = [f"w{i}" for i in range(len(matrix))]
+        with pytest.raises(NonFiniteError, match=f"'w{BLOCK_ROWS + 7}'"):
+            EmbeddingTable(2, labels, matrix)
+
     def test_rows_are_read_only(self):
         table = EmbeddingTable.from_pairs([("a", [1.0])])
         with pytest.raises(ValueError):
@@ -328,15 +340,34 @@ def io_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("io_properties")
 
 
-@given(table=tables(BINARY_CHAR))
-def test_binary_round_trip(io_dir, table):
-    path = io_dir / "t.bin"
+def check_binary_round_trip(path, table):
     save_binary(table, path)
     raw = path.read_bytes()
     loaded = load_binary(path)
     assert same_table(loaded, table)
     save_binary(loaded, path)
     assert path.read_bytes() == raw
+
+
+@given(table=tables(BINARY_CHAR))
+def test_binary_round_trip(io_dir, table):
+    check_binary_round_trip(io_dir / "t.bin", table)
+
+
+# reads of a few bytes, so labels, vectors and per-entry newlines straddle them
+SMALL_CHUNKS = [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@given(table=tables(BINARY_CHAR))
+def test_binary_round_trip_in_small_chunks(io_dir, chunk, table):
+    path = io_dir / "t.bin"
+    with mock.patch.object(embed_io, "_CHUNK", chunk):
+        check_binary_round_trip(path, table)
+        entries = [label.encode("utf-8") + b" " + row.tobytes() + b"\n"
+                   for label, row in zip(table.labels, table.matrix)]
+        path.write_bytes(f"{len(table)} {table.dim}\n".encode("ascii") + b"".join(entries))
+        assert same_table(load_binary(path), table)
 
 
 @given(table=tables(TEXT_CHAR))
@@ -400,12 +431,82 @@ def damaged_binaries(draw):
     return bytes(raw)
 
 
+def load_outcome(path):
+    """The loaded table's bits, or the error's type and message."""
+    try:
+        table = load_binary(path)
+    except FormatError as e:
+        return type(e), str(e)
+    assert isinstance(table, EmbeddingTable)
+    return table.dim, table.labels, table.matrix.tobytes()
+
+
 @given(raw=damaged_binaries())
 def test_damaged_binary_raises_only_format_errors(io_dir, raw):
     path = io_dir / "damaged.bin"
     path.write_bytes(raw)
+    load_outcome(path)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@given(raw=damaged_binaries())
+def test_damaged_binary_in_small_chunks_fails_the_same(io_dir, chunk, raw):
+    """Read a few bytes at a time, a file loads to the same bits or fails with
+    the same error as when it is read in one piece."""
+    path = io_dir / "damaged.bin"
+    path.write_bytes(raw)
+    whole = load_outcome(path)
+    with mock.patch.object(embed_io, "_CHUNK", chunk):
+        assert load_outcome(path) == whole
+
+
+# ---------------------------------------------------------------------------
+# Memory: no load, save or normalisation holds a second copy of a table
+
+MiB = 1 << 20
+
+
+def traced(fn):
+    """``(result, bytes held after, peak bytes)`` of ``fn()``, from a zero start."""
+    tracemalloc.start()
     try:
-        table = load_binary(path)
-    except FormatError:
-        return
-    assert isinstance(table, EmbeddingTable)
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+@pytest.fixture(scope="module")
+def big_table_path(tmp_path_factory):
+    rng = np.random.default_rng(5)
+    n, dim = 3000, 300
+    table = EmbeddingTable(dim, [f"ent{i:06d}" for i in range(n)], rng.standard_normal((n, dim)).astype(np.float32))
+    path = tmp_path_factory.mktemp("big") / "t.bin"
+    save_binary(table, path)
+    return path
+
+
+def test_load_binary_holds_the_table_and_a_chunk(big_table_path):
+    table, held, peak = traced(lambda: load_binary(big_table_path))
+    # the table (matrix, labels and index) is what stays held
+    assert table.matrix.nbytes <= held <= table.matrix.nbytes + 1 * MiB
+    # one chunk read, and the buffer it is joined onto
+    assert peak <= held + 2 * embed_io._CHUNK + MiB // 2
+
+
+def test_save_binary_holds_no_copy_of_the_file(big_table_path, tmp_path):
+    table = load_binary(big_table_path)
+    _, _, peak = traced(lambda: save_binary(table, tmp_path / "o.bin"))
+    assert peak <= 1 * MiB
+    assert (tmp_path / "o.bin").read_bytes() == big_table_path.read_bytes()
+
+
+def test_normalized_holds_its_result_and_one_float64_block(big_table_path):
+    table = load_binary(big_table_path)
+    table.row_norms()
+    unit, held, peak = traced(table.normalized)
+    assert unit.matrix.nbytes <= held
+    assert peak <= held + BLOCK_ROWS * table.dim * 8 + MiB // 4
+    expected = (table.matrix / table.row_norms()[:, None]).astype(np.float32)
+    assert unit.matrix.tobytes() == expected.tobytes()

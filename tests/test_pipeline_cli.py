@@ -1,5 +1,6 @@
 """Staged pipeline runs, manifest idempotence, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import re
@@ -412,11 +413,21 @@ class TestPipeline:
                                 extra="stages = dict,types,semantic,aggregate\n")
         run_pipeline(PipelineConfig.from_file(cfg_path))
         assert set(run_pipeline(PipelineConfig.from_file(cfg_path)).values()) == {"skipped"}
-        monkeypatch.setattr(pipeline, "__version__", "0.0.0+changed")
+        recorded = json.loads((out / "manifest.json").read_text("utf-8"))["stages"]
+        assert {entry["params"]["semlink"] for entry in recorded.values()} == {pipeline._code_fingerprint()}
+        monkeypatch.setattr(pipeline, "_code_fingerprint", lambda: "0" * 64)
         status = run_pipeline(PipelineConfig.from_file(cfg_path))
         assert set(status.values()) == {"done"}
         recorded = json.loads((out / "manifest.json").read_text("utf-8"))["stages"]
-        assert {entry["params"]["semlink"] for entry in recorded.values()} == {"0.0.0+changed"}
+        assert {entry["params"]["semlink"] for entry in recorded.values()} == {"0" * 64}
+
+    def test_code_fingerprint_covers_every_source_file(self):
+        package = Path(pipeline.__file__).parent
+        digests = "".join(
+            f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in sorted(package.glob("*.py"))
+        )
+        assert "pipeline.py " in digests and "embed_io.py " in digests
+        assert pipeline._code_fingerprint() == hashlib.sha256(digests.encode()).hexdigest()
 
     @pytest.mark.parametrize("failing", ["fsync", "replace"])
     def test_failed_manifest_write_keeps_old_manifest(self, fixture_dir, tmp_path, monkeypatch, failing):
@@ -630,7 +641,7 @@ class TestCli:
             main([
                 "link", "infer", "--docs", str(docs_path),
                 "--entities", str(paths["wikitext"]), "--words", str(paths["words"]),
-                "--model", str(model_path), "--out", str(tmp_path / "p.tsv"),
+                "--model", str(model_path), "--strategy", "exhaustive", "--out", str(tmp_path / "p.tsv"),
             ])
         assert e.value.code == 3
 
@@ -1084,6 +1095,46 @@ def test_link_infer_capacity_failure_writes_no_predictions(fixture_dir, tmp_path
         pred.write_bytes(existing)
     with pytest.raises(SystemExit) as e:
         main(["link", "infer", "--docs", str(docs), "--entities", str(paths["wikitext"]),
-              "--words", str(paths["words"]), "--model", str(model), "--out", str(pred)])
+              "--words", str(paths["words"]), "--model", str(model), "--strategy", "exhaustive",
+              "--out", str(pred)])
     assert e.value.code == 3
     assert (pred.read_bytes() if pred.exists() else None) == existing
+
+
+@pytest.mark.parametrize("existing", [None, b"old\n"], ids=["absent", "present"])
+@pytest.mark.parametrize("command", ["link-train", "dict-build", "eval-converge"])
+def test_unwritable_second_output_leaves_first_as_it_was(fixture_dir, tmp_path, capsys, command, existing):
+    root, paths = fixture_dir
+    first, second = tmp_path / "first", tmp_path / "nodir" / "second"
+    if existing is not None:
+        first.write_bytes(existing)
+    argv = {
+        "link-train": ["link", "train", "--train", paths["train"], "--entities", paths["wikitext"],
+                       "--words", paths["words"], "--epochs", "1", "--out-model", first, "--out-trace", second],
+        "dict-build": ["dict", "build", "--seeds", paths["seeds"], "--out-words", first, "--out-remap", second],
+        "eval-converge": ["eval", "converge", "--train", paths["train"], "--dev", paths["dev"],
+                          "--words", paths["words"], "--baseline", paths["wikitext"],
+                          "--reinforced", paths["wikitext"], "--seeds", "1", "--epochs", "1",
+                          "--out", first, "--curves", second],
+    }[command]
+    with pytest.raises(SystemExit) as e:
+        main([str(arg) for arg in argv])
+    assert e.value.code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert (first.read_bytes() if first.exists() else None) == existing
+
+
+def test_link_infer_defaults_to_greedy_local(fixture_dir, tmp_path):
+    """No command trains C, so the default strategy is the one that does not score with it."""
+    root, paths = fixture_dir
+    tables = ["--entities", str(paths["wikitext"]), "--words", str(paths["words"])]
+    model = tmp_path / "model.txt"
+    main(["link", "train", "--train", str(paths["train"]), *tables, "--out-model", str(model)])
+    preds = {}
+    for strategy in (None, "greedy-local", "exhaustive"):
+        pred = tmp_path / f"{strategy}.tsv"
+        chosen = ["--strategy", strategy] if strategy else []
+        main(["link", "infer", "--docs", str(paths["eval"]), *tables, "--model", str(model), *chosen,
+              "--out", str(pred)])
+        preds[strategy] = pred.read_bytes()
+    assert preds[None] == preds["greedy-local"] != preds["exhaustive"]

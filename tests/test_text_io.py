@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from semlink._text import read_all, read_lines, tsv_fields, write_lines
+from semlink._text import read_all, read_lines, tsv_fields, write_files, write_lines
 from semlink.errors import FormatError
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semlink"
@@ -151,6 +151,21 @@ def test_write_lines_leaves_the_file_as_it_was_on_failure(tmp_path):
         assert (e.value.path, e.value.line) == (p, 5)  # the file line, not the item
         assert "text with no UTF-8 form: 'caf\\udce9 x'" in str(e.value)
         assert (p.read_bytes() if p.exists() else None) == before
+
+
+@pytest.mark.parametrize("existing", [None, b"old\n"], ids=["absent", "present"])
+def test_write_files_writes_all_or_nothing(tmp_path, existing):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    if existing is not None:
+        first.write_bytes(existing)
+    # no UTF-8 form, a missing directory, a directory
+    for bad in ((second, ["caf\udce9"]), (tmp_path / "nodir" / "x.txt", ["x"]), (tmp_path, ["x"])):
+        with pytest.raises((FormatError, OSError)):
+            write_files([(first, ["new"]), bad])
+        assert (first.read_bytes() if first.exists() else None) == existing
+        assert not second.exists()
+    write_files([(first, ["a"]), (second, ["b", "c"])])
+    assert (first.read_bytes(), second.read_bytes()) == (b"a\n", b"b\nc\n")
 
 
 def test_lines_are_numbered_with_universal_newlines(tmp_path):
