@@ -5,14 +5,13 @@ file's non-empty lines, `tsv_fields` splits one, and `read_all` reads a
 small file whole; a byte that is not UTF-8 is a `FormatError` naming the
 file and line.
 
-Text outputs are UTF-8 with ``\n`` newlines.  `write_lines` builds and
-encodes the whole text before it opens the file, so a failure while the
-lines are computed, or a line with no UTF-8 form (a `FormatError` naming
-the file, line and text), leaves the file as it was.  `write_files` does
-the same for the several outputs of one command, and opens every target
-before it writes the first, so one output that cannot be written leaves
-none behind.  `write_json` writes one JSON value (`json_lines`) through
-`write_lines`, indented and with sorted keys.
+Every output file is written through `replacing`: each target gets a temp
+file beside it, renamed over the target only once every temp file is
+written and synced, so a failure leaves every target as it was.  Text
+outputs are UTF-8 with ``\n`` newlines; `write_lines` and `write_files`
+(several outputs, all or nothing) encode the whole text first, so a line
+with no UTF-8 form is a `FormatError` naming the file, line and text.
+`json_lines` gives one JSON value, indented and with sorted keys, as lines.
 
 A token is a maximal run of ``[a-z0-9_']`` in the lowercased text; every
 other character separates tokens.  `tokenize` applies that rule without a
@@ -24,6 +23,8 @@ regex ``[a-z0-9_']+`` treats it; case mappings onto ASCII (KELVIN SIGN ->
 ``k``) happen in ``lower()`` before the table is applied.
 """
 
+import contextlib
+import errno
 import json
 import os
 import re
@@ -85,23 +86,42 @@ def write_lines(path, lines) -> None:
 
 def write_files(outputs) -> None:
     """Write each ``(path, lines)`` of ``outputs`` as `write_lines` does, all
-    or nothing: every text is built and encoded, and every file opened, before
-    the first is written.  A file that cannot be opened leaves no new file."""
+    or nothing: every text is built and encoded before the first is written."""
     encoded = [(path, _encoded(path, lines)) for path, lines in outputs]
-    created = []
-    try:
-        for path, _ in encoded:
-            new = not os.path.lexists(path)
-            open(path, "ab").close()
-            if new:
-                created.append(path)
-    except OSError:
-        for path in created:
-            os.unlink(path)
-        raise
-    for path, data in encoded:
-        with open(path, "wb") as fh:
+    with replacing([path for path, _ in encoded]) as handles:
+        for fh, (_, data) in zip(handles, encoded):
             fh.write(data)
+
+
+@contextlib.contextmanager
+def replacing(paths):
+    """One binary handle per target of ``paths``, each on a new temp file beside
+    it.  Once the body has written them, each is synced and renamed over its
+    target; on any failure every temp file goes, and every target stays."""
+    targets = [os.path.realpath(p) for p in paths]
+    for target in targets:
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise OSError(errno.EISDIR if os.path.isdir(target) else errno.EINVAL, "not a regular file", target)
+    handles = []
+    try:
+        for head, tail in map(os.path.split, targets):
+            # created exclusively, with the permissions `open(target, "wb")` gives;
+            # a short name, so that a target at the name length limit fits
+            handles.append(open(os.path.join(head, f".{tail[:32]}.{os.urandom(8).hex()}.tmp"), "xb"))
+        yield handles
+        for fh in handles:
+            fh.flush()
+            os.fsync(fh.fileno())
+            fh.close()
+        for fh, target in zip(handles, targets):
+            os.replace(fh.name, target)
+    except BaseException:
+        for fh in handles:
+            with contextlib.suppress(OSError):  # close may flush into a full disk
+                fh.close()
+            with contextlib.suppress(FileNotFoundError):  # renamed already
+                os.unlink(fh.name)
+        raise
 
 
 def _encoded(path, lines) -> bytes:
@@ -117,10 +137,6 @@ def _encoded(path, lines) -> bytes:
 def json_lines(payload) -> list[str]:
     """One JSON value, indented and with sorted keys, as the lines to write."""
     return [json.dumps(payload, indent=2, sort_keys=True)]
-
-
-def write_json(payload, path) -> None:
-    write_lines(path, json_lines(payload))
 
 
 def tsv_fields(line, count, path, line_no, expected=None) -> list[str]:

@@ -21,7 +21,7 @@ from . import (
     type_dictionary,
     type_extraction,
 )
-from ._text import json_lines, read_all, read_lines, tsv_fields, write_files, write_json, write_lines
+from ._text import json_lines, read_all, read_lines, tsv_fields, write_files, write_lines
 from .errors import CapacityError, FormatError, SemlinkError
 
 
@@ -294,7 +294,7 @@ def eval_f1(docs_path, pred, out_path):
     predictions = _read_assignment_tsv(pred)
     report = evaluation.micro_f1(predictions, gold)
     if out_path:
-        write_json(report.to_dict(), out_path)
+        write_lines(out_path, json_lines(report.to_dict()))
     click.echo(
         f"tp={report.tp} fp={report.fp} fn={report.fn} "
         f"P={report.micro_precision:.4f} R={report.micro_recall:.4f} F1={report.micro_f1:.4f}"
@@ -386,7 +386,7 @@ def eval_geometry(baseline, reinforced, pairs, out_path):
              for line_no, line in read_lines(pairs) if not line.startswith("#")]
     report = evaluation.geometry_report(base_table, reinf_table, probe)
     if out_path:
-        write_json(report.to_dict(), out_path)
+        write_lines(out_path, json_lines(report.to_dict()))
     click.echo("\n".join(evaluation.geometry_report_tsv(report)))
 
 

@@ -8,10 +8,12 @@ Two on-disk formats are supported:
   emit it, so round-trips are byte-identical for files in that canonical
   form.  A load reads the file in chunks of `_CHUNK` bytes and copies each
   vector straight into the table's matrix, so it holds the table plus one
-  chunk; a save checks every label before it opens the file, then writes
-  one entry at a time.
+  chunk.  A save streams one entry at a time into a temp file that replaces
+  the target only once the table is whole (`_text.replacing`), so a save
+  that fails, on a refused label or a failed write, leaves the old file.
 * text: one ``"<label> v1 v2 ... vd"`` line per entry, floats printed with 9
-  significant digits (enough to round-trip float32 exactly).
+  significant digits (enough to round-trip float32 exactly); a save streams
+  it the same way.
 
 Labels are raw bytes apart from 0x20/0x0A; they are decoded with
 surrogateescape so arbitrary dump artifacts survive a load/save cycle.
@@ -40,6 +42,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._text import replacing
 from .errors import (
     DuplicateLabelError,
     FormatError,
@@ -367,12 +370,10 @@ def _loaded_table(path, dim, labels, matrix, normalize: bool) -> EmbeddingTable:
 
 def save_binary(table: EmbeddingTable, path) -> None:
     """Write the canonical binary form (no per-entry newlines), one entry at a time."""
-    # encoded before the file is opened, so a refused table writes nothing
-    raw_labels = [_encode_label(label) for label in table.labels]
-    with open(path, "wb") as fh:
+    with replacing([path]) as (fh,):
         fh.write(f"{len(table)} {table.dim}\n".encode("ascii"))
-        for raw, row in zip(raw_labels, table.matrix):
-            fh.write(raw + b" " + row.tobytes())
+        for label, row in zip(table.labels, table.matrix):
+            fh.write(_encode_label(label) + b" " + row.tobytes())
 
 
 def load_text(path, dim: Optional[int] = None, normalize: bool = False) -> EmbeddingTable:
@@ -408,30 +409,24 @@ def load_text(path, dim: Optional[int] = None, normalize: bool = False) -> Embed
 
 def save_text(table: EmbeddingTable, path) -> None:
     """Write the text form with 9 significant digits per component."""
-    # checked before the file is opened, so a refused table writes nothing
-    for label in table.labels:
-        # the binary format's rules, and no whitespace of any kind, since the
-        # reader splits lines with str.split()
-        _encode_label(label)
-        if any(ch.isspace() for ch in label):
-            raise FormatError(f"label {label!r} contains whitespace")
-    with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
-        for i, label in enumerate(table.labels):
-            values = " ".join(format(float(v), ".9g") for v in table.matrix[i])
-            fh.write(f"{label} {values}\n")
+    with replacing([path]) as (fh,):
+        for label, row in zip(table.labels, table.matrix):
+            # the binary format's rules, and no whitespace of any kind, since
+            # the reader splits lines with str.split()
+            raw = _encode_label(label)
+            if any(ch.isspace() for ch in label):
+                raise FormatError(f"label {label!r} contains whitespace")
+            fh.write(raw + b" " + " ".join(format(float(v), ".9g") for v in row).encode("ascii") + b"\n")
+
+
+def _is_text(path) -> bool:
+    """Whether ``path`` names a text table (.txt/.tsv/.text); all else is binary."""
+    return Path(path).suffix.lower() in (".txt", ".tsv", ".text")
 
 
 def load_table(path, normalize: bool = False) -> EmbeddingTable:
-    """Dispatch on extension: .txt/.tsv load as text, everything else binary."""
-    suffix = Path(path).suffix.lower()
-    if suffix in (".txt", ".tsv", ".text"):
-        return load_text(path, normalize=normalize)
-    return load_binary(path, normalize=normalize)
+    return (load_text if _is_text(path) else load_binary)(path, normalize=normalize)
 
 
 def save_table(table: EmbeddingTable, path) -> None:
-    suffix = Path(path).suffix.lower()
-    if suffix in (".txt", ".tsv", ".text"):
-        save_text(table, path)
-    else:
-        save_binary(table, path)
+    (save_text if _is_text(path) else save_binary)(table, path)

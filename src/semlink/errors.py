@@ -91,7 +91,8 @@ class ConfigError(SemlinkError, ValueError):
 
 
 class StageError(SemlinkError):
-    """A pipeline stage failed; partial outputs keep a .partial suffix."""
+    """A pipeline stage failed on bad data or a failed write; its previous
+    outputs are left as they were."""
 
     def __init__(self, stage, cause):
         super().__init__(f"stage '{stage}' failed: {cause}")

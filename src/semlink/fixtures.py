@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 import numpy as np
 
-from ._text import write_json, write_lines
+from ._text import json_lines, write_lines
 from .embed_io import EmbeddingTable, save_binary
 from .errors import ConfigError
 from .linking_core import LinkingDocument, Mention, save_linking_jsonl
@@ -234,5 +234,5 @@ def make_fixtures(seed: int, sizes: FixtureSizes, out_dir) -> dict[str, Path]:
     save_linking_jsonl(bundle.train_docs, paths["train"])
     save_linking_jsonl(bundle.dev_docs, paths["dev"])
     save_linking_jsonl(bundle.eval_docs, paths["eval"])
-    write_json({"seed": seed, "sizes": asdict(sizes)}, paths["meta"])
+    write_lines(paths["meta"], json_lines({"seed": seed, "sizes": asdict(sizes)}))
     return paths

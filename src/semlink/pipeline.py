@@ -16,9 +16,10 @@ lives, and a copied output directory is still up to date.  A rerun with
 identical inputs and parameters skips the stage.  A fingerprint of
 semlink's source files is one of every stage's parameters, so any edit to
 the code reruns all stages, and so does a manifest written before this
-layout, once.  The manifest is replaced atomically, so a crash while
-writing it leaves the previous one intact.  A failing stage leaves its
-outputs behind with a ``.partial`` suffix and aborts the run.
+layout, once.  Every output, the manifest included, replaces its old file
+only once it is whole (`_text.replacing`), so a stage that fails, on bad
+data or on a write, leaves its previous outputs and the manifest as they
+were and aborts the run with a `StageError` naming the stage.
 
 One run does each piece of work once.  Each file is hashed at most once per
 run (a stage's outputs are hashed again when it records them); the word
@@ -26,7 +27,7 @@ table and ``types.tsv`` are read on first use and shared by later stages;
 and ``link`` and ``eval`` use the table ``aggregate`` built in the same run
 instead of reading ``reinforced.bin`` back.  Nothing is kept from one run to
 the next.  Bad configuration values end in a `ConfigError` naming the key,
-the value and the file line or ``--set``.
+the value and the file line or ``--set``; so does a path holding a NUL byte.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ import functools
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 from . import embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
-from ._text import read_lines, write_json, write_lines
+from ._text import json_lines, read_lines, write_files, write_lines
 from .errors import ConfigError, FormatError, SemlinkError, StageError
 
 STAGES = {
@@ -161,6 +161,8 @@ class PipelineConfig:
             if key == "stages":
                 cfg.stages = [s.strip() for s in str(value).split(",") if s.strip()]
             elif key in _PATH_KEYS or key == "out":
+                if "\0" in str(value):
+                    raise ConfigError(f"{where}: {key} = {value!r} holds a NUL byte")
                 setattr(cfg, key, Path(value) if value not in (None, "") else None)
             elif key in _KINDS:
                 kind, parse = _KINDS[key]
@@ -261,17 +263,7 @@ class _Manifest:
         return self._digests[key]
 
     def write(self) -> None:
-        """Write a temporary file beside the manifest, then rename it over."""
-        text = json.dumps({"stages": self.stages}, indent=2, sort_keys=True) + "\n"
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_lines(self.path, json_lines({"stages": self.stages}))
 
     def is_fresh(self, stage: str, inputs: dict[str, str], params: dict, outputs: tuple[str, ...]) -> bool:
         """Whether ``stage`` recorded these inputs and params, and a hash for
@@ -363,8 +355,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             margin=config.margin, lr=config.lr, epochs=config.epochs, seed=config.seed
         )
         result = linking_core.train(train_docs, entities, words, cfg, dev_docs=dev_docs)
-        result.model.save(targets[0])
-        write_json(result.trace(), targets[1])
+        write_files([(targets[0], result.model.lines()), (targets[1], json_lines(result.trace()))])
 
     def _stage_eval(inputs, targets):
         words = _load_words()
@@ -379,8 +370,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         }
         gold = evaluation.gold_map(docs)
         report = evaluation.micro_f1(predictions, gold)
-        write_json(report.to_dict(), targets[0])
-        write_lines(targets[1], evaluation.eval_report_tsv(report))
+        write_files([(targets[0], json_lines(report.to_dict())), (targets[1], evaluation.eval_report_tsv(report))])
 
     runners = {
         "dict": _stage_dict, "types": _stage_types, "semantic": _stage_semantic,
@@ -395,14 +385,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
         if manifest.is_fresh(stage, input_hashes, params, outputs):
             status[stage] = "skipped"
             continue
-        partials = [out / f"{name}.partial" for name in outputs]
         try:
-            runners[stage](inputs, partials)
-        except SemlinkError as e:
+            runners[stage](inputs, [out / name for name in outputs])
+        except (SemlinkError, OSError) as e:
             raise StageError(stage, e) from e
-        for partial, name in zip(partials, outputs):
-            if partial.exists():
-                partial.replace(out / name)
         manifest.record(stage, input_hashes, params, outputs)
         status[stage] = "done"
 

@@ -10,6 +10,9 @@ from semlink.embed_io import EmbeddingTable
 # time limit, so they neither flake on a slow machine nor differ between runs.
 settings.register_profile("semlink", derandomize=True, deadline=None)
 settings.load_profile("semlink")
+# The long run of the damaged-input property (README): many more examples,
+# new ones on every run, and no example database left behind.
+settings.register_profile("semlink-fuzz", max_examples=20_000, derandomize=False, database=None)
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str, str]] = []
 _ACCEPTANCE_DOCS: dict[str, str] = {}

@@ -61,6 +61,20 @@ epochs = 3
     return path
 
 
+# sha256 of each output of `test_outputs_keep_their_bytes`
+PINNED = {
+    "dictionary.txt": "7e5d4cc180cc53d4342303069339b651ee0a19acadd1b707d1bad8f7547f81d1",
+    "remap.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "types.tsv": "efe54a18de0533f006822236c70dce2b3ca6dc9b5e4de89e841b8bb62892605f",
+    "semantic.bin": "abddd57ed2cac86e3820386955d51183680f46d98ca3c9a26482aca7d2344aa8",
+    "reinforced.bin": "80a1630f336fc3b99a107763f72e03269064f72a8266a0b77022adf0ae8267b8",
+    "model.txt": "ec1a25aec897f603466776432d9224b3edacd3c69058843fb0b2e04bbde52f7d",
+    "train_trace.json": "6ff417dd34987f63c711dd8d6deb3198c93b0e67a14629fe1b34e15661dcb444",
+    "eval.json": "f16032900a90b9de6b5d6dd9a88c51e1d1da99ce90a2833ae6157a84d5feb2ce",
+    "eval.tsv": "237f77c197e5c94e6a9ca7357e17b5e1be947b597c38668799e8d43f781d8585",
+}
+
+
 class TestPipeline:
     def test_end_to_end_and_idempotence(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
@@ -76,6 +90,16 @@ class TestPipeline:
         # rerun with identical inputs performs no stage work
         again = run_pipeline(PipelineConfig.from_file(cfg_path))
         assert again == {s: "skipped" for s in again}
+
+    def test_outputs_keep_their_bytes(self, tmp_path):
+        # a full run with default parameters on the default fixture (seed 7)
+        paths = make_fixtures(7, FixtureSizes(), tmp_path / "fx")
+        keys = {"words": "words", "wikitext": "wikitext", "corpus": "articles", "seeds": "seeds",
+                "extensions": "extensions", "remap": "remap", "train": "train", "dev": "dev", "eval": "eval"}
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("".join(f"{k} = {paths[v]}\n" for k, v in keys.items()) + f"out = {tmp_path / 'out'}\n")
+        assert set(run_pipeline(PipelineConfig.from_file(cfg)).values()) == {"done"}
+        assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in PINNED} == PINNED
 
     def test_word_table_loaded_once_per_run(self, fixture_dir, tmp_path, monkeypatch):
         root, paths = fixture_dir
@@ -270,7 +294,7 @@ class TestPipeline:
         assert trace.read_bytes() == (out / "train_trace.json").read_bytes()
         assert (tmp_path / "model.txt").read_bytes() == (out / "model.txt").read_bytes()
 
-    def test_stage_failure_keeps_partial_and_names_stage(self, fixture_dir, tmp_path):
+    def test_stage_failure_keeps_old_outputs_and_names_stage(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         out = tmp_path / "out"
         # corrupt the types input so the semantic stage fails mid-run
@@ -284,6 +308,19 @@ class TestPipeline:
             run_pipeline(PipelineConfig.from_file(cfg_path))
         assert err.value.stage == "semantic"
         assert not (out / "semantic.bin").exists()
+        # over an existing output, on bad data and on a write that fails
+        (out / "semantic.bin").write_bytes(b"old table\n")
+        with pytest.raises(StageError) as err:
+            run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert err.value.stage == "semantic"
+        assert (out / "semantic.bin").read_bytes() == b"old table\n"
+        good = write_config(tmp_path / "q.cfg", paths, out, extra="stages = dict\n")
+        (out / "dictionary.txt").mkdir()
+        with pytest.raises(StageError, match="stage 'dict' failed: .*Errno 21") as err:
+            run_pipeline(PipelineConfig.from_file(good))
+        assert isinstance(err.value.cause, OSError)
+        assert sorted(os.listdir(out)) == ["dictionary.txt", "semantic.bin"]  # no temp file
+        assert (out / "semantic.bin").read_bytes() == b"old table\n"
 
     def test_link_stage_accepts_conll_tsv_corpus(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
@@ -438,12 +475,18 @@ class TestPipeline:
         manifest = out / "manifest.json"
         before = manifest.read_bytes()
 
+        real = getattr(os, failing)
+
         def crash(*args):
+            if not (out / "types.tsv").exists():  # the types stage's own output
+                return real(*args)
             raise OSError("simulated crash while writing the manifest")
 
         # a crash after the new text is written but before it is durable, or
-        # just before the rename: either way the old manifest must survive
-        monkeypatch.setattr(pipeline.os, failing, crash)
+        # just before the rename: either way the old manifest must survive.
+        # Every output is synced and renamed the same way, so the crash waits
+        # until the types stage has put its output in place.
+        monkeypatch.setattr(os, failing, crash)
         more = write_config(tmp_path / "q.cfg", paths, out, extra="stages = dict,types\n")
         with pytest.raises(OSError, match="simulated crash"):
             run_pipeline(PipelineConfig.from_file(more))
@@ -854,6 +897,19 @@ class TestCli:
         assert e.value.code == 2
         err = capsys.readouterr().err
         assert f"{p}:1" in err and needle in err
+
+    @pytest.mark.parametrize("key", ["out", "words", "types_file"])
+    def test_pipeline_run_nul_in_path_exits_2(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "nul.cfg"
+        p.write_bytes(f"T = 3\n{key} = o\0x\n".encode())
+        for extra, where in (([], f"{p}:2"), (["--set", f"{key}=o\0y"], "--set")):
+            with pytest.raises(SystemExit) as e:
+                main(["pipeline", "run", "--config", str(p), *extra])
+            assert e.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{where}: {key} = " in err and "NUL byte" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["nul.cfg"]
 
     def test_model_file_error_exits_2(self, fixture_dir, tmp_path, capsys):
         root, paths = fixture_dir

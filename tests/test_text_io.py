@@ -1,31 +1,34 @@
-"""The one text reader and writer: every text file goes through ``semlink._text``.
+"""The one text reader and the one writer: every text input and every output
+file goes through ``semlink._text``.
 
 The guards scan ``src/semlink`` with ``ast``.  Outside ``_text`` no code opens
-a file in text mode for reading or calls ``.read_text(...)``, and none opens
-one in text mode for writing or calls ``.write_text(...)`` or
-``json.dump(...)``.  Binary reads and writes (``"rb"``, ``"wb"``,
-``read_bytes``, ``write_bytes``) are free.  The exceptions are
-``embed_io.load_text`` and ``embed_io.save_text``, since embedding labels are
-raw bytes kept with surrogateescape, and ``pipeline._Manifest.write``, which
-syncs a temporary file and renames it over the manifest.
+a file in text mode for reading or calls ``.read_text(...)``; binary reads
+(``"rb"``, ``read_bytes``) are free, and ``embed_io.load_text`` is the one
+exception, since embedding labels are raw bytes kept with surrogateescape.
+No code outside ``_text`` opens a file for writing in any mode, text or
+binary (a mode holding ``w``, ``a``, ``x`` or ``+``), or calls
+``.write_text(...)``, ``.write_bytes(...)`` or ``json.dump(...)``: every
+output is written through ``_text.replacing``.
 """
 
 import ast
+import os
+import stat
 from pathlib import Path
 
 import pytest
 
-from semlink._text import read_all, read_lines, tsv_fields, write_files, write_lines
+from semlink._text import read_all, read_lines, replacing, tsv_fields, write_files, write_lines
 from semlink.errors import FormatError
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semlink"
 READERS = {"_text", "embed_io.load_text"}
-WRITERS = {"_text", "embed_io.save_text", "pipeline._Manifest.write"}
+WRITERS = {"_text"}
 
 
-def _text_mode(call: ast.Call) -> str:
-    """The mode of a text-mode ``open(path, mode)`` or ``path.open(mode)`` call,
-    "" for a binary open or any other call."""
+def _open_mode(call: ast.Call) -> str:
+    """The mode of an ``open(path, mode)`` or ``path.open(mode)`` call, "" for
+    any other call."""
     func = call.func
     if not ((isinstance(func, ast.Name) and func.id == "open") or
             (isinstance(func, ast.Attribute) and func.attr == "open")):
@@ -37,23 +40,25 @@ def _text_mode(call: ast.Call) -> str:
         mode = next((k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
     if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
         return "rwax+"  # a mode chosen at run time may read or write text
-    return "" if "b" in mode.value else mode.value
+    return mode.value
 
 
 def _reads_text(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr == "read_text":
         return True
-    return any(c in _text_mode(call) for c in "r+")
+    mode = _open_mode(call)
+    return "b" not in mode and any(c in mode for c in "r+")
 
 
-def _writes_text(call: ast.Call) -> bool:
+def _writes(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Attribute) and (
-        func.attr == "write_text" or (func.attr == "dump" and getattr(func.value, "id", None) == "json")
+        func.attr in ("write_text", "write_bytes")
+        or (func.attr == "dump" and getattr(func.value, "id", None) == "json")
     ):
         return True
-    return any(c in _text_mode(call) for c in "wax+")
+    return any(c in _open_mode(call) for c in "wax+")
 
 
 def _calls(node, where):
@@ -82,8 +87,8 @@ def text_reads_outside_reader(package=PACKAGE) -> list[str]:
     return _outside(package, READERS, _reads_text)
 
 
-def text_writes_outside_writer(package=PACKAGE) -> list[str]:
-    return _outside(package, WRITERS, _writes_text)
+def writes_outside_writer(package=PACKAGE) -> list[str]:
+    return _outside(package, WRITERS, _writes)
 
 
 def test_every_text_input_goes_through_the_reader():
@@ -91,7 +96,7 @@ def test_every_text_input_goes_through_the_reader():
 
 
 def test_every_text_output_goes_through_the_writer():
-    assert text_writes_outside_writer() == []
+    assert writes_outside_writer() == []
 
 
 def test_guard_sees_text_reads(tmp_path):
@@ -118,13 +123,18 @@ def test_guard_sees_text_writes(tmp_path):
         "    open(p, 'r+')\n"
         "    p.write_text('x')\n"
         "    json.dump({}, fh)\n"
-        "    open(p, 'wb'), p.write_bytes(b''), open(p), json.dumps({}), fh.write('x')\n"
+        "    open(p, 'wb')\n"
+        "    open(p, mode='ab')\n"
+        "    p.open('xb')\n"
+        "    open(p, 'rb+')\n"
+        "    p.write_bytes(b'')\n"
+        "    open(p), open(p, 'rb'), p.open('rb'), json.dumps({}), fh.write('x')\n"
         "class C:\n"
         "    def write(self, p):\n"
         "        open(p, 'w')\n",
         "utf-8",
     )
-    assert text_writes_outside_writer(tmp_path) == [f"mod.f:{n}" for n in range(3, 9)] + ["mod.C.write:12"]
+    assert writes_outside_writer(tmp_path) == [f"mod.f:{n}" for n in range(3, 14)] + ["mod.C.write:17"]
 
 
 def test_write_lines_writes_utf8_lines(tmp_path):
@@ -163,9 +173,48 @@ def test_write_files_writes_all_or_nothing(tmp_path, existing):
         with pytest.raises((FormatError, OSError)):
             write_files([(first, ["new"]), bad])
         assert (first.read_bytes() if first.exists() else None) == existing
-        assert not second.exists()
+        assert os.listdir(tmp_path) == (["first.txt"] if existing else [])  # no temp file
     write_files([(first, ["a"]), (second, ["b", "c"])])
     assert (first.read_bytes(), second.read_bytes()) == (b"a\n", b"b\nc\n")
+
+
+def test_replacing_keeps_the_target_until_every_handle_is_written(tmp_path):
+    target = tmp_path / "t.bin"
+    target.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with replacing([target]) as (fh,):
+            fh.write(b"new" * 10000)
+            raise RuntimeError("failed while writing")
+    assert target.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["t.bin"]
+    longest = tmp_path / ("u" * 255)  # the longest name a file can have
+    with replacing([target, longest]) as (fh, gh):
+        fh.write(b"new")
+        gh.write(b"")
+    assert (target.read_bytes(), longest.read_bytes()) == (b"new", b"")
+    assert sorted(os.listdir(tmp_path)) == ["t.bin", longest.name]
+
+
+def test_replacing_writes_through_symlinks_with_default_permissions(tmp_path):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_bytes(b"old\n")
+    real.chmod(0o600)
+    link.symlink_to(real.name)
+    write_lines(link, ["new"])
+    assert link.is_symlink() and real.read_bytes() == b"new\n"
+    plain = tmp_path / "plain.txt"
+    with open(plain, "wb"):
+        pass
+    assert stat.S_IMODE(real.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_replacing_refuses_what_is_not_a_regular_file(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for target in (fifo, tmp_path):
+        with pytest.raises(OSError, match="not a regular file"):
+            write_files([(tmp_path / "first.txt", ["a"]), (target, ["x"])])
+    assert sorted(os.listdir(tmp_path)) == ["fifo"]
 
 
 def test_lines_are_numbered_with_universal_newlines(tmp_path):
