@@ -444,15 +444,15 @@ def infer(
     model: LinkingModel,
     entities: EmbeddingTable,
     words: EmbeddingTable,
-    strategy: str = "exhaustive",
+    strategy: str = "greedy-local",
     pairwise: str = "diagonal",
 ) -> list[str]:
     """Pick one candidate per mention.
 
+    ``greedy-local`` (the default, as in ``link infer`` and the pipeline)
+    takes the per-mention local-score argmax and ignores coherence entirely;
     ``exhaustive`` maximizes the document score over the full candidate
-    product (ties resolve to the lexicographically smallest label tuple);
-    ``greedy-local`` takes the per-mention local-score argmax and ignores
-    coherence entirely.
+    product (ties resolve to the lexicographically smallest label tuple).
     """
     _check_candidates(doc)
     if strategy not in STRATEGIES:

@@ -3,31 +3,32 @@
 Configuration is a flat key=value text file with CLI overrides.  `STAGES`
 declares each stage once: its required and optional input keys, the files
 it writes under ``out`` and the configuration keys it records as its
-parameters.  An input that an earlier stage writes (`_ARTIFACTS`) is read
-from ``out`` when that stage is enabled and from its configured path
-otherwise.  Before any stage runs, every input of every enabled stage,
-required or optional, is checked, so a missing key or a path that is not a
-file ends in a `ConfigError` with nothing written.
+parameters.  A stage's runner sees only those (``params``, with the code
+fingerprint ``semlink``), never the configuration, so no value it reads can
+change without rerunning it.  An input that an earlier stage writes
+(`_ARTIFACTS`) is read from ``out`` when that stage is enabled and from its
+configured path otherwise.  Every input of every enabled stage is checked
+before any stage runs: a missing key or a path that is not a file ends in a
+`ConfigError` with nothing written.
 
 Every stage records content hashes in ``manifest.json``: its inputs by
-configuration key and its outputs by file name under ``out``, so the
-manifest does not depend on the working directory or on where ``out``
-lives, and a copied output directory is still up to date.  A rerun with
-identical inputs and parameters skips the stage.  A fingerprint of
-semlink's source files is one of every stage's parameters, so any edit to
-the code reruns all stages, and so does a manifest written before this
-layout, once.  Every output, the manifest included, replaces its old file
-only once it is whole (`_text.replacing`), so a stage that fails, on bad
-data or on a write, leaves its previous outputs and the manifest as they
-were and aborts the run with a `StageError` naming the stage.
+configuration key and its outputs by file name under ``out``, so a copied
+output directory, or a run from another working directory, is still up to
+date.  A rerun with identical inputs and parameters skips the stage; any
+edit to semlink's source changes the fingerprint and reruns every stage, as
+does a manifest of an older layout, once.  Every output, the manifest
+included, replaces its old file only once it is whole (`_text.replacing`),
+so a stage that fails, on bad data or on a write, leaves its previous
+outputs and the manifest as they were and aborts the run with a
+`StageError` naming the stage.
 
-One run does each piece of work once.  Each file is hashed at most once per
-run (a stage's outputs are hashed again when it records them); the word
-table and ``types.tsv`` are read on first use and shared by later stages;
-and ``link`` and ``eval`` use the table ``aggregate`` built in the same run
-instead of reading ``reinforced.bin`` back.  Nothing is kept from one run to
-the next.  Bad configuration values end in a `ConfigError` naming the key,
-the value and the file line or ``--set``; so does a path holding a NUL byte.
+One run does each piece of work once: each file is hashed at most once (a
+stage's outputs again when it records them), and `_RunCache` reads each
+embedding table, by (path, normalize), and ``types.tsv`` once for every
+stage.  ``aggregate`` leaves its table there, so ``link`` and ``eval`` do
+not read ``reinforced.bin`` back; ``wikitext`` is not kept, and nothing
+outlives the run.  A bad configuration value, or a path holding a NUL byte,
+ends in a `ConfigError` naming the key, the value and the line or ``--set``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import ConfigError, FormatError, SemlinkError, StageError
 
 STAGES = {
     # stage: (required inputs, optional inputs, outputs under `out`, params), in run order
-    "dict": (("seeds",), ("extensions", "remap", "words"), ("dictionary.txt", "remap.tsv"), ()),
+    "dict": (("seeds",), ("extensions", "remap", "words"), ("dictionary.txt", "remap.tsv"), ("normalize_words",)),
     "types": (("corpus", "dictionary"), ("remap",), ("types.tsv",), ("cap",)),
     "semantic": (("words", "types_file"), (), ("semantic.bin",), ("T", "alpha", "normalize_words")),
     "aggregate": (("words", "wikitext", "types_file"), (), ("reinforced.bin",), ("T", "alpha", "normalize_words")),
@@ -275,7 +276,7 @@ class _Manifest:
         if not isinstance(recorded, dict) or sorted(recorded) != sorted(outputs):
             return False
         paths = {self.path.parent / name: digest for name, digest in recorded.items()}
-        return all(p.exists() and self.digest(p) == digest for p, digest in paths.items())
+        return all(p.is_file() and self.digest(p) == digest for p, digest in paths.items())
 
     def record(self, stage: str, inputs: dict[str, str], params: dict, outputs: tuple[str, ...]) -> None:
         paths = [self.path.parent / name for name in outputs]
@@ -289,93 +290,92 @@ class _Manifest:
         self.write()
 
 
+class _RunCache:
+    """One run's shared reads: embedding tables by (path, normalize), type assignments by path."""
+
+    def __init__(self):
+        self.tables: dict = {}
+        self.assignments = functools.cache(type_extraction.read_assignments)
+
+    def table(self, path: Path, normalize: bool = False) -> embed_io.EmbeddingTable:
+        if (path, normalize) not in self.tables:
+            self.tables[path, normalize] = embed_io.load_table(path, normalize=normalize)
+        return self.tables[path, normalize]
+
+
+def _docs(path: Path, window: int) -> list:
+    if path.suffix.lower() in (".tsv", ".conll"):
+        return linking_core.load_aida_tsv(path, window=window)
+    return linking_core.load_linking_jsonl(path)
+
+
+# runner(shared, inputs, params, targets): `params` holds exactly what the stage records
+def _stage_dict(shared, inputs, params, targets):
+    vocab = set(shared.table(inputs["words"], params["normalize_words"]).labels) if "words" in inputs else None
+    d = type_dictionary.build_dictionary(
+        None, inputs["seeds"], inputs.get("extensions"), inputs.get("remap"), embedding_vocab=vocab
+    )
+    d.save(targets[0], targets[1])
+
+
+def _stage_types(shared, inputs, params, targets):
+    d = type_dictionary.SemanticTypeDictionary.load(inputs["dictionary"], inputs.get("remap"))
+    articles = type_extraction.read_article_corpus(inputs["corpus"])
+    assignments = type_extraction.extract_corpus(articles, d, cap=params["cap"])
+    type_extraction.write_assignments(assignments, targets[0])
+
+
+def _stage_semantic(shared, inputs, params, targets):
+    words = shared.table(inputs["words"], params["normalize_words"])
+    table = semantic_aggregation.semantic_table(shared.assignments(inputs["types_file"]), words, params["T"])
+    embed_io.save_binary(table, targets[0])
+
+
+def _stage_aggregate(shared, inputs, params, targets):
+    wikitext = embed_io.load_table(inputs["wikitext"])  # not cached: freed when the stage returns
+    cfg = semantic_aggregation.AggregationConfig(T=params["T"], alpha=params["alpha"])
+    words = shared.table(inputs["words"], params["normalize_words"])
+    table = semantic_aggregation.aggregate_table(wikitext, shared.assignments(inputs["types_file"]), words, cfg)
+    embed_io.save_binary(table, targets[0])
+    shared.tables[targets[0], False] = table  # link and eval use it without reading it back
+
+
+def _stage_link(shared, inputs, params, targets):
+    words = shared.table(inputs["words"], params["normalize_words"])
+    entities = shared.table(inputs["reinforced"])
+    train_docs = _docs(inputs["train"], params["window"])
+    dev_docs = _docs(inputs["dev"], params["window"]) if "dev" in inputs else None
+    cfg = linking_core.TrainConfig(
+        margin=params["margin"], lr=params["lr"], epochs=params["epochs"], seed=params["seed"]
+    )
+    result = linking_core.train(train_docs, entities, words, cfg, dev_docs=dev_docs)
+    write_files([(targets[0], result.model.lines()), (targets[1], json_lines(result.trace()))])
+
+
+def _stage_eval(shared, inputs, params, targets):
+    words = shared.table(inputs["words"], params["normalize_words"])
+    entities = shared.table(inputs["reinforced"])
+    model = linking_core.LinkingModel.load(inputs["model"])
+    docs = _docs(inputs["eval"], params["window"])
+    predictions = {
+        doc.doc_id: linking_core.infer(doc, model, entities, words, strategy=params["strategy"]) for doc in docs
+    }
+    report = evaluation.micro_f1(predictions, evaluation.gold_map(docs))
+    write_files([(targets[0], json_lines(report.to_dict())), (targets[1], evaluation.eval_report_tsv(report))])
+
+
+_RUNNERS = {"dict": _stage_dict, "types": _stage_types, "semantic": _stage_semantic,
+            "aggregate": _stage_aggregate, "link": _stage_link, "eval": _stage_eval}
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     """Execute enabled stages in order; returns stage -> done|skipped."""
     config.validate()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out / "manifest.json")
+    shared = _RunCache()
     status: dict[str, str] = {}
-
-    # each is loaded on first use and shared by every later stage of this run
-    @functools.cache
-    def _load_words():
-        return embed_io.load_table(config.words, normalize=config.normalize_words)
-
-    @functools.cache
-    def _load_assignments(path):
-        return type_extraction.read_assignments(path)
-
-    reinforced = None  # the table aggregate built, when it ran in this run
-
-    def _load_reinforced(path):
-        nonlocal reinforced
-        if reinforced is None:
-            reinforced = embed_io.load_table(path)
-        return reinforced
-
-    def _load_docs(path):
-        if Path(path).suffix.lower() in (".tsv", ".conll"):
-            return linking_core.load_aida_tsv(path, window=config.window)
-        return linking_core.load_linking_jsonl(path)
-
-    def _stage_dict(inputs, targets):
-        vocab = set(_load_words().labels) if "words" in inputs else None
-        d = type_dictionary.build_dictionary(
-            None, inputs["seeds"], inputs.get("extensions"), inputs.get("remap"), embedding_vocab=vocab
-        )
-        d.save(targets[0], targets[1])
-
-    def _stage_types(inputs, targets):
-        d = type_dictionary.SemanticTypeDictionary.load(inputs["dictionary"], inputs.get("remap"))
-        articles = type_extraction.read_article_corpus(inputs["corpus"])
-        assignments = type_extraction.extract_corpus(articles, d, cap=config.cap)
-        type_extraction.write_assignments(assignments, targets[0])
-
-    def _stage_semantic(inputs, targets):
-        assignments = _load_assignments(inputs["types_file"])
-        table = semantic_aggregation.semantic_table(assignments, _load_words(), config.T)
-        embed_io.save_binary(table, targets[0])
-
-    def _stage_aggregate(inputs, targets):
-        nonlocal reinforced
-        wikitext = embed_io.load_table(inputs["wikitext"])
-        cfg = semantic_aggregation.AggregationConfig(T=config.T, alpha=config.alpha)
-        assignments = _load_assignments(inputs["types_file"])
-        table = semantic_aggregation.aggregate_table(wikitext, assignments, _load_words(), cfg)
-        embed_io.save_binary(table, targets[0])
-        reinforced = table
-
-    def _stage_link(inputs, targets):
-        words = _load_words()
-        entities = _load_reinforced(inputs["reinforced"])
-        train_docs = _load_docs(inputs["train"])
-        dev_docs = _load_docs(inputs["dev"]) if "dev" in inputs else None
-        cfg = linking_core.TrainConfig(
-            margin=config.margin, lr=config.lr, epochs=config.epochs, seed=config.seed
-        )
-        result = linking_core.train(train_docs, entities, words, cfg, dev_docs=dev_docs)
-        write_files([(targets[0], result.model.lines()), (targets[1], json_lines(result.trace()))])
-
-    def _stage_eval(inputs, targets):
-        words = _load_words()
-        entities = _load_reinforced(inputs["reinforced"])
-        model = linking_core.LinkingModel.load(inputs["model"])
-        docs = _load_docs(inputs["eval"])
-        predictions = {
-            doc.doc_id: linking_core.infer(
-                doc, model, entities, words, strategy=config.strategy
-            )
-            for doc in docs
-        }
-        gold = evaluation.gold_map(docs)
-        report = evaluation.micro_f1(predictions, gold)
-        write_files([(targets[0], json_lines(report.to_dict())), (targets[1], evaluation.eval_report_tsv(report))])
-
-    runners = {
-        "dict": _stage_dict, "types": _stage_types, "semantic": _stage_semantic,
-        "aggregate": _stage_aggregate, "link": _stage_link, "eval": _stage_eval,
-    }
     for stage in config.stages:
         _, _, outputs, param_keys = STAGES[stage]
         inputs = config.inputs(stage)
@@ -386,7 +386,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             status[stage] = "skipped"
             continue
         try:
-            runners[stage](inputs, [out / name for name in outputs])
+            _RUNNERS[stage](shared, inputs, params, [out / name for name in outputs])
         except (SemlinkError, OSError) as e:
             raise StageError(stage, e) from e
         manifest.record(stage, input_hashes, params, outputs)

@@ -267,3 +267,24 @@ def test_damaged_input_ends_in_an_error_and_leaves_outputs(inputs, command, data
             got = read_outputs(command, out)
             assert all(got[name] == OLD for name in kept_outputs(command, err)), err
         assert sorted(os.listdir(out)) == sorted(COMMANDS[command][1])
+
+
+def test_failing_property_prints_its_example(tmp_path):
+    """The suite's warning filters (``pyproject.toml``) let hypothesis report a
+    failing example instead of ending in an internal error."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n",
+        "utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(SRC.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output, output

@@ -1,6 +1,7 @@
 """Staged pipeline runs, manifest idempotence, and the CLI surface."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from semlink.errors import ConfigError, StageError
 from semlink.evaluation import convergence_experiment
 from semlink.fixtures import FixtureSizes, make_fixtures
 from semlink.linking_core import (
-    LinkingDocument, LinkingModel, Mention, TrainConfig, load_linking_jsonl, save_linking_jsonl, train,
+    LinkingDocument, LinkingModel, Mention, TrainConfig, infer, load_linking_jsonl, save_linking_jsonl, train,
 )
 from semlink.pipeline import PipelineConfig, run_pipeline
 from semlink.semantic_aggregation import AggregationConfig, aggregate_table
@@ -432,6 +433,40 @@ class TestPipeline:
         fresh_cfg = write_config(tmp_path / "fresh.cfg", paths, fresh, extra=extra)
         run_pipeline(PipelineConfig.from_file(fresh_cfg, {"normalize_words": "1"}))
         assert (out / "eval.json").read_bytes() == (fresh / "eval.json").read_bytes()
+
+    def test_normalize_words_switch_reruns_every_stage_reading_words(self, fixture_dir, tmp_path, monkeypatch):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out)
+        run_pipeline(PipelineConfig.from_file(cfg_path, {"normalize_words": "0"}))
+        dictionary = (out / "dictionary.txt").read_bytes()
+        loaded = []
+        real_load = pipeline.embed_io.load_table
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(str(path))
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline.embed_io, "load_table", counting_load)
+        status = run_pipeline(PipelineConfig.from_file(cfg_path, {"normalize_words": "1"}))
+        assert status == {s: "skipped" if s == "types" else "done" for s in pipeline.STAGE_ORDER}
+        assert (out / "dictionary.txt").read_bytes() == dictionary
+        assert loaded.count(str(paths["words"])) == 1
+
+    def test_output_replaced_by_directory_names_its_stage(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out)
+        main(["pipeline", "run", "--config", str(cfg_path)])
+        (out / "types.tsv").unlink()
+        (out / "types.tsv").mkdir()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            main(["pipeline", "run", "--config", str(cfg_path)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "stage 'types' failed" in err and "not a regular file" in err, err
+        assert (out / "types.tsv").is_dir()
 
     def test_readme_stage_table_matches_stages(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
@@ -1194,3 +1229,4 @@ def test_link_infer_defaults_to_greedy_local(fixture_dir, tmp_path):
               "--out", str(pred)])
         preds[strategy] = pred.read_bytes()
     assert preds[None] == preds["greedy-local"] != preds["exhaustive"]
+    assert inspect.signature(infer).parameters["strategy"].default == "greedy-local"
