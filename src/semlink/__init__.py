@@ -10,7 +10,7 @@ pipeline plus CLI (`pipeline`, `cli`).
 
 __version__ = "0.1.0"
 
-from .embed_io import EmbeddingTable, VectorRef, load_binary, load_text, save_binary, save_text
+from .embed_io import EmbeddingTable, load_binary, load_text, save_binary, save_text
 from .semantic_aggregation import AggregationConfig, aggregate, aggregate_table, cosine, semantic_embedding
 from .type_dictionary import SemanticTypeDictionary, apply_remap, build_dictionary, expand_seeds, mine_noun_frequency
 from .type_extraction import ArticleRecord, EntityTypeAssignment, extract_corpus, extract_types
@@ -21,7 +21,6 @@ __all__ = [
     "EmbeddingTable",
     "EntityTypeAssignment",
     "SemanticTypeDictionary",
-    "VectorRef",
     "aggregate",
     "aggregate_table",
     "apply_remap",

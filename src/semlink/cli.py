@@ -69,7 +69,7 @@ def dict_expand(seeds, embeddings, corpus, k, out_path):
             w for w, _c, _l in type_dictionary._read_word_lines(seeds[1:])
         ]
     else:
-        seed_list = [s.strip() for s in seeds.split(",") if s.strip()]
+        seed_list = [w for w in map(type_dictionary.normalize_type_word, seeds.split(",")) if w]
     table = embed_io.load_table(embeddings)
     members = type_dictionary.words_in_corpus(type_extraction.read_article_corpus(corpus))
     expansions = type_dictionary.expand_seeds(seed_list, members, table, k=k)
@@ -265,14 +265,22 @@ def link_score(docs_path, entities, words, model_path, assignments_path):
 
 
 def _read_assignment_tsv(path) -> dict[str, list[str]]:
+    """Labels per document in index order; each document's k indices must be
+    0..k-1, each once."""
     out: dict[str, list] = {}
     for line_no, line in read_lines(path):
         doc_id, idx, label = tsv_fields(line, 3, path, line_no)
         try:
-            out.setdefault(doc_id, []).append((int(idx), label))
+            out.setdefault(doc_id, []).append((int(idx), line_no, label))
         except ValueError:
             raise FormatError(f"mention index {idx!r} is not an integer", path=path, line=line_no) from None
-    return {doc: [label for _i, label in sorted(items)] for doc, items in out.items()}
+    for doc_id, items in out.items():
+        items.sort()
+        for expected, (idx, line_no, _label) in enumerate(items):
+            if idx != expected:
+                raise FormatError(f"mention index {idx} of {doc_id!r} where {expected} belongs: "
+                                  f"a document's indices are 0..{len(items) - 1}, each once", path=path, line=line_no)
+    return {doc: [label for _i, _line, label in items] for doc, items in out.items()}
 
 
 # ----------------------------------------------------------------- eval ---

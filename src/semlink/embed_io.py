@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,13 +58,6 @@ _F32 = np.dtype("<f4")
 BLOCK_ROWS = 512
 # bytes per read of a binary table
 _CHUNK = 1 << 20
-
-
-class VectorRef(NamedTuple):
-    """A labelled, read-only view into an embedding table row."""
-
-    label: str
-    values: np.ndarray
 
 
 class EmbeddingTable:
@@ -143,12 +136,6 @@ class EmbeddingTable:
             return self._index[label]
         except KeyError:
             raise MissingLabelError(f"label {label!r} not in table") from None
-
-    def lookup(self, label: str) -> Optional[VectorRef]:
-        i = self._index.get(label)
-        if i is None:
-            return None
-        return VectorRef(label, self.matrix[i])
 
     def vector(self, label: str) -> np.ndarray:
         """Row for ``label``; raises MissingLabelError when absent."""

@@ -255,7 +255,7 @@ def convergence_experiment(
     call with that table and seed.  Censored runs (threshold never reached)
     enter the mean at the epoch budget, which only understates any
     speed-up.  With two or more seeds, a set whose seeds all reach theta in
-    the same epoch draws a warning: a seed only reorders the shuffle, so
+    the same epoch draws a warning: a seed only reorders the SGD steps, so
     that agreement says nothing about run-to-run variance.
     """
     if not seeds:
@@ -270,7 +270,7 @@ def convergence_experiment(
         if len(seeds) > 1 and None not in reached and len(set(reached)) == 1:
             warnings.warn(
                 f"all {len(seeds)} seeds of {name!r} reach theta={theta} at epoch "
-                f"{reached[0]}: the seeds only reorder the shuffle, and the spread is 0 "
+                f"{reached[0]}: the seeds only reorder the SGD steps, and the spread is 0 "
                 "because the runs do not differ, not because the estimate is precise"
             )
         effective = [train_config.epochs if e is None else e for e in reached]

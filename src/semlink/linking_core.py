@@ -61,7 +61,9 @@ chain as a per-token loop, bit for bit.  ``_pack_candidates`` fills its
 (N, M, d) block with one ``embed_io.padded_rows`` gather, and
 ``_build_instances`` gathers every gold and negative the same way.
 Training, dev packing and both inference strategies go through these
-functions, and ``context_feature`` is the one-mention case of ``_features``.
+functions, and ``context_feature`` is the one-mention case of ``_features``,
+its (d,) row.  Features, like every vector the scorer takes or returns, are
+plain arrays; ``document_score`` takes them as (d,) rows or one (n, d) array.
 
 Exhaustive inference packs the document the same way and scores every
 assignment at once: with V_i the sorted candidate vectors of mention i, it
@@ -215,32 +217,17 @@ class LinkingModel:
             raise type(e)(str(e), path=path) from None
 
 
-@dataclass
-class ContextFeature:
-    """Mean word vector of the context window; zero when fully OOV."""
-
-    vector: np.ndarray
-    oov_count: int = 0
-
-
-def context_feature(mention: Mention, words: EmbeddingTable) -> ContextFeature:
-    """Average the embeddings of in-vocabulary window tokens: `_features` of
-    one mention, with the count of tokens not in ``words``."""
-    oov = sum(token not in words for token in mention.context)
-    return ContextFeature(_features([mention], words)[0], oov_count=oov)
-
-
-def _feature_vector(f) -> np.ndarray:
-    if isinstance(f, ContextFeature):
-        return f.vector
-    return np.asarray(f, dtype=np.float64)
+def context_feature(mention: Mention, words: EmbeddingTable) -> np.ndarray:
+    """The (d,) float64 mean of the in-vocabulary window tokens' vectors, zero
+    when none is in ``words``: `_features` of one mention."""
+    return _features([mention], words)[0]
 
 
 def local_score(entity_vec, B, f) -> float:
     """sum_j e[j] * B[j] * f[j]."""
     e = np.asarray(entity_vec, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    fv = _feature_vector(f)
+    fv = np.asarray(f, dtype=np.float64)
     if not (e.shape == B.shape == fv.shape):
         raise DimensionError(f"shape mismatch: e{e.shape} B{B.shape} f{fv.shape}")
     return float(np.dot(e * B, fv))
@@ -300,10 +287,11 @@ def document_score(
     model: LinkingModel,
     entities: EmbeddingTable,
     words: EmbeddingTable,
-    features: Optional[list[ContextFeature]] = None,
+    features: Optional[Sequence[np.ndarray]] = None,
     pairwise: str = "diagonal",
 ) -> float:
-    """Sum of local scores plus pairwise scores over unordered mention pairs."""
+    """Sum of local scores plus pairwise scores over unordered mention pairs;
+    ``features`` are the mentions' context features, (d,) rows or one (n, d) array."""
     n = len(doc.mentions)
     if len(assignment) != n:
         raise InvalidDocumentError(
@@ -313,7 +301,7 @@ def document_score(
         raise ValueError(f"unknown pairwise mode {pairwise!r}")
     if pairwise == "relations" and model.K < 1:
         raise RelationArityError("model has no relations")
-    feats = features or _features(doc.mentions, words)
+    feats = _features(doc.mentions, words) if features is None else features
     vecs = [_entity_vector(entities, label) for label in assignment]
     total = 0.0
     for vec, feat in zip(vecs, feats):
@@ -479,7 +467,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     train_pairwise: bool = False
-    shuffle: bool = True
 
     def __post_init__(self):
         for key, value in (("margin", self.margin), ("lr", self.lr)):
@@ -752,8 +739,8 @@ def train_runs(
     """Train one model per (entity table, seed), all runs in lockstep.
 
     SGD on the per-mention margin loss against all non-gold candidates.
-    Each run visits the instances one at a time in the order its seed
-    shuffles them (``config.seed`` is not used); each step scores all of
+    Each run visits the instances one at a time, in an order its seed draws
+    afresh each epoch (``config.seed`` is not used); each step scores all of
     an instance's negatives at once and applies the summed subgradient of
     its active hinges.  The loss trace holds the full-batch loss evaluated
     after each epoch; the dev trace holds greedy-local dev micro-F1 at the
@@ -803,10 +790,7 @@ def train_runs(
     # per run: (loss, dev F1) before training, then after each epoch
     history = [[evaluate(r)] for r in range(R)]
     for _epoch in range(config.epochs):
-        if config.shuffle:
-            order = np.stack([rng.permutation(N) for rng in rngs] * len(tables))
-        else:
-            order = np.broadcast_to(np.arange(N), (R, N))
+        order = np.stack([rng.permutation(N) for rng in rngs] * len(tables))
         sgd.epoch(order + offsets, B, C)
         for r in range(R):
             history[r].append(evaluate(r))
@@ -854,7 +838,8 @@ def save_linking_jsonl(docs: Iterable[LinkingDocument], path) -> None:
 
 
 def load_linking_jsonl(path) -> list[LinkingDocument]:
-    docs: list[LinkingDocument] = []
+    """One document per line; a repeated ``doc_id`` is a `FormatError`."""
+    docs: dict[str, LinkingDocument] = {}
     for line_no, line in read_lines(path):
         line = line.strip()
         if not line:
@@ -864,12 +849,15 @@ def load_linking_jsonl(path) -> list[LinkingDocument]:
         except json.JSONDecodeError:
             raise FormatError("invalid JSON", path=path, line=line_no) from None
         try:
-            docs.append(_document_from(record))
+            doc = _document_from(record)
         except KeyError as e:
             raise FormatError(f"missing field {e}", path=path, line=line_no) from None
         except FormatError as e:
             raise FormatError(str(e), path=path, line=line_no) from None
-    return docs
+        if doc.doc_id in docs:
+            raise FormatError(f"repeated doc_id {doc.doc_id!r}", path=path, line=line_no)
+        docs[doc.doc_id] = doc
+    return list(docs.values())
 
 
 _JSON_NAMES = {
@@ -946,12 +934,13 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
     line ``<token>\\tB\\t<surface>\\t<gold>\\t<cand1,cand2,...>`` with ``I``
     lines continuing a mention.  Context windows take ``window`` tokens from
     each side of the mention, excluding the mention itself.  A gold of
-    ``--NME--`` becomes None (out-of-KB).  A negative ``window`` is a `ConfigError`.
+    ``--NME--`` becomes None (out-of-KB).  A negative ``window`` is a `ConfigError`;
+    a repeated doc id is a `FormatError` naming its ``-DOCSTART-`` line.
     """
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
-    docs: list[LinkingDocument] = []
-    doc_id = None
+    docs: dict[str, LinkingDocument] = {}
+    doc_id = doc_line = None
     tokens: list[str] = []
     spans: list[tuple[int, int, str, Optional[str], list[str]]] = []
 
@@ -967,7 +956,9 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
                 Mention(surface=surface, context=left + right, candidates=cands, gold=gold)
             )
         if mentions:
-            docs.append(LinkingDocument(doc_id, mentions))
+            if doc_id in docs:
+                raise FormatError(f"repeated doc_id {doc_id!r}", path=path, line=doc_line)
+            docs[doc_id] = LinkingDocument(doc_id, mentions)
         tokens, spans = [], []
 
     for line_no, line in read_lines(path):
@@ -976,6 +967,7 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
         if line.startswith("-DOCSTART-"):
             _flush()
             doc_id = line[len("-DOCSTART-") :].strip().strip("()") or f"doc{len(docs)}"
+            doc_line = line_no
             continue
         if doc_id is None:
             raise FormatError("token line before any -DOCSTART-", path=path, line=line_no)
@@ -997,4 +989,4 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
         cands = [_strip_prior(c) for c in parts[4].split(",") if c]
         spans.append((len(tokens) - 1, len(tokens), parts[2], gold, cands))
     _flush()
-    return docs
+    return list(docs.values())

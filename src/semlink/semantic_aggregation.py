@@ -9,7 +9,9 @@ embedding is the weighted sum
 
 where ``alpha`` trades heterogeneity of the base vectors against homogeneity
 of the type-driven ones.  Accumulation happens in float64 in extraction
-order; table storage stays float32.
+order; table storage stays float32.  Vectors are plain arrays: `aggregate`
+and `cosine` take array-likes, such as the rows `EmbeddingTable.vector`
+returns, and work in float64.
 
 Whole tables go through `semantic_means`, which maps each entity's type
 words to word-table rows and takes their means with `embed_io.row_means`;
@@ -28,7 +30,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .embed_io import EmbeddingTable, VectorRef, row_means, top_k
+from .embed_io import EmbeddingTable, row_means, top_k
 from .errors import ConfigError, DimensionError, MissingWordVectorError
 from .type_extraction import EntityTypeAssignment
 
@@ -78,27 +80,20 @@ def semantic_embedding(
         )
     acc = np.zeros(words.dim, dtype=np.float64)
     for word in used:
-        ref = words.lookup(word)
-        if ref is None:
+        if word not in words:
             raise MissingWordVectorError(
                 f"no vector for type word {word!r} of entity {assignment.entity_id!r}"
             )
-        acc += ref.values.astype(np.float64)
+        acc += words.vector(word).astype(np.float64)
     return SemanticEmbeddingResult(assignment.entity_id, used, acc / len(used))
-
-
-def _as_array(v) -> np.ndarray:
-    if isinstance(v, VectorRef):
-        v = v.values
-    return np.asarray(v, dtype=np.float64)
 
 
 def aggregate(wikitext, semantic, alpha: float) -> np.ndarray:
     """Componentwise (1 - alpha) * base + alpha * semantic, in float64."""
     if not 0.0 <= float(alpha) <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    base = _as_array(wikitext)
-    sem = _as_array(semantic)
+    base = np.asarray(wikitext, dtype=np.float64)
+    sem = np.asarray(semantic, dtype=np.float64)
     if base.shape != sem.shape:
         raise DimensionError(f"dimension mismatch: {base.shape} vs {sem.shape}")
     return (1.0 - alpha) * base + alpha * sem
@@ -174,8 +169,8 @@ def aggregate_table(
 
 def cosine(u, v) -> float:
     """Cosine similarity; zero vectors yield 0 by convention."""
-    u = _as_array(u)
-    v = _as_array(v)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionError(f"dimension mismatch: {u.shape} vs {v.shape}")
     nu = np.linalg.norm(u)

@@ -169,32 +169,23 @@ def apply_remap(dictionary: SemanticTypeDictionary, word: str) -> str:
     return dictionary.remap.get(word, word)
 
 
-def _iter_first_sentences(corpus):
-    for item in corpus:
-        if hasattr(item, "first_sentence"):
-            yield item.entity_id, item.first_sentence
-        else:
-            entity_id, sentence = item
-            yield entity_id, sentence
-
-
 def mine_noun_frequency(
     corpus,
     tagger: Optional[Callable[[str], bool]] = None,
 ) -> NounFrequencyReport:
     """Count noun tokens (lowercased) over the first sentence of each article.
 
-    ``corpus`` yields (entity_id, first_sentence) pairs or article records
-    exposing those attributes.  Every token is counted first and ``tagger``
-    is then called once per distinct token, so it must judge a token alone,
-    without its sentence.  Nouns keep the order of their first occurrence.
+    ``corpus`` yields `type_extraction.ArticleRecord`s.  Every token is
+    counted first and ``tagger`` is then called once per distinct token, so
+    it must judge a token alone, without its sentence.  Nouns keep the order
+    of their first occurrence.
     """
     tagger = tagger or default_noun_predicate
     counts: Counter = Counter()
     total = 0
-    for _entity_id, sentence in _iter_first_sentences(corpus):
+    for article in corpus:
         total += 1
-        counts.update(tokenize(sentence))
+        counts.update(tokenize(article.first_sentence))
     return NounFrequencyReport({t: c for t, c in counts.items() if tagger(t)}, total)
 
 
@@ -285,8 +276,8 @@ def build_dictionary(
     if frequent_nouns is not None and frequent_nouns.counts:
         missing = sorted(w for w in words if "_" not in w and w not in frequent_nouns.counts)
         if missing:
-            log.info("%d dictionary words not among mined nouns (first: %s)",
-                     len(missing), missing[:5])
+            log.warning("%d dictionary words not among mined nouns (first: %s)",
+                        len(missing), missing[:5])
 
     dictionary = SemanticTypeDictionary(words=words, remap=remap, categories=categories)
     dictionary.validate(embedding_vocab=embedding_vocab)
@@ -294,12 +285,10 @@ def build_dictionary(
 
 
 def words_in_corpus(corpus) -> set[str]:
-    """All tokens appearing in article text; the membership set for expansion."""
+    """All tokens of the `type_extraction.ArticleRecord`s' text; the membership
+    set for expansion."""
     seen: set[str] = set()
-    for item in corpus:
-        if hasattr(item, "first_sentence"):
-            seen.update(tokenize(item.first_sentence))
-            seen.update(tokenize(getattr(item, "body", "") or ""))
-        else:
-            seen.update(tokenize(item[1]))
+    for article in corpus:
+        seen.update(tokenize(article.first_sentence))
+        seen.update(tokenize(article.body))
     return seen

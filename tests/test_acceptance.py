@@ -314,7 +314,7 @@ def test_criterion_08_reinforced_embeddings_converge_faster():
     )
     seeds = [1, 2, 3, 4, 5]
     # every seed of this fixture reaches theta in the same epoch, which warns
-    with pytest.warns(UserWarning, match="seeds only reorder the shuffle"):
+    with pytest.warns(UserWarning, match="seeds only reorder the SGD steps"):
         report = convergence_experiment(
             bundle.train_docs,
             bundle.dev_docs,

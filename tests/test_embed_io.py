@@ -14,7 +14,6 @@ from semlink import embed_io
 from semlink.embed_io import (
     BLOCK_ROWS,
     EmbeddingTable,
-    VectorRef,
     load_binary,
     load_text,
     save_binary,
@@ -248,10 +247,9 @@ class TestText:
 class TestLookup:
     def test_hit_and_miss(self):
         table = EmbeddingTable.from_pairs([("a", [1.0])])
-        ref = table.lookup("a")
-        assert isinstance(ref, VectorRef)
-        np.testing.assert_array_equal(ref.values, np.float32([1.0]))
-        assert table.lookup("b") is None
+        assert "a" in table
+        np.testing.assert_array_equal(table.vector("a"), np.float32([1.0]))
+        assert "b" not in table
 
     def test_lookup_matches_raw_bytes(self, tmp_path, rng):
         values = {f"w{i}": rng.standard_normal(3).astype(np.float32) for i in range(10)}
@@ -265,7 +263,7 @@ class TestLookup:
         for label, _vals in entries:
             offset += len(label.encode()) + 1
             expected = np.frombuffer(body, dtype="<f4", count=3, offset=offset)
-            np.testing.assert_array_equal(table.lookup(label).values, expected)
+            np.testing.assert_array_equal(table.vector(label), expected)
             offset += 12
 
     def test_lookup_independent_of_insertion_order(self, rng):

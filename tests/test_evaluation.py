@@ -251,7 +251,7 @@ class TestConvergenceExperiment:
         assert len(messages) == 2
         for name, epoch, message in zip(("baseline", "reinforced"), (30, 8), messages):
             assert f"all 5 seeds of {name!r}" in message and f"epoch {epoch}:" in message
-            assert "only reorder the shuffle" in message
+            assert "only reorder the SGD steps" in message
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             convergence_experiment(*args, [1], theta=0.95)

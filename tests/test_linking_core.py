@@ -20,7 +20,6 @@ from semlink.errors import (
     RelationArityError,
 )
 from semlink.linking_core import (
-    ContextFeature,
     LinkingDocument,
     LinkingModel,
     Mention,
@@ -55,14 +54,13 @@ class TestContextFeature:
     def test_single_known_word(self):
         words = table_from({"w": [1.0, -2.0]})
         f = context_feature(Mention("m", context=["w"]), words)
-        np.testing.assert_array_equal(f.vector, [1.0, -2.0])
-        assert f.oov_count == 0
+        assert f.dtype == np.float64
+        np.testing.assert_array_equal(f, [1.0, -2.0])
 
     def test_all_oov_window(self):
         words = table_from({"w": [1.0, -2.0]})
         f = context_feature(Mention("m", context=["x", "y", "z"]), words)
-        np.testing.assert_array_equal(f.vector, [0.0, 0.0])
-        assert f.oov_count == 3
+        np.testing.assert_array_equal(f, [0.0, 0.0])
 
     def test_mean_matches_oracle(self, rng):
         labels = [f"w{i}" for i in range(10)]
@@ -70,8 +68,7 @@ class TestContextFeature:
         window = labels[2:9] + ["oov1", "oov2"]
         f = context_feature(Mention("m", context=window), words)
         oracle = np.mean([words.vector(l).astype(np.float64) for l in labels[2:9]], axis=0)
-        np.testing.assert_allclose(f.vector, oracle, atol=1e-7)
-        assert f.oov_count == 2
+        np.testing.assert_allclose(f, oracle, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +81,9 @@ def per_token_feature(mention, words):
     acc = np.zeros(words.dim, dtype=np.float64)
     found = 0
     for token in mention.context:
-        ref = words.lookup(token)
-        if ref is None:
+        if token not in words:
             continue
-        acc += ref.values.astype(np.float64)
+        acc += words.vector(token).astype(np.float64)
         found += 1
     return acc / found if found else acc
 
@@ -151,9 +147,8 @@ def test_batched_gathers_equal_per_token_and_per_mention_loops(world):
         want[n] = per_token_feature(m, words)
     assert features.tobytes() == want.tobytes()
     assert block.features.tobytes() == want.tobytes()
-    for f, w, m in zip(singles, want, mentions):
-        assert f.vector.tobytes() == w.tobytes()
-        assert f.oov_count == sum(t not in words for t in m.context)
+    for f, w in zip(singles, want):
+        assert f.tobytes() == w.tobytes()
     vectors, mask = per_mention_candidates(mentions, entities)
     assert block.vectors.shape == vectors.shape
     assert block.vectors.tobytes() == vectors.tobytes()
@@ -167,7 +162,7 @@ def test_features_add_context_rows_in_sequence():
     words = table_from({"big": [2.0**53], "one": [1.0]})
     mention = Mention("m", ["big", "one", "one"])
     assert _features([mention], words).tobytes() == per_token_feature(mention, words).tobytes()
-    assert context_feature(mention, words).vector[0] == 2.0**53 / 3
+    assert context_feature(mention, words)[0] == 2.0**53 / 3
 
 
 def test_long_contexts_add_rows_in_sequence(rng):
@@ -282,7 +277,7 @@ class TestLocalScore:
             local_score([1.0], [1.0, 2.0], [1.0])
 
     def test_accepts_context_feature(self):
-        f = ContextFeature(np.array([1.0, 1.0]))
+        f = context_feature(Mention("m", context=["w", "w"]), table_from({"w": [1.0, 1.0]}))
         assert local_score([1.0, 2.0], [1.0, 1.0], f) == pytest.approx(3.0)
 
 
@@ -428,6 +423,16 @@ class TestDocumentScore:
             )
             got = document_score(list(choice), doc, model, entities, words)
             assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_features_as_none_rows_or_one_array(self, rng):
+        entities, words, labels, wlabels = toy_world(rng)
+        doc = random_doc(rng, labels, wlabels, 3, 2)
+        model = LinkingModel(4, rng.standard_normal(4), rng.standard_normal(4))
+        choice = [m.candidates[0] for m in doc.mentions]
+        rows = [context_feature(m, words) for m in doc.mentions]
+        scores = [document_score(choice, doc, model, entities, words, features=f)
+                  for f in (None, rows, np.stack(rows))]
+        assert scores[0] == scores[1] == scores[2]
 
     @pytest.mark.parametrize("n_mentions", [1, 2])
     def test_unknown_pairwise_mode_rejected(self, rng, n_mentions):
@@ -771,7 +776,7 @@ def _reference_instances(docs, entities, words, train_pairwise):
                 pair_ctx = np.sum(others, axis=0) / (n - 1)
             else:
                 pair_ctx = np.zeros(entities.dim)
-            out.append((context_feature(m, words).vector, golds[i], negs, pair_ctx))
+            out.append((context_feature(m, words), golds[i], negs, pair_ctx))
     return out
 
 
@@ -820,8 +825,7 @@ def reference_train(train_docs, entities, words, config, dev_docs):
     initial_dev = _reference_dev_f1(dev_docs, B, entities, words)
     losses, devs = [], []
     for _epoch in range(config.epochs):
-        order = rng.permutation(len(instances)) if config.shuffle else range(len(instances))
-        for idx in order:
+        for idx in rng.permutation(len(instances)):
             inst = instances[idx]
             feature, gold, negs, pair_ctx = inst
             s_gold = _reference_score(inst, gold, B, C, pairwise)
@@ -869,8 +873,7 @@ class TestPackedTrainingOracle:
         entities, words, labels, wlabels = toy_world(rng, n_entities=12, dim=6)
         train_docs = ragged_docs(rng, labels, wlabels, 8, "t")
         dev_docs = ragged_docs(rng, labels, wlabels, 5, "v")
-        cfg = TrainConfig(margin=1.0, lr=0.05, epochs=12, seed=world,
-                          train_pairwise=train_pairwise, shuffle=world != 3)
+        cfg = TrainConfig(margin=1.0, lr=0.05, epochs=12, seed=world, train_pairwise=train_pairwise)
         result = train(train_docs, entities, words, cfg, dev_docs=dev_docs)
         B, C, initial_loss, losses, initial_dev, devs = reference_train(
             train_docs, entities, words, cfg, dev_docs
@@ -894,7 +897,7 @@ class TestPackedTrainingOracle:
         reinforced = aggregate_table(
             bundle.wikitext, bundle.assignments, bundle.words, AggregationConfig(T=11, alpha=0.2)
         )
-        with pytest.warns(UserWarning, match="seeds only reorder the shuffle"):
+        with pytest.warns(UserWarning, match="seeds only reorder the SGD steps"):
             report = convergence_experiment(
                 bundle.train_docs, bundle.dev_docs, bundle.words, bundle.wikitext, reinforced,
                 TrainConfig(margin=1.0, lr=0.01, epochs=120), [1, 2, 3, 4, 5], theta=0.95,
@@ -917,7 +920,7 @@ def lockstep_studies(draw):
     seeds = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     config = TrainConfig(
         margin=draw(st.sampled_from([0.5, 1.0])), lr=0.05, epochs=draw(st.integers(0, 4)),
-        train_pairwise=draw(st.booleans()), shuffle=draw(st.booleans()),
+        train_pairwise=draw(st.booleans()),
     )
     return train_docs, tables, words, config, seeds, dev_docs
 
@@ -969,10 +972,7 @@ def per_step_train_runs(train_docs, tables, words, config, seeds, dev_docs):
 
     history = [[evaluate(r)] for r in range(R)]
     for _epoch in range(config.epochs):
-        if config.shuffle:
-            order = np.stack([rng.permutation(N) for rng in rngs] * len(tables))
-        else:
-            order = np.broadcast_to(np.arange(N), (R, N))
+        order = np.stack([rng.permutation(N) for rng in rngs] * len(tables))
         for rows in (order + offsets).T:
             F = FD.take(rows, axis=0)
             if PD is None:
@@ -1027,7 +1027,7 @@ def block_studies(draw):
     dev_docs = ragged_docs(rng, labels, wlabels, 3, "v") if draw(st.booleans()) else None
     config = TrainConfig(
         margin=draw(st.sampled_from([0.5, 1.0])), lr=draw(st.sampled_from([0.05, 2.0])),
-        epochs=draw(st.integers(0, 4)), train_pairwise=draw(st.booleans()), shuffle=draw(st.booleans()),
+        epochs=draw(st.integers(0, 4)), train_pairwise=draw(st.booleans()),
     )
     block = draw(st.sampled_from([1, 2, 3, linking_core._BLOCK]))
     return train_docs, tables, words, config, seeds, dev_docs, block

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -818,6 +820,92 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             main(["eval", "f1", "--docs", str(paths["eval"]), "--pred", str(pred)])
         assert e.value.code == 2
+
+    def test_repeated_jsonl_doc_id_exits_2_naming_file_and_line(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        lines = paths["eval"].read_text("utf-8").splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        docs = tmp_path / "eval.jsonl"
+        docs.write_text("\n".join([lines[0], json.dumps({**second, "doc_id": first["doc_id"]}), *lines[2:]]), "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "f1", "--docs", str(docs), "--pred", str(paths["eval"])])
+        assert e.value.code == 2
+        assert f"repeated doc_id {first['doc_id']!r} [{docs}:2]" in capsys.readouterr().err
+
+    def test_repeated_conll_doc_id_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        src, out = tmp_path / "corpus.tsv", tmp_path / "docs.jsonl"
+        doc = "-DOCSTART- (doc_a)\ncity\tB\tthe city\tCity_X\tCity_X,City_Y\n"
+        src.write_text(doc + "was\n" + doc, "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main(["link", "convert", "--in", str(src), "--out", str(out)])
+        assert e.value.code == 2
+        assert f"repeated doc_id 'doc_a' [{src}:4]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index, bad_line", [
+        (lambda i: 3 * i, 2), (lambda i: i + 10, 1), (lambda i: min(i, 1), 3),
+    ], ids=["spread", "shifted", "repeated"])
+    @pytest.mark.parametrize("command", ["eval f1", "link score"])
+    def test_prediction_indices_are_0_to_k_minus_1(self, fixture_dir, tmp_path, capsys, command, index, bad_line):
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        LinkingModel.identity(SIZES.dim).save(model)
+        docs = load_linking_jsonl(paths["eval"])
+        pred = tmp_path / "pred.tsv"
+        args = {
+            "eval f1": ["eval", "f1", "--docs", str(paths["eval"]), "--pred", str(pred)],
+            "link score": ["link", "score", "--docs", str(paths["eval"]), "--entities", str(paths["wikitext"]),
+                           "--words", str(paths["words"]), "--model", str(model), "--assignments", str(pred)],
+        }[command]
+
+        def run(index):
+            pred.write_text("".join(f"{d.doc_id}\t{index(i)}\t{m.gold}\n"
+                                    for d in docs for i, m in enumerate(d.mentions)), "utf-8")
+            main(args)
+
+        run(lambda i: i)  # the gold labels in order pass
+        if command == "eval f1":
+            assert "F1=1.0000" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as e:
+            run(index)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"of {docs[0].doc_id!r} where {bad_line - 1} belongs" in err
+        assert f"[{pred}:{bad_line}]" in err
+
+    def test_dict_expand_inline_seeds_match_seed_file(self, tmp_path):
+        table = tmp_path / "words.txt"
+        table.write_text("football 1 0\nrugby_league 0.9 0.1\nsoccer 0.8 0.3\ncricket 0 1\n", "utf-8")
+        corpus = tmp_path / "articles.tsv"
+        corpus.write_text("e1\tE1\tA football and soccer club.\ne2\tE2\tA rugby_league and cricket side.\n", "utf-8")
+        seed_file = tmp_path / "seeds.txt"
+        seed_file.write_text("Football\nrugby league\n", "utf-8")
+        outs = []
+        for n, seeds in enumerate([f"@{seed_file}", " Football, rugby  League "]):
+            outs.append(tmp_path / f"expanded{n}.tsv")
+            main(["dict", "expand", "--seeds", seeds, "--embeddings", str(table), "--corpus", str(corpus),
+                  "-k", "3", "--out", str(outs[-1])])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[1].read_text("utf-8").splitlines()[1:] == [
+            "football\trugby_league\t0.993884", "football\tsoccer\t0.936329", "football\tcricket\t0.000000",
+            "rugby_league\tfootball\t0.993884", "rugby_league\tsoccer\t0.969377", "rugby_league\tcricket\t0.110432",
+        ]
+
+    def test_dict_build_nouns_advisory_reaches_stderr(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        nouns = tmp_path / "nouns.tsv"
+        nouns.write_text("#total_sentences\t1\ntype00w0\t1\n", "utf-8")
+        seeds = paths["seeds"].read_text("utf-8").split()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from semlink.cli import main; main()", "dict", "build",
+             "--seeds", str(paths["seeds"]), "--nouns", str(nouns),
+             "--out-words", str(tmp_path / "w.txt"), "--out-remap", str(tmp_path / "r.tsv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (f"{len(seeds) - 1} dictionary words not among mined nouns "
+                               f"(first: {seeds[1:6]})\n")
 
     def test_eval_geometry_short_pair_line_exits_2(self, fixture_dir, tmp_path, capsys):
         root, paths = fixture_dir

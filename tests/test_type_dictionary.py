@@ -1,5 +1,7 @@
 """Dictionary mining, seed expansion, curated builds, and remapping."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from semlink._text import tokenize
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import FormatError, MissingSeedError, RemapTargetError
 from semlink.type_dictionary import (
+    NounFrequencyReport,
     SemanticTypeDictionary,
     apply_remap,
     build_dictionary,
@@ -15,6 +18,7 @@ from semlink.type_dictionary import (
     mine_noun_frequency,
     normalize_type_word,
 )
+from semlink.type_extraction import ArticleRecord
 
 # Hand-tallied mining fixture: 20 first sentences with an explicit noun set,
 # so the expected counts below were counted by eye, not computed.
@@ -24,7 +28,7 @@ NOUNS = {
     "physicist", "politician", "church", "league", "season", "award",
 }
 
-SENTENCES = [
+SENTENCES = [ArticleRecord(entity_id, first_sentence=sentence) for entity_id, sentence in [
     ("e01", "Robert Mueller is an american lawyer and government official."),
     ("e02", "Jane Roe is a lawyer and former official of the city."),
     ("e03", "The club is a rugby team with a famous coach."),
@@ -45,7 +49,7 @@ SENTENCES = [
     ("e18", "The writer described the river and the city."),
     ("e19", "The award went to the director of the album."),
     ("e20", "The politician met the lawyer."),
-]
+]]
 
 # eyeball tally over the sentences above
 HAND_TALLY = {
@@ -59,7 +63,7 @@ HAND_TALLY = {
 class TestMineNounFrequency:
     def test_single_sentence(self):
         report = mine_noun_frequency(
-            [("e1", "Robert Mueller is an american lawyer.")],
+            [ArticleRecord("e1", first_sentence="Robert Mueller is an american lawyer.")],
             tagger=lambda t: t == "lawyer",
         )
         assert report.counts == {"lawyer": 1}
@@ -67,7 +71,8 @@ class TestMineNounFrequency:
 
     def test_additivity_across_articles(self):
         report = mine_noun_frequency(
-            [("e1", "A famous player."), ("e2", "Another player retired.")],
+            [ArticleRecord("e1", first_sentence="A famous player."),
+             ArticleRecord("e2", first_sentence="Another player retired.")],
             tagger=lambda t: t == "player",
         )
         assert report.counts == {"player": 2}
@@ -92,13 +97,13 @@ class TestMineNounFrequency:
         report = mine_noun_frequency(SENTENCES, tagger=tagger)
         # the per-occurrence loop this replaced, as the reference
         expected = {}
-        for _entity_id, sentence in SENTENCES:
-            for token in tokenize(sentence):
+        for article in SENTENCES:
+            for token in tokenize(article.first_sentence):
                 if token in NOUNS:
                     expected[token] = expected.get(token, 0) + 1
         assert report.counts == expected
         assert list(report.counts) == list(expected)  # first-occurrence order
-        distinct = {t for _e, sentence in SENTENCES for t in tokenize(sentence)}
+        distinct = {t for article in SENTENCES for t in tokenize(article.first_sentence)}
         assert sorted(calls) == sorted(distinct)
 
     def test_frequent_threshold(self):
@@ -190,6 +195,14 @@ class TestBuildDictionary:
         d = build_dictionary(None, seeds, exts)
         assert d.words == {"lawyer", "attorney"}
         assert d.remap == {}
+
+    def test_seeds_missing_from_mined_nouns_warn(self, tmp_path, caplog):
+        seeds = _write(tmp_path / "s.txt", "lawyer\nzoologist\nrugby league\n")
+        with caplog.at_level(logging.WARNING, logger="semlink.type_dictionary"):
+            d = build_dictionary(NounFrequencyReport({"lawyer": 3}, 3), seeds, None)
+        assert d.words == {"lawyer", "zoologist", "rugby_league"}
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert caplog.records[0].getMessage() == "1 dictionary words not among mined nouns (first: ['zoologist'])"
 
     def test_remap_validated_against_embeddings(self, tmp_path):
         seeds = _write(tmp_path / "s.txt", "lawyer\n")
