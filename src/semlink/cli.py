@@ -131,10 +131,12 @@ def embed():
 @embed.command("convert")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--normalize", is_flag=True, help="L2-normalize rows on load.")
+@click.option("--normalize", is_flag=True, help="Write the rows scaled to unit L2 norm.")
 def embed_convert(in_path, out_path, normalize):
     """Convert between binary and text formats (by extension)."""
-    table = embed_io.load_table(in_path, normalize=normalize)
+    table = embed_io.load_table(in_path)
+    if normalize:
+        table = table.normalized()
     embed_io.save_table(table, out_path)
     click.echo(f"{len(table)} vectors of dim {table.dim} -> {out_path}")
 

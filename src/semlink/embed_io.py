@@ -264,7 +264,7 @@ def _encode_label(label: str) -> bytes:
     return raw
 
 
-def load_binary(path, normalize: bool = False) -> EmbeddingTable:
+def load_binary(path) -> EmbeddingTable:
     """Load a word2vec-style binary embedding file.
 
     The file is read in chunks of `_CHUNK` bytes, and each vector is copied
@@ -320,7 +320,7 @@ def load_binary(path, normalize: bool = False) -> EmbeddingTable:
             trailing += len(chunk)
     if trailing:
         raise FormatError(f"{trailing} trailing bytes after last entry", path=path)
-    return _loaded_table(path, dim, labels, matrix, normalize)
+    return _loaded_table(path, dim, labels, matrix)
 
 
 def _read_header(fh, path) -> tuple[int, int]:
@@ -346,13 +346,12 @@ def _read_header(fh, path) -> tuple[int, int]:
     return count, dim
 
 
-def _loaded_table(path, dim, labels, matrix, normalize: bool) -> EmbeddingTable:
+def _loaded_table(path, dim, labels, matrix) -> EmbeddingTable:
     try:
-        table = EmbeddingTable(dim, labels, matrix)
+        return EmbeddingTable(dim, labels, matrix)
     except FormatError as e:
         # duplicate labels or non-finite values: name the file they came from
         raise type(e)(str(e), path=path) from None
-    return table.normalized() if normalize else table
 
 
 def save_binary(table: EmbeddingTable, path) -> None:
@@ -363,7 +362,7 @@ def save_binary(table: EmbeddingTable, path) -> None:
             fh.write(_encode_label(label) + b" " + row.tobytes())
 
 
-def load_text(path, dim: Optional[int] = None, normalize: bool = False) -> EmbeddingTable:
+def load_text(path, dim: Optional[int] = None) -> EmbeddingTable:
     """Load a one-entry-per-line text embedding file."""
     labels: list[str] = []
     rows: list[np.ndarray] = []
@@ -391,7 +390,7 @@ def load_text(path, dim: Optional[int] = None, normalize: bool = False) -> Embed
     if dim is None:
         raise FormatError("empty text table and no dimension given", path=path)
     matrix = np.array(rows, dtype=_F32).reshape(len(rows), dim)
-    return _loaded_table(path, dim, labels, matrix, normalize)
+    return _loaded_table(path, dim, labels, matrix)
 
 
 def save_text(table: EmbeddingTable, path) -> None:
@@ -411,8 +410,8 @@ def _is_text(path) -> bool:
     return Path(path).suffix.lower() in (".txt", ".tsv", ".text")
 
 
-def load_table(path, normalize: bool = False) -> EmbeddingTable:
-    return (load_text if _is_text(path) else load_binary)(path, normalize=normalize)
+def load_table(path) -> EmbeddingTable:
+    return (load_text if _is_text(path) else load_binary)(path)
 
 
 def save_table(table: EmbeddingTable, path) -> None:

@@ -42,8 +42,8 @@ class RemapTargetError(SemlinkError):
     """A remap entry is a self-map, a chain, or points nowhere resolvable."""
 
 
-class DuplicateEntityError(SemlinkError):
-    """An article corpus contains the same entity id twice."""
+class DuplicateEntityError(FormatError):
+    """An article corpus or a types file contains the same entity id twice."""
 
 
 class MissingWordVectorError(SemlinkError):

@@ -158,15 +158,6 @@ class LinkingModel:
     def K(self) -> int:
         return len(self.relations)
 
-    @classmethod
-    def identity(cls, dim: int, n_relations: int = 0) -> "LinkingModel":
-        return cls(
-            dim=dim,
-            B=np.ones(dim),
-            C=np.ones(dim),
-            relations=[np.ones(dim) for _ in range(n_relations)],
-        )
-
     def lines(self) -> list[str]:
         """Header '<dim> <K>' then B, C, and each relation diagonal as text."""
         diags = [" ".join(format(v, ".17g") for v in diag) for diag in [self.B, self.C, *self.relations]]
@@ -578,17 +569,14 @@ def margin_loss_and_gradient(
     B: np.ndarray,
     C: np.ndarray,
     margin: float,
-    train_pairwise: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Full-batch hinge loss and its subgradient w.r.t. the B and C diagonals.
 
-    ``train_pairwise`` must match the flag ``instances`` were built with.
+    C's subgradient is zero unless ``instances`` were built with pairwise terms.
     """
-    if train_pairwise != (instances.PD is not None):
-        raise ValueError("train_pairwise does not match the packed training set")
     v, active = _hinges(instances, B, C, margin)
     gB = instances.FD[active].sum(axis=0)
-    gC = instances.PD[active].sum(axis=0) if train_pairwise else np.zeros_like(C)
+    gC = instances.PD[active].sum(axis=0) if instances.PD is not None else np.zeros_like(C)
     return float(v[active].sum()), gB, gC
 
 
@@ -934,12 +922,17 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
     line ``<token>\\tB\\t<surface>\\t<gold>\\t<cand1,cand2,...>`` with ``I``
     lines continuing a mention.  Context windows take ``window`` tokens from
     each side of the mention, excluding the mention itself.  A gold of
-    ``--NME--`` becomes None (out-of-KB).  A negative ``window`` is a `ConfigError`;
-    a repeated doc id is a `FormatError` naming its ``-DOCSTART-`` line.
+    ``--NME--`` becomes None (out-of-KB).  A bare ``-DOCSTART-`` is named
+    ``doc<n>``, after its place among the documents, with ``n`` raised past
+    every id the file writes and every name already given.  A negative
+    ``window`` is a `ConfigError`; a repeated doc id is a `FormatError`
+    naming its ``-DOCSTART-`` line.
     """
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
-    docs: dict[str, LinkingDocument] = {}
+    docs: list[tuple[str, list[Mention]]] = []  # (id, or "" for a bare -DOCSTART-)
+    written: set[str] = set()  # every id the file writes, then every one generated
+    kept: set[str] = set()  # written ids of the documents with mentions
     doc_id = doc_line = None
     tokens: list[str] = []
     spans: list[tuple[int, int, str, Optional[str], list[str]]] = []
@@ -956,9 +949,11 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
                 Mention(surface=surface, context=left + right, candidates=cands, gold=gold)
             )
         if mentions:
-            if doc_id in docs:
+            if doc_id in kept:
                 raise FormatError(f"repeated doc_id {doc_id!r}", path=path, line=doc_line)
-            docs[doc_id] = LinkingDocument(doc_id, mentions)
+            if doc_id:
+                kept.add(doc_id)
+            docs.append((doc_id, mentions))
         tokens, spans = [], []
 
     for line_no, line in read_lines(path):
@@ -966,8 +961,9 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
             continue
         if line.startswith("-DOCSTART-"):
             _flush()
-            doc_id = line[len("-DOCSTART-") :].strip().strip("()") or f"doc{len(docs)}"
+            doc_id = line[len("-DOCSTART-") :].strip().strip("()")
             doc_line = line_no
+            written.add(doc_id)
             continue
         if doc_id is None:
             raise FormatError("token line before any -DOCSTART-", path=path, line=line_no)
@@ -989,4 +985,12 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
         cands = [_strip_prior(c) for c in parts[4].split(",") if c]
         spans.append((len(tokens) - 1, len(tokens), parts[2], gold, cands))
     _flush()
-    return list(docs.values())
+    out = []
+    for n, (name, mentions) in enumerate(docs):
+        if not name:
+            while f"doc{n}" in written:
+                n += 1
+            name = f"doc{n}"
+            written.add(name)
+        out.append(LinkingDocument(name, mentions))
+    return out

@@ -24,8 +24,8 @@ outputs and the manifest as they were and aborts the run with a
 
 One run does each piece of work once: each file is hashed at most once (a
 stage's outputs again when it records them), and `_RunCache` reads each
-embedding table, by (path, normalize), and ``types.tsv`` once for every
-stage.  ``aggregate`` leaves its table there, so ``link`` and ``eval`` do
+embedding table and ``types.tsv`` once for every stage, keyed by path.
+``aggregate`` leaves its table there, so ``link`` and ``eval`` do
 not read ``reinforced.bin`` back; ``wikitext`` is not kept, and nothing
 outlives the run.  A bad configuration value, or a path holding a NUL byte,
 ends in a `ConfigError` naming the key, the value and the line or ``--set``.
@@ -47,14 +47,13 @@ from .errors import ConfigError, FormatError, SemlinkError, StageError
 
 STAGES = {
     # stage: (required inputs, optional inputs, outputs under `out`, params), in run order
-    "dict": (("seeds",), ("extensions", "remap", "words"), ("dictionary.txt", "remap.tsv"), ("normalize_words",)),
+    "dict": (("seeds",), ("extensions", "remap", "words"), ("dictionary.txt", "remap.tsv"), ()),
     "types": (("corpus", "dictionary"), ("remap",), ("types.tsv",), ("cap",)),
-    "semantic": (("words", "types_file"), (), ("semantic.bin",), ("T", "alpha", "normalize_words")),
-    "aggregate": (("words", "wikitext", "types_file"), (), ("reinforced.bin",), ("T", "alpha", "normalize_words")),
+    "semantic": (("words", "types_file"), (), ("semantic.bin",), ("T", "alpha")),
+    "aggregate": (("words", "wikitext", "types_file"), (), ("reinforced.bin",), ("T", "alpha")),
     "link": (("words", "reinforced", "train"), ("dev",), ("model.txt", "train_trace.json"),
-             ("margin", "lr", "epochs", "seed", "window", "normalize_words")),
-    "eval": (("words", "reinforced", "model", "eval"), (), ("eval.json", "eval.tsv"),
-             ("strategy", "window", "normalize_words")),
+             ("margin", "lr", "epochs", "seed", "window")),
+    "eval": (("words", "reinforced", "model", "eval"), (), ("eval.json", "eval.tsv"), ("strategy", "window")),
 }
 STAGE_ORDER = tuple(STAGES)
 
@@ -78,21 +77,10 @@ def _finite(text: str) -> float:
     return value
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _boolean(text: str) -> bool:
-    try:
-        return _BOOLEANS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(text) from None
-
-
 # parameter -> (what its value must be, parser raising ValueError otherwise)
 _KINDS = {
     **{key: ("an integer", int) for key in ("T", "cap", "window", "epochs", "seed")},
     **{key: ("a finite number", _finite) for key in ("alpha", "margin", "lr")},
-    "normalize_words": ("one of 1/0/true/false/yes/no", _boolean),
 }
 
 
@@ -126,7 +114,6 @@ class PipelineConfig:
     epochs: int = 20
     seed: int = 0
     strategy: str = "greedy-local"
-    normalize_words: bool = False
 
     @classmethod
     def from_file(cls, path, overrides: Optional[dict] = None) -> "PipelineConfig":
@@ -291,16 +278,16 @@ class _Manifest:
 
 
 class _RunCache:
-    """One run's shared reads: embedding tables by (path, normalize), type assignments by path."""
+    """One run's shared reads: embedding tables and type assignments, by path."""
 
     def __init__(self):
         self.tables: dict = {}
         self.assignments = functools.cache(type_extraction.read_assignments)
 
-    def table(self, path: Path, normalize: bool = False) -> embed_io.EmbeddingTable:
-        if (path, normalize) not in self.tables:
-            self.tables[path, normalize] = embed_io.load_table(path, normalize=normalize)
-        return self.tables[path, normalize]
+    def table(self, path: Path) -> embed_io.EmbeddingTable:
+        if path not in self.tables:
+            self.tables[path] = embed_io.load_table(path)
+        return self.tables[path]
 
 
 def _docs(path: Path, window: int) -> list:
@@ -311,7 +298,7 @@ def _docs(path: Path, window: int) -> list:
 
 # runner(shared, inputs, params, targets): `params` holds exactly what the stage records
 def _stage_dict(shared, inputs, params, targets):
-    vocab = set(shared.table(inputs["words"], params["normalize_words"]).labels) if "words" in inputs else None
+    vocab = set(shared.table(inputs["words"]).labels) if "words" in inputs else None
     d = type_dictionary.build_dictionary(
         None, inputs["seeds"], inputs.get("extensions"), inputs.get("remap"), embedding_vocab=vocab
     )
@@ -326,7 +313,7 @@ def _stage_types(shared, inputs, params, targets):
 
 
 def _stage_semantic(shared, inputs, params, targets):
-    words = shared.table(inputs["words"], params["normalize_words"])
+    words = shared.table(inputs["words"])
     table = semantic_aggregation.semantic_table(shared.assignments(inputs["types_file"]), words, params["T"])
     embed_io.save_binary(table, targets[0])
 
@@ -334,14 +321,14 @@ def _stage_semantic(shared, inputs, params, targets):
 def _stage_aggregate(shared, inputs, params, targets):
     wikitext = embed_io.load_table(inputs["wikitext"])  # not cached: freed when the stage returns
     cfg = semantic_aggregation.AggregationConfig(T=params["T"], alpha=params["alpha"])
-    words = shared.table(inputs["words"], params["normalize_words"])
+    words = shared.table(inputs["words"])
     table = semantic_aggregation.aggregate_table(wikitext, shared.assignments(inputs["types_file"]), words, cfg)
     embed_io.save_binary(table, targets[0])
-    shared.tables[targets[0], False] = table  # link and eval use it without reading it back
+    shared.tables[targets[0]] = table  # link and eval use it without reading it back
 
 
 def _stage_link(shared, inputs, params, targets):
-    words = shared.table(inputs["words"], params["normalize_words"])
+    words = shared.table(inputs["words"])
     entities = shared.table(inputs["reinforced"])
     train_docs = _docs(inputs["train"], params["window"])
     dev_docs = _docs(inputs["dev"], params["window"]) if "dev" in inputs else None
@@ -353,7 +340,7 @@ def _stage_link(shared, inputs, params, targets):
 
 
 def _stage_eval(shared, inputs, params, targets):
-    words = shared.table(inputs["words"], params["normalize_words"])
+    words = shared.table(inputs["words"])
     entities = shared.table(inputs["reinforced"])
     model = linking_core.LinkingModel.load(inputs["model"])
     docs = _docs(inputs["eval"], params["window"])

@@ -243,7 +243,10 @@ def _read_remap_file(path) -> dict[str, str]:
             raise FormatError("expected '<from>\\t<to>'", path=path, line=line_no)
         # keys keep their surface form (possibly spaced); targets must be
         # single embeddable labels
-        remap[parts[0].strip().lower()] = normalize_type_word(parts[1])
+        source = parts[0].strip().lower()
+        if source in remap:
+            raise FormatError(f"repeated remap source {source!r}", path=path, line=line_no)
+        remap[source] = normalize_type_word(parts[1])
     return remap
 
 

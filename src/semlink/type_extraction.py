@@ -166,6 +166,6 @@ def read_assignments(path) -> dict[str, EntityTypeAssignment]:
     for line_no, line in read_lines(path):
         entity_id, words = tsv_fields(line, 2, path, line_no, "expected '<entity_id>\\t<w1,w2,...>'")
         if entity_id in out:
-            raise DuplicateEntityError(f"duplicate entity id {entity_id!r}")
+            raise DuplicateEntityError(f"duplicate entity id {entity_id!r}", path=path, line=line_no)
         out[entity_id] = EntityTypeAssignment(entity_id, [w for w in words.split(",") if w])
     return out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from semlink.embed_io import EmbeddingTable
+from semlink.linking_core import LinkingModel
 
 # Property tests replay the same examples on every run and have no per-example
 # time limit, so they neither flake on a slow machine nor differ between runs.
@@ -58,3 +59,8 @@ def make_table(rng):
         return random_table(rng, n, dim, prefix, scale)
 
     return _make
+
+
+def identity_model(dim, n_relations=0):
+    """The untrained model: every diagonal all ones."""
+    return LinkingModel(dim, np.ones(dim), np.ones(dim), [np.ones(dim) for _ in range(n_relations)])

@@ -227,7 +227,7 @@ def test_criterion_05_gradient_check():
         B = rng.standard_normal(6)
         C = rng.standard_normal(6)
         margin = float(rng.uniform(0.3, 1.2))
-        _, gB, gC = margin_loss_and_gradient(instances, B, C, margin, train_pairwise)
+        _, gB, gC = margin_loss_and_gradient(instances, B, C, margin)
 
         h = 1e-5
         for which, grad in (("B", gB), ("C", gC)):
@@ -237,11 +237,11 @@ def test_criterion_05_gradient_check():
                 bump = np.zeros(6)
                 bump[j] = h
                 if which == "B":
-                    lp = margin_loss_and_gradient(instances, B + bump, C, margin, train_pairwise)[0]
-                    lm = margin_loss_and_gradient(instances, B - bump, C, margin, train_pairwise)[0]
+                    lp = margin_loss_and_gradient(instances, B + bump, C, margin)[0]
+                    lm = margin_loss_and_gradient(instances, B - bump, C, margin)[0]
                 else:
-                    lp = margin_loss_and_gradient(instances, B, C + bump, margin, train_pairwise)[0]
-                    lm = margin_loss_and_gradient(instances, B, C - bump, margin, train_pairwise)[0]
+                    lp = margin_loss_and_gradient(instances, B, C + bump, margin)[0]
+                    lm = margin_loss_and_gradient(instances, B, C - bump, margin)[0]
                 fd = (lp - lm) / (2 * h)
                 rel = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-8)
                 assert rel < 1e-4, f"instance {trial} {which}[{j}]: {grad[j]} vs {fd}"

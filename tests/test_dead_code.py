@@ -11,9 +11,15 @@ it with ``from .module import name``.  Tests do not count: code
 reached only by its own tests is not part of the system.  Click commands,
 dunders and the names in ``semlink.__all__`` are entry points and always
 count as used.
+
+A method, classmethod or property of a top-level class counts as used when
+its name appears as an attribute or an exact string in ``src/`` or
+``perfbench/`` outside its own body.  A bare name does not count: a local
+variable may share the method's name.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import semlink
@@ -22,18 +28,27 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "semlink"
 
 
+def _member_uses(nodes) -> Counter:
+    """How often each name appears as an attribute or an exact string."""
+    found = Counter()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                found[sub.attr] += 1
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+                found[sub.value] += 1
+    return found
+
+
 def _names(nodes) -> set[str]:
-    found = set()
+    """Every name used as code: a name, an attribute, an import or an exact string."""
+    found = set(_member_uses(nodes))
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 found.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
             elif isinstance(sub, ast.alias):
                 found.update(sub.name.split("."))
-            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
-                found.add(sub.value)
     return found
 
 
@@ -122,3 +137,26 @@ def unused_definitions() -> list[str]:
 
 def test_every_top_level_definition_is_used():
     assert unused_definitions() == []
+
+
+def unused_methods() -> list[str]:
+    """``module.Class.name`` of each method of a top-level class that nothing
+    outside its own body names as an attribute or a string."""
+    trees = {path: ast.parse(path.read_text("utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))}
+    uses = _member_uses(trees.values())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_dunder(node.name):
+                    continue
+                if uses[node.name] <= _member_uses([node])[node.name]:
+                    unused.append(f"{path.stem}.{cls.name}.{node.name}")
+    return unused
+
+
+def test_every_method_is_used():
+    assert unused_methods() == []

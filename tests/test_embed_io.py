@@ -8,9 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from semlink import embed_io
+from semlink.cli import cli
 from semlink.embed_io import (
     BLOCK_ROWS,
     EmbeddingTable,
@@ -192,9 +194,15 @@ class TestBinary:
         assert not (tmp_path / "x").exists()
 
     def test_normalize_flag(self, tmp_path):
+        # `embed convert --normalize` writes what `normalized()` gives on the loaded table
         p = tmp_path / "t.bin"
         write_reference_binary(p, [("a", [3.0, 4.0]), ("z", [0.0, 0.0])])
-        table = load_binary(p, normalize=True)
+        r = CliRunner().invoke(cli, ["embed", "convert", "--in", str(p), "--out", str(tmp_path / "u.bin"),
+                                     "--normalize"])
+        assert r.exit_code == 0, r.output
+        save_binary(load_binary(p).normalized(), tmp_path / "expected.bin")
+        assert (tmp_path / "u.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
+        table = load_binary(tmp_path / "u.bin")
         np.testing.assert_allclose(table.vector("a"), [0.6, 0.8], atol=1e-7)
         np.testing.assert_array_equal(table.vector("z"), [0.0, 0.0])
 

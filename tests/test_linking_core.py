@@ -45,6 +45,8 @@ from semlink.linking_core import (
     _strip_prior,
 )
 
+from conftest import identity_model
+
 
 def table_from(rows):
     return EmbeddingTable.from_pairs(list(rows.items()))
@@ -389,7 +391,7 @@ class TestDocumentScore:
     def test_single_mention_is_local_only(self, rng):
         entities, words, labels, wlabels = toy_world(rng)
         doc = random_doc(rng, labels, wlabels, 1, 3)
-        model = LinkingModel.identity(4)
+        model = identity_model(4)
         choice = [doc.mentions[0].candidates[0]]
         f = context_feature(doc.mentions[0], words)
         expected = local_score(entities.vector(choice[0]).astype(np.float64), model.B, f)
@@ -440,7 +442,7 @@ class TestDocumentScore:
         doc = random_doc(rng, labels, wlabels, n_mentions, 3)
         choice = [m.candidates[0] for m in doc.mentions]
         with pytest.raises(ValueError, match="pairwise"):
-            document_score(choice, doc, LinkingModel.identity(4), entities, words, pairwise="bogus")
+            document_score(choice, doc, identity_model(4), entities, words, pairwise="bogus")
 
     @pytest.mark.parametrize("n_mentions", [1, 2])
     def test_relations_without_relations_rejected(self, rng, n_mentions):
@@ -449,7 +451,7 @@ class TestDocumentScore:
         choice = [m.candidates[0] for m in doc.mentions]
         with pytest.raises(RelationArityError):
             document_score(
-                choice, doc, LinkingModel.identity(4), entities, words, pairwise="relations"
+                choice, doc, identity_model(4), entities, words, pairwise="relations"
             )
 
 
@@ -457,7 +459,7 @@ class TestInfer:
     def test_single_candidate_everywhere(self, rng):
         entities, words, labels, wlabels = toy_world(rng)
         doc = random_doc(rng, labels, wlabels, 3, 1)
-        model = LinkingModel.identity(4)
+        model = identity_model(4)
         expected = [m.candidates[0] for m in doc.mentions]
         assert infer(doc, model, entities, words, "exhaustive") == expected
         assert infer(doc, model, entities, words, "greedy-local") == expected
@@ -508,7 +510,7 @@ class TestInfer:
             for _ in range(4)
         ]  # 40^4 = 2.56e6 > 1e6
         doc = LinkingDocument("big", mentions)
-        model = LinkingModel.identity(4)
+        model = identity_model(4)
         with pytest.raises(CapacityError):
             infer(doc, model, entities, words, "exhaustive")
         assert len(infer(doc, model, entities, words, "greedy-local")) == 4
@@ -517,17 +519,17 @@ class TestInfer:
         entities, words, labels, wlabels = toy_world(rng)
         doc = LinkingDocument("d", [Mention("m", context=[], candidates=[])])
         with pytest.raises(InvalidDocumentError):
-            infer(doc, LinkingModel.identity(4), entities, words)
+            infer(doc, identity_model(4), entities, words)
 
     def test_entity_word_dimension_mismatch(self, rng):
         entities, _, labels, wlabels = toy_world(rng, dim=4)
         words = EmbeddingTable(3, wlabels, rng.standard_normal((10, 3)).astype(np.float32))
         doc = random_doc(rng, labels, wlabels, 2, 3)
         with pytest.raises(DimensionError):
-            infer(doc, LinkingModel.identity(4), entities, words, "greedy-local")
+            infer(doc, identity_model(4), entities, words, "greedy-local")
         for pairwise in ("diagonal", "relations"):
             with pytest.raises(DimensionError):
-                infer(doc, LinkingModel.identity(4, 1), entities, words, "exhaustive", pairwise)
+                infer(doc, identity_model(4, 1), entities, words, "exhaustive", pairwise)
         with pytest.raises(DimensionError):
             train([doc], entities, words, TrainConfig(epochs=1))
 
@@ -537,21 +539,21 @@ class TestInfer:
         entities, words, labels, wlabels = toy_world(rng, dim=4)
         doc = random_doc(rng, labels, wlabels, 2, 3)
         with pytest.raises(DimensionError):
-            infer(doc, LinkingModel.identity(3, 1), entities, words, strategy, pairwise)
+            infer(doc, identity_model(3, 1), entities, words, strategy, pairwise)
 
     @pytest.mark.parametrize("n_mentions", [1, 2])
     def test_relations_without_relations_rejected(self, rng, n_mentions):
         entities, words, labels, wlabels = toy_world(rng)
         doc = random_doc(rng, labels, wlabels, n_mentions, 3)
         with pytest.raises(RelationArityError):
-            infer(doc, LinkingModel.identity(4), entities, words, "exhaustive", pairwise="relations")
+            infer(doc, identity_model(4), entities, words, "exhaustive", pairwise="relations")
 
     @pytest.mark.parametrize("n_mentions", [1, 2])
     def test_unknown_pairwise_mode_rejected(self, rng, n_mentions):
         entities, words, labels, wlabels = toy_world(rng)
         doc = random_doc(rng, labels, wlabels, n_mentions, 3)
         with pytest.raises(ValueError, match="pairwise"):
-            infer(doc, LinkingModel.identity(4), entities, words, "exhaustive", pairwise="dense")
+            infer(doc, identity_model(4), entities, words, "exhaustive", pairwise="dense")
 
     def test_tie_breaks_lexicographic(self, rng):
         # identical candidate vectors -> tie; smallest label must win
@@ -562,7 +564,7 @@ class TestInfer:
         doc = LinkingDocument(
             "d", [Mention("m", context=["w"], candidates=["zz", "aa", "mm"])]
         )
-        model = LinkingModel.identity(2)
+        model = identity_model(2)
         assert infer(doc, model, entities, words, "exhaustive") == ["aa"]
         assert infer(doc, model, entities, words, "greedy-local") == ["aa"]
 
@@ -736,18 +738,18 @@ class TestTrain:
         B = rng.standard_normal(5)
         C = rng.standard_normal(5)
         margin = 0.7
-        loss, gB, gC = margin_loss_and_gradient(instances, B, C, margin, train_pairwise)
+        loss, gB, gC = margin_loss_and_gradient(instances, B, C, margin)
         h = 1e-6
         for diag, grad in ((B, gB), (C, gC)) if train_pairwise else ((B, gB),):
             for j in range(5):
                 bump = np.zeros(5)
                 bump[j] = h
                 if diag is B:
-                    lp = margin_loss_and_gradient(instances, B + bump, C, margin, train_pairwise)[0]
-                    lm = margin_loss_and_gradient(instances, B - bump, C, margin, train_pairwise)[0]
+                    lp = margin_loss_and_gradient(instances, B + bump, C, margin)[0]
+                    lm = margin_loss_and_gradient(instances, B - bump, C, margin)[0]
                 else:
-                    lp = margin_loss_and_gradient(instances, B, C + bump, margin, train_pairwise)[0]
-                    lm = margin_loss_and_gradient(instances, B, C - bump, margin, train_pairwise)[0]
+                    lp = margin_loss_and_gradient(instances, B, C + bump, margin)[0]
+                    lm = margin_loss_and_gradient(instances, B, C - bump, margin)[0]
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(grad[j]), abs(fd), 1e-8)
                 assert abs(grad[j] - fd) / denom < 1e-4
@@ -967,7 +969,7 @@ def per_step_train_runs(train_docs, tables, words, config, seeds, dev_docs):
 
     def evaluate(r):
         t = table_of[r]
-        loss = margin_loss_and_gradient(sets[t], B[r], C[r], config.margin, config.train_pairwise)[0]
+        loss = margin_loss_and_gradient(sets[t], B[r], C[r], config.margin)[0]
         return loss, devs[t].f1(B[r]) if devs is not None else None
 
     history = [[evaluate(r)] for r in range(R)]

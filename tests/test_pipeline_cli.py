@@ -17,16 +17,18 @@ from click.testing import CliRunner
 
 from semlink import pipeline
 from semlink.cli import cli, main
-from semlink.embed_io import EmbeddingTable, load_binary, save_binary
+from semlink.embed_io import EmbeddingTable, load_binary, load_table, save_binary
 from semlink.errors import ConfigError, StageError
 from semlink.evaluation import convergence_experiment
 from semlink.fixtures import FixtureSizes, make_fixtures
 from semlink.linking_core import (
-    LinkingDocument, LinkingModel, Mention, TrainConfig, infer, load_linking_jsonl, save_linking_jsonl, train,
+    LinkingDocument, Mention, TrainConfig, infer, load_linking_jsonl, save_linking_jsonl, train,
 )
 from semlink.pipeline import PipelineConfig, run_pipeline
-from semlink.semantic_aggregation import AggregationConfig, aggregate_table
+from semlink.semantic_aggregation import AggregationConfig, aggregate_table, semantic_table
 from semlink.type_extraction import read_assignments
+
+from conftest import identity_model
 
 SIZES = FixtureSizes(
     entities=18, groups=6, train_docs=6, dev_docs=3, eval_docs=3,
@@ -210,6 +212,28 @@ class TestPipeline:
         save_binary(manual, manual_path)
         assert manual_path.read_bytes() == (out / "reinforced.bin").read_bytes()
 
+    def test_unit_length_words_are_a_converted_table(self, fixture_dir, tmp_path):
+        # unit-length word vectors come from `embed convert --normalize`, not a pipeline key
+        root, paths = fixture_dir
+        unit = tmp_path / "unit.bin"
+        r = CliRunner().invoke(cli, ["embed", "convert", "--in", str(paths["words"]), "--out", str(unit),
+                                     "--normalize"])
+        assert r.exit_code == 0, r.output
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out, extra=f"words = {unit}\n")
+        assert set(run_pipeline(PipelineConfig.from_file(cfg_path)).values()) == {"done"}
+
+        words = load_table(paths["words"]).normalized()
+        assignments = read_assignments(out / "types.tsv")
+        expected = {
+            "semantic.bin": semantic_table(assignments, words, 11),
+            "reinforced.bin": aggregate_table(load_binary(paths["wikitext"]), assignments, words,
+                                              AggregationConfig(T=11, alpha=0.2)),
+        }
+        for name, table in expected.items():
+            save_binary(table, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
     def test_all_stages_disabled_writes_manifest_only(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         out = tmp_path / "out"
@@ -276,8 +300,6 @@ class TestPipeline:
             inputs = config.inputs(stage)
             entry["inputs"] = {str(inputs[key]): digest for key, digest in entry["inputs"].items()}
             entry["outputs"] = {str(out / name): digest for name, digest in entry["outputs"].items()}
-            if "normalize_words" in entry["params"]:
-                entry["params"]["normalize"] = entry["params"].pop("normalize_words")
         (out / "manifest.json").write_text(json.dumps(manifest), "utf-8")
         status = run_pipeline(PipelineConfig.from_file(cfg_path))
         assert status == {s: "done" for s in pipeline.STAGE_ORDER}
@@ -358,8 +380,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("T", "abc"), ("alpha", "x"), ("epochs", "1.5"), ("lr", "nan"), ("margin", "inf"),
-         ("normalize_words", "maybe"), ("normalize_words", "")],
+        [("T", "abc"), ("alpha", "x"), ("epochs", "1.5"), ("lr", "nan"), ("margin", "inf")],
     )
     def test_bad_config_value_names_key_value_and_file(self, tmp_path, key, value):
         p = tmp_path / "c.cfg"
@@ -372,15 +393,6 @@ class TestPipeline:
         with pytest.raises(ConfigError) as e:
             PipelineConfig.from_file(p, {key: value})
         assert "--set" in str(e.value) and key in str(e.value)
-
-    @pytest.mark.parametrize(
-        "value, expected",
-        [("1", True), ("0", False), ("true", True), ("False", False), ("YES", True), ("no", False)],
-    )
-    def test_config_booleans(self, tmp_path, value, expected):
-        p = tmp_path / "c.cfg"
-        p.write_text(f"normalize_words = {value}\n", "utf-8")
-        assert PipelineConfig.from_file(p).normalize_words is expected
 
     def test_config_file_not_utf8(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -422,38 +434,6 @@ class TestPipeline:
         status = run_pipeline(PipelineConfig.from_file(cfg_path, {"alpha": "0.1"}))
         assert status["aggregate"] == "done"
         assert status["types"] == "skipped"
-
-    def test_normalize_words_reruns_link_and_eval(self, fixture_dir, tmp_path):
-        root, paths = fixture_dir
-        extra = f"stages = link,eval\nreinforced = {paths['wikitext']}\nepochs = 5\n"
-        out = tmp_path / "out"
-        cfg_path = write_config(tmp_path / "p.cfg", paths, out, extra=extra)
-        run_pipeline(PipelineConfig.from_file(cfg_path, {"normalize_words": "0"}))
-        status = run_pipeline(PipelineConfig.from_file(cfg_path, {"normalize_words": "1"}))
-        assert status == {"link": "done", "eval": "done"}
-        fresh = tmp_path / "fresh"
-        fresh_cfg = write_config(tmp_path / "fresh.cfg", paths, fresh, extra=extra)
-        run_pipeline(PipelineConfig.from_file(fresh_cfg, {"normalize_words": "1"}))
-        assert (out / "eval.json").read_bytes() == (fresh / "eval.json").read_bytes()
-
-    def test_normalize_words_switch_reruns_every_stage_reading_words(self, fixture_dir, tmp_path, monkeypatch):
-        root, paths = fixture_dir
-        out = tmp_path / "out"
-        cfg_path = write_config(tmp_path / "p.cfg", paths, out)
-        run_pipeline(PipelineConfig.from_file(cfg_path, {"normalize_words": "0"}))
-        dictionary = (out / "dictionary.txt").read_bytes()
-        loaded = []
-        real_load = pipeline.embed_io.load_table
-
-        def counting_load(path, *args, **kwargs):
-            loaded.append(str(path))
-            return real_load(path, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline.embed_io, "load_table", counting_load)
-        status = run_pipeline(PipelineConfig.from_file(cfg_path, {"normalize_words": "1"}))
-        assert status == {s: "skipped" if s == "types" else "done" for s in pipeline.STAGE_ORDER}
-        assert (out / "dictionary.txt").read_bytes() == dictionary
-        assert loaded.count(str(paths["words"])) == 1
 
     def test_output_replaced_by_directory_names_its_stage(self, fixture_dir, tmp_path, capsys):
         root, paths = fixture_dir
@@ -706,7 +686,6 @@ class TestCli:
             main(["embed", "convert", "--in", str(bad), "--out", str(tmp_path / "o.bin")])
         assert e.value.code == 2
         # capacity error -> 3 (40 candidates ^ 4 mentions > 1e6)
-        import semlink.linking_core as lc
         from semlink.linking_core import LinkingDocument, Mention, save_linking_jsonl
 
         labels = [f"ent{i:04d}" for i in range(SIZES.entities)]
@@ -716,7 +695,7 @@ class TestCli:
         )
         save_linking_jsonl([doc], docs_path)
         model_path = tmp_path / "model.txt"
-        lc.LinkingModel.identity(SIZES.dim).save(model_path)
+        identity_model(SIZES.dim).save(model_path)
         with pytest.raises(SystemExit) as e:
             main([
                 "link", "infer", "--docs", str(docs_path),
@@ -755,7 +734,7 @@ class TestCli:
         docs = tmp_path / "docs.jsonl"
         docs.write_text(f"{first}\n{json.dumps(bad)}\n", "utf-8")
         model = tmp_path / "model.txt"
-        LinkingModel.identity(SIZES.dim).save(model)
+        identity_model(SIZES.dim).save(model)
         with pytest.raises(SystemExit) as e:
             main([
                 "link", "infer", "--docs", str(docs), "--entities", str(paths["wikitext"]),
@@ -842,6 +821,40 @@ class TestCli:
         assert f"repeated doc_id 'doc_a' [{src}:4]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ids, expected", [
+        (["(doc1)", ""], ["doc1", "doc2"]),
+        (["", "(doc0)"], ["doc1", "doc0"]),
+        (["(doc1)", "", ""], ["doc1", "doc2", "doc3"]),
+    ], ids=["written-first", "generated-first", "generated-twice"])
+    def test_generated_conll_doc_ids_never_collide(self, tmp_path, ids, expected):
+        src, out = tmp_path / "corpus.tsv", tmp_path / "docs.jsonl"
+        mention = "city\tB\tthe city\tCity_X\tCity_X,City_Y\n"
+        src.write_text("".join(f"-DOCSTART- {i}\n{mention}" for i in ids), "utf-8")
+        r = CliRunner().invoke(cli, ["link", "convert", "--in", str(src), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert [doc.doc_id for doc in load_linking_jsonl(out)] == expected
+
+    def test_repeated_remap_source_exits_2_naming_file_and_line(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        remap = tmp_path / "remap.tsv"
+        remap.write_text("conchologist\tzoologist\nconchologist\tbiologist\n", "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main(["dict", "build", "--seeds", str(paths["seeds"]), "--remap", str(remap),
+                  "--out-words", str(tmp_path / "w.txt"), "--out-remap", str(tmp_path / "r.tsv")])
+        assert e.value.code == 2
+        assert f"repeated remap source 'conchologist' [{remap}:2]" in capsys.readouterr().err
+        assert not (tmp_path / "w.txt").exists()
+
+    def test_duplicate_entity_exits_2_naming_file_and_line(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        types = tmp_path / "types.tsv"
+        types.write_text("e1\ta\ne1\tb\n", "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main(["embed", "reinforce", "--wikitext", str(paths["wikitext"]), "--words", str(paths["words"]),
+                  "--types", str(types), "--out", str(tmp_path / "r.bin")])
+        assert e.value.code == 2
+        assert f"duplicate entity id 'e1' [{types}:2]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("index, bad_line", [
         (lambda i: 3 * i, 2), (lambda i: i + 10, 1), (lambda i: min(i, 1), 3),
     ], ids=["spread", "shifted", "repeated"])
@@ -849,7 +862,7 @@ class TestCli:
     def test_prediction_indices_are_0_to_k_minus_1(self, fixture_dir, tmp_path, capsys, command, index, bad_line):
         root, paths = fixture_dir
         model = tmp_path / "model.txt"
-        LinkingModel.identity(SIZES.dim).save(model)
+        identity_model(SIZES.dim).save(model)
         docs = load_linking_jsonl(paths["eval"])
         pred = tmp_path / "pred.tsv"
         args = {
@@ -1181,7 +1194,7 @@ def test_text_input_not_utf8_exits_2_naming_file_and_line(fixture_dir, tmp_path,
     (bad_dir / "ent0000.txt").write_bytes(b"ent0000 is a type00w0 entity.\n")
     bad = with_bad_byte((bad_dir if source == "article" else tmp_path) / f"ent0001.{source}", lines)
     model = tmp_path / "model.txt"
-    LinkingModel.identity(SIZES.dim).save(model)
+    identity_model(SIZES.dim).save(model)
     pred = tmp_path / "pred.tsv"
     pred.write_bytes(b"".join(TEXT_LINES["pred"]))
     where = {**paths, "tmp": tmp_path, "bad": bad, "bad_dir": bad_dir, "model": model, "pred": pred}
@@ -1232,7 +1245,7 @@ def test_link_infer_raw_byte_label_exits_2_and_keeps_output(fixture_dir, tmp_pat
     mention = {"surface": "x", "context": [], "candidates": ["caf\udce9"]}
     docs.write_text(json.dumps({"doc_id": "d", "mentions": [mention]}) + "\n", "utf-8")
     model = tmp_path / "model.txt"
-    LinkingModel.identity(SIZES.dim).save(model)
+    identity_model(SIZES.dim).save(model)
     pred = tmp_path / "pred.tsv"
     pred.write_bytes(b"old\t0\tent0000\n")
     with pytest.raises(SystemExit) as e:
@@ -1268,7 +1281,7 @@ def test_link_infer_capacity_failure_writes_no_predictions(fixture_dir, tmp_path
     docs = tmp_path / "docs.jsonl"
     save_linking_jsonl([load_linking_jsonl(paths["eval"])[0], big], docs)
     model = tmp_path / "model.txt"
-    LinkingModel.identity(SIZES.dim).save(model)
+    identity_model(SIZES.dim).save(model)
     pred = tmp_path / "pred.tsv"
     if existing is not None:
         pred.write_bytes(existing)
