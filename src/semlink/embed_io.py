@@ -26,12 +26,16 @@ finiteness check and normalisation included, runs in row blocks of
 
 `row_means` is the package's one mean of listed rows, shared by context
 features and semantic means.  It gathers a chunk of items' rows at once,
-zero-padded (`padded_rows`), and adds the chunk's positions one slice at a
-time into a zero float64 sum, so each mean is the same sequential
-``acc += row`` chain as a loop over the item's rows, bit for bit: a padding
-row adds +0.0 to a sum that is never -0.0.  (``np.add.reduceat`` would not
-do: it adds a segment's first row to the sum of the others, which rounds
-differently wherever a partial sum is inexact in float64.)
+zero-padded (`padded_rows`), and sums the chunk's positions in one float64
+``np.add.reduce`` over the position axis, starting from +0.0, so each mean
+is the same sequential ``acc += row`` chain as a loop over the item's rows,
+bit for bit: numpy adds along an axis that is not its innermost loop in
+sequence, and a padding row adds +0.0 to a sum that is never -0.0.  At
+dimension 1 the position axis is the contiguous, innermost one, where numpy
+sums pairwise (from 9 rows up), so there the positions are added one slice
+at a time.  (``np.add.reduceat`` would not do: it adds a segment's first row
+to the sum of the others, which rounds differently wherever a partial sum
+is inexact in float64.)
 """
 
 from __future__ import annotations
@@ -213,9 +217,13 @@ def row_means(
     for start in range(0, len(rows), step):
         gathered, mask = padded_rows(matrix, rows[start : start + step], matrix.dtype)
         counts = mask.sum(axis=1)
-        acc = np.zeros((len(mask), matrix.shape[1]))
-        for k in range(mask.shape[1]):
-            acc += gathered[:, k]
+        if matrix.shape[1] > 1:
+            acc = np.add.reduce(gathered, axis=1, dtype=np.float64, initial=0.0)
+        else:
+            # at dim 1 the position axis is the contiguous one, which numpy sums pairwise
+            acc = np.zeros((len(mask), 1))
+            for k in range(mask.shape[1]):
+                acc += gathered[:, k]
         acc /= np.maximum(counts, 1)[:, None]
         yield slice(start, start + len(mask)), acc, counts
 

@@ -66,11 +66,17 @@ its (d,) row.  Features, like every vector the scorer takes or returns, are
 plain arrays; ``document_score`` takes them as (d,) rows or one (n, d) array.
 
 Exhaustive inference packs the document the same way and scores every
-assignment at once: with V_i the sorted candidate vectors of mention i, it
-broadcast-adds each mention's local vector (the same einsum) and each
-pair's (k_i, k_j) block -- ``(V_i * C) @ V_j.T / (n - 1)``, or the
-weighted relation forms -- into one ``(k_1, ..., k_n)`` float64 tensor,
-product x 8 bytes (8 MB at ``EXHAUSTIVE_CAPACITY``).  The C-order first
+assignment at once in one ``(k_1, ..., k_n)`` float64 tensor, product x 8
+bytes (8 MB at ``EXHAUSTIVE_CAPACITY``).  ``_score_tensor`` builds the
+local part one axis at a time, ``0.0 + l_1``, then ``score[..., None] +
+l_i`` for each further mention (l_i its local vector, the same einsum), so
+the tensor grows to full size only at the last mention.  With V_i the
+sorted candidate vectors of mention i, it then adds each pair's (k_i, k_j)
+block -- ``(V_i * C) @ V_j.T / (n - 1)``, or the weighted relation forms --
+in ``itertools.combinations`` order; ``V * C`` and the stacked relation
+matrix are taken once per document, not once per pair.  Each score is thus
+the same additions in the same order as a zero tensor that takes every
+local vector and then every pair block, bit for bit.  The C-order first
 maximum of that tensor is the lexicographically smallest best label tuple.
 ``document_score`` and the pairwise functions keep their scalar form as
 the reference the packed path is tested against.
@@ -81,6 +87,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -102,6 +109,9 @@ from .errors import (
 
 EXHAUSTIVE_CAPACITY = 10**6
 STRATEGIES = ("exhaustive", "greedy-local")
+# one field of a model file's "<dim> <K>" header: at most 18 digits, as in a
+# binary table's header, since int() refuses a field of over 4300
+_HEADER_FIELD = re.compile(r"-?[0-9]{1,18}")
 
 
 @dataclass
@@ -178,7 +188,7 @@ class LinkingModel:
         if not lines:
             raise FormatError("empty model file", path=path)
         head = lines[0].split()
-        if len(head) != 2 or not all(p.lstrip("-").isdigit() for p in head):
+        if len(head) != 2 or not all(_HEADER_FIELD.fullmatch(p) for p in head):
             raise FormatError(f"malformed model header {lines[0]!r}", path=path)
         dim, K = int(head[0]), int(head[1])
         if dim < 1 or K < 0:
@@ -371,19 +381,43 @@ def _greedy_picks(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
     return scores.argmax(axis=1)
 
 
-def _pair_block(
-    Vi: np.ndarray, Vj: np.ndarray, model: LinkingModel, n: int, pairwise: str
-) -> np.ndarray:
-    """(k_i, k_j) pairwise scores of every candidate pair of mentions i and j."""
+def _score_tensor(block: _CandidateBlock, model: LinkingModel, pairwise: str) -> np.ndarray:
+    """(k_1, ..., k_n) document score of every candidate assignment of ``block``.
+
+    Each score is ``0.0 + l_1 + ... + l_n`` plus the pair terms in
+    ``itertools.combinations`` order, the additions of a zero tensor that
+    takes every local vector and then every pair block in turn.
+    """
+    shape = tuple(map(len, block.labels))
+    n = len(shape)
+    local = _local_scores(block, model.B)
+    # one axis at a time: after step i, score[a_1, ..., a_i] = 0.0 + l_1 + ... + l_i
+    score = 0.0 + local[0, : shape[0]]
+    for i in range(1, n):
+        score = score[..., None] + local[i, : shape[i]]
+    # the factors every pair shares, taken once per document
+    V = block.vectors
     if pairwise == "diagonal":
-        return (Vi * model.C) @ Vj.T / (n - 1)
-    # per-relation bilinear forms S[a, b, k], weighted as in relation_weights
-    S = (Vi[:, None] * Vj[None]) @ np.stack(model.relations).T
-    if model.relation_weighting == "uniform":
-        return S @ np.full(model.K, 1.0 / model.K)
-    w = np.exp(S - S.max(axis=-1, keepdims=True))
-    w /= w.sum(axis=-1, keepdims=True)
-    return (w * S).sum(axis=-1)
+        VC = V * model.C
+    else:
+        R = np.stack(model.relations).T
+        uniform = np.full(model.K, 1.0 / model.K)
+    for i, j in itertools.combinations(range(n), 2):
+        Vi, Vj = V[i, : shape[i]], V[j, : shape[j]]
+        if pairwise == "diagonal":
+            pair = VC[i, : shape[i]] @ Vj.T / (n - 1)
+        else:
+            # per-relation bilinear forms S[a, b, k], weighted as in relation_weights
+            S = (Vi[:, None] * Vj[None]) @ R
+            if model.relation_weighting == "uniform":
+                pair = S @ uniform
+            else:
+                w = np.exp(S - S.max(axis=-1, keepdims=True))
+                w /= w.sum(axis=-1, keepdims=True)
+                pair = (w * S).sum(axis=-1)
+        # axes i and j of the tensor; the axes before i broadcast
+        score += pair.reshape(shape[i], *[1] * (j - i - 1), shape[j], *[1] * (n - 1 - j))
+    return score
 
 
 def _exhaustive(
@@ -401,18 +435,7 @@ def _exhaustive(
             "use strategy='greedy-local'"
         )
     block = _pack_candidates(doc.mentions, entities, words)
-    local = _local_scores(block, model.B)
-    n = len(shape)
-
-    def along(*axes: int) -> tuple[int, ...]:
-        return tuple(k if a in axes else 1 for a, k in enumerate(shape))
-
-    vecs = [block.vectors[i, :k] for i, k in enumerate(shape)]
-    score = np.zeros(shape)
-    for i, k in enumerate(shape):
-        score += local[i, :k].reshape(along(i))
-    for i, j in itertools.combinations(range(n), 2):
-        score += _pair_block(vecs[i], vecs[j], model, n, pairwise).reshape(along(i, j))
+    score = _score_tensor(block, model, pairwise)
     # the C-order first maximum is the lexicographically smallest best tuple
     best = np.unravel_index(score.argmax(), shape)
     return [ls[b] for ls, b in zip(block.labels, best)]

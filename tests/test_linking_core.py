@@ -643,6 +643,72 @@ def test_exhaustive_infer_equals_enumeration(world):
         assert got == best
 
 
+# ---------------------------------------------------------------------------
+# Bit-exact reference for the exhaustive score tensor: the scorer it replaced,
+# a zero tensor, one broadcast add per local vector and one per pair block,
+# each pair's factors taken afresh.
+
+
+def reference_pair_block(Vi, Vj, model, n, pairwise):
+    """(k_i, k_j) pairwise scores of every candidate pair of mentions i and j."""
+    if pairwise == "diagonal":
+        return (Vi * model.C) @ Vj.T / (n - 1)
+    S = (Vi[:, None] * Vj[None]) @ np.stack(model.relations).T
+    if model.relation_weighting == "uniform":
+        return S @ np.full(model.K, 1.0 / model.K)
+    w = np.exp(S - S.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    return (w * S).sum(axis=-1)
+
+
+def reference_score_tensor(block, model, pairwise):
+    shape = tuple(map(len, block.labels))
+    n = len(shape)
+    local = linking_core._local_scores(block, model.B)
+
+    def along(*axes):
+        return tuple(k if a in axes else 1 for a, k in enumerate(shape))
+
+    vecs = [block.vectors[i, :k] for i, k in enumerate(shape)]
+    score = np.zeros(shape)
+    for i, k in enumerate(shape):
+        score += local[i, :k].reshape(along(i))
+    for i, j in itertools.combinations(range(n), 2):
+        score += reference_pair_block(vecs[i], vecs[j], model, n, pairwise).reshape(along(i, j))
+    return score
+
+
+def assert_same_score_tensor(doc, model, entities, words, pairwise):
+    block = _pack_candidates(doc.mentions, entities, words)
+    got = linking_core._score_tensor(block, model, pairwise)
+    want = reference_score_tensor(block, model, pairwise)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(small_linking_worlds())
+def test_score_tensor_equals_reference_on_small_worlds(world):
+    doc, model, entities, words, mode = world
+    assert_same_score_tensor(doc, model, entities, words, "diagonal" if mode == "diagonal" else "relations")
+
+
+@pytest.mark.parametrize("mode", ["diagonal", "uniform", "softmax"])
+@pytest.mark.parametrize("n_mentions", [2, 3, 4, 5])
+def test_score_tensor_equals_reference_on_random_documents(rng, mode, n_mentions):
+    # random-normal vectors and diagonals: every sum rounds, so a change in
+    # the order or grouping of any addition shows in the bytes
+    dim = 7
+    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=dim)
+    for trial in range(4):
+        model = LinkingModel(
+            dim, rng.standard_normal(dim), rng.standard_normal(dim),
+            relations=[rng.standard_normal(dim) for _ in range(3)],
+            relation_weighting="softmax" if mode == "softmax" else "uniform",
+        )
+        doc = random_doc(rng, labels, wlabels, n_mentions, 1 + (trial + n_mentions) % 4, doc_id=f"d{trial}")
+        assert_same_score_tensor(doc, model, entities, words, "diagonal" if mode == "diagonal" else "relations")
+
+
 def separable_world(dim=8, n_groups=4):
     """Gold vectors aligned with their contexts, negatives orthogonal."""
     entity_rows = {}
@@ -1119,8 +1185,16 @@ class TestModelIO:
             (b"2 0\nnan 1\n1 1\n", NonFiniteError),
             (b"2 0\n1 1\n1 1e999\n", NonFiniteError),
             (b"2 0\n1 1\n1 1\nbogus\n", FormatError),
+            (b"--2 0\n1 1\n1 1\n", FormatError),
+            (b"2 -\n1 1\n1 1\n", FormatError),
+            (b"2 +0\n1 1\n1 1\n", FormatError),
+            (b"2 0_0\n1 1\n1 1\n", FormatError),
+            (b"2 " + b"0" * 19 + b"\n1 1\n1 1\n", FormatError),
         ],
-        ids=["non-ascii-diagonal", "non-ascii-weighting", "nan", "overflow", "unknown-weighting"],
+        ids=[
+            "non-ascii-diagonal", "non-ascii-weighting", "nan", "overflow", "unknown-weighting",
+            "double-minus-header", "bare-minus-header", "plus-header", "underscore-header", "long-header",
+        ],
     )
     def test_load_errors_are_format_errors_with_path(self, tmp_path, content, error):
         p = tmp_path / "m.txt"

@@ -1060,6 +1060,23 @@ class TestCli:
         assert e.value.code == 2
         assert str(model) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["infer", "score"])
+    def test_malformed_model_header_exits_2(self, fixture_dir, tmp_path, capsys, command):
+        # "--2" used to pass the header check and then fail in int()
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        model.write_bytes(b"--2 0\n1 1\n1 1\n")
+        extra = ["--out", str(tmp_path / "p.tsv")] if command == "infer" else []
+        with pytest.raises(SystemExit) as e:
+            main([
+                "link", command, "--docs", str(paths["eval"]),
+                "--entities", str(paths["wikitext"]), "--words", str(paths["words"]),
+                "--model", str(model), *extra,
+            ])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"malformed model header '--2 0' [{model}]" in err and "Traceback" not in err
+
     def test_fixtures_make_cli(self, tmp_path):
         runner = CliRunner()
         out = tmp_path / "fx"

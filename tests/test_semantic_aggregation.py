@@ -306,8 +306,12 @@ def aggregation_worlds(draw):
     def vectors(n, dim):
         return rng.standard_normal((n, dim)) * 2.0 ** rng.integers(-30, 30, (n, dim))
 
-    dim = draw(st.integers(1, 4))
-    n_words = draw(st.integers(1, 7))
+    # dim 1, where a row's positions are numpy's contiguous axis, half the time
+    dim = draw(st.just(1) | st.integers(2, 4))
+    # half the worlds let an entity use 9-11 type words: from 9 rows on, a
+    # pairwise sum (numpy's along a contiguous axis) would differ
+    wide = draw(st.booleans())
+    n_words = draw(st.integers(9, 12) if wide else st.integers(1, 7))
     words = EmbeddingTable(dim, [f"w{i}" for i in range(n_words)], vectors(n_words, dim))
     n = draw(st.integers(0, 13))
     entities = EmbeddingTable(dim, [f"e{i:02d}" for i in range(n)], vectors(n, dim))
@@ -316,12 +320,12 @@ def aggregation_worlds(draw):
     vocabulary = words.labels + (["ghost"] if draw(st.integers(0, 3)) == 0 else [])
     assignments = {}
     for label in entities.labels:
-        count = draw(st.integers(-1, 8))
+        count = draw(st.integers(-1, 12 if wide else 8))
         if count >= 0:
             chosen = draw(st.permutations(vocabulary))[:count]
             assignments[label] = EntityTypeAssignment(label, chosen)
     cfg = AggregationConfig(
-        T=draw(st.integers(1, 5)),
+        T=draw(st.integers(9, 11) if wide else st.integers(1, 5)),
         alpha=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99)),
     )
     block = draw(st.integers(1, 5))  # rows per block, so blocks straddle the table
