@@ -112,10 +112,8 @@ def types():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def types_extract(corpus, dictionary, remap, cap, out_path):
     """Extract up to CAP dictionary words per entity."""
-    d = type_dictionary.SemanticTypeDictionary.load(dictionary, remap)
-    articles = type_extraction.read_article_corpus(corpus)
-    assignments = type_extraction.extract_corpus(articles, d, cap=cap)
-    type_extraction.write_assignments(assignments, out_path)
+    assignments = pipeline.run_stage("types", {"corpus": corpus, "dictionary": dictionary, "remap": remap},
+                                     {"cap": cap}, [out_path])
     covered = sum(1 for a in assignments.values() if a.type_words)
     click.echo(f"extracted types for {len(assignments)} entities ({covered} non-empty)")
 
@@ -150,12 +148,8 @@ def embed_convert(in_path, out_path, normalize):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def embed_reinforce(wikitext, words, types_path, t_value, alpha, out_path):
     """Blend semantic type means into entity vectors."""
-    wik = embed_io.load_table(wikitext)
-    word_table = embed_io.load_table(words)
-    assignments = type_extraction.read_assignments(types_path)
-    cfg = semantic_aggregation.AggregationConfig(T=t_value, alpha=alpha)
-    out_table = semantic_aggregation.aggregate_table(wik, assignments, word_table, cfg)
-    embed_io.save_table(out_table, out_path)
+    out_table = pipeline.run_stage("aggregate", {"words": words, "wikitext": wikitext, "types_file": types_path},
+                                   {"T": t_value, "alpha": alpha}, [out_path])
     click.echo(f"reinforced {len(out_table)} entities (T={t_value}, alpha={alpha})")
 
 
@@ -192,16 +186,11 @@ def link():
 @click.option("--out-trace", type=click.Path())
 def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, out_model, out_trace):
     """Fit the local-score diagonal with margin-loss SGD."""
-    cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs, seed=seed)
-    train_docs = linking_core.load_linking_jsonl(train_path)
-    dev_docs = linking_core.load_linking_jsonl(dev_path) if dev_path else None
-    entity_table = embed_io.load_table(entities)
-    word_table = embed_io.load_table(words)
-    result = linking_core.train(train_docs, entity_table, word_table, cfg, dev_docs=dev_docs)
-    outputs = [(out_model, result.model.lines())]
-    if out_trace:
-        outputs.append((out_trace, json_lines(result.trace())))
-    write_files(outputs)
+    result = pipeline.run_stage(
+        "link", {"words": words, "reinforced": entities, "train": train_path, "dev": dev_path},
+        {"margin": margin, "lr": lr, "epochs": epochs, "seed": seed, "window": pipeline.PipelineConfig.window},
+        [out_model, out_trace] if out_trace else [out_model],
+    )
     final_loss = result.loss_trace[-1] if result.loss_trace else result.initial_loss
     click.echo(f"trained {epochs} epochs, final loss {final_loss:.4f}")
 
@@ -218,10 +207,10 @@ def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, 
 @click.option("--out", "out_path", required=True, type=click.Path())
 def link_infer(docs_path, entities, words, model_path, strategy, out_path):
     """Pick one candidate per mention; writes '<doc>\\t<idx>\\t<label>' TSV."""
-    docs = linking_core.load_linking_jsonl(docs_path)
+    docs = linking_core.load_documents(docs_path)
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
-    model = linking_core.LinkingModel.load(model_path)
+    model = linking_core.LinkingModel.load(model_path, relations=False)
     write_lines(out_path, (
         f"{doc.doc_id}\t{i}\t{label}"
         for doc in docs
@@ -251,10 +240,10 @@ def link_convert(in_path, out_path, window):
               help="Predictions TSV; defaults to gold labels.")
 def link_score(docs_path, entities, words, model_path, assignments_path):
     """Document scores for given (or gold) assignments, TSV on stdout."""
-    docs = linking_core.load_linking_jsonl(docs_path)
+    docs = linking_core.load_documents(docs_path)
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
-    model = linking_core.LinkingModel.load(model_path)
+    model = linking_core.LinkingModel.load(model_path, relations=False)
     chosen = _read_assignment_tsv(assignments_path) if assignments_path else None
     click.echo("doc_id\tscore")
     for doc in docs:
@@ -294,12 +283,12 @@ def eval_group():
 
 
 @eval_group.command("f1")
-@click.option("--docs", "docs_path", required=True, type=click.Path(exists=True), help="Gold documents (JSONL).")
+@click.option("--docs", "docs_path", required=True, type=click.Path(exists=True), help="Gold documents.")
 @click.option("--pred", required=True, type=click.Path(exists=True), help="Predictions TSV from 'link infer'.")
 @click.option("--out", "out_path", type=click.Path())
 def eval_f1(docs_path, pred, out_path):
     """Micro precision/recall/F1 of predictions against gold."""
-    docs = linking_core.load_linking_jsonl(docs_path)
+    docs = linking_core.load_documents(docs_path)
     gold = evaluation.gold_map(docs)
     predictions = _read_assignment_tsv(pred)
     report = evaluation.micro_f1(predictions, gold)
@@ -361,8 +350,8 @@ def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, thet
     """Compare epochs-to-threshold between two embedding tables."""
     seed_list = _seed_list(seeds)
     cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs)
-    train_docs = linking_core.load_linking_jsonl(train_path)
-    dev_docs = linking_core.load_linking_jsonl(dev_path)
+    train_docs = linking_core.load_documents(train_path)
+    dev_docs = linking_core.load_documents(dev_path)
     word_table = embed_io.load_table(words)
     base_table = embed_io.load_table(baseline)
     reinf_table = embed_io.load_table(reinforced)

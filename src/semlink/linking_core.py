@@ -177,8 +177,10 @@ class LinkingModel:
         write_lines(path, self.lines())
 
     @classmethod
-    def load(cls, path) -> "LinkingModel":
-        """Read a model file; every error is a `FormatError` naming the file."""
+    def load(cls, path, relations: bool = True) -> "LinkingModel":
+        """Read a model file; every error is a `FormatError` naming the file.
+        With ``relations=False``, a model with relation diagonals (K >= 1) is
+        a `RelationArityError` naming the file, for callers that cannot score them."""
         data = Path(path).read_bytes()
         try:
             lines = data.decode("ascii").splitlines()
@@ -193,9 +195,14 @@ class LinkingModel:
         dim, K = int(head[0]), int(head[1])
         if dim < 1 or K < 0:
             raise FormatError(f"model header {lines[0]!r} needs dim >= 1 and K >= 0", path=path)
+        if K and not relations:
+            raise RelationArityError(
+                f"model has K = {K} relation diagonals; link infer, link score and eval score none [{path}]")
         need = 1 + 2 + K
         if len(lines) < need:
             raise FormatError(f"expected {need} lines, found {len(lines)}", path=path)
+        if len(lines) > need + 1:
+            raise FormatError("line after the weighting line", path=path, line=need + 2)
         diags = []
         for line_no in range(1, need):
             try:
@@ -936,6 +943,13 @@ def _strip_prior(candidate) -> str:
         if 0.0 <= prior <= 1.0:  # false for nan
             return head
     return text
+
+
+def load_documents(path, window: int = 25) -> list[LinkingDocument]:
+    """`load_aida_tsv` with ``window`` for a ``.tsv`` or ``.conll`` file, else `load_linking_jsonl`."""
+    if Path(path).suffix.lower() in (".tsv", ".conll"):
+        return load_aida_tsv(path, window=window)
+    return load_linking_jsonl(path)
 
 
 def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:

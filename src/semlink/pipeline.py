@@ -9,7 +9,8 @@ change without rerunning it.  An input that an earlier stage writes
 (`_ARTIFACTS`) is read from ``out`` when that stage is enabled and from its
 configured path otherwise.  Every input of every enabled stage is checked
 before any stage runs: a missing key or a path that is not a file ends in a
-`ConfigError` with nothing written.
+`ConfigError` with nothing written.  `types extract`, `embed reinforce` and
+`link train` run their stage's runner alone, through `run_stage`.
 
 Every stage records content hashes in ``manifest.json``: its inputs by
 configuration key and its outputs by file name under ``out``, so a copied
@@ -290,13 +291,7 @@ class _RunCache:
         return self.tables[path]
 
 
-def _docs(path: Path, window: int) -> list:
-    if path.suffix.lower() in (".tsv", ".conll"):
-        return linking_core.load_aida_tsv(path, window=window)
-    return linking_core.load_linking_jsonl(path)
-
-
-# runner(shared, inputs, params, targets): `params` holds exactly what the stage records
+# runner(shared, inputs, params, targets) -> what its command reports; `params` is what the stage records
 def _stage_dict(shared, inputs, params, targets):
     vocab = set(shared.table(inputs["words"]).labels) if "words" in inputs else None
     d = type_dictionary.build_dictionary(
@@ -310,6 +305,7 @@ def _stage_types(shared, inputs, params, targets):
     articles = type_extraction.read_article_corpus(inputs["corpus"])
     assignments = type_extraction.extract_corpus(articles, d, cap=params["cap"])
     type_extraction.write_assignments(assignments, targets[0])
+    return assignments
 
 
 def _stage_semantic(shared, inputs, params, targets):
@@ -319,31 +315,33 @@ def _stage_semantic(shared, inputs, params, targets):
 
 
 def _stage_aggregate(shared, inputs, params, targets):
-    wikitext = embed_io.load_table(inputs["wikitext"])  # not cached: freed when the stage returns
     cfg = semantic_aggregation.AggregationConfig(T=params["T"], alpha=params["alpha"])
+    wikitext = embed_io.load_table(inputs["wikitext"])  # not cached: freed when the stage returns
     words = shared.table(inputs["words"])
     table = semantic_aggregation.aggregate_table(wikitext, shared.assignments(inputs["types_file"]), words, cfg)
-    embed_io.save_binary(table, targets[0])
+    embed_io.save_table(table, targets[0])
     shared.tables[targets[0]] = table  # link and eval use it without reading it back
+    return table
 
 
 def _stage_link(shared, inputs, params, targets):
-    words = shared.table(inputs["words"])
-    entities = shared.table(inputs["reinforced"])
-    train_docs = _docs(inputs["train"], params["window"])
-    dev_docs = _docs(inputs["dev"], params["window"]) if "dev" in inputs else None
     cfg = linking_core.TrainConfig(
         margin=params["margin"], lr=params["lr"], epochs=params["epochs"], seed=params["seed"]
     )
+    words = shared.table(inputs["words"])
+    entities = shared.table(inputs["reinforced"])
+    train_docs = linking_core.load_documents(inputs["train"], params["window"])
+    dev_docs = linking_core.load_documents(inputs["dev"], params["window"]) if "dev" in inputs else None
     result = linking_core.train(train_docs, entities, words, cfg, dev_docs=dev_docs)
-    write_files([(targets[0], result.model.lines()), (targets[1], json_lines(result.trace()))])
+    write_files(zip(targets, (result.model.lines(), json_lines(result.trace()))))
+    return result
 
 
 def _stage_eval(shared, inputs, params, targets):
     words = shared.table(inputs["words"])
     entities = shared.table(inputs["reinforced"])
-    model = linking_core.LinkingModel.load(inputs["model"])
-    docs = _docs(inputs["eval"], params["window"])
+    model = linking_core.LinkingModel.load(inputs["model"], relations=False)
+    docs = linking_core.load_documents(inputs["eval"], params["window"])
     predictions = {
         doc.doc_id: linking_core.infer(doc, model, entities, words, strategy=params["strategy"]) for doc in docs
     }
@@ -353,6 +351,11 @@ def _stage_eval(shared, inputs, params, targets):
 
 _RUNNERS = {"dict": _stage_dict, "types": _stage_types, "semantic": _stage_semantic,
             "aggregate": _stage_aggregate, "link": _stage_link, "eval": _stage_eval}
+
+
+def run_stage(stage: str, inputs: dict, params: dict, targets: list):
+    """One stage alone, as its command runs it: no manifest, no shared tables, ``None`` inputs dropped."""
+    return _RUNNERS[stage](_RunCache(), {k: v for k, v in inputs.items() if v is not None}, params, targets)
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:

@@ -57,6 +57,8 @@ COMMANDS = {
                    "--out-model model.txt --out-trace trace.json", ("model.txt", "trace.json")),
     "link infer": ("link infer --docs <eval> --entities <reinforced> --words <words> --model <model> --out p.tsv",
                    ("p.tsv",)),
+    "link infer exhaustive": ("link infer --docs <eval> --entities <reinforced> --words <words> --model <model> "
+                              "--strategy exhaustive --out p.tsv", ("p.tsv",)),
     "link convert": ("link convert --in <conll> --out docs.jsonl", ("docs.jsonl",)),
     "eval f1": ("eval f1 --docs <eval> --pred <pred> --out f1.json", ("f1.json",)),
     "eval converge": ("eval converge --train <train> --dev <dev> --words <words> --baseline <wikitext> "
@@ -191,6 +193,34 @@ def test_failed_write_leaves_every_output_as_it_was(inputs, tmp_path):
     assert {"embed reinforce", "embed convert bin", "embed convert txt", "pipeline run"} <= failed
     assert "stage 'semantic' failed" in results["pipeline run"][1]
     assert {"dict build", "link train", "eval converge"}.isdisjoint(failed)
+
+
+def _with_relation(model: bytes) -> bytes:
+    """The model with one relation diagonal, all -50, under softmax weighting."""
+    head, b, c, _weighting = model.decode().splitlines()
+    dim = int(head.split()[0])
+    return f"{dim} 1\n{b}\n{c}\n{' '.join(['-50'] * dim)}\nsoftmax\n".encode()
+
+
+@pytest.mark.parametrize("damage, needle", [
+    (lambda model: model + b"7 7 7\ngarbage\n", "line after the weighting line"),
+    (_with_relation, "model has K = 1 relation diagonals"),
+], ids=["trailing-lines", "relations"])
+def test_model_the_command_cannot_score_exits_2(inputs, tmp_path, damage, needle):
+    """A model file holds 3 + K lines and a weighting line, and the commands
+    that score no relation refuse K >= 1; either way the output is kept."""
+    model = tmp_path / "model.txt"
+    model.write_bytes(damage(Path(inputs["model"]).read_bytes()))
+    readers = [command for command in COMMANDS if "model" in inputs_of(command)]
+    assert readers == ["link infer", "link infer exhaustive"]
+    for command in readers:
+        out = tmp_path / command.replace(" ", "_")
+        out.mkdir()
+        for name in COMMANDS[command][1]:
+            (out / name).write_bytes(OLD)
+        code, err = run(argv(command, {**inputs, "model": str(model)}, out))
+        assert code == 2 and needle in err and str(model) in err, (command, err)
+        assert read_outputs(command, out) == dict.fromkeys(COMMANDS[command][1], OLD)
 
 
 def _truncate(data, at, _n, _r):

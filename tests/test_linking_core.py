@@ -29,6 +29,7 @@ from semlink.linking_core import (
     document_score,
     infer,
     load_aida_tsv,
+    load_documents,
     load_linking_jsonl,
     local_score,
     margin_loss_and_gradient,
@@ -1205,6 +1206,30 @@ class TestModelIO:
         assert e.value.path == p
         assert str(p) in str(e.value)
 
+    @pytest.mark.parametrize("content, line", [
+        ("2 0\n1 1\n1 1\nuniform\n7 7 7\ngarbage\n", 5),  # used to load as K = 0
+        ("2 1\n1 1\n1 1\n1 1\nsoftmax\n\n", 6),
+        ("2 1\n1 1\n1 1\n1 1\n\n7 7\n", 6),  # after a blank weighting line
+    ])
+    def test_line_after_the_weighting_line_is_an_error(self, tmp_path, content, line):
+        p = tmp_path / "m.txt"
+        p.write_text(content, "ascii")
+        with pytest.raises(FormatError, match="line after the weighting line") as e:
+            LinkingModel.load(p)
+        assert (e.value.path, e.value.line) == (p, line)
+        p.write_text("".join(content.splitlines(keepends=True)[:line - 1]), "ascii")
+        assert LinkingModel.load(p).K == int(content[2])
+
+    def test_relations_false_refuses_relation_diagonals(self, tmp_path):
+        p = tmp_path / "m.txt"
+        identity_model(2, 1).save(p)
+        assert LinkingModel.load(p).K == 1
+        with pytest.raises(RelationArityError, match="K = 1") as e:
+            LinkingModel.load(p, relations=False)
+        assert str(p) in str(e.value)
+        identity_model(2).save(p)
+        assert LinkingModel.load(p, relations=False).K == 0
+
 
 class TestCorpusIO:
     def test_jsonl_round_trip(self, rng, tmp_path):
@@ -1247,6 +1272,19 @@ class TestCorpusIO:
         assert m.gold == "City_X"
         assert m.context == ["the", "president", "today"]
         assert docs[1].mentions[0].gold is None
+
+    @pytest.mark.parametrize("name", ["docs.tsv", "docs.CONLL", "docs.jsonl", "docs"])
+    def test_load_documents_reads_by_suffix(self, tmp_path, name):
+        tsv = "-DOCSTART- (d)\na\nb\nx\tB\tx\tX\tX,Y\nc\nd\n"
+        docs = [LinkingDocument("d", [Mention("x", ["a", "b", "c", "d"], ["X", "Y"], "X")])]
+        p = tmp_path / name
+        if name.lower().endswith((".tsv", ".conll")):
+            p.write_text(tsv, "utf-8")
+            assert load_documents(p, window=1) == load_aida_tsv(p, window=1)
+            assert load_documents(p) == docs
+        else:
+            save_linking_jsonl(docs, p)
+            assert load_documents(p, window=1) == docs
 
     @pytest.mark.parametrize("text, label", [
         ("City_X:0.9", "City_X"),

@@ -17,8 +17,8 @@ from click.testing import CliRunner
 
 from semlink import pipeline
 from semlink.cli import cli, main
-from semlink.embed_io import EmbeddingTable, load_binary, load_table, save_binary
-from semlink.errors import ConfigError, StageError
+from semlink.embed_io import EmbeddingTable, load_binary, load_table, save_binary, save_text
+from semlink.errors import ConfigError, RelationArityError, StageError
 from semlink.evaluation import convergence_experiment
 from semlink.fixtures import FixtureSizes, make_fixtures
 from semlink.linking_core import (
@@ -43,6 +43,20 @@ def fixture_dir(tmp_path_factory):
     return root, paths
 
 
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """The default fixture (seed 7) and the output directory of a full
+    `pipeline run` on it with default parameters."""
+    root = tmp_path_factory.mktemp("default")
+    paths = make_fixtures(7, FixtureSizes(), root / "fx")
+    keys = {"words": "words", "wikitext": "wikitext", "corpus": "articles", "seeds": "seeds",
+            "extensions": "extensions", "remap": "remap", "train": "train", "dev": "dev", "eval": "eval"}
+    cfg = root / "p.cfg"
+    cfg.write_text("".join(f"{k} = {paths[v]}\n" for k, v in keys.items()) + f"out = {root / 'out'}\n")
+    assert set(run_pipeline(PipelineConfig.from_file(cfg)).values()) == {"done"}
+    return paths, root / "out"
+
+
 def write_config(path, paths, out_dir, extra=""):
     path.write_text(
         f"""# pipeline configuration
@@ -63,6 +77,19 @@ epochs = 3
 """,
         "utf-8",
     )
+    return path
+
+
+def write_conll(docs, path):
+    """``docs`` as a CoNLL-style TSV: each mention between the two halves of its context."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            fh.write(f"-DOCSTART- ({doc.doc_id})\n")
+            for m in doc.mentions:
+                half = len(m.context) // 2
+                fh.writelines(tok + "\n" for tok in m.context[:half])
+                fh.write(f"{m.surface}\tB\t{m.surface}\t{m.gold}\t{','.join(m.candidates)}\n")
+                fh.writelines(tok + "\n" for tok in m.context[half:])
     return path
 
 
@@ -96,15 +123,38 @@ class TestPipeline:
         again = run_pipeline(PipelineConfig.from_file(cfg_path))
         assert again == {s: "skipped" for s in again}
 
-    def test_outputs_keep_their_bytes(self, tmp_path):
-        # a full run with default parameters on the default fixture (seed 7)
-        paths = make_fixtures(7, FixtureSizes(), tmp_path / "fx")
-        keys = {"words": "words", "wikitext": "wikitext", "corpus": "articles", "seeds": "seeds",
-                "extensions": "extensions", "remap": "remap", "train": "train", "dev": "dev", "eval": "eval"}
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("".join(f"{k} = {paths[v]}\n" for k, v in keys.items()) + f"out = {tmp_path / 'out'}\n")
-        assert set(run_pipeline(PipelineConfig.from_file(cfg)).values()) == {"done"}
-        assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in PINNED} == PINNED
+    def test_outputs_keep_their_bytes(self, default_run):
+        _, out = default_run
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED} == PINNED
+
+    def test_cli_chain_writes_the_pipeline_bytes(self, default_run, tmp_path, capsys, monkeypatch):
+        """The README's command chain, with the same inputs and default
+        parameters, writes every output it shares with `pipeline run` byte
+        for byte, and each command prints its summary line."""
+        paths, out = default_run
+        monkeypatch.chdir(tmp_path)
+        chain = [
+            (f"dict build --seeds {paths['seeds']} --extensions {paths['extensions']} --remap {paths['remap']} "
+             f"--embeddings {paths['words']} --out-words dictionary.txt --out-remap remap.tsv",
+             "dictionary: 60 words, 0 remaps"),
+            (f"types extract --corpus {paths['articles']} --dictionary dictionary.txt --remap remap.tsv "
+             "--out types.tsv", "extracted types for 60 entities (60 non-empty)"),
+            (f"embed reinforce --wikitext {paths['wikitext']} --words {paths['words']} --types types.tsv "
+             "--out reinforced.bin", "reinforced 60 entities (T=11, alpha=0.2)"),
+            (f"link train --train {paths['train']} --dev {paths['dev']} --entities reinforced.bin "
+             f"--words {paths['words']} --out-model model.txt --out-trace train_trace.json",
+             "trained 20 epochs, final loss 181.9074"),
+            (f"link infer --docs {paths['eval']} --entities reinforced.bin --words {paths['words']} "
+             "--model model.txt --out pred.tsv", "inferred 15 documents -> pred.tsv"),
+            (f"eval f1 --docs {paths['eval']} --pred pred.tsv --out eval.json",
+             "tp=73 fp=2 fn=2 P=0.9733 R=0.9733 F1=0.9733"),
+        ]
+        for argv, summary in chain:
+            main(argv.split())
+            assert capsys.readouterr().out == summary + "\n", argv
+        for name in ("dictionary.txt", "remap.tsv", "types.tsv", "reinforced.bin", "model.txt",
+                     "train_trace.json", "eval.json"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_word_table_loaded_once_per_run(self, fixture_dir, tmp_path, monkeypatch):
         root, paths = fixture_dir
@@ -349,20 +399,7 @@ class TestPipeline:
 
     def test_link_stage_accepts_conll_tsv_corpus(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
-        from semlink.linking_core import load_linking_jsonl
-
-        docs = load_linking_jsonl(paths["train"])[:3]
-        tsv = tmp_path / "train.tsv"
-        with open(tsv, "w", encoding="utf-8") as fh:
-            for doc in docs:
-                fh.write(f"-DOCSTART- ({doc.doc_id})\n")
-                for m in doc.mentions:
-                    half = len(m.context) // 2
-                    for tok in m.context[:half]:
-                        fh.write(tok + "\n")
-                    fh.write(f"{m.surface}\tB\t{m.surface}\t{m.gold}\t{','.join(m.candidates)}\n")
-                    for tok in m.context[half:]:
-                        fh.write(tok + "\n")
+        tsv = write_conll(load_linking_jsonl(paths["train"])[:3], tmp_path / "train.tsv")
         out = tmp_path / "out"
         cfg_path = write_config(
             tmp_path / "p.cfg", paths, out,
@@ -371,6 +408,19 @@ class TestPipeline:
         status = run_pipeline(PipelineConfig.from_file(cfg_path))
         assert status == {"link": "done"}
         assert (out / "model.txt").exists()
+
+    def test_eval_stage_refuses_a_model_with_relations(self, fixture_dir, tmp_path):
+        # eval scores no relation diagonal, so a K >= 1 model would score as if K were 0
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        identity_model(SIZES.dim, 1).save(model)
+        cfg_path = write_config(tmp_path / "p.cfg", paths, tmp_path / "out",
+                                extra=f"stages = eval\nreinforced = {paths['wikitext']}\nmodel = {model}\n")
+        with pytest.raises(StageError) as err:
+            run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert err.value.stage == "eval" and isinstance(err.value.cause, RelationArityError)
+        assert str(model) in str(err.value)
+        assert not (tmp_path / "out" / "eval.json").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -576,6 +626,44 @@ class TestCli:
         r2 = runner.invoke(cli, ["embed", "neighbors", "--table", str(out_bin), "--query", query, "-k", "3"])
         assert r2.exit_code == 0
         assert len(r2.output.strip().splitlines()) == 4  # header + 3 rows
+
+    def test_embed_reinforce_keeps_the_output_format(self, fixture_dir, tmp_path):
+        # the format follows the extension, as in `embed convert`
+        root, paths = fixture_dir
+        expected = aggregate_table(load_binary(paths["wikitext"]), read_assignments(paths["types"]),
+                                   load_binary(paths["words"]), AggregationConfig(T=11, alpha=0.2))
+        for name, save in (("r.txt", save_text), ("r.bin", save_binary)):
+            main(["embed", "reinforce", "--wikitext", str(paths["wikitext"]), "--words", str(paths["words"]),
+                  "--types", str(paths["types"]), "--out", str(tmp_path / name)])
+            save(expected, tmp_path / f"expected-{name}")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"expected-{name}").read_bytes(), name
+
+    def test_conll_corpus_reads_as_its_converted_jsonl(self, fixture_dir, tmp_path, capsys):
+        """Every command that reads documents takes a .conll corpus as `link
+        convert` (window 25) turns it into JSONL."""
+        root, paths = fixture_dir
+        conll = write_conll(load_linking_jsonl(paths["train"]), tmp_path / "docs.conll")
+        jsonl = tmp_path / "docs.jsonl"
+        main(["link", "convert", "--in", str(conll), "--out", str(jsonl)])
+        tables = ["--entities", str(paths["wikitext"]), "--words", str(paths["words"])]
+        outputs = {}
+        for docs in (conll, jsonl):
+            capsys.readouterr()
+            run = tmp_path / docs.suffix[1:]
+            run.mkdir()
+            main(["link", "train", "--train", str(docs), "--dev", str(docs), *tables, "--epochs", "3",
+                  "--out-model", str(run / "model.txt"), "--out-trace", str(run / "trace.json")])
+            main(["link", "infer", "--docs", str(docs), *tables, "--model", str(run / "model.txt"),
+                  "--out", str(run / "pred.tsv")])
+            main(["link", "score", "--docs", str(docs), *tables, "--model", str(run / "model.txt")])
+            main(["eval", "f1", "--docs", str(docs), "--pred", str(run / "pred.tsv")])
+            main(["eval", "converge", "--train", str(docs), "--dev", str(docs), "--words", str(paths["words"]),
+                  "--baseline", str(paths["wikitext"]), "--reinforced", str(paths["wikitext"]), "--seeds", "1",
+                  "--epochs", "2", "--theta", "0.5", "--out", str(run / "converge.json")])
+            printed = capsys.readouterr().out.replace(str(run), "<run>")
+            outputs[docs.suffix] = {p.name: p.read_bytes() for p in run.iterdir()}, printed
+        assert outputs[".conll"] == outputs[".jsonl"]
+        assert sorted(outputs[".conll"][0]) == ["converge.json", "model.txt", "pred.tsv", "trace.json"]
 
     def test_types_extract_matches_fixture(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
@@ -1059,6 +1147,21 @@ class TestCli:
             ])
         assert e.value.code == 2
         assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infer", "score"])
+    def test_model_with_relations_exits_2(self, fixture_dir, tmp_path, capsys, command):
+        # neither command scores a relation diagonal: a K >= 1 model would score as if K were 0
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        identity_model(SIZES.dim, 1).save(model)
+        extra = ["--out", str(tmp_path / "p.tsv")] if command == "infer" else []
+        with pytest.raises(SystemExit) as e:
+            main(["link", command, "--docs", str(paths["eval"]), "--entities", str(paths["wikitext"]),
+                  "--words", str(paths["words"]), "--model", str(model), *extra])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert "model has K = 1 relation diagonals" in captured.err and str(model) in captured.err
+        assert captured.out == "" and os.listdir(tmp_path) == ["model.txt"]
 
     @pytest.mark.parametrize("command", ["infer", "score"])
     def test_malformed_model_header_exits_2(self, fixture_dir, tmp_path, capsys, command):

@@ -10,13 +10,20 @@ could skip when it should rerun.  The guard scans ``pipeline.py`` with
 ``**params`` all count as unchecked reads, and no runner names ``config`` or
 ``PipelineConfig``.  ``run_pipeline`` defines no function of its own, so no
 runner can close over the configuration.
+
+The commands that run a stage alone call ``pipeline.run_stage("<stage>",
+inputs, params, targets)`` in ``cli.py``.  A second guard checks that each
+such call passes literal dicts: ``params`` with exactly the keys the stage
+records, so a parameter added to `STAGES` cannot end in a `KeyError` from a
+command, and ``inputs`` with the stage's required keys and no key it does not take.
 """
 
 import ast
 from pathlib import Path
 
-from semlink import pipeline
+from semlink import cli, pipeline
 
+CLI = Path(cli.__file__)
 PIPELINE = Path(pipeline.__file__)
 SIGNATURE = ["shared", "inputs", "params", "targets"]
 
@@ -60,6 +67,70 @@ def stage_reads(path=PIPELINE, stages=pipeline.STAGES) -> tuple[list[str], set[t
     problems += [f"run_pipeline:{n.lineno} defines a function" for n in ast.walk(run)
                  if n is not run and isinstance(n, (ast.FunctionDef, ast.Lambda))]
     return problems, reads
+
+
+def _literal_keys(node):
+    """The keys of a dict display whose keys are all constants, else None."""
+    if isinstance(node, ast.Dict) and all(isinstance(k, ast.Constant) for k in node.keys):
+        return {k.value for k in node.keys}
+    return None
+
+
+def command_stage_calls(path=CLI, stages=pipeline.STAGES) -> tuple[list[str], list[str]]:
+    """``(problems, called)``: each problem is ``line what``; ``called`` lists
+    the stage of every ``pipeline.run_stage`` call in ``path``, in order."""
+    problems, called = [], []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "pipeline.run_stage"):
+            continue
+        if len(node.args) != 4 or node.keywords:
+            problems.append(f"{node.lineno} not called as (stage, inputs, params, targets)")
+            continue
+        stage = getattr(node.args[0], "value", None)  # a literal stage name, else None
+        inputs, params = _literal_keys(node.args[1]), _literal_keys(node.args[2])
+        if stage not in stages:
+            problems.append(f"{node.lineno} stage {ast.unparse(node.args[0])} is not a stage name")
+            continue
+        called.append(stage)
+        required, optional, _, recorded = stages[stage]
+        if params != set(recorded):
+            problems.append(f"{node.lineno} params are not a literal dict of exactly {', '.join(recorded)}")
+        if inputs is None or not set(required) <= inputs <= set(required + optional):
+            problems.append(f"{node.lineno} inputs are not a literal dict of {stage}'s input keys")
+    return problems, called
+
+
+def test_commands_pass_each_stage_its_recorded_params():
+    problems, called = command_stage_calls()
+    assert problems == []
+    assert sorted(called) == ["aggregate", "link", "types"]
+
+
+def test_guard_sees_bad_command_calls(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "pipeline.run_stage('a', {'i': 1}, {'x': 1}, [out])\n"
+        "pipeline.run_stage('a', {'i': 1}, {'x': 1, 'y': 2}, [out])\n"
+        "pipeline.run_stage('a', {'j': 1}, {}, [out])\n"
+        "pipeline.run_stage('a', inputs, params, [out])\n"
+        "pipeline.run_stage('a', {'i': 1}, {**p}, [out])\n"
+        "pipeline.run_stage(stage, {'i': 1}, {'x': 1}, [out])\n"
+        "pipeline.run_stage('a', {'i': 1}, params={'x': 1}, targets=[out])\n"
+        "pipeline.run_stage('b', {'i': 1, 'k': None}, {}, [])\n",
+        "utf-8",
+    )
+    stages = {"a": (("i",), (), (), ("x",)), "b": (("i",), ("k",), (), ())}
+    problems, called = command_stage_calls(tmp_path / "cli.py", stages)
+    assert problems == [
+        "2 params are not a literal dict of exactly x",
+        "3 params are not a literal dict of exactly x",
+        "3 inputs are not a literal dict of a's input keys",
+        "4 params are not a literal dict of exactly x",
+        "4 inputs are not a literal dict of a's input keys",
+        "5 params are not a literal dict of exactly x",
+        "6 stage stage is not a stage name",
+        "7 not called as (stage, inputs, params, targets)",
+    ]
+    assert called == ["a", "a", "a", "a", "a", "b"]
 
 
 def test_runners_read_only_recorded_params():
