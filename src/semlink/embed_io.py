@@ -196,9 +196,14 @@ def padded_rows(
     to the longest, and the (N, M) mask of real rows: one gather."""
     counts = np.array([len(r) for r in rows], dtype=np.intp)
     mask = np.arange(counts.max(initial=0)) < counts[:, None]
+    listed = [i for r in rows for i in r]
+    if len(listed) == mask.size:
+        # no list is short: the gather is the block
+        block = matrix.take(listed, axis=0).astype(dtype, copy=False)
+        return block.reshape(*mask.shape, matrix.shape[1]), mask
     out = np.zeros((*mask.shape, matrix.shape[1]), dtype=dtype)
     # the mask's C-order True cells are the listed rows in order
-    out[mask] = matrix.take([i for r in rows for i in r], axis=0)
+    out[mask] = matrix.take(listed, axis=0)
     return out, mask
 
 

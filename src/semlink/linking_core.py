@@ -50,32 +50,49 @@ Context features are computed once for all tables.  ``train`` is the
 one-run case, so there is one SGD loop.
 
 Dev mentions with usable gold are packed once as well (features, sorted
-candidate vectors, mask, gold index), so dev F1 per epoch is one einsum and
-a first-maximum argmax, the same greedy scorer ``infer`` uses.
+candidate vectors, gold index), so dev F1 per epoch is one einsum and a
+first-maximum argmax, the same greedy scorer ``infer`` uses.
 
 Context features and candidate blocks are gathered, not looked up one
 token or one mention at a time.  ``_features`` maps the mentions' context
 tokens to word rows and takes their means with ``embed_io.row_means``, the
 package's one mean rule: each feature is the same sequential ``acc += row``
-chain as a per-token loop, bit for bit.  ``_pack_candidates`` fills its
-(N, M, d) block with one ``embed_io.padded_rows`` gather, and
-``_build_instances`` gathers every gold and negative the same way.
-Training, dev packing and both inference strategies go through these
-functions, and ``context_feature`` is the one-mention case of ``_features``,
-its (d,) row.  Features, like every vector the scorer takes or returns, are
-plain arrays; ``document_score`` takes them as (d,) rows or one (n, d) array.
+chain as a per-token loop, bit for bit.  ``_pack_candidates`` builds one
+flat block: the sorted labels, the (N, d) features, the (S, d) float64
+candidate rows of all mentions one after another (S = sum k_i), taken
+with one ``take`` of the row indices the table's dict gives, and the
+per-mention offsets into them.  Local scores are one ``einsum("md,d,md->m")``
+over those rows, with each feature repeated per candidate: the products
+and the sums over d are those of the zero-padded ``einsum("nmd,d,nd->nm")``
+it replaced, bit for bit.  Greedy inference and dev F1 read each mention's
+first maximum through a padded (N, M) index of the flat scores, whose pads
+read -inf.  ``_build_instances`` gathers every gold and negative with one
+``embed_io.padded_rows``.  Training, dev packing and both inference
+strategies go through these functions, and ``context_feature`` is the
+one-mention case of ``_features``, its (d,) row.  Features, like every
+vector the scorer takes or returns, are plain arrays; ``document_score``
+takes them as (d,) rows or one (n, d) array.
 
 Exhaustive inference packs the document the same way and scores every
 assignment at once in one ``(k_1, ..., k_n)`` float64 tensor, product x 8
 bytes (8 MB at ``EXHAUSTIVE_CAPACITY``).  ``_score_tensor`` builds the
 local part one axis at a time, ``0.0 + l_1``, then ``score[..., None] +
-l_i`` for each further mention (l_i its local vector, the same einsum), so
-the tensor grows to full size only at the last mention.  With V_i the
-sorted candidate vectors of mention i, it then adds each pair's (k_i, k_j)
-block -- ``(V_i * C) @ V_j.T / (n - 1)``, or the weighted relation forms --
-in ``itertools.combinations`` order; ``V * C`` and the stacked relation
-matrix are taken once per document, not once per pair.  Each score is thus
-the same additions in the same order as a zero tensor that takes every
+l_i`` for each further mention (l_i the flat local scores of mention i),
+so the tensor grows to full size only at the last mention.  With V_i the
+rows of mention i, it then adds each pair's (k_i, k_j) block in
+``itertools.combinations`` order.  A diagonal block is ``(V_i * C) @ V_j.T
+/ (n - 1)``, one (k_i, d) @ (d, k_j) product per pair: one product over
+all candidates rounds differently.  In relation mode every pair writes
+``(V_i[:, None] * V_j[None]) @ R``, in that (k_i, k_j, d) @ (d, K) shape
+(a 2-D product rounds differently), into one (sum k_i * k_j, K) buffer, and
+one softmax runs over the buffer for the whole document; its maxima come
+one column at a time, which is exact.  Uniform weighting stays one
+(k_i, k_j, K) @ (K,) mat-vec per pair, since one mat-vec over the buffer
+rounds differently.  ``V * C`` and the stacked relation matrix are taken
+once per document.  Where the axes before i broadcast, a pair add spreads
+its block over axes i.. once and adds it as one contiguous run per prefix,
+so numpy's inner loop is long; each score still takes the same additions in
+the same order.  Each score is thus those of a zero tensor that takes every
 local vector and then every pair block, bit for bit.  The C-order first
 maximum of that tensor is the lexicographically smallest best label tuple.
 ``document_score`` and the pairwise functions keep their scalar form as
@@ -84,6 +101,7 @@ the reference the packed path is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -103,6 +121,7 @@ from .errors import (
     EmptyTrainingError,
     FormatError,
     InvalidDocumentError,
+    MissingLabelError,
     NonFiniteError,
     RelationArityError,
 )
@@ -340,12 +359,27 @@ def _check_dims(entities: EmbeddingTable, words: EmbeddingTable) -> None:
 
 @dataclass
 class _CandidateBlock:
-    """Mentions packed for local scoring, candidates in sorted label order."""
+    """Mentions packed for scoring: each mention's candidates in sorted label
+    order, their rows one mention after another."""
 
     labels: list[list[str]]  # sorted candidate labels per mention
     features: np.ndarray     # (N, d) context features
-    vectors: np.ndarray      # (N, M, d) candidate vectors, zero-padded to M
-    mask: np.ndarray         # (N, M) True on real candidates
+    vectors: np.ndarray      # (S, d) float64 candidate rows, in mention order
+    offsets: list[int]       # mention n's rows are offsets[n]:offsets[n + 1]
+
+    # derived once per block, since dev F1 scores the same block every epoch
+    @functools.cached_property
+    def row_features(self) -> np.ndarray:
+        """(S, d) each row's mention feature."""
+        return self.features.repeat(list(map(len, self.labels)), axis=0)
+
+    @functools.cached_property
+    def padded(self) -> np.ndarray:
+        """(N, M) index of each mention's rows, padded with S, the index one
+        past the last row."""
+        starts, counts = np.array(self.offsets[:-1], dtype=np.intp), np.diff(self.offsets)
+        columns = np.arange(counts.max(initial=0))
+        return np.where(columns < counts[:, None], starts[:, None] + columns, self.offsets[-1])
 
 
 def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
@@ -365,27 +399,77 @@ def _pack_candidates(
     words: EmbeddingTable,
     features: Optional[np.ndarray] = None,
 ) -> _CandidateBlock:
-    """Pack ``mentions``; ``features`` are their context features if known."""
+    """Pack ``mentions``; ``features`` are their context features if known.
+    A candidate missing from ``entities`` is a `MissingLabelError` naming it."""
     _check_dims(entities, words)
     if features is None:
         features = _features(mentions, words)
     labels = [sorted(m.candidates) for m in mentions]
-    rows = [[entities.index(c) for c in ls] for ls in labels]
-    vectors, mask = padded_rows(entities.matrix, rows, np.float64)
-    return _CandidateBlock(labels, features, vectors, mask)
+    row_of = entities._index
+    try:
+        rows = [row_of[c] for ls in labels for c in ls]
+    except KeyError as e:
+        raise MissingLabelError(f"label {e.args[0]!r} not in table") from None
+    vectors = entities.matrix.take(rows, axis=0).astype(np.float64)
+    return _CandidateBlock(labels, features, vectors, [0, *itertools.accumulate(map(len, labels))])
 
 
 def _local_scores(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
-    """(N, M) local scores of every packed candidate; padding rows score 0."""
-    return np.einsum("nmd,d,nd->nm", block.vectors, B, block.features)
+    """(S,) local score of every packed candidate, in the block's row order."""
+    return np.einsum("md,d,md->m", block.vectors, B, block.row_features)
 
 
 def _greedy_picks(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
     """Per-mention index of the first candidate with the highest local score."""
-    scores = _local_scores(block, B)
-    scores[~block.mask] = -np.inf
-    # argmax returns the first maximum: ties go to the smallest label
-    return scores.argmax(axis=1)
+    # the pads of the padded index read -inf; argmax returns the first
+    # maximum, so ties go to the smallest label
+    return np.concatenate((_local_scores(block, B), [-np.inf]))[block.padded].argmax(axis=1)
+
+
+def _relation_blocks(
+    V: np.ndarray, rows: Sequence[slice], pairs: Sequence[tuple[int, int]], model: LinkingModel
+) -> list[np.ndarray]:
+    """Each pair's (k_i, k_j) relation block, weighted as in relation_weights.
+
+    Every pair's per-relation forms ``(V_i[:, None] * V_j[None]) @ R`` go to
+    one (sum k_i * k_j, K) buffer, and softmax weighting runs once over it for
+    the whole document.  Uniform weighting stays one (k_i, k_j, K) @ (K,)
+    mat-vec per pair: over the whole buffer, BLAS groups the rows differently
+    and the sums round differently.
+    """
+    R = np.stack(model.relations).T
+    sizes = [(rows[i].stop - rows[i].start, rows[j].stop - rows[j].start) for i, j in pairs]
+    starts = [0, *itertools.accumulate(a * b for a, b in sizes)]
+    S = np.empty((starts[-1], model.K))
+    forms = [S[start : start + a * b].reshape(a, b, model.K) for (a, b), start in zip(sizes, starts)]
+    for (i, j), out in zip(pairs, forms):
+        # the (k_i, k_j, d) @ (d, K) shape of one pair; a 2-D product rounds differently
+        np.matmul(V[rows[i], None] * V[None, rows[j]], R, out=out)
+    if model.relation_weighting == "uniform":
+        uniform = np.full(model.K, 1.0 / model.K)
+        return [out @ uniform for out in forms]
+    # the row maxima one column at a time: a max is exact, and numpy's reduce
+    # over a short last axis costs far more than K - 1 column calls
+    w = np.exp(S - functools.reduce(np.maximum, S.T)[:, None])
+    w /= w.sum(axis=-1, keepdims=True)
+    weighted = (w * S).sum(axis=-1)
+    return [weighted[start : start + a * b].reshape(a, b) for (a, b), start in zip(sizes, starts)]
+
+
+def _add_pair(score: np.ndarray, pair: np.ndarray, i: int, j: int) -> None:
+    """``score`` += the (k_i, k_j) block ``pair`` on axes i and j, in place."""
+    shape = score.shape
+    block = pair.reshape(shape[i], *[1] * (j - i - 1), shape[j], *[1] * (len(shape) - 1 - j))
+    tail = shape[i:]
+    if i == 0 or math.prod(tail) == pair.size:
+        score += block
+        return
+    # the axes before i broadcast: add the block spread over axes i.. as one
+    # contiguous run per prefix, so numpy's inner loop is long
+    run = np.empty(tail)
+    run[...] = block
+    prefixes = score.reshape(-1, run.size)
+    prefixes += run.reshape(-1)
 
 
 def _score_tensor(block: _CandidateBlock, model: LinkingModel, pairwise: str) -> np.ndarray:
@@ -395,35 +479,23 @@ def _score_tensor(block: _CandidateBlock, model: LinkingModel, pairwise: str) ->
     ``itertools.combinations`` order, the additions of a zero tensor that
     takes every local vector and then every pair block in turn.
     """
-    shape = tuple(map(len, block.labels))
-    n = len(shape)
+    rows = [slice(a, b) for a, b in itertools.pairwise(block.offsets)]
+    n = len(rows)
     local = _local_scores(block, model.B)
     # one axis at a time: after step i, score[a_1, ..., a_i] = 0.0 + l_1 + ... + l_i
-    score = 0.0 + local[0, : shape[0]]
+    score = 0.0 + local[rows[0]]
     for i in range(1, n):
-        score = score[..., None] + local[i, : shape[i]]
-    # the factors every pair shares, taken once per document
+        score = score[..., None] + local[rows[i]]
+    pairs = list(itertools.combinations(range(n), 2))
     V = block.vectors
     if pairwise == "diagonal":
+        # V * C is taken once per document, not once per pair
         VC = V * model.C
+        blocks = [VC[rows[i]] @ V[rows[j]].T / (n - 1) for i, j in pairs]
     else:
-        R = np.stack(model.relations).T
-        uniform = np.full(model.K, 1.0 / model.K)
-    for i, j in itertools.combinations(range(n), 2):
-        Vi, Vj = V[i, : shape[i]], V[j, : shape[j]]
-        if pairwise == "diagonal":
-            pair = VC[i, : shape[i]] @ Vj.T / (n - 1)
-        else:
-            # per-relation bilinear forms S[a, b, k], weighted as in relation_weights
-            S = (Vi[:, None] * Vj[None]) @ R
-            if model.relation_weighting == "uniform":
-                pair = S @ uniform
-            else:
-                w = np.exp(S - S.max(axis=-1, keepdims=True))
-                w /= w.sum(axis=-1, keepdims=True)
-                pair = (w * S).sum(axis=-1)
-        # axes i and j of the tensor; the axes before i broadcast
-        score += pair.reshape(shape[i], *[1] * (j - i - 1), shape[j], *[1] * (n - 1 - j))
+        blocks = _relation_blocks(V, rows, pairs, model)
+    for (i, j), pair in zip(pairs, blocks):
+        _add_pair(score, pair, i, j)
     return score
 
 
@@ -573,9 +645,11 @@ def _build_instances(
         for doc in docs:
             k = sum(m.gold_in_candidates() for m in doc.mentions)
             if k > 1:
-                for i in range(k):
-                    others = np.delete(gold[n : n + k, 0], i, axis=0)
-                    pair[n + i] = np.sum(others, axis=0) / (len(doc.mentions) - 1)
+                # row i: the document's golds but its own, in order; a reduce
+                # along that axis, not the innermost, adds them in sequence
+                others = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
+                np.add.reduce(gold[n + others, 0], axis=1, out=pair[n : n + k])
+                pair[n : n + k] /= len(doc.mentions) - 1
                 paired[n : n + k] = True
             n += k
         PD = np.zeros_like(diff)
@@ -856,7 +930,8 @@ def save_linking_jsonl(docs: Iterable[LinkingDocument], path) -> None:
 
 
 def load_linking_jsonl(path) -> list[LinkingDocument]:
-    """One document per line; a repeated ``doc_id`` is a `FormatError`."""
+    """One document per line; a repeated ``doc_id``, or a candidate listed
+    twice in one mention once priors are stripped, is a `FormatError`."""
     docs: dict[str, LinkingDocument] = {}
     for line_no, line in read_lines(path):
         line = line.strip()
@@ -916,13 +991,25 @@ def _document_from(record) -> LinkingDocument:
         mentions.append(Mention(
             surface=_checked(m["surface"], str, "surface"),
             context=context,
-            candidates=[_strip_prior(c) for c in _checked(m["candidates"], list, "candidates")],
+            candidates=_unique([_strip_prior(c) for c in _checked(m["candidates"], list, "candidates")]),
             gold=gold,
         ))
     doc_id = _checked(record["doc_id"], str, "doc_id")
     if not mentions:
         raise FormatError(f"document {doc_id!r} has no mentions")
     return LinkingDocument(doc_id, mentions)
+
+
+def _unique(candidates: list[str]) -> list[str]:
+    """``candidates``; a label listed twice, after prior stripping, is a
+    `FormatError` naming it."""
+    if len(set(candidates)) < len(candidates):
+        seen: set[str] = set()
+        for c in candidates:
+            if c in seen:
+                raise FormatError(f"repeated candidate {c!r}")
+            seen.add(c)
+    return candidates
 
 
 def _strip_prior(candidate) -> str:
@@ -963,7 +1050,8 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
     ``doc<n>``, after its place among the documents, with ``n`` raised past
     every id the file writes and every name already given.  A negative
     ``window`` is a `ConfigError`; a repeated doc id is a `FormatError`
-    naming its ``-DOCSTART-`` line.
+    naming its ``-DOCSTART-`` line, and a candidate listed twice on a
+    mention line, once priors are stripped, one naming that line.
     """
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
@@ -1019,7 +1107,10 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
             )
         tokens.append(token)
         gold = parts[3] if parts[3] != "--NME--" else None
-        cands = [_strip_prior(c) for c in parts[4].split(",") if c]
+        try:
+            cands = _unique([_strip_prior(c) for c in parts[4].split(",") if c])
+        except FormatError as e:
+            raise FormatError(e.reason, path=path, line=line_no) from None
         spans.append((len(tokens) - 1, len(tokens), parts[2], gold, cands))
     _flush()
     out = []

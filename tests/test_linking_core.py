@@ -1,6 +1,7 @@
 """Bilinear scores vs naive oracles, inference vs enumeration, trainer checks."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from semlink.errors import (
     EmptyTrainingError,
     FormatError,
     InvalidDocumentError,
+    MissingLabelError,
     NonFiniteError,
     RelationArityError,
 )
@@ -23,6 +25,7 @@ from semlink.linking_core import (
     LinkingDocument,
     LinkingModel,
     Mention,
+    STRATEGIES,
     TrainConfig,
     TrainResult,
     context_feature,
@@ -153,9 +156,10 @@ def test_batched_gathers_equal_per_token_and_per_mention_loops(world):
     for f, w in zip(singles, want):
         assert f.tobytes() == w.tobytes()
     vectors, mask = per_mention_candidates(mentions, entities)
-    assert block.vectors.shape == vectors.shape
-    assert block.vectors.tobytes() == vectors.tobytes()
-    assert block.mask.tobytes() == mask.tobytes()
+    # the flat block holds the padded block's real rows, mention by mention
+    assert block.vectors.shape == (mask.sum(), entities.dim)
+    assert block.vectors.tobytes() == vectors[mask].tobytes()
+    assert block.offsets == [0, *np.cumsum(mask.sum(axis=1)).tolist()]
     assert block.labels == [sorted(m.candidates) for m in mentions]
 
 
@@ -230,6 +234,20 @@ def instance_worlds(draw):
         for k in range(draw(st.integers(0, 5)))
     ]
     return docs, entities, words, draw(st.booleans())
+
+
+def test_pair_context_adds_other_golds_in_sequence():
+    # in sequence 2**53 + 1 + 1 rounds back to 2**53; in any other order the
+    # ones add up first and the sum is 2**53 + 2
+    entities = table_from({"g0": [0.0], "big": [2.0**53], "one": [1.0], "one'": [1.0], "neg": [3.0]})
+    words = table_from({"w": [1.0]})
+    doc = LinkingDocument("d", [
+        Mention("m", ["w"], [gold, "neg"], gold) for gold in ("g0", "big", "one", "one'")
+    ])
+    got, _ = _build_instances([doc], entities, words, True)
+    _FD, PD, _mask, _skipped = per_mention_instances([doc], entities, words, True)
+    assert got.PD.tobytes() == PD.tobytes()
+    assert got.PD[0, 0, 0] == (3.0 - 0.0) * (2.0**53 / 3)
 
 
 @given(instance_worlds())
@@ -644,6 +662,24 @@ def test_exhaustive_infer_equals_enumeration(world):
         assert got == best
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_infer_names_a_candidate_missing_from_the_table(rng, strategy):
+    entities, words, labels, wlabels = toy_world(rng)
+    doc = LinkingDocument("d", [
+        Mention("m", ["w0"], [labels[0], "ghost"]), Mention("n", ["w1"], [labels[1], labels[2]]),
+    ])
+    with pytest.raises(MissingLabelError, match="label 'ghost' not in table"):
+        infer(doc, identity_model(entities.dim), entities, words, strategy)
+
+
+def test_dev_packing_names_a_candidate_missing_from_the_table(rng):
+    entities, words, labels, wlabels = toy_world(rng)
+    docs = [random_doc(rng, labels, wlabels, 2, 3)]
+    dev = [LinkingDocument("dev", [Mention("m", ["w0"], [labels[0], "ghost"], labels[0])])]
+    with pytest.raises(MissingLabelError, match="label 'ghost' not in table"):
+        train(docs, entities, words, TrainConfig(epochs=1), dev)
+
+
 # ---------------------------------------------------------------------------
 # Bit-exact reference for the exhaustive score tensor: the scorer it replaced,
 # a zero tensor, one broadcast add per local vector and one per pair block,
@@ -662,15 +698,18 @@ def reference_pair_block(Vi, Vj, model, n, pairwise):
     return (w * S).sum(axis=-1)
 
 
-def reference_score_tensor(block, model, pairwise):
-    shape = tuple(map(len, block.labels))
+def reference_score_tensor(doc, model, entities, words, pairwise):
+    # its own zero-padded block, features and local scores, none from the code it judges
+    vectors, mask = per_mention_candidates(doc.mentions, entities)
+    features = np.array([per_token_feature(m, words) for m in doc.mentions])
+    local = np.einsum("nmd,d,nd->nm", vectors, model.B, features)
+    shape = tuple(mask.sum(axis=1))
     n = len(shape)
-    local = linking_core._local_scores(block, model.B)
 
     def along(*axes):
         return tuple(k if a in axes else 1 for a, k in enumerate(shape))
 
-    vecs = [block.vectors[i, :k] for i, k in enumerate(shape)]
+    vecs = [vectors[i, :k] for i, k in enumerate(shape)]
     score = np.zeros(shape)
     for i, k in enumerate(shape):
         score += local[i, :k].reshape(along(i))
@@ -682,7 +721,7 @@ def reference_score_tensor(block, model, pairwise):
 def assert_same_score_tensor(doc, model, entities, words, pairwise):
     block = _pack_candidates(doc.mentions, entities, words)
     got = linking_core._score_tensor(block, model, pairwise)
-    want = reference_score_tensor(block, model, pairwise)
+    want = reference_score_tensor(doc, model, entities, words, pairwise)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -1272,6 +1311,23 @@ class TestCorpusIO:
         assert m.gold == "City_X"
         assert m.context == ["the", "president", "today"]
         assert docs[1].mentions[0].gold is None
+
+    def test_jsonl_repeated_candidate_names_file_and_line(self, tmp_path):
+        # after prior stripping all three forms are 'e2'
+        good = {"doc_id": "a", "mentions": [{"surface": "x", "candidates": ["e1", "e2"]}]}
+        bad = {"doc_id": "b", "mentions": [{"surface": "x", "candidates": ["e1", "e2", "e2:0.5", ["e2", 0.1]]}]}
+        p = tmp_path / "docs.jsonl"
+        p.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", "utf-8")
+        with pytest.raises(FormatError, match="repeated candidate 'e2'") as e:
+            load_linking_jsonl(p)
+        assert (e.value.path, e.value.line) == (p, 2)
+
+    def test_tsv_repeated_candidate_names_file_and_line(self, tmp_path):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("-DOCSTART- (d)\na\nx\tB\tx\tX\tX:0.9,Y,Y:0.1\n", "utf-8")
+        with pytest.raises(FormatError, match="repeated candidate 'Y'") as e:
+            load_aida_tsv(p)
+        assert (e.value.path, e.value.line) == (p, 3)
 
     @pytest.mark.parametrize("name", ["docs.tsv", "docs.CONLL", "docs.jsonl", "docs"])
     def test_load_documents_reads_by_suffix(self, tmp_path, name):

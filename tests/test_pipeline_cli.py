@@ -807,9 +807,10 @@ class TestCli:
         ({}, {"doc_id": 12}, "doc_id must be a JSON string, not number"),
         ({}, "as list", "record must be a JSON object, not array"),
         ({}, {"mentions": []}, "has no mentions"),
+        ({"candidates": ["ent0001", "ent0002", "ent0001:0.5"]}, {}, "repeated candidate 'ent0001'"),
     ], ids=["string-context", "number-tokens", "array-token", "string-candidates", "number-candidate",
             "empty-pair", "number-pair-label", "null-surface", "number-gold", "object-mentions",
-            "string-mention", "number-doc-id", "array-record", "empty-mentions"])
+            "string-mention", "number-doc-id", "array-record", "empty-mentions", "repeated-candidate"])
     def test_link_infer_mistyped_record_exits_2(self, fixture_dir, tmp_path, capsys, mention, record, fault):
         root, paths = fixture_dir
         first, second = paths["eval"].read_text("utf-8").splitlines()[:2]
@@ -832,6 +833,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert fault in err
         assert f"{docs}:2" in err
+
+    def test_link_infer_repeated_tsv_candidate_exits_2(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        docs = tmp_path / "docs.tsv"
+        docs.write_text("-DOCSTART- (d)\na\nx\tB\tx\tent0001\tent0001,ent0002:0.3,ent0002\n", "utf-8")
+        model = tmp_path / "model.txt"
+        identity_model(SIZES.dim).save(model)
+        with pytest.raises(SystemExit) as e:
+            main([
+                "link", "infer", "--docs", str(docs), "--entities", str(paths["wikitext"]),
+                "--words", str(paths["words"]), "--model", str(model), "--out", str(tmp_path / "p.tsv"),
+            ])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "repeated candidate 'ent0002'" in err and f"{docs}:3" in err
+        assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["infer-greedy-local", "infer-exhaustive", "train-dev"])
+    def test_candidate_missing_from_the_table_exits_2(self, fixture_dir, tmp_path, capsys, command):
+        # the candidate packing of inference and of the dev set names the label
+        root, paths = fixture_dir
+        first = json.loads(paths["eval"].read_text("utf-8").splitlines()[0])
+        mention = first["mentions"][0]
+        mention["candidates"].append("ghost")
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(json.dumps(first) + "\n", "utf-8")
+        model = tmp_path / "model.txt"
+        identity_model(SIZES.dim).save(model)
+        tables = ["--entities", str(paths["wikitext"]), "--words", str(paths["words"])]
+        if command == "train-dev":
+            args = ["link", "train", "--train", str(paths["train"]), "--dev", str(docs), *tables,
+                    "--epochs", "1", "--out-model", str(tmp_path / "trained.txt")]
+        else:
+            args = ["link", "infer", "--docs", str(docs), *tables, "--model", str(model),
+                    "--strategy", command.removeprefix("infer-"), "--out", str(tmp_path / "p.tsv")]
+        with pytest.raises(SystemExit) as e:
+            main(args)
+        assert e.value.code == 2
+        assert "label 'ghost' not in table" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["docs.jsonl", "model.txt"]
 
     @pytest.mark.parametrize("scores", ["0.9,abc", "@file"])
     def test_eval_runs_bad_score_exits_2(self, tmp_path, capsys, scores):
