@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import click
@@ -211,10 +212,9 @@ def link_infer(docs_path, entities, words, model_path, strategy, out_path):
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
     model = linking_core.LinkingModel.load(model_path, relations=False)
+    picks = linking_core.infer_documents(docs, model, entity_table, word_table, strategy=strategy)
     write_lines(out_path, (
-        f"{doc.doc_id}\t{i}\t{label}"
-        for doc in docs
-        for i, label in enumerate(linking_core.infer(doc, model, entity_table, word_table, strategy=strategy))
+        f"{doc.doc_id}\t{i}\t{label}" for doc, labels in zip(docs, picks) for i, label in enumerate(labels)
     ))
     click.echo(f"inferred {len(docs)} documents -> {out_path}")
 
@@ -255,16 +255,19 @@ def link_score(docs_path, entities, words, model_path, assignments_path):
         click.echo(f"{doc.doc_id}\t{score:.6f}")
 
 
+_MENTION_INDEX = re.compile(r"[0-9]{1,18}")
+
+
 def _read_assignment_tsv(path) -> dict[str, list[str]]:
     """Labels per document in index order; each document's k indices must be
     0..k-1, each once."""
     out: dict[str, list] = {}
     for line_no, line in read_lines(path):
         doc_id, idx, label = tsv_fields(line, 3, path, line_no)
-        try:
-            out.setdefault(doc_id, []).append((int(idx), line_no, label))
-        except ValueError:
-            raise FormatError(f"mention index {idx!r} is not an integer", path=path, line=line_no) from None
+        # ASCII digits only: int() would also read '0_0', '+1' and other scripts' digits
+        if not _MENTION_INDEX.fullmatch(idx):
+            raise FormatError(f"mention index {idx!r} is not 1 to 18 digits 0-9", path=path, line=line_no)
+        out.setdefault(doc_id, []).append((int(idx), line_no, label))
     for doc_id, items in out.items():
         items.sort()
         for expected, (idx, line_no, _label) in enumerate(items):

@@ -25,17 +25,18 @@ finiteness check and normalisation included, runs in row blocks of
 `BLOCK_ROWS`, so no full-size float64 (or bool) copy is ever made.
 
 `row_means` is the package's one mean of listed rows, shared by context
-features and semantic means.  It gathers a chunk of items' rows at once,
-zero-padded (`padded_rows`), and sums the chunk's positions in one float64
-``np.add.reduce`` over the position axis, starting from +0.0, so each mean
-is the same sequential ``acc += row`` chain as a loop over the item's rows,
-bit for bit: numpy adds along an axis that is not its innermost loop in
-sequence, and a padding row adds +0.0 to a sum that is never -0.0.  At
-dimension 1 the position axis is the contiguous, innermost one, where numpy
-sums pairwise (from 9 rows up), so there the positions are added one slice
-at a time.  (``np.add.reduceat`` would not do: it adds a segment's first row
-to the sum of the others, which rounds differently wherever a partial sum
-is inexact in float64.)
+features and semantic means.  It gathers a chunk of items' rows with one
+``take``, zero-padded to the chunk's longest list only when a list is
+shorter (the counts are the list lengths), and sums the chunk's positions
+in one float64 ``np.add.reduce`` over the position axis, starting from
++0.0, so each mean is the same sequential ``acc += row`` chain as a loop
+over the item's rows, bit for bit: numpy adds along an axis that is not its
+innermost loop in sequence, and a padding row adds +0.0 to a sum that is
+never -0.0.  At dimension 1 the position axis is the contiguous, innermost
+one, where numpy sums pairwise (from 9 rows up), so there the positions are
+added one slice at a time.  (``np.add.reduceat`` would not do: it adds a
+segment's first row to the sum of the others, which rounds differently
+wherever a partial sum is inexact in float64.)
 """
 
 from __future__ import annotations
@@ -189,24 +190,6 @@ class EmbeddingTable:
         return EmbeddingTable(self.dim, list(self.labels), rows)
 
 
-def padded_rows(
-    matrix: np.ndarray, rows: Sequence[Sequence[int]], dtype: type
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M, d) rows of ``matrix`` listed in ``rows``, each list zero-padded
-    to the longest, and the (N, M) mask of real rows: one gather."""
-    counts = np.array([len(r) for r in rows], dtype=np.intp)
-    mask = np.arange(counts.max(initial=0)) < counts[:, None]
-    listed = [i for r in rows for i in r]
-    if len(listed) == mask.size:
-        # no list is short: the gather is the block
-        block = matrix.take(listed, axis=0).astype(dtype, copy=False)
-        return block.reshape(*mask.shape, matrix.shape[1]), mask
-    out = np.zeros((*mask.shape, matrix.shape[1]), dtype=dtype)
-    # the mask's C-order True cells are the listed rows in order
-    out[mask] = matrix.take(listed, axis=0)
-    return out, mask
-
-
 def row_means(
     matrix: np.ndarray, rows: Sequence[Sequence[int]]
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
@@ -220,17 +203,24 @@ def row_means(
     width = max(map(len, rows), default=0)
     step = max(1, BLOCK_ROWS // max(width, 1))
     for start in range(0, len(rows), step):
-        gathered, mask = padded_rows(matrix, rows[start : start + step], matrix.dtype)
-        counts = mask.sum(axis=1)
+        part = rows[start : start + step]
+        counts = np.array([len(r) for r in part], dtype=np.intp)
+        shape = (len(part), counts.max(initial=0), matrix.shape[1])
+        gathered = matrix.take([i for r in part for i in r], axis=0)
+        if len(gathered) < shape[0] * shape[1]:
+            # a list is short: zero-pad, the real cells in C order taking the listed rows
+            gathered, listed = np.zeros(shape, dtype=matrix.dtype), gathered
+            gathered[np.arange(shape[1]) < counts[:, None]] = listed
+        gathered = gathered.reshape(shape)
         if matrix.shape[1] > 1:
             acc = np.add.reduce(gathered, axis=1, dtype=np.float64, initial=0.0)
         else:
             # at dim 1 the position axis is the contiguous one, which numpy sums pairwise
-            acc = np.zeros((len(mask), 1))
-            for k in range(mask.shape[1]):
+            acc = np.zeros((len(part), 1))
+            for k in range(shape[1]):
                 acc += gathered[:, k]
         acc /= np.maximum(counts, 1)[:, None]
-        yield slice(start, start + len(mask)), acc, counts
+        yield slice(start, start + len(part)), acc, counts
 
 
 def _zero_safe(norms: np.ndarray) -> np.ndarray:

@@ -51,32 +51,32 @@ one-run case, so there is one SGD loop.
 
 Dev mentions with usable gold are packed once as well (features, sorted
 candidate vectors, gold index), so dev F1 per epoch is one einsum and a
-first-maximum argmax, the same greedy scorer ``infer`` uses.
+first-maximum argmax, the same greedy scorer inference uses.
 
-Context features and candidate blocks are gathered, not looked up one
-token or one mention at a time.  ``_features`` maps the mentions' context
-tokens to word rows and takes their means with ``embed_io.row_means``, the
-package's one mean rule: each feature is the same sequential ``acc += row``
-chain as a per-token loop, bit for bit.  ``_pack_candidates`` builds one
-flat block: the sorted labels, the (N, d) features, the (S, d) float64
-candidate rows of all mentions one after another (S = sum k_i), taken
-with one ``take`` of the row indices the table's dict gives, and the
-per-mention offsets into them.  Local scores are one ``einsum("md,d,md->m")``
-over those rows, with each feature repeated per candidate: the products
-and the sums over d are those of the zero-padded ``einsum("nmd,d,nd->nm")``
-it replaced, bit for bit.  Greedy inference and dev F1 read each mention's
-first maximum through a padded (N, M) index of the flat scores, whose pads
-read -inf.  ``_build_instances`` gathers every gold and negative with one
-``embed_io.padded_rows``.  Training, dev packing and both inference
-strategies go through these functions, and ``context_feature`` is the
-one-mention case of ``_features``, its (d,) row.  Features, like every
-vector the scorer takes or returns, are plain arrays; ``document_score``
-takes them as (d,) rows or one (n, d) array.
+Context features and candidate rows are gathered, not looked up one token
+or one mention at a time.  ``_features`` takes the means of the context
+tokens' word rows with ``embed_io.row_means``, the package's one mean rule:
+each is the ``acc += row`` chain of a per-token loop, bit for bit.
+``_pack_candidates`` builds the one candidate layout of training, dev F1
+and inference: the sorted labels, the (N, d) features, the (S, d) float64
+rows of every mention's candidates one after another (S = sum k_i), taken
+with one ``take``, and the per-mention offsets into them.  Local scores are
+one ``einsum("md,d,md->m")`` over the rows, with the bits of a zero-padded
+``einsum("nmd,d,nd->nm")``.  Greedy picks and dev F1 read each mention's
+first maximum through a padded (N, M) index of them, whose pads read -inf.
+``_build_instances`` reads each trainable mention's gold row and its
+negatives (sorted, the gold's column skipped) through one such index, its
+pads masked out.  ``infer_documents`` packs runs of consecutive documents
+of up to ``BLOCK_ROWS`` candidates, and takes each run's greedy picks in one
+call or scores each document's slice of its pack; ``infer`` is its
+one-document case, as ``context_feature`` is of ``_features``.  Vectors the
+scorer takes or returns are plain arrays; ``document_score`` takes features
+as (d,) rows or one (n, d) array.
 
-Exhaustive inference packs the document the same way and scores every
-assignment at once in one ``(k_1, ..., k_n)`` float64 tensor, product x 8
-bytes (8 MB at ``EXHAUSTIVE_CAPACITY``).  ``_score_tensor`` builds the
-local part one axis at a time, ``0.0 + l_1``, then ``score[..., None] +
+Exhaustive inference scores every assignment of a document at once in one
+``(k_1, ..., k_n)`` float64 tensor, product x 8 bytes (8 MB at
+``EXHAUSTIVE_CAPACITY``).  ``_score_tensor`` builds the local part one
+axis at a time, ``0.0 + l_1``, then ``score[..., None] +
 l_i`` for each further mention (l_i the flat local scores of mention i),
 so the tensor grows to full size only at the last mention.  With V_i the
 rows of mention i, it then adds each pair's (k_i, k_j) block in
@@ -102,6 +102,7 @@ the reference the packed path is tested against.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -113,7 +114,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._text import read_lines, write_lines
-from .embed_io import EmbeddingTable, padded_rows, row_means
+from .embed_io import BLOCK_ROWS, EmbeddingTable, row_means
 from .errors import (
     CapacityError,
     ConfigError,
@@ -202,7 +203,9 @@ class LinkingModel:
         a `RelationArityError` naming the file, for callers that cannot score them."""
         data = Path(path).read_bytes()
         try:
-            lines = data.decode("ascii").splitlines()
+            # universal newlines, as every text input: str.splitlines would
+            # also break at \x0b, \x0c and \x1c-\x1e
+            lines = [line.rstrip("\n") for line in io.StringIO(data.decode("ascii"), newline=None)]
         except UnicodeDecodeError as e:
             line_no = data.count(b"\n", 0, e.start) + 1
             raise FormatError(f"non-ASCII byte 0x{data[e.start]:02x}", path=path, line=line_no) from None
@@ -381,6 +384,16 @@ class _CandidateBlock:
         columns = np.arange(counts.max(initial=0))
         return np.where(columns < counts[:, None], starts[:, None] + columns, self.offsets[-1])
 
+    def gold_positions(self, mentions: Sequence[Mention]) -> np.ndarray:
+        """(N,) index of each mention's gold in its sorted labels; ``mentions`` are the block's."""
+        return np.array([ls.index(m.gold) for ls, m in zip(self.labels, mentions)], dtype=np.intp)
+
+    def part(self, a: int, b: int) -> "_CandidateBlock":
+        """Mentions a:b of the block; their rows are a view."""
+        o = self.offsets
+        return _CandidateBlock(self.labels[a:b], self.features[a:b], self.vectors[o[a] : o[b]],
+                               [x - o[a] for x in o[a : b + 1]])
+
 
 def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
     """(N, d) context features of ``mentions``: the mean of each context's
@@ -499,25 +512,59 @@ def _score_tensor(block: _CandidateBlock, model: LinkingModel, pairwise: str) ->
     return score
 
 
-def _exhaustive(
-    doc: LinkingDocument,
-    model: LinkingModel,
-    entities: EmbeddingTable,
-    words: EmbeddingTable,
-    pairwise: str,
-) -> list[str]:
-    """``document_score`` argmax over the candidate product, scored as one tensor."""
-    shape = tuple(len(m.candidates) for m in doc.mentions)
-    if math.prod(shape) > EXHAUSTIVE_CAPACITY:
-        raise CapacityError(
-            f"candidate product exceeds {EXHAUSTIVE_CAPACITY}; "
-            "use strategy='greedy-local'"
-        )
-    block = _pack_candidates(doc.mentions, entities, words)
-    score = _score_tensor(block, model, pairwise)
-    # the C-order first maximum is the lexicographically smallest best tuple
-    best = np.unravel_index(score.argmax(), shape)
-    return [ls[b] for ls, b in zip(block.labels, best)]
+def _check_document(doc: LinkingDocument, model: LinkingModel, entities: EmbeddingTable,
+                    words: EmbeddingTable, strategy: str, pairwise: str) -> None:
+    """`infer`'s checks of one document, in its order."""
+    _check_candidates(doc)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if pairwise not in ("diagonal", "relations"):
+        raise ValueError(f"unknown pairwise mode {pairwise!r}")
+    if model.dim != entities.dim:
+        raise DimensionError(f"model dimension {model.dim} != entity dimension {entities.dim}")
+    if strategy == "exhaustive" and pairwise == "relations" and model.K < 1:
+        raise RelationArityError("model has no relations")
+    if strategy == "exhaustive" and math.prod(len(m.candidates) for m in doc.mentions) > EXHAUSTIVE_CAPACITY:
+        raise CapacityError(f"candidate product exceeds {EXHAUSTIVE_CAPACITY}; use strategy='greedy-local'")
+    _check_dims(entities, words)
+    row_of = entities._index
+    for m in doc.mentions:
+        if not all(map(row_of.__contains__, m.candidates)):
+            # the first that `_pack_candidates` would meet
+            raise MissingLabelError(f"label {min(c for c in m.candidates if c not in row_of)!r} not in table")
+
+
+def infer_documents(docs: Sequence[LinkingDocument], model: LinkingModel, entities: EmbeddingTable,
+                    words: EmbeddingTable, strategy: str = "greedy-local",
+                    pairwise: str = "diagonal") -> list[list[str]]:
+    """`infer` of each of ``docs``.  All are checked first, so a fault is the
+    error that a loop of `infer` calls raises first; then each run of
+    consecutive documents of up to BLOCK_ROWS candidates (or one larger
+    document) is packed once, so memory stays at one run's pack."""
+    runs, rows = [], math.inf  # the first document opens a run
+    for doc in docs:
+        _check_document(doc, model, entities, words, strategy, pairwise)
+        size = sum(len(m.candidates) for m in doc.mentions)
+        if rows + size > BLOCK_ROWS:
+            runs.append([])
+            rows = 0
+        runs[-1].append(doc)
+        rows += size
+    out = []
+    for run in runs:
+        block = _pack_candidates([m for doc in run for m in doc.mentions], entities, words)
+        bounds = itertools.pairwise(itertools.accumulate((len(doc.mentions) for doc in run), initial=0))
+        if strategy == "greedy-local":
+            picks = [ls[p] for ls, p in zip(block.labels, _greedy_picks(block, model.B))]
+            out += [picks[a:b] for a, b in bounds]
+            continue
+        # a one-document run is its own slice
+        for part in [block] if len(run) == 1 else itertools.starmap(block.part, bounds):
+            score = _score_tensor(part, model, pairwise)
+            # the C-order first maximum is the lexicographically smallest best tuple
+            best = np.unravel_index(score.argmax(), score.shape)
+            out.append([ls[k] for ls, k in zip(part.labels, best)])
+    return out
 
 
 def infer(
@@ -528,26 +575,14 @@ def infer(
     strategy: str = "greedy-local",
     pairwise: str = "diagonal",
 ) -> list[str]:
-    """Pick one candidate per mention.
+    """Pick one candidate per mention: `infer_documents` of one document.
 
     ``greedy-local`` (the default, as in ``link infer`` and the pipeline)
     takes the per-mention local-score argmax and ignores coherence entirely;
     ``exhaustive`` maximizes the document score over the full candidate
     product (ties resolve to the lexicographically smallest label tuple).
     """
-    _check_candidates(doc)
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if pairwise not in ("diagonal", "relations"):
-        raise ValueError(f"unknown pairwise mode {pairwise!r}")
-    if model.dim != entities.dim:
-        raise DimensionError(f"model dimension {model.dim} != entity dimension {entities.dim}")
-    if strategy == "greedy-local":
-        block = _pack_candidates(doc.mentions, entities, words)
-        return [ls[p] for ls, p in zip(block.labels, _greedy_picks(block, model.B))]
-    if pairwise == "relations" and model.K < 1:
-        raise RelationArityError("model has no relations")
-    return _exhaustive(doc, model, entities, words, pairwise)
+    return infer_documents([doc], model, entities, words, strategy, pairwise)[0]
 
 
 @dataclass
@@ -625,16 +660,18 @@ def _build_instances(
     golds over (n - 1).  Padding rows, and the PD rows of a mention with no
     other usable gold, are +0.0.
     """
-    _check_dims(entities, words)
     trainable = _usable(docs)
-    if features is None:
-        features = _features(trainable, words)
-    index = entities.index
-    # each mention's gold row, then its negatives in sorted label order
-    rows = [[index(m.gold)] + [index(c) for c in sorted(m.candidates) if c != m.gold] for m in trainable]
-    gathered, mask = padded_rows(entities.matrix, rows, np.float64)
-    gold, diff, mask = gathered[:, :1], gathered[:, 1:], mask[:, 1:]
-    diff -= gold  # padding rows become -gold; `where` skips them
+    block = _pack_candidates(trainable, entities, words, features)
+    features, S = block.features, len(block.vectors)
+    gold_at = block.gold_positions(trainable)[:, None]
+    columns = np.arange(block.padded.shape[1] - 1)
+    # each mention's gold row, then its negatives in sorted label order: the
+    # gold's column skipped, the pads (index S) clipped to the last row
+    index = np.take_along_axis(block.padded, np.hstack((gold_at, columns + (columns >= gold_at))), axis=1)
+    gathered = block.vectors.take(index, axis=0, mode="clip")
+    del block  # the gather holds every row the instances need
+    gold, diff, mask = gathered[:, :1], gathered[:, 1:], index[:, 1:] < S
+    diff -= gold  # `where` skips the padding rows
     FD = np.zeros_like(diff)
     np.multiply(diff, features[:, None], out=FD, where=mask[..., None])
     PD = None
@@ -709,8 +746,7 @@ def _pack_dev(
         _check_candidates(doc)
     usable = _usable(dev_docs)
     block = _pack_candidates(usable, entities, words, features)
-    gold = np.array([ls.index(m.gold) for ls, m in zip(block.labels, usable)], dtype=np.intp)
-    return _DevSet(block, gold)
+    return _DevSet(block, block.gold_positions(usable))
 
 
 # SGD steps that one speculative block guesses, builds and tests at once

@@ -12,8 +12,9 @@ from semlink.linking_core import LinkingModel
 settings.register_profile("semlink", derandomize=True, deadline=None)
 settings.load_profile("semlink")
 # The long run of the damaged-input property (README): many more examples,
-# new ones on every run, and no example database left behind.
-settings.register_profile("semlink-fuzz", max_examples=20_000, derandomize=False, database=None)
+# new ones on every run, and no example database left behind, so a failure
+# prints the @reproduce_failure blob that replays it.
+settings.register_profile("semlink-fuzz", max_examples=20_000, derandomize=False, database=None, print_blob=True)
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str, str]] = []
 _ACCEPTANCE_DOCS: dict[str, str] = {}

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from semlink.errors import (
     MissingLabelError,
     NonFiniteError,
     RelationArityError,
+    SemlinkError,
 )
 from semlink.linking_core import (
     LinkingDocument,
@@ -31,6 +33,7 @@ from semlink.linking_core import (
     context_feature,
     document_score,
     infer,
+    infer_documents,
     load_aida_tsv,
     load_documents,
     load_linking_jsonl,
@@ -749,6 +752,144 @@ def test_score_tensor_equals_reference_on_random_documents(rng, mode, n_mentions
         assert_same_score_tensor(doc, model, entities, words, "diagonal" if mode == "diagonal" else "relations")
 
 
+# ---------------------------------------------------------------------------
+# One pack for a document set: each document's slice of it scores, and
+# infers, as the document packed alone.
+
+
+def random_model(rng, dim, mode):
+    return LinkingModel(
+        dim, rng.standard_normal(dim), rng.standard_normal(dim),
+        relations=[rng.standard_normal(dim) for _ in range(3)],
+        relation_weighting="softmax" if mode == "softmax" else "uniform",
+    )
+
+
+@pytest.mark.parametrize("mode", ["diagonal", "uniform", "softmax"])
+def test_slices_of_one_pack_give_each_documents_reference_tensor(rng, mode):
+    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=7)
+    model, pairwise = random_model(rng, 7, mode), "diagonal" if mode == "diagonal" else "relations"
+    docs = [random_doc(rng, labels, wlabels, n, k, doc_id=f"d{i}")
+            for i, (n, k) in enumerate([(1, 3), (4, 2), (2, 4), (5, 3), (3, 1), (2, 2)])]
+    block = _pack_candidates([m for doc in docs for m in doc.mentions], entities, words)
+    a = 0
+    for doc in docs:
+        b = a + len(doc.mentions)
+        got = linking_core._score_tensor(block.part(a, b), model, pairwise)
+        want = reference_score_tensor(doc, model, entities, words, pairwise)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        a = b
+    assert a == len(block.labels)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", ["diagonal", "uniform", "softmax"])
+def test_infer_documents_equals_per_document_infer_on_random_sets(rng, strategy, mode):
+    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=7)
+    model, pairwise = random_model(rng, 7, mode), "diagonal" if mode == "diagonal" else "relations"
+    for n_docs in range(6):
+        docs = [random_doc(rng, labels, wlabels, int(rng.integers(1, 5)), int(rng.integers(1, 6)), doc_id=f"d{i}")
+                for i in range(n_docs)]
+        want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
+        assert infer_documents(docs, model, entities, words, strategy, pairwise) == want
+
+
+@st.composite
+def document_set_worlds(draw):
+    """0-4 documents over one small linking world, with either strategy."""
+    doc, model, entities, words, mode = draw(small_linking_worlds())
+
+    def mention():
+        context = draw(st.lists(st.sampled_from(words.labels), min_size=1, max_size=4))
+        return Mention("m", context, draw(st.lists(st.sampled_from(entities.labels), min_size=1, max_size=3, unique=True)))
+
+    docs = [doc] + [LinkingDocument(f"d{i}", [mention() for _ in range(draw(st.integers(1, 4)))])
+                    for i in range(draw(st.integers(0, 3)))]
+    return docs[: draw(st.integers(0, len(docs)))], model, entities, words, mode, draw(st.sampled_from(STRATEGIES))
+
+
+@given(document_set_worlds())
+def test_infer_documents_equals_per_document_infer(world):
+    docs, model, entities, words, mode, strategy = world
+    pairwise = "diagonal" if mode == "diagonal" else "relations"
+    want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
+    assert infer_documents(docs, model, entities, words, strategy, pairwise) == want
+
+
+# the mentions of a document with one fault, given the table's labels
+_DOCUMENT_FAULTS = {
+    "missing-label": lambda labels: [Mention("m", ["w0"], [labels[0]]), Mention("n", ["w1"], [labels[1], "ghost"])],
+    "no-candidates": lambda labels: [Mention("m", ["w0"], [labels[0]]), Mention("n", ["w1"], [])],
+    # 8 ** 7 assignments, over EXHAUSTIVE_CAPACITY
+    "over-capacity": lambda labels: [Mention("m", ["w0"], list(labels)) for _ in range(7)],
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("first, third", [(a, b) for a in _DOCUMENT_FAULTS for b in _DOCUMENT_FAULTS if a != b])
+def test_infer_documents_raises_the_error_a_per_document_loop_raises(rng, strategy, first, third):
+    entities, words, labels, wlabels = toy_world(rng, n_entities=8)
+    model = identity_model(entities.dim)
+    docs = [LinkingDocument("d0", _DOCUMENT_FAULTS[first](labels)), random_doc(rng, labels, wlabels, 2, 3, doc_id="d1"),
+            LinkingDocument("d2", _DOCUMENT_FAULTS[third](labels))]
+
+    def raised(call):
+        with pytest.raises(SemlinkError) as e:
+            call()
+        return type(e.value), str(e.value)
+
+    loop = raised(lambda: [infer(doc, model, entities, words, strategy) for doc in docs])
+    assert raised(lambda: infer_documents(docs, model, entities, words, strategy)) == loop
+    # greedy inference has no capacity: there the third document's fault is the first
+    faulty = docs[2] if (strategy, first) == ("greedy-local", "over-capacity") else docs[0]
+    assert loop == raised(lambda: infer(faulty, model, entities, words, strategy))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("block_rows", [1, 5, 12])
+def test_infer_documents_in_runs_equals_per_document_infer(rng, monkeypatch, strategy, block_rows):
+    # runs of a few candidates: most documents share a run, some are one over the size
+    monkeypatch.setattr(linking_core, "BLOCK_ROWS", block_rows)
+    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=7)
+    model = random_model(rng, 7, "softmax")
+    docs = [random_doc(rng, labels, wlabels, int(rng.integers(1, 4)), int(rng.integers(1, 5)), doc_id=f"d{i}")
+            for i in range(12)]
+    packed = []  # the mentions of each pack
+    pack = linking_core._pack_candidates
+    monkeypatch.setattr(linking_core, "_pack_candidates",
+                        lambda mentions, *a: packed.append(mentions) or pack(mentions, *a))
+    for pairwise in ("diagonal", "relations"):
+        want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
+        packed.clear()
+        assert infer_documents(docs, model, entities, words, strategy, pairwise) == want
+        # consecutive runs of documents, each within the size or one document alone
+        assert [m for mentions in packed for m in mentions] == [m for doc in docs for m in doc.mentions]
+        starts = {id(doc.mentions[0]) for doc in docs}
+        for mentions in packed:
+            rows = sum(len(m.candidates) for m in mentions)
+            assert id(mentions[0]) in starts and (rows <= block_rows or sum(id(m) in starts for m in mentions) == 1)
+        assert len(packed) > 1
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_infer_documents_memory_does_not_grow_with_the_set(rng, strategy):
+    entities, words, labels, wlabels = toy_world(rng, n_entities=40, dim=256)
+    model = identity_model(256)
+    docs = [random_doc(rng, labels, wlabels, 2, 10, doc_id=f"d{i}") for i in range(1000)]
+
+    def peak(n_docs):
+        tracemalloc.start()
+        try:
+            infer_documents(docs[:n_docs], model, entities, words, strategy)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 100 documents fill about four runs, 1000 about forty: a whole-set pack
+    # would hold ten times the rows (20,000 of 2 KB each, twice over)
+    assert peak(1000) < 1.25 * peak(100)
+
+
 def separable_world(dim=8, n_groups=4):
     """Gold vectors aligned with their contexts, negatives orthogonal."""
     entity_rows = {}
@@ -1230,10 +1371,14 @@ class TestModelIO:
             (b"2 +0\n1 1\n1 1\n", FormatError),
             (b"2 0_0\n1 1\n1 1\n", FormatError),
             (b"2 " + b"0" * 19 + b"\n1 1\n1 1\n", FormatError),
+            # str.splitlines would split these into B = [1], C = [2] and weighting "uniform"
+            (b"1 0\n1\x0c2\n", FormatError),
+            (b"1 0\n1\n2\x1cuniform\n", FormatError),
         ],
         ids=[
             "non-ascii-diagonal", "non-ascii-weighting", "nan", "overflow", "unknown-weighting",
             "double-minus-header", "bare-minus-header", "plus-header", "underscore-header", "long-header",
+            "form-feed-in-diagonal", "separator-before-weighting",
         ],
     )
     def test_load_errors_are_format_errors_with_path(self, tmp_path, content, error):

@@ -1015,6 +1015,28 @@ class TestCli:
         assert f"of {docs[0].doc_id!r} where {bad_line - 1} belongs" in err
         assert f"[{pred}:{bad_line}]" in err
 
+    @pytest.mark.parametrize("index", ["0_0", "+1", "\u0662", "-0", " 1", "0" * 19],
+                             ids=["underscore", "plus", "arabic-indic-two", "minus", "space", "19-digits"])
+    @pytest.mark.parametrize("command", ["eval f1", "link score"])
+    def test_prediction_index_is_ascii_digits(self, fixture_dir, tmp_path, capsys, command, index):
+        # int() reads '0_0', '+1' and '\u0662' as 0, 1 and 2
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        identity_model(SIZES.dim).save(model)
+        doc = load_linking_jsonl(paths["eval"])[0]
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(f"{doc.doc_id}\t0\t{doc.mentions[0].gold}\n{doc.doc_id}\t{index}\tx\n", "utf-8")
+        args = {
+            "eval f1": ["eval", "f1", "--docs", str(paths["eval"]), "--pred", str(pred)],
+            "link score": ["link", "score", "--docs", str(paths["eval"]), "--entities", str(paths["wikitext"]),
+                           "--words", str(paths["words"]), "--model", str(model), "--assignments", str(pred)],
+        }[command]
+        with pytest.raises(SystemExit) as e:
+            main(args)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"mention index {index!r}" in err and f"[{pred}:2]" in err
+
     def test_dict_expand_inline_seeds_match_seed_file(self, tmp_path):
         table = tmp_path / "words.txt"
         table.write_text("football 1 0\nrugby_league 0.9 0.1\nsoccer 0.8 0.3\ncricket 0 1\n", "utf-8")
@@ -1188,6 +1210,20 @@ class TestCli:
             ])
         assert e.value.code == 2
         assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"1 0\n1\x0c2\n", b"1 0\n1\n2\x1cuniform\n"],
+                             ids=["form-feed-in-diagonal", "separator-before-weighting"])
+    def test_model_file_breaks_lines_only_at_newlines(self, fixture_dir, tmp_path, capsys, content):
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        model.write_bytes(content)
+        with pytest.raises(SystemExit) as e:
+            main(["link", "infer", "--docs", str(paths["eval"]), "--entities", str(paths["wikitext"]),
+                  "--words", str(paths["words"]), "--model", str(model), "--out", str(tmp_path / "p.tsv")])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["model.txt"]
 
     @pytest.mark.parametrize("command", ["infer", "score"])
     def test_model_with_relations_exits_2(self, fixture_dir, tmp_path, capsys, command):
@@ -1452,6 +1488,26 @@ def test_link_infer_capacity_failure_writes_no_predictions(fixture_dir, tmp_path
               "--out", str(pred)])
     assert e.value.code == 3
     assert (pred.read_bytes() if pred.exists() else None) == existing
+
+
+@pytest.mark.parametrize("existing", [None, b"old\t0\tent0000\n"], ids=["absent", "present"])
+def test_link_infer_one_over_capacity_document_exits_3_and_writes_nothing(fixture_dir, tmp_path, existing):
+    root, paths = fixture_dir
+    labels = [f"ent{i:04d}" for i in range(SIZES.entities)]
+    docs = tmp_path / "docs.jsonl"
+    save_linking_jsonl([LinkingDocument("big", [Mention("m", context=[], candidates=labels) for _ in range(6)])], docs)
+    model = tmp_path / "model.txt"
+    identity_model(SIZES.dim).save(model)
+    pred = tmp_path / "pred.tsv"
+    if existing is not None:
+        pred.write_bytes(existing)
+    with pytest.raises(SystemExit) as e:
+        main(["link", "infer", "--docs", str(docs), "--entities", str(paths["wikitext"]),
+              "--words", str(paths["words"]), "--model", str(model), "--strategy", "exhaustive",
+              "--out", str(pred)])
+    assert e.value.code == 3
+    assert (pred.read_bytes() if pred.exists() else None) == existing
+    assert sorted(os.listdir(tmp_path)) == sorted(["docs.jsonl", "model.txt"] + ["pred.tsv"] * (existing is not None))
 
 
 @pytest.mark.parametrize("existing", [None, b"old\n"], ids=["absent", "present"])
