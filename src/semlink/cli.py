@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 capacity exceeded.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import re
 import sys
@@ -32,8 +33,26 @@ def _printable(label: str) -> str:
 
 
 @click.group()
-def cli():
+@click.option("-v", "--verbose", is_flag=True, help="Log progress to stderr: --log-level info.")
+@click.option("--log-level", type=click.Choice(["debug", "info", "warning", "error"], case_sensitive=False),
+              help="Log messages of this level and above to stderr.")
+@click.pass_context
+def cli(ctx, verbose, log_level):
     """Semantic-type reinforced entity embeddings and desk-scale linking."""
+    level = log_level or ("info" if verbose else None)
+    if level is None:
+        return  # Python's default: warnings alone, as their bare message
+    logger = logging.getLogger("semlink")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+
+    @ctx.call_on_close
+    def _restore():
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
 
 
 # ---------------------------------------------------------------- dict ----

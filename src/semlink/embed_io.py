@@ -6,14 +6,17 @@ Two on-disk formats are supported:
   followed by ``count`` entries of ``label bytes, 0x20, dim little-endian
   float32``.  A single 0x0A after an entry is tolerated on read; writes never
   emit it, so round-trips are byte-identical for files in that canonical
-  form.  A load reads the file in chunks of `_CHUNK` bytes and copies each
-  vector straight into the table's matrix, so it holds the table plus one
-  chunk.  A save streams one entry at a time into a temp file that replaces
-  the target only once the table is whole (`_text.replacing`), so a save
-  that fails, on a refused label or a failed write, leaves the old file.
+  form.  A load reads the file in chunks of `_CHUNK` bytes, copies each
+  vector's bytes straight into the table's matrix, so it holds the table
+  plus one chunk, and decodes all labels in one call at the end.  A save
+  writes one block of `BLOCK_ROWS` entries at a time, its labels encoded
+  and checked in one call and its vectors sliced from the matrix's bytes,
+  into a temp file that replaces the target only once the table is whole
+  (`_text.replacing`), so a save that fails, on a refused label or a
+  failed write, leaves the old file.
 * text: one ``"<label> v1 v2 ... vd"`` line per entry, floats printed with 9
-  significant digits (enough to round-trip float32 exactly); a save streams
-  it the same way.
+  significant digits (enough to round-trip float32 exactly); a save writes
+  one line at a time into a temp file that replaces the target the same way.
 
 Labels are raw bytes apart from 0x20/0x0A; they are decoded with
 surrogateescape so arbitrary dump artifacts survive a load/save cycle.
@@ -42,6 +45,7 @@ wherever a partial sum is inexact in float64.)
 from __future__ import annotations
 
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -270,9 +274,10 @@ def _encode_label(label: str) -> bytes:
 def load_binary(path) -> EmbeddingTable:
     """Load a word2vec-style binary embedding file.
 
-    The file is read in chunks of `_CHUNK` bytes, and each vector is copied
-    straight into the table's matrix, so a load holds the table plus about
-    one chunk and one entry.
+    The file is read in chunks of `_CHUNK` bytes, and each vector's bytes are
+    copied straight into the table's matrix, so a load holds the table plus
+    about one chunk and one entry.  The labels are decoded together once the
+    last entry is read.
     """
     with open(path, "rb") as fh:
         count, dim = _read_header(fh, path)
@@ -285,8 +290,9 @@ def load_binary(path) -> EmbeddingTable:
                 f"but only {body} bytes follow it",
                 path=path,
             )
-        labels: list[str] = []
+        raws: list[bytes] = []
         matrix = np.empty((count, dim), dtype=_F32)
+        out = memoryview(matrix.reshape(-1).view(np.uint8))
         buf, pos = b"", 0
         for i in range(count):
             sp = buf.find(b" ", pos)
@@ -310,8 +316,8 @@ def load_binary(path) -> EmbeddingTable:
                 buf += fh.read(max(_CHUNK, vec_bytes - len(buf)))
                 if len(buf) < vec_bytes:
                     raise TruncatedError(f"file ends inside vector of entry {i}", path=path)
-            matrix[i] = np.frombuffer(buf, dtype=_F32, count=dim, offset=pos)
-            labels.append(_decode_label(raw))
+            out[i * vec_bytes : (i + 1) * vec_bytes] = memoryview(buf)[pos : pos + vec_bytes]
+            raws.append(raw)
             pos += vec_bytes
             if pos == len(buf):
                 buf, pos = fh.read(_CHUNK), 0
@@ -323,6 +329,9 @@ def load_binary(path) -> EmbeddingTable:
             trailing += len(chunk)
     if trailing:
         raise FormatError(f"{trailing} trailing bytes after last entry", path=path)
+    # no label holds 0x20, and 0x20 never sits inside a UTF-8 sequence, so
+    # this splits into each label's own decoding
+    labels = _decode_label(b" ".join(raws)).split(" ") if raws else []
     return _loaded_table(path, dim, labels, matrix)
 
 
@@ -358,11 +367,37 @@ def _loaded_table(path, dim, labels, matrix) -> EmbeddingTable:
 
 
 def save_binary(table: EmbeddingTable, path) -> None:
-    """Write the canonical binary form (no per-entry newlines), one entry at a time."""
+    """Write the canonical binary form (no per-entry newlines), one block of
+    `BLOCK_ROWS` entries per write."""
+    vec_bytes = table.dim * 4
+    rows = memoryview(table.matrix.reshape(-1).view(np.uint8))
     with replacing([path]) as (fh,):
         fh.write(f"{len(table)} {table.dim}\n".encode("ascii"))
-        for label, row in zip(table.labels, table.matrix):
-            fh.write(_encode_label(label) + b" " + row.tobytes())
+        for start in range(0, len(table), BLOCK_ROWS):
+            raws = _encode_labels(table.labels[start : start + BLOCK_ROWS])
+            at = range(start * vec_bytes, (start + len(raws)) * vec_bytes, vec_bytes)
+            fh.write(b"".join(chain.from_iterable(
+                (raw, b" ", rows[offset : offset + vec_bytes]) for raw, offset in zip(raws, at)
+            )))
+
+
+def _encode_labels(labels: list[str]) -> list[bytes]:
+    """`_encode_label` of each label, checked together on one joined blob.
+
+    Encoding and decoding act character by character and byte by byte
+    around 0x20, so the blob passes exactly when every label would; when it
+    does not, `_encode_label` finds and names the first label at fault.
+    """
+    joined = " ".join(labels)
+    try:
+        blob = joined.encode("utf-8", errors="surrogateescape")
+    except UnicodeEncodeError:
+        pass
+    else:
+        raws = blob.split(b" ")
+        if len(raws) == len(labels) and all(raws) and b"\n" not in blob and _decode_label(blob) == joined:
+            return raws
+    return [_encode_label(label) for label in labels]
 
 
 def load_text(path, dim: Optional[int] = None) -> EmbeddingTable:

@@ -406,23 +406,32 @@ def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
     return features
 
 
-def _pack_candidates(
-    mentions: Sequence[Mention],
-    entities: EmbeddingTable,
-    words: EmbeddingTable,
-    features: Optional[np.ndarray] = None,
-) -> _CandidateBlock:
-    """Pack ``mentions``; ``features`` are their context features if known.
-    A candidate missing from ``entities`` is a `MissingLabelError` naming it."""
-    _check_dims(entities, words)
-    if features is None:
-        features = _features(mentions, words)
+def _candidate_rows(mentions: Sequence[Mention], entities: EmbeddingTable) -> tuple[list[list[str]], list[int]]:
+    """Each mention's candidates in sorted label order, and their rows in
+    ``entities`` one mention after another.  A candidate missing from
+    ``entities`` is a `MissingLabelError` naming the first."""
     labels = [sorted(m.candidates) for m in mentions]
     row_of = entities._index
     try:
         rows = [row_of[c] for ls in labels for c in ls]
     except KeyError as e:
         raise MissingLabelError(f"label {e.args[0]!r} not in table") from None
+    return labels, rows
+
+
+def _pack_candidates(
+    mentions: Sequence[Mention],
+    entities: EmbeddingTable,
+    words: EmbeddingTable,
+    features: Optional[np.ndarray] = None,
+    candidates: Optional[tuple[list[list[str]], list[int]]] = None,
+) -> _CandidateBlock:
+    """Pack ``mentions``; ``features`` are their context features and
+    ``candidates`` their `_candidate_rows`, if known."""
+    _check_dims(entities, words)
+    if features is None:
+        features = _features(mentions, words)
+    labels, rows = _candidate_rows(mentions, entities) if candidates is None else candidates
     vectors = entities.matrix.take(rows, axis=0).astype(np.float64)
     return _CandidateBlock(labels, features, vectors, [0, *itertools.accumulate(map(len, labels))])
 
@@ -513,8 +522,8 @@ def _score_tensor(block: _CandidateBlock, model: LinkingModel, pairwise: str) ->
 
 
 def _check_document(doc: LinkingDocument, model: LinkingModel, entities: EmbeddingTable,
-                    words: EmbeddingTable, strategy: str, pairwise: str) -> None:
-    """`infer`'s checks of one document, in its order."""
+                    words: EmbeddingTable, strategy: str, pairwise: str) -> tuple[list[list[str]], list[int]]:
+    """`infer`'s checks of one document, in its order; the document's `_candidate_rows`."""
     _check_candidates(doc)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -527,32 +536,38 @@ def _check_document(doc: LinkingDocument, model: LinkingModel, entities: Embeddi
     if strategy == "exhaustive" and math.prod(len(m.candidates) for m in doc.mentions) > EXHAUSTIVE_CAPACITY:
         raise CapacityError(f"candidate product exceeds {EXHAUSTIVE_CAPACITY}; use strategy='greedy-local'")
     _check_dims(entities, words)
-    row_of = entities._index
-    for m in doc.mentions:
-        if not all(map(row_of.__contains__, m.candidates)):
-            # the first that `_pack_candidates` would meet
-            raise MissingLabelError(f"label {min(c for c in m.candidates if c not in row_of)!r} not in table")
+    return _candidate_rows(doc.mentions, entities)
+
+
+def _checked_runs(docs: Sequence[LinkingDocument], model: LinkingModel, entities: EmbeddingTable,
+                  words: EmbeddingTable, strategy: str, pairwise: str):
+    """Each run of consecutive ``docs`` of up to BLOCK_ROWS candidates (or one
+    larger document) with its `_candidate_rows`, every document checked as
+    `infer` checks it before its run is given out."""
+    run, labels, rows = [], [], []
+    for doc in docs:
+        doc_labels, doc_rows = _check_document(doc, model, entities, words, strategy, pairwise)
+        if run and len(rows) + len(doc_rows) > BLOCK_ROWS:
+            yield run, (labels, rows)
+            run, labels, rows = [], [], []
+        run.append(doc)
+        labels += doc_labels
+        rows += doc_rows
+    if run:
+        yield run, (labels, rows)
 
 
 def infer_documents(docs: Sequence[LinkingDocument], model: LinkingModel, entities: EmbeddingTable,
                     words: EmbeddingTable, strategy: str = "greedy-local",
                     pairwise: str = "diagonal") -> list[list[str]]:
-    """`infer` of each of ``docs``.  All are checked first, so a fault is the
-    error that a loop of `infer` calls raises first; then each run of
-    consecutive documents of up to BLOCK_ROWS candidates (or one larger
-    document) is packed once, so memory stays at one run's pack."""
-    runs, rows = [], math.inf  # the first document opens a run
-    for doc in docs:
-        _check_document(doc, model, entities, words, strategy, pairwise)
-        size = sum(len(m.candidates) for m in doc.mentions)
-        if rows + size > BLOCK_ROWS:
-            runs.append([])
-            rows = 0
-        runs[-1].append(doc)
-        rows += size
+    """`infer` of each of ``docs``.  Each run of consecutive documents of up
+    to BLOCK_ROWS candidates (or one larger document) is checked, then packed
+    once, so memory stays at one run's pack; scoring raises nothing, so a
+    fault is the error that a loop of `infer` calls raises first."""
     out = []
-    for run in runs:
-        block = _pack_candidates([m for doc in run for m in doc.mentions], entities, words)
+    for run, candidates in _checked_runs(docs, model, entities, words, strategy, pairwise):
+        block = _pack_candidates([m for doc in run for m in doc.mentions], entities, words,
+                                 candidates=candidates)
         bounds = itertools.pairwise(itertools.accumulate((len(doc.mentions) for doc in run), initial=0))
         if strategy == "greedy-local":
             picks = [ls[p] for ls, p in zip(block.labels, _greedy_picks(block, model.B))]

@@ -26,10 +26,13 @@ outputs and the manifest as they were and aborts the run with a
 One run does each piece of work once: each file is hashed at most once (a
 stage's outputs again when it records them), and `_RunCache` reads each
 embedding table and ``types.tsv`` once for every stage, keyed by path.
-``aggregate`` leaves its table there, so ``link`` and ``eval`` do
-not read ``reinforced.bin`` back; ``wikitext`` is not kept, and nothing
-outlives the run.  A bad configuration value, or a path holding a NUL byte,
-ends in a `ConfigError` naming the key, the value and the line or ``--set``.
+``types`` leaves its assignments there, which `write_assignments` makes
+sure the file reads back as, so ``semantic`` and ``aggregate`` do not read
+``types.tsv`` back in the run that wrote it; ``aggregate`` leaves its
+table, so ``link`` and ``eval`` do not read ``reinforced.bin`` back.
+``wikitext`` is not kept, and nothing outlives the run.  A bad
+configuration value, or a path holding a NUL byte, ends in a `ConfigError`
+naming the key, the value and the line or ``--set``.
 """
 
 from __future__ import annotations
@@ -283,12 +286,17 @@ class _RunCache:
 
     def __init__(self):
         self.tables: dict = {}
-        self.assignments = functools.cache(type_extraction.read_assignments)
+        self.types: dict = {}
 
     def table(self, path: Path) -> embed_io.EmbeddingTable:
         if path not in self.tables:
             self.tables[path] = embed_io.load_table(path)
         return self.tables[path]
+
+    def assignments(self, path: Path) -> dict:
+        if path not in self.types:
+            self.types[path] = type_extraction.read_assignments(path)
+        return self.types[path]
 
 
 # runner(shared, inputs, params, targets) -> what its command reports; `params` is what the stage records
@@ -305,6 +313,7 @@ def _stage_types(shared, inputs, params, targets):
     articles = type_extraction.read_article_corpus(inputs["corpus"])
     assignments = type_extraction.extract_corpus(articles, d, cap=params["cap"])
     type_extraction.write_assignments(assignments, targets[0])
+    shared.types[targets[0]] = assignments  # what the file reads back: semantic and aggregate use it
     return assignments
 
 

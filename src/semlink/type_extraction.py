@@ -10,6 +10,7 @@ the remapped form keeping first occurrence, and capped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -17,6 +18,10 @@ from typing import Iterable, Iterator, Optional
 from ._text import read_all, read_lines, split_first_sentence, tokenize, tsv_fields, write_lines
 from .errors import ConfigError, DuplicateEntityError, FormatError
 from .type_dictionary import SemanticTypeDictionary, apply_remap
+
+# a types file's lines end at a newline or a carriage return, and split into
+# fields at tabs
+_FIELD_BREAK = re.compile("[\t\n\r]")
 
 
 @dataclass
@@ -156,9 +161,41 @@ def read_article_corpus(path) -> Iterator[ArticleRecord]:
 
 
 def write_assignments(assignments, path) -> None:
-    """Write '<entity_id>\\t<w1,w2,...>' lines in mapping order."""
-    items = assignments.values() if hasattr(assignments, "values") else assignments
-    write_lines(path, [f"{a.entity_id}\t{','.join(a.type_words)}" for a in items])
+    """Write '<entity_id>\\t<w1,w2,...>' lines in mapping order.
+
+    Each line must read back as the assignment it came from, so an entity id
+    holding a tab or a line break, or a type word that is empty or holds a
+    comma, a tab or a line break, is a `FormatError` naming the entity and
+    the word, raised before anything is written.
+    """
+    items = list(assignments.values() if hasattr(assignments, "values") else assignments)
+    lines = [f"{a.entity_id}\t{','.join(a.type_words)}" for a in items]
+    words = [a.type_words for a in items]
+    text = "".join(lines)
+    # every line holds its one tab, no line break, one comma between two
+    # words and no empty word; else find the first that does not read back
+    if not (
+        text.count("\t") == len(lines)
+        and "\n" not in text
+        and "\r" not in text
+        and text.count(",") == sum(map(len, words)) - sum(map(bool, words))
+        and all(map(all, words))
+    ):
+        for a in items:
+            _check_writable(a, path)
+    write_lines(path, lines)
+
+
+def _check_writable(a: EntityTypeAssignment, path) -> None:
+    if _FIELD_BREAK.search(a.entity_id):
+        raise FormatError(f"entity id {a.entity_id!r} holds a tab or a line break", path=path)
+    for word in a.type_words:
+        if not word or "," in word or _FIELD_BREAK.search(word):
+            raise FormatError(
+                f"type word {word!r} of entity {a.entity_id!r} is empty or holds a comma, "
+                "a tab or a line break",
+                path=path,
+            )
 
 
 def read_assignments(path) -> dict[str, EntityTypeAssignment]:

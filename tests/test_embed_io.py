@@ -1,6 +1,7 @@
 """Embedding table I/O: bit-exact binary round-trips, text parsing, lookup."""
 
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -401,21 +402,26 @@ def test_save_refuses_or_round_trips(io_dir, save, load, table):
     assert same_table(load(path, table.dim), table)
 
 
+DAMAGES = ["value", "repeat", "truncate", "overwrite", "copy", "insert", "header", "garbage"]
+
+
 @st.composite
 def damaged_binaries(draw):
     table = draw(tables(BINARY_CHAR, min_rows=1))
     entries = [label.encode("utf-8") + b" " + row.tobytes()
                for label, row in zip(table.labels, table.matrix)]
     raw = bytearray(f"{len(table)} {table.dim}\n".encode("ascii") + b"".join(entries))
-    damage = draw(st.sampled_from(
-        ["value", "repeat", "truncate", "overwrite", "copy", "insert", "header", "garbage"]
-    ))
+    return damaged(draw, draw(st.sampled_from(DAMAGES)), raw, entries, len(table), table.dim)
+
+
+def damaged(draw, damage, raw, entries, count, dim):
+    """``raw``, the file of ``count`` ``entries`` of dimension ``dim``, with one ``damage``."""
     if damage == "value":  # one vector component becomes NaN, an infinity or any float
-        at = len(raw) - draw(st.integers(1, len(table) * table.dim)) * 4
+        at = len(raw) - draw(st.integers(1, count * dim)) * 4
         value = draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(width=32))
         raw[at:at + 4] = struct.pack("<f", value)
     elif damage == "repeat":  # an entry written twice, the count raised to match
-        raw[:raw.index(b"\n")] = f"{len(table) + 1} {table.dim}".encode("ascii")
+        raw[:raw.index(b"\n")] = f"{count + 1} {dim}".encode("ascii")
         raw += draw(st.sampled_from(entries))
     elif damage == "truncate":
         del raw[draw(st.integers(raw.index(b"\n") + 1, len(raw) - 1)):]
@@ -432,15 +438,15 @@ def damaged_binaries(draw):
     elif damage == "header":
         count, dim = draw(st.integers(0, 10**25)), draw(st.integers(0, 10**25))
         raw[:raw.index(b"\n") + 1] = f"{count} {dim}\n".encode("ascii")
-    else:
+    elif damage == "garbage":
         raw = bytearray(draw(st.binary(max_size=64)))
     return bytes(raw)
 
 
-def load_outcome(path):
+def load_outcome(path, load=load_binary):
     """The loaded table's bits, or the error's type and message."""
     try:
-        table = load_binary(path)
+        table = load(path)
     except FormatError as e:
         return type(e), str(e)
     assert isinstance(table, EmbeddingTable)
@@ -464,6 +470,153 @@ def test_damaged_binary_in_small_chunks_fails_the_same(io_dir, chunk, raw):
     whole = load_outcome(path)
     with mock.patch.object(embed_io, "_CHUNK", chunk):
         assert load_outcome(path) == whole
+
+
+# ---------------------------------------------------------------------------
+# The block writer and the bulk label decoding against the per-entry writer
+# and reader they replaced, kept here as the byte-level reference.  Long run:
+#   pytest tests/test_embed_io.py -k per_entry --hypothesis-profile semlink-fuzz
+
+
+def reference_save_binary(table, path):
+    """One entry per write, each label encoded and checked on its own."""
+    with open(path, "wb") as fh:
+        fh.write(f"{len(table)} {table.dim}\n".encode("ascii"))
+        for label, row in zip(table.labels, table.matrix):
+            fh.write(embed_io._encode_label(label) + b" " + row.tobytes())
+
+
+def reference_load_binary(path):
+    """Each label decoded and each vector copied on its own, with the checks
+    of `load_binary` in its order."""
+    with open(path, "rb") as fh:
+        count, dim = embed_io._read_header(fh, path)
+        vec_bytes = dim * 4
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * (2 + vec_bytes) > body:
+            raise TruncatedError(
+                f"header promises {count} entries of dimension {dim}, but only {body} bytes follow it", path=path
+            )
+        labels = []
+        matrix = np.empty((count, dim), dtype="<f4")
+        buf, pos = b"", 0
+        for i in range(count):
+            sp = buf.find(b" ", pos)
+            while sp < 0:
+                searched = len(buf) - pos
+                buf, pos = buf[pos:], 0
+                buf += fh.read(embed_io._CHUNK)
+                if len(buf) == searched:
+                    raise TruncatedError(f"file ends inside entry {i}", path=path)
+                sp = buf.find(b" ", searched)
+            raw = buf[pos:sp]
+            if not raw:
+                raise FormatError(f"empty label in entry {i}", path=path)
+            if b"\n" in raw:
+                raise FormatError(f"label in entry {i} contains a newline", path=path)
+            pos = sp + 1
+            if len(buf) - pos < vec_bytes:
+                buf, pos = buf[pos:], 0
+                buf += fh.read(max(embed_io._CHUNK, vec_bytes - len(buf)))
+                if len(buf) < vec_bytes:
+                    raise TruncatedError(f"file ends inside vector of entry {i}", path=path)
+            matrix[i] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
+            labels.append(embed_io._decode_label(raw))
+            pos += vec_bytes
+            if pos == len(buf):
+                buf, pos = fh.read(embed_io._CHUNK), 0
+            if pos < len(buf) and buf[pos] == 0x0A:
+                pos += 1
+        trailing = len(buf) - pos
+        while chunk := fh.read(embed_io._CHUNK):
+            trailing += len(chunk)
+    if trailing:
+        raise FormatError(f"{trailing} trailing bytes after last entry", path=path)
+    return embed_io._loaded_table(path, dim, labels, matrix)
+
+
+# table sizes around one block
+BLOCK_SIZES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+# ASCII, multi-byte characters and escaped bytes; "\udcc3\udca9" spells "é"
+# in UTF-8 and does not read back, "\udce2\udc82" is a cut-off sequence that does
+LABEL_PIECES = ["a", "é", "€", "𝄞", "\udcff", "\udce9", "\udcc3", "\udca9", "\udce2", "\udc82"]
+REFUSED_LABELS = {"space": "a b", "newline": "a\nb", "empty": "", "unencodable": "a\ud800",
+                  "not round-tripping": "caf\udcc3\udca9"}
+# the same on disk, non-UTF-8 bytes and a UTF-8-encoded surrogate included
+RAW_PIECES = [b"a", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9d\x84\x9e", b"\xff", b"\xc3", b"\xa9", b"\xe2\x82",
+              b"\xed\xa0\x80"]
+
+
+@st.composite
+def block_tables(draw):
+    """A table of a size around one block, with drawn labels at drawn places
+    and maybe one label of each refused kind at a drawn place."""
+    n = draw(st.sampled_from(BLOCK_SIZES))
+    dim = draw(st.integers(1, 3))
+    labels = [f"r{i}" for i in range(n)]
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, dim)).astype(np.float32)
+    if not n:
+        return EmbeddingTable(dim, labels, values)
+    drawn = st.lists(st.sampled_from(LABEL_PIECES), min_size=1, max_size=3).map("".join)
+    for label in draw(st.lists(drawn, max_size=4, unique=True)):
+        labels[draw(st.integers(0, n - 1))] = label
+    refused = draw(st.lists(st.sampled_from(sorted(REFUSED_LABELS)), max_size=2, unique=True))
+    places = {kind: draw(st.integers(0, n - 1)) for kind in refused}
+    for kind, at in places.items():
+        if kind != "empty":
+            labels[at] = REFUSED_LABELS[kind]
+    table = EmbeddingTable(dim, labels, values)
+    if "empty" in places:
+        # the table refuses an empty label: put it where only a writer meets it
+        table.labels[places["empty"]] = ""
+    return table
+
+
+def save_outcome(save, table, path):
+    """The written bytes, or the error's type and message."""
+    path.unlink(missing_ok=True)
+    try:
+        save(table, path)
+    except FormatError as e:
+        return type(e), str(e)
+    return path.read_bytes()
+
+
+@given(table=block_tables())
+def test_block_save_writes_what_the_per_entry_writer_writes(io_dir, table):
+    """The same bytes, or the same error naming the same first refused
+    label, and then no file."""
+    got = save_outcome(save_binary, table, io_dir / "block.bin")
+    assert got == save_outcome(reference_save_binary, table, io_dir / "reference.bin")
+    assert isinstance(got, bytes) == (io_dir / "block.bin").exists()
+
+
+@st.composite
+def block_binaries(draw):
+    """The file of a table of a size around one block, labels of any bytes
+    but 0x20 and 0x0A, maybe with per-entry newlines, intact or damaged."""
+    n = draw(st.sampled_from(BLOCK_SIZES))
+    dim = draw(st.integers(1, 3))
+    labels = [b"r%d" % i for i in range(n)]
+    if n:
+        drawn = st.lists(st.sampled_from(RAW_PIECES), min_size=1, max_size=3).map(b"".join)
+        for label in draw(st.lists(drawn, max_size=4, unique=True)):
+            labels[draw(st.integers(0, n - 1))] = label
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, dim)).astype(np.float32)
+    end = b"\n" if draw(st.booleans()) else b""
+    entries = [label + b" " + row.tobytes() + end for label, row in zip(labels, values)]
+    raw = bytearray(f"{n} {dim}\n".encode("ascii") + b"".join(entries))
+    return damaged(draw, draw(st.sampled_from([None, *DAMAGES])) if n else None, raw, entries, n, dim)
+
+
+@pytest.mark.parametrize("chunk", [embed_io._CHUNK, 5])
+@given(raw=block_binaries())
+def test_load_reads_what_the_per_entry_reader_reads(io_dir, chunk, raw):
+    """The same table bit for bit, or the same error naming the same entry."""
+    path = io_dir / "block.bin"
+    path.write_bytes(raw)
+    with mock.patch.object(embed_io, "_CHUNK", chunk):
+        assert load_outcome(path) == load_outcome(path, reference_load_binary)
 
 
 # ---------------------------------------------------------------------------

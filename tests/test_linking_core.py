@@ -618,9 +618,12 @@ def enumeration_argmax(doc, model, entities, words, pairwise="diagonal"):
     return best, best_score
 
 
-# Quarter-step values, one to four context tokens per mention: every local
-# and pairwise term is then computed exactly or rounded once, identically,
-# by the packed and the scalar path, so their argmaxes agree bit for bit.
+# Quarter-step values, one, two or four context tokens per mention: every
+# context mean and local term is then exact, and every pairwise term is
+# computed exactly or rounded once, identically, by the packed and the
+# scalar path, so their argmaxes agree bit for bit.  (A three-token mean is
+# inexact, and then the two paths' different addition orders may round a
+# tie apart: see the fixed world below.)
 _quarters = st.integers(-8, 8).map(lambda q: q / 4)
 
 
@@ -635,7 +638,8 @@ def small_linking_worlds(draw):
     mentions = [
         Mention(
             "m",
-            context=draw(st.lists(st.sampled_from(words.labels), min_size=1, max_size=4)),
+            context=draw(st.sampled_from([1, 2, 4]).flatmap(
+                lambda n: st.lists(st.sampled_from(words.labels), min_size=n, max_size=n))),
             candidates=draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)),
         )
         for _ in range(draw(st.integers(1, 4)))
@@ -663,6 +667,26 @@ def test_exhaustive_infer_equals_enumeration(world):
         assert got_score == pytest.approx(best_score, rel=1e-12, abs=1e-12)
     else:
         assert got == best
+
+
+def test_exhaustive_infer_on_an_inexact_tie_scores_within_rounding_of_enumeration():
+    # three-token contexts make the features inexact; (e2, e2, e2) and
+    # (e2, e3, e2) then tie in the score tensor at 4.458333333333334, while
+    # `document_score`, adding the relation terms in another order, puts
+    # the first one ulp lower
+    entities = EmbeddingTable.from_pairs([("e0", [0.0, 0.0]), ("e1", [0.0, 0.0]), ("e2", [-1.0, -1.5]),
+                                          ("e3", [0.0, -0.25])])
+    words = EmbeddingTable.from_pairs([("w0", [-1.0, 1.75]), ("w1", [0.0, 0.0]), ("w2", [-0.5, -0.75])])
+    model = LinkingModel(2, np.array([-0.5, -2.0]), np.zeros(2),
+                         relations=[np.zeros(2), np.zeros(2), np.zeros(2), np.array([0.0, -2.0])])
+    doc = LinkingDocument("d", [Mention("m", ["w0", "w0", "w1"], ["e0", "e2"]),
+                                Mention("m", ["w0", "w0", "w2"], ["e0", "e2", "e3"]),
+                                Mention("m", ["w0", "w0", "w2"], ["e0", "e1", "e2"])])
+    got = infer(doc, model, entities, words, "exhaustive", "relations")
+    best, best_score = enumeration_argmax(doc, model, entities, words, "relations")
+    assert best == ["e2", "e3", "e2"] and got in (["e2", "e2", "e2"], best)
+    got_score = document_score(got, doc, model, entities, words, pairwise="relations")
+    assert got_score == pytest.approx(best_score, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -857,7 +881,7 @@ def test_infer_documents_in_runs_equals_per_document_infer(rng, monkeypatch, str
     packed = []  # the mentions of each pack
     pack = linking_core._pack_candidates
     monkeypatch.setattr(linking_core, "_pack_candidates",
-                        lambda mentions, *a: packed.append(mentions) or pack(mentions, *a))
+                        lambda mentions, *a, **kw: packed.append(mentions) or pack(mentions, *a, **kw))
     for pairwise in ("diagonal", "relations"):
         want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
         packed.clear()

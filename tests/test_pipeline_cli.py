@@ -209,7 +209,7 @@ class TestPipeline:
             assert hashed[Path(paths["words"]).resolve()] == 1
 
         run({}, [])  # cold
-        assert parsed["types.tsv"] == 1
+        assert parsed["types.tsv"] == 0  # semantic and aggregate use the types stage's assignments
         assert loaded["reinforced.bin"] == 0  # link and eval use aggregate's table
         run({"alpha": "0.3"}, ["dict", "types"])  # sweep
         assert parsed["types.tsv"] == 1
@@ -484,6 +484,41 @@ class TestPipeline:
         status = run_pipeline(PipelineConfig.from_file(cfg_path, {"alpha": "0.1"}))
         assert status["aggregate"] == "done"
         assert status["types"] == "skipped"
+
+    def test_types_stage_refuses_assignments_its_file_cannot_hold(self, fixture_dir, tmp_path, capsys):
+        # a remap target with a comma would read back as two words
+        root, paths = fixture_dir
+        out = tmp_path / "out"
+        remap = tmp_path / "remap.tsv"
+        remap.write_text("type00w0\tfe,line\n", "utf-8")
+        cfg_path = write_config(tmp_path / "p.cfg", paths, out,
+                                extra=f"stages = types\ndictionary = {paths['seeds']}\nremap = {remap}\n")
+        with pytest.raises(StageError, match="type word 'fe,line' of entity 'ent0000'") as err:
+            run_pipeline(PipelineConfig.from_file(cfg_path))
+        assert err.value.stage == "types"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            main(["pipeline", "run", "--config", str(cfg_path)])
+        assert e.value.code == 2
+        assert "stage 'types' failed" in capsys.readouterr().err
+        assert not (out / "types.tsv").exists()
+
+    @pytest.mark.parametrize("flags", [["-v"], ["--log-level", "INFO"]])
+    def test_verbose_run_logs_the_coverage_histogram_and_nothing_else_changes(self, fixture_dir, tmp_path, flags):
+        root, paths = fixture_dir
+        runs = {}
+        # quiet after verbose: the verbose run's handler and level go with it
+        for name, argv in (("verbose", flags), ("quiet", []), ("warning", ["--log-level", "warning"])):
+            out = tmp_path / name
+            cfg_path = write_config(tmp_path / f"{name}.cfg", paths, out)
+            r = CliRunner().invoke(cli, [*argv, "pipeline", "run", "--config", str(cfg_path)])
+            assert r.exit_code == 0, r.output
+            runs[name] = r.stdout, r.stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert runs["quiet"][1] == runs["warning"][1] == ""
+        assert re.fullmatch(r"INFO semlink\.semantic_aggregation: reinforced \d+ entities \(T=11, alpha=0\.2\); "
+                            r"coverage histogram \{[0-9:, ]+\}\n", runs["verbose"][1]), runs["verbose"][1]
+        assert runs["quiet"][0] == runs["warning"][0] == runs["verbose"][0] != ""
+        assert runs["quiet"][2] == runs["warning"][2] == runs["verbose"][2]
 
     def test_output_replaced_by_directory_names_its_stage(self, fixture_dir, tmp_path, capsys):
         root, paths = fixture_dir

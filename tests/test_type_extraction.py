@@ -8,9 +8,10 @@ from hypothesis import example, given, strategies as st
 
 from semlink._text import tokenize
 from semlink.errors import DuplicateEntityError, FormatError
-from semlink.type_dictionary import SemanticTypeDictionary, apply_remap
+from semlink.type_dictionary import SemanticTypeDictionary, apply_remap, build_dictionary
 from semlink.type_extraction import (
     ArticleRecord,
+    EntityTypeAssignment,
     PhraseMatcher,
     extract_corpus,
     extract_types,
@@ -229,3 +230,63 @@ class TestCorpusIO:
             "e1": ["lawyer", "writer"],
             "e2": [],
         }
+
+    def test_remap_target_with_a_comma_is_refused(self, tmp_path):
+        # `fe,line` would be written as two words and read back as ['fe', 'line']
+        (tmp_path / "seeds.txt").write_text("cat\nlawyer\n", "utf-8")
+        (tmp_path / "remap.tsv").write_text("cat\tfe,line\n", "utf-8")
+        d = build_dictionary(None, tmp_path / "seeds.txt", None, tmp_path / "remap.tsv")
+        assignments = extract_corpus([ArticleRecord("e0", "t", "a lawyer."), ArticleRecord("e1", "t", "a cat.")], d)
+        assert assignments["e1"].type_words == ["fe,line"]
+        p = tmp_path / "types.tsv"
+        with pytest.raises(FormatError, match="type word 'fe,line' of entity 'e1'"):
+            write_assignments(assignments, p)
+        assert not p.exists()
+
+    def test_entity_id_with_a_tab_is_refused(self, tmp_path):
+        # a directory corpus takes its entity ids from file stems, which may hold a tab
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "ent\tx.txt").write_text("A lawyer.", "utf-8")
+        assignments = extract_corpus(read_article_corpus(corpus), make_dict(["lawyer"]))
+        p = tmp_path / "types.tsv"
+        p.write_text("old\tlawyer\n", "utf-8")
+        with pytest.raises(FormatError, match=re.escape("entity id 'ent\\tx' holds a tab")):
+            write_assignments(assignments, p)
+        assert p.read_text("utf-8") == "old\tlawyer\n"
+
+
+# letters, the separators of a types file, and line breaks that a text-mode
+# read does not split on
+_ASSIGNMENT_TEXT = st.text(st.sampled_from("ab,\t\n\r \x0b\x0c\x1c\x85\u2028"), max_size=4)
+
+
+def _reads_back(a):
+    """Whether a types file can hold ``a``: the reference rule, one field at a time."""
+    breaks = ("\t", "\n", "\r")
+    return (not any(b in a.entity_id for b in breaks)
+            and all(w and "," not in w and not any(b in w for b in breaks) for w in a.type_words))
+
+
+@pytest.fixture(scope="module")
+def types_dir(tmp_path_factory):
+    # module-scoped: every example of the property reuses one directory
+    return tmp_path_factory.mktemp("types")
+
+
+@given(st.dictionaries(_ASSIGNMENT_TEXT.filter(bool), st.lists(_ASSIGNMENT_TEXT, max_size=3), max_size=4))
+def test_write_assignments_refuses_or_reads_back(types_dir, entries):
+    """A types file reads back as what was written, or the write is refused
+    naming the first entity that it cannot hold, and nothing is written."""
+    assignments = {e: EntityTypeAssignment(e, words) for e, words in entries.items()}
+    p = types_dir / "types.tsv"
+    p.unlink(missing_ok=True)
+    bad = [a for a in assignments.values() if not _reads_back(a)]
+    if bad:
+        with pytest.raises(FormatError) as e:
+            write_assignments(assignments, p)
+        assert repr(bad[0].entity_id) in str(e.value)
+        assert not p.exists()
+    else:
+        write_assignments(assignments, p)
+        assert read_assignments(p) == assignments
