@@ -7,10 +7,13 @@ file and line.
 
 Every output file is written through `replacing`: each target gets a temp
 file beside it, renamed over the target only once every temp file is
-written and synced, so a failure leaves every target as it was.  Text
-outputs are UTF-8 with ``\n`` newlines; `write_lines` and `write_files`
-(several outputs, all or nothing) encode the whole text first, so a line
-with no UTF-8 form is a `FormatError` naming the file, line and text.
+written and synced, so a failure that raises leaves every target as it was.
+A killed process may leave some targets renamed and others not; the
+pipeline's manifest has not recorded such a stage, so its rerun writes
+every output of the stage again.  Text outputs are UTF-8 with ``\n``
+newlines; `write_lines` and `write_files` (several outputs, all or nothing)
+encode the whole text first, so a line with no UTF-8 form is a
+`FormatError` naming the file, line and text.
 `json_lines` gives one JSON value, indented and with sorted keys, as lines.
 
 A token is a maximal run of ``[a-z0-9_']`` in the lowercased text; every
@@ -25,6 +28,7 @@ regex ``[a-z0-9_']+`` treats it; case mappings onto ASCII (KELVIN SIGN ->
 
 import contextlib
 import errno
+import hashlib
 import json
 import os
 import re
@@ -97,17 +101,30 @@ def write_files(outputs) -> None:
 def replacing(paths):
     """One binary handle per target of ``paths``, each on a new temp file beside
     it.  Once the body has written them, each is synced and renamed over its
-    target; on any failure every temp file goes, and every target stays."""
+    target; on any failure that raises, every temp file goes, and every
+    target stays.
+
+    A target's temp name is fixed by the target's name, and a stale file of
+    that name, left by a killed writer, is removed first.  So a kill leaves
+    at most one temp file per target, which the next write of that target
+    removes; and only one writer may use a target at a time.
+    """
     targets = [os.path.realpath(p) for p in paths]
-    for target in targets:
+    for k, target in enumerate(targets):
+        if target in targets[:k]:
+            raise OSError(errno.EINVAL, "output named twice", target)
         if os.path.exists(target) and not os.path.isfile(target):
             raise OSError(errno.EISDIR if os.path.isdir(target) else errno.EINVAL, "not a regular file", target)
     handles = []
     try:
         for head, tail in map(os.path.split, targets):
-            # created exclusively, with the permissions `open(target, "wb")` gives;
-            # a short name, so that a target at the name length limit fits
-            handles.append(open(os.path.join(head, f".{tail[:32]}.{os.urandom(8).hex()}.tmp"), "xb"))
+            # a short name, so that a target at the name length limit fits, and
+            # a digest of the whole name, so that long names sharing a start differ
+            temp = os.path.join(head, f".{tail[:32]}.{hashlib.sha256(os.fsencode(tail)).hexdigest()[:16]}.tmp")
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)  # a symlink goes, not the file it points to
+            # created exclusively, with the permissions `open(target, "wb")` gives
+            handles.append(open(temp, "xb"))
         yield handles
         for fh in handles:
             fh.flush()

@@ -222,8 +222,9 @@ def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, 
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--strategy", default="greedy-local", show_default=True,
               type=click.Choice(linking_core.STRATEGIES),
-              help="exhaustive adds pairwise coherence with the model's C; "
-                   "it expects a model whose C was trained pairwise.")
+              help="exhaustive adds pairwise coherence with the model's C; it expects a model whose C was "
+                   "trained pairwise, but no command trains C yet: link train leaves C at all ones, and "
+                   "TrainConfig(train_pairwise=True) is library-only.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def link_infer(docs_path, entities, words, model_path, strategy, out_path):
     """Pick one candidate per mention; writes '<doc>\\t<idx>\\t<label>' TSV."""

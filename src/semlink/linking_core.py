@@ -1,102 +1,28 @@
 """Desk-scale entity-linking scorer: bilinear scores, inference, training.
 
 Score functions, all with diagonal parameter matrices stored as length-d
-vectors:
+vectors, in a document of n mentions:
 
 * local:     psi(e, c)    = sum_j e[j] * B[j] * f(c)[j]
 * pairwise:  phi(ei, ej)  = (1 / (n - 1)) * sum_j ei[j] * C[j] * ej[j]
 * relation:  phi_K(ei,ej) = sum_k w_k * sum_j ei[j] * Rk[j] * ej[j]
 
-``n`` is the number of mentions in the document.  The document score sums
-local scores plus pairwise scores over unordered mention pairs.  Inference is
-exhaustive argmax (with a capacity guard) or per-mention greedy on the local
-score.  Training runs SGD on a max-margin ranking loss over the non-gold
-candidates of each mention; it is piecewise linear in the diagonals, so the
-analytic subgradient is exact away from hinge kinks.
-
-Training works on one packed layout, built once per entity table.  For
-trainable mention n with context feature f, gold vector g, teacher-forced
-pair context p and its negatives padded to M rows (with a mask):
+Training runs SGD on a max-margin ranking loss over each mention's non-gold
+candidates.  For trainable mention n with context feature f, gold vector g,
+teacher-forced pair context p and its negatives padded to M rows (with a mask):
 
 * ``FD[n, m] = (neg_m - g) * f``
 * ``PD[n, m] = (neg_m - g) * p``  (only when pairwise terms are trained)
 
-Since every score is linear in its diagonal, the hinge violation of (n, m)
-is ``margin - s(g) + s(neg_m) = margin + FD[n, m] @ B + PD[n, m] @ C``, and
-its subgradient in (B, C) is (FD[n, m], PD[n, m]).  The SGD step, the
-full-batch loss and its subgradient all use this identity.
+Every score is linear in its diagonal, so the hinge violation of (n, m) is
+``margin - s(g) + s(neg_m) = margin + FD[n, m] @ B + PD[n, m] @ C``, and its
+subgradient in (B, C), exact away from hinge kinks, is (FD[n, m], PD[n, m]).
+The SGD step, the full-batch loss and its subgradient all use this identity.
 
-``train_runs`` trains R = tables x seeds runs in lockstep, the shape of the
-convergence study: the runs share documents, negatives and step count.  SGD
-is sequential, since a step's active hinges depend on the diagonals the
-step before left, but at a small step size they seldom change within a few
-dozen steps.  So the loop takes a block of up to 64 steps per run at once:
-
-1. guess every step's active hinges from the block's first state, one
-   mat-vec per run over the block's gathered rows (R, k, M, d);
-2. build the state before each step: every step's update from its guessed
-   hinges, chained with ``np.subtract.accumulate``;
-3. test every step's hinges again, against its own state;
-4. each run keeps its steps before its first wrong guess, redoes that step
-   with its tested hinges and resumes after it in the next block.
-
-The kept states are those of one step at a time, bit for bit: the
-accumulate subtracts in sequence, as ``B -= lr * g`` does, and every update
-and every test is the same (1, M) @ (M, d) or (M, d) @ (d, 1) ``matmul``
-slice that a single step computes.  Only the guess may round differently,
-and a wrong guess costs steps, not bits.  A run that finishes its epoch
-before the others steps on an all-zero row, which changes nothing.
-Context features are computed once for all tables.  ``train`` is the
-one-run case, so there is one SGD loop.
-
-Dev mentions with usable gold are packed once as well (features, sorted
-candidate vectors, gold index), so dev F1 per epoch is one einsum and a
-first-maximum argmax, the same greedy scorer inference uses.
-
-Context features and candidate rows are gathered, not looked up one token
-or one mention at a time.  ``_features`` takes the means of the context
-tokens' word rows with ``embed_io.row_means``, the package's one mean rule:
-each is the ``acc += row`` chain of a per-token loop, bit for bit.
-``_pack_candidates`` builds the one candidate layout of training, dev F1
-and inference: the sorted labels, the (N, d) features, the (S, d) float64
-rows of every mention's candidates one after another (S = sum k_i), taken
-with one ``take``, and the per-mention offsets into them.  Local scores are
-one ``einsum("md,d,md->m")`` over the rows, with the bits of a zero-padded
-``einsum("nmd,d,nd->nm")``.  Greedy picks and dev F1 read each mention's
-first maximum through a padded (N, M) index of them, whose pads read -inf.
-``_build_instances`` reads each trainable mention's gold row and its
-negatives (sorted, the gold's column skipped) through one such index, its
-pads masked out.  ``infer_documents`` packs runs of consecutive documents
-of up to ``BLOCK_ROWS`` candidates, and takes each run's greedy picks in one
-call or scores each document's slice of its pack; ``infer`` is its
-one-document case, as ``context_feature`` is of ``_features``.  Vectors the
-scorer takes or returns are plain arrays; ``document_score`` takes features
-as (d,) rows or one (n, d) array.
-
-Exhaustive inference scores every assignment of a document at once in one
-``(k_1, ..., k_n)`` float64 tensor, product x 8 bytes (8 MB at
-``EXHAUSTIVE_CAPACITY``).  ``_score_tensor`` builds the local part one
-axis at a time, ``0.0 + l_1``, then ``score[..., None] +
-l_i`` for each further mention (l_i the flat local scores of mention i),
-so the tensor grows to full size only at the last mention.  With V_i the
-rows of mention i, it then adds each pair's (k_i, k_j) block in
-``itertools.combinations`` order.  A diagonal block is ``(V_i * C) @ V_j.T
-/ (n - 1)``, one (k_i, d) @ (d, k_j) product per pair: one product over
-all candidates rounds differently.  In relation mode every pair writes
-``(V_i[:, None] * V_j[None]) @ R``, in that (k_i, k_j, d) @ (d, K) shape
-(a 2-D product rounds differently), into one (sum k_i * k_j, K) buffer, and
-one softmax runs over the buffer for the whole document; its maxima come
-one column at a time, which is exact.  Uniform weighting stays one
-(k_i, k_j, K) @ (K,) mat-vec per pair, since one mat-vec over the buffer
-rounds differently.  ``V * C`` and the stacked relation matrix are taken
-once per document.  Where the axes before i broadcast, a pair add spreads
-its block over axes i.. once and adds it as one contiguous run per prefix,
-so numpy's inner loop is long; each score still takes the same additions in
-the same order.  Each score is thus those of a zero tensor that takes every
-local vector and then every pair block, bit for bit.  The C-order first
-maximum of that tensor is the lexicographically smallest best label tuple.
-``document_score`` and the pairwise functions keep their scalar form as
-the reference the packed path is tested against.
+Training, dev F1 and inference read one packed layout, `_CandidateBlock`.
+Every packed path keeps the bits of its scalar reference: ``document_score``
+and the pairwise functions for scores and answers, one SGD step at a time
+for training.  The function that fixes a shape or an order says why.
 """
 
 from __future__ import annotations
@@ -307,10 +233,6 @@ def relation_pairwise_score(e_i, e_j, model: LinkingModel, weights) -> float:
     return total
 
 
-def _entity_vector(entities: EmbeddingTable, label: str) -> np.ndarray:
-    return entities.vector(label).astype(np.float64)
-
-
 def document_score(
     assignment: Sequence[str],
     doc: LinkingDocument,
@@ -332,7 +254,7 @@ def document_score(
     if pairwise == "relations" and model.K < 1:
         raise RelationArityError("model has no relations")
     feats = _features(doc.mentions, words) if features is None else features
-    vecs = [_entity_vector(entities, label) for label in assignment]
+    vecs = [entities.vector(label).astype(np.float64) for label in assignment]
     total = 0.0
     for vec, feat in zip(vecs, feats):
         total += local_score(vec, model.B, feat)
@@ -355,15 +277,12 @@ def _check_candidates(doc: LinkingDocument) -> None:
 
 def _check_dims(entities: EmbeddingTable, words: EmbeddingTable) -> None:
     if entities.dim != words.dim:
-        raise DimensionError(
-            f"entity dimension {entities.dim} != word dimension {words.dim}"
-        )
+        raise DimensionError(f"entity dimension {entities.dim} != word dimension {words.dim}")
 
 
 @dataclass
 class _CandidateBlock:
-    """Mentions packed for scoring: each mention's candidates in sorted label
-    order, their rows one mention after another."""
+    """Mentions packed for scoring by `_pack_candidates`."""
 
     labels: list[list[str]]  # sorted candidate labels per mention
     features: np.ndarray     # (N, d) context features
@@ -379,9 +298,9 @@ class _CandidateBlock:
     @functools.cached_property
     def padded(self) -> np.ndarray:
         """(N, M) index of each mention's rows, padded with S, the index one
-        past the last row."""
+        past the last row; M >= 1, so a block of no mention has no picks."""
         starts, counts = np.array(self.offsets[:-1], dtype=np.intp), np.diff(self.offsets)
-        columns = np.arange(counts.max(initial=0))
+        columns = np.arange(counts.max(initial=1))
         return np.where(columns < counts[:, None], starts[:, None] + columns, self.offsets[-1])
 
     def gold_positions(self, mentions: Sequence[Mention]) -> np.ndarray:
@@ -397,7 +316,9 @@ class _CandidateBlock:
 
 def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
     """(N, d) context features of ``mentions``: the mean of each context's
-    in-vocabulary word rows, zero when none is in ``words``."""
+    in-vocabulary word rows, zero when none is in ``words``.  The rows are
+    gathered, and ``embed_io.row_means``, the package's one mean rule, gives
+    each mean the bits of a per-token ``acc += row`` loop."""
     features = np.zeros((len(mentions), words.dim))
     row_of = words._index.get
     rows = [[i for i in map(row_of, m.context) if i is not None] for m in mentions]
@@ -426,7 +347,10 @@ def _pack_candidates(
     features: Optional[np.ndarray] = None,
     candidates: Optional[tuple[list[list[str]], list[int]]] = None,
 ) -> _CandidateBlock:
-    """Pack ``mentions``; ``features`` are their context features and
+    """Pack ``mentions`` into the one layout of training, dev F1 and
+    inference: the sorted labels, the (N, d) features, and the (S, d) float64
+    rows of every mention's candidates one after another (S = sum k_i), taken
+    with one ``take``.  ``features`` are the mentions' context features and
     ``candidates`` their `_candidate_rows`, if known."""
     _check_dims(entities, words)
     if features is None:
@@ -437,7 +361,9 @@ def _pack_candidates(
 
 
 def _local_scores(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
-    """(S,) local score of every packed candidate, in the block's row order."""
+    """(S,) local score of every packed candidate, in the block's row order:
+    one ``einsum("md,d,md->m")``, with the bits of a zero-padded
+    ``einsum("nmd,d,nd->nm")``."""
     return np.einsum("md,d,md->m", block.vectors, B, block.row_features)
 
 
@@ -479,15 +405,18 @@ def _relation_blocks(
 
 
 def _add_pair(score: np.ndarray, pair: np.ndarray, i: int, j: int) -> None:
-    """``score`` += the (k_i, k_j) block ``pair`` on axes i and j, in place."""
+    """``score`` += the (k_i, k_j) block ``pair`` on axes i and j, in place.
+
+    Where the axes before i broadcast, the block is spread over axes i.. once
+    and added as one contiguous run per prefix, so numpy's inner loop is
+    long; each score still takes the same one addition.
+    """
     shape = score.shape
     block = pair.reshape(shape[i], *[1] * (j - i - 1), shape[j], *[1] * (len(shape) - 1 - j))
     tail = shape[i:]
     if i == 0 or math.prod(tail) == pair.size:
         score += block
         return
-    # the axes before i broadcast: add the block spread over axes i.. as one
-    # contiguous run per prefix, so numpy's inner loop is long
     run = np.empty(tail)
     run[...] = block
     prefixes = score.reshape(-1, run.size)
@@ -495,11 +424,15 @@ def _add_pair(score: np.ndarray, pair: np.ndarray, i: int, j: int) -> None:
 
 
 def _score_tensor(block: _CandidateBlock, model: LinkingModel, pairwise: str) -> np.ndarray:
-    """(k_1, ..., k_n) document score of every candidate assignment of ``block``.
+    """(k_1, ..., k_n) float64 document score of every candidate assignment
+    of ``block``, 8 MB at ``EXHAUSTIVE_CAPACITY``.
 
     Each score is ``0.0 + l_1 + ... + l_n`` plus the pair terms in
     ``itertools.combinations`` order, the additions of a zero tensor that
-    takes every local vector and then every pair block in turn.
+    takes every local vector and then every pair block in turn; the tensor
+    reaches full size only at the last mention.  A diagonal pair block is one
+    (k_i, d) @ (d, k_j) product: one product over all candidates rounds
+    differently.
     """
     rows = [slice(a, b) for a, b in itertools.pairwise(block.offsets)]
     n = len(rows)
@@ -560,10 +493,9 @@ def _checked_runs(docs: Sequence[LinkingDocument], model: LinkingModel, entities
 def infer_documents(docs: Sequence[LinkingDocument], model: LinkingModel, entities: EmbeddingTable,
                     words: EmbeddingTable, strategy: str = "greedy-local",
                     pairwise: str = "diagonal") -> list[list[str]]:
-    """`infer` of each of ``docs``.  Each run of consecutive documents of up
-    to BLOCK_ROWS candidates (or one larger document) is checked, then packed
-    once, so memory stays at one run's pack; scoring raises nothing, so a
-    fault is the error that a loop of `infer` calls raises first."""
+    """`infer` of each of ``docs``.  Each of `_checked_runs` is packed once,
+    so memory stays at one run's pack; scoring raises nothing, so a fault is
+    the error that a loop of `infer` calls raises first."""
     out = []
     for run, candidates in _checked_runs(docs, model, entities, words, strategy, pairwise):
         block = _pack_candidates([m for doc in run for m in doc.mentions], entities, words,
@@ -736,34 +668,6 @@ def margin_loss_and_gradient(
     return float(v[active].sum()), gB, gC
 
 
-@dataclass
-class _DevSet:
-    """Dev mentions with usable gold, packed once for per-epoch evaluation."""
-
-    block: _CandidateBlock
-    gold: np.ndarray  # (N,) index of the gold label in each sorted candidate list
-
-    def f1(self, B: np.ndarray) -> float:
-        """Greedy-local micro-F1; plain accuracy, since coverage is full."""
-        if not len(self.gold):
-            return 0.0
-        return int(np.count_nonzero(_greedy_picks(self.block, B) == self.gold)) / len(self.gold)
-
-
-def _pack_dev(
-    dev_docs: Sequence[LinkingDocument],
-    entities: EmbeddingTable,
-    words: EmbeddingTable,
-    features: Optional[np.ndarray] = None,
-) -> _DevSet:
-    """Pack the usable dev mentions; ``features`` are their context features if known."""
-    for doc in dev_docs:
-        _check_candidates(doc)
-    usable = _usable(dev_docs)
-    block = _pack_candidates(usable, entities, words, features)
-    return _DevSet(block, block.gold_positions(usable))
-
-
 # SGD steps that one speculative block guesses, builds and tests at once
 _BLOCK = 64
 
@@ -785,8 +689,11 @@ def _active(
 class _LockstepSGD:
     """SGD of R runs over every table's stacked hinge rows, in speculative blocks.
 
-    The work arrays are allocated once: allocated afresh, arrays this large
-    are handed back to the OS when freed and fault in again on every block.
+    SGD is sequential, since a step's active hinges depend on the diagonals
+    the step before left, but at a small step size they seldom change within
+    a few dozen steps, so a block takes up to ``_BLOCK`` steps per run.  The
+    work arrays are allocated once: allocated afresh, arrays this large are
+    handed back to the OS when freed and fault in again on every block.
     """
 
     def __init__(self, sets: Sequence[_TrainingSet], R: int, margin: float, lr: float):
@@ -821,18 +728,20 @@ class _LockstepSGD:
         """Take SGD steps on the rows ``steps`` (R, k) in place on B and C
         (R, d); return how many steps each run took (at least one).
 
-        Every step's active hinges are guessed from the block's first state,
-        the states they lead to are built, and each step is then tested
-        against its own state.  A run keeps its steps before its first wrong
-        guess, which are exact, and redoes that step with its tested hinges;
-        the rest of its block is left for the next block.
+        Every step's active hinges are guessed from the block's first state
+        with one mat-vec per run, and each step is then tested against the
+        state the guesses lead to.  A run keeps its steps before its first
+        wrong guess and redoes that step with its tested hinges.  Kept states
+        are those of one step at a time, bit for bit: every update and test is
+        the (1, M) @ (M, d) or (M, d) @ (d, 1) ``matmul`` slice of one step,
+        and `_states` chains the updates as ``D -= X`` does.  Only the guess
+        may round differently, and a wrong guess costs steps, not bits.
         """
         F, P, margin, lr = self.F, self.P, self.margin, self.lr
         # the rows are in range; 'raise' would copy them through a temporary
         self.FD.take(steps, axis=0, out=F, mode="clip")
         if P is not None:
             self.PD.take(steps, axis=0, out=P, mode="clip")
-        # one mat-vec per run; where it rounds unlike the test, a guess is only wrong
         R, k, M, d = F.shape
         flat = (R, k * M, d)
         guess = _active(
@@ -886,36 +795,35 @@ def train_runs(
     afresh each epoch (``config.seed`` is not used); each step scores all of
     an instance's negatives at once and applies the summed subgradient of
     its active hinges.  The loss trace holds the full-batch loss evaluated
-    after each epoch; the dev trace holds greedy-local dev micro-F1 at the
-    same points when dev documents are supplied.
+    after each epoch; the dev trace holds dev micro-F1 at the same points
+    when dev documents are supplied: the greedy-local picks of
+    `infer_documents` on the dev mentions whose gold is among their
+    candidates, 0.0 when there is none.
 
     The R = tables x seeds runs share documents, negatives and step count,
-    so one loop steps them all, in speculative blocks of up to 64 steps
-    per run (see the module docstring): each block guesses its steps'
-    active hinges from its first state, builds the states they lead to
-    with a sequential accumulate, tests each step against its own state,
-    and each run keeps its steps up to its first wrong guess, redone with
-    the tested hinges.  The states, losses and dev F1 are those of taking
-    one step at a time, bit for bit, and a run's arithmetic does not
-    depend on the other runs, so each result equals a one-run call bit for
-    bit.  Results are table-major: run ``t * len(seeds) + s`` is
+    so `_LockstepSGD` steps them all in one loop.  A run's arithmetic does
+    not depend on the other runs, so each result equals a one-run call bit
+    for bit.  Results are table-major: run ``t * len(seeds) + s`` is
     (``tables[t]``, ``seeds[s]``).
     """
     if not tables or not seeds:
         raise ValueError("need at least one table and one seed")
     # which mentions count, and their context features, do not depend on the table
     features = _features(_usable(train_docs), words)
-    sets = []
-    for table in tables:
-        instances, skipped = _build_instances(train_docs, table, words, config.train_pairwise, features)
-        sets.append(instances)
+    built = [_build_instances(train_docs, t, words, config.train_pairwise, features) for t in tables]
+    sets, skipped = [instances for instances, _ in built], built[0][1]
     N = len(sets[0])
     if not N:
         raise EmptyTrainingError("no training mention has gold among its candidates")
     devs = None
     if dev_docs is not None:
-        features = _features(_usable(dev_docs), words)
-        devs = [_pack_dev(dev_docs, t, words, features) for t in tables]
+        for doc in dev_docs:
+            _check_candidates(doc)
+        usable = _usable(dev_docs)
+        features = _features(usable, words)
+        devs = [_pack_candidates(usable, t, words, features) for t in tables]
+        # sorted candidate labels do not depend on the table
+        gold = devs[0].gold_positions(usable)
 
     R = len(tables) * len(seeds)
     table_of = [r // len(seeds) for r in range(R)]
@@ -928,7 +836,9 @@ def train_runs(
     def evaluate(r: int) -> tuple[float, Optional[float]]:
         t = table_of[r]
         v, active = _hinges(sets[t], B[r], C[r], config.margin)
-        return float(v[active].sum()), devs[t].f1(B[r]) if devs is not None else None
+        # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
+        f1 = None if devs is None else int(np.count_nonzero(_greedy_picks(devs[t], B[r]) == gold)) / max(len(gold), 1)
+        return float(v[active].sum()), f1
 
     # per run: (loss, dev F1) before training, then after each epoch
     history = [[evaluate(r)] for r in range(R)]

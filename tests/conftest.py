@@ -1,4 +1,8 @@
-"""Shared fixtures and the acceptance-suite terminal summary."""
+"""Shared fixtures and the terminal summary: acceptance criteria and the
+line counts of ``src/semlink``."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,13 +38,35 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter):
-    if not _ACCEPTANCE_RESULTS:
-        return
-    terminalreporter.write_sep("=", "acceptance criteria")
-    for nodeid, outcome, doc in _ACCEPTANCE_RESULTS:
-        name = nodeid.split("::")[-1]
-        mark = "PASS" if outcome == "PASSED" else outcome
-        terminalreporter.write_line(f"[{mark}] {name}: {doc}")
+    if _ACCEPTANCE_RESULTS:
+        terminalreporter.write_sep("=", "acceptance criteria")
+        for nodeid, outcome, doc in _ACCEPTANCE_RESULTS:
+            name = nodeid.split("::")[-1]
+            mark = "PASS" if outcome == "PASSED" else outcome
+            terminalreporter.write_line(f"[{mark}] {name}: {doc}")
+    code, notes = line_counts(Path(__file__).resolve().parent.parent / "src" / "semlink")
+    terminalreporter.write_line(f"src/semlink: {code} code lines, {notes} docstring/comment lines")
+
+
+def line_counts(package: Path) -> tuple[int, int]:
+    """Non-blank lines of the package's modules: code, and docstring or
+    comment lines.  A docstring is the first statement of a module, class or
+    function when it is a string; a comment line holds nothing but a comment."""
+    code = notes = 0
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text("utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for line_no, line in enumerate(source.splitlines(), 1):
+            if line.strip():
+                if line_no in docs or line.lstrip().startswith("#"):
+                    notes += 1
+                else:
+                    code += 1
+    return code, notes
 
 
 @pytest.fixture

@@ -11,16 +11,20 @@ The fault test runs every command in one child process whose file-size
 limit (``RLIMIT_FSIZE``) makes the larger outputs fail with ``EFBIG``, over
 older outputs.  The property test damages one input of one command.  Either
 way a command that fails leaves every output as it was, and no command
-leaves a temp file behind.
+leaves a temp file behind.  The kill test SIGKILLs `pipeline run` at one of
+its syncs or renames, where nothing is cleaned up; the rerun then writes
+every output whole and removes the temp files.
 """
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -36,7 +40,13 @@ from semlink.fixtures import FixtureSizes, make_fixtures
 from semlink.linking_core import load_linking_jsonl
 from semlink.pipeline import STAGE_ORDER, STAGES
 
+from test_pipeline_cli import PINNED
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+# a child process's environment: the package and these tests importable
+CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+             "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent),
+                                                          os.environ.get("PYTHONPATH")]))}
 PIPELINE_OUTPUTS = ("dictionary.txt", "remap.tsv", "types.tsv", "semantic.bin", "reinforced.bin",
                     "model.txt", "train_trace.json", "eval.json", "eval.tsv", "manifest.json")
 FIXTURE_OUTPUTS = ("words.bin", "wikitext.bin", "articles.tsv", "seeds.txt", "extensions.txt", "remap.tsv",
@@ -169,11 +179,8 @@ def test_failed_write_leaves_every_output_as_it_was(inputs, tmp_path):
         "resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
         "print(json.dumps([run(args) for args in runs]))\n"
     )
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent),
-                                                        os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", child], input=json.dumps([limit, runs]),
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
     results = dict(zip(COMMANDS, json.loads(proc.stdout)))
 
@@ -193,6 +200,45 @@ def test_failed_write_leaves_every_output_as_it_was(inputs, tmp_path):
     assert {"embed reinforce", "embed convert bin", "embed convert txt", "pipeline run"} <= failed
     assert "stage 'semantic' failed" in results["pipeline run"][1]
     assert {"dict build", "link train", "eval converge"}.isdisjoint(failed)
+
+
+# a command run in a child that SIGKILLs itself at its nth call of os.<call>
+KILL_CHILD = (
+    "import os, signal, sys\n"
+    "from semlink.cli import main\n"
+    "call, n, real, calls = sys.argv[1], int(sys.argv[2]), getattr(os, sys.argv[1]), []\n"
+    "def hooked(*args):\n"
+    "    calls.append(args)\n"
+    "    if len(calls) == n:\n"
+    "        os.kill(os.getpid(), signal.SIGKILL)\n"
+    "    return real(*args)\n"
+    "setattr(os, call, hooked)\n"
+    "main(sys.argv[3:])\n"
+)
+# a cold `pipeline run` on the default fixture syncs and renames 15 times each
+KILL_CALLS = 15
+# Every kill point under a profile that runs more examples than the default
+# (README).  Else a few: the first sync, with both of `dict`'s temp files open;
+# semantic.bin's sync; the rename between model.txt and train_trace.json; the
+# last manifest rename; and one past the last, which pins the count.
+KILL_POINTS = ([(call, n) for call in ("fsync", "replace") for n in range(1, KILL_CALLS + 2)]
+               if settings.default.max_examples > settings.get_profile("semlink").max_examples
+               else [("fsync", 1), ("fsync", 6), ("replace", 11), ("replace", 15), ("replace", 16)])
+
+
+@pytest.mark.parametrize("call, n", KILL_POINTS)
+def test_killed_run_is_mended_by_its_rerun(inputs, tmp_path, call, n):
+    """A `pipeline run` killed at its nth `os.fsync` or `os.replace` may leave
+    temp files and a stage half renamed; the manifest has not recorded that
+    stage, so the rerun writes `PINNED`'s bytes and no temp file stays."""
+    out = tmp_path / "out"
+    args = argv("pipeline run", inputs, out)
+    proc = subprocess.run([sys.executable, "-c", KILL_CHILD, call, str(n), *args],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=120)
+    assert proc.returncode == (0 if n > KILL_CALLS else -signal.SIGKILL), proc.stderr
+    assert run(args)[0] == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED} == PINNED
+    assert sorted(os.listdir(out)) == sorted(PIPELINE_OUTPUTS)
 
 
 def _with_relation(model: bytes) -> bytes:

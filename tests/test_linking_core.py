@@ -23,6 +23,7 @@ from semlink.errors import (
     RelationArityError,
     SemlinkError,
 )
+from semlink.evaluation import gold_map, micro_f1
 from semlink.linking_core import (
     LinkingDocument,
     LinkingModel,
@@ -47,9 +48,10 @@ from semlink.linking_core import (
     train_runs,
     _build_instances,
     _features,
+    _greedy_picks,
     _pack_candidates,
-    _pack_dev,
     _strip_prior,
+    _usable,
 )
 
 from conftest import identity_model
@@ -1211,6 +1213,25 @@ def test_train_runs_equal_separate_train_calls(study):
         assert got.trace() == want.trace()
 
 
+@given(seed=st.integers(0, 2**16), n_tables=st.integers(1, 2), epochs=st.integers(0, 4))
+def test_dev_f1_is_the_precision_of_greedy_inference(seed, n_tables, epochs):
+    """When every dev mention has gold among its candidates, a run's dev F1 is
+    the micro-precision of `infer_documents`' greedy picks under its model."""
+    rng = np.random.default_rng(seed)
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    tables = [entities] + [EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))
+                           for _ in range(n_tables - 1)]
+    train_docs = [random_doc(rng, labels, wlabels, 3, 4, doc_id=f"t{d}") for d in range(4)]
+    dev_docs = [random_doc(rng, labels, wlabels, int(rng.integers(1, 5)), int(rng.integers(1, 6)), doc_id=f"v{d}")
+                for d in range(int(rng.integers(1, 5)))]
+    runs = train_runs(train_docs, tables, words, TrainConfig(lr=0.05, epochs=epochs), [0, 1], dev_docs)
+    for r, result in enumerate(runs):
+        picks = infer_documents(dev_docs, result.model, tables[r // 2], words, "greedy-local")
+        report = micro_f1({doc.doc_id: p for doc, p in zip(dev_docs, picks)}, gold_map(dev_docs))
+        dev_f1 = result.dev_f1_trace[-1] if epochs else result.initial_dev_f1
+        assert dev_f1 == report.tp / (report.tp + report.fp)
+
+
 def test_train_runs_rejects_tables_of_different_dims(rng):
     entities, words, labels, wlabels = toy_world(rng, dim=4)
     wide = EmbeddingTable(5, labels, rng.standard_normal((len(labels), 5)).astype(np.float32))
@@ -1228,7 +1249,11 @@ def per_step_train_runs(train_docs, tables, words, config, seeds, dev_docs):
     """`train_runs`' results, computed one numpy step at a time."""
     built = [_build_instances(train_docs, t, words, config.train_pairwise) for t in tables]
     sets = [instances for instances, _ in built]
-    devs = [_pack_dev(dev_docs, t, words) for t in tables] if dev_docs is not None else None
+    devs = None
+    if dev_docs is not None:
+        usable = _usable(dev_docs)
+        devs = [_pack_candidates(usable, t, words) for t in tables]
+        gold = devs[0].gold_positions(usable)
     N, R = len(sets[0]), len(tables) * len(seeds)
     table_of = [r // len(seeds) for r in range(R)]
     FD = np.concatenate([s.FD for s in sets])
@@ -1241,7 +1266,8 @@ def per_step_train_runs(train_docs, tables, words, config, seeds, dev_docs):
     def evaluate(r):
         t = table_of[r]
         loss = margin_loss_and_gradient(sets[t], B[r], C[r], config.margin)[0]
-        return loss, devs[t].f1(B[r]) if devs is not None else None
+        f1 = None if devs is None else int(np.count_nonzero(_greedy_picks(devs[t], B[r]) == gold)) / max(len(gold), 1)
+        return loss, f1
 
     history = [[evaluate(r)] for r in range(R)]
     for _epoch in range(config.epochs):

@@ -217,6 +217,25 @@ def test_replacing_refuses_what_is_not_a_regular_file(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["fifo"]
 
 
+def test_replacing_removes_a_stale_temp_file_and_refuses_a_repeated_target(tmp_path):
+    """A target's temp name is fixed, so a write removes what a killed writer
+    left under it, the link alone where that is a symlink."""
+    target, kept = tmp_path / "t.bin", tmp_path / "kept"
+    kept.write_bytes(b"kept")
+    with replacing([target]) as (fh,):
+        temp = Path(fh.name)
+    for stale in (lambda: temp.write_bytes(b"stale"), lambda: temp.symlink_to(kept)):
+        stale()
+        with replacing([target]) as (fh,):
+            assert fh.name == str(temp)
+            fh.write(b"new")
+        assert (target.read_bytes(), kept.read_bytes()) == (b"new", b"kept")
+        assert sorted(os.listdir(tmp_path)) == ["kept", "t.bin"]
+    with pytest.raises(OSError, match="output named twice"):
+        write_files([(target, ["a"]), (tmp_path / "." / "t.bin", ["b"])])
+    assert target.read_bytes() == b"new"
+
+
 def test_lines_are_numbered_with_universal_newlines(tmp_path):
     p = tmp_path / "t.txt"
     p.write_bytes(b"a\tb\r\n\r\nc # d\re\n  \nf")
