@@ -86,9 +86,10 @@ class EmbeddingTable:
                 f"{len(labels)} labels of dimension {self.dim}"
             )
         for start in range(0, len(matrix), BLOCK_ROWS):
-            finite = np.isfinite(matrix[start : start + BLOCK_ROWS]).all(axis=1)
-            if not finite.all():
-                bad = start + int(np.argmin(finite))
+            block = matrix[start : start + BLOCK_ROWS]
+            # min and max carry NaN and show inf: search the rows only then
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                bad = start + int(np.argmin(np.isfinite(block).all(axis=1)))
                 raise NonFiniteError(f"non-finite value in vector for label {labels[bad]!r}")
         index: dict[str, int] = {}
         for i, label in enumerate(labels):

@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -691,8 +691,15 @@ class _LockstepSGD:
 
     SGD is sequential, since a step's active hinges depend on the diagonals
     the step before left, but at a small step size they seldom change within
-    a few dozen steps, so a block takes up to ``_BLOCK`` steps per run.  The
-    work arrays are allocated once: allocated afresh, arrays this large are
+    a few dozen steps, so a block takes up to ``_BLOCK`` steps per run.  Each
+    run steps through all its epochs as one stream, at its own pace, so a
+    block may cross an epoch end.  The run's state at that end comes from
+    the block's chain: with ``i`` of its steps before the end and ``j`` its
+    first wrong guess, it is ``Bs[i]`` if ``i <= j``, a state that is exact,
+    and the block's final B if ``i == j + 1``, right after the redone step.
+    C comes from ``Cs`` the same way, or is the run's unchanged C when
+    pairwise terms are not trained (``Cs`` is then ``Bs``).  The work
+    arrays are allocated once: allocated afresh, arrays this large are
     handed back to the OS when freed and fault in again on every block.
     """
 
@@ -704,25 +711,53 @@ class _LockstepSGD:
         self.PD = np.concatenate([s.PD for s in sets] + [zero]) if sets[0].PD is not None else None
         self.margin, self.lr = margin, lr
         self.runs = np.arange(R)
-        # index arrays that pick each run's next block of steps
-        self.run_rows, self.ahead = self.runs[:, None], np.arange(_BLOCK)
         self.F = np.empty((R, _BLOCK, *zero.shape[1:]))
         self.P = np.empty_like(self.F) if self.PD is not None else None
         # the diagonals before each step of a block and after its last, step-major
         self.Bs = np.empty((_BLOCK + 1, R, zero.shape[2]))
         self.Cs = np.empty_like(self.Bs) if self.PD is not None else self.Bs
 
-    def epoch(self, rows: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
-        """Run r steps on the stacked rows ``rows[r]`` in order, in place on
-        B[r] and C[r]; each run moves through its rows at its own pace."""
-        R, N = rows.shape
-        # a block that runs past a run's last step gathers the zero row
-        steps = np.full((R, N + _BLOCK), len(self.FD) - 1)
-        steps[:, :N] = rows
-        at = np.zeros((R, 1), dtype=np.intp)
-        while at.min() < N:
-            block = steps[self.run_rows, at + self.ahead]
-            at = np.minimum(at + self._block(block, B, C)[:, None], N)
+    def run(
+        self, draw: Callable[[int], np.ndarray], N: int, epochs: int, B: np.ndarray, C: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Run r steps through ``epochs`` epochs of N stacked rows in place on
+        B[r] and C[r], at its own pace; ``draw(r)`` gives its rows of its next
+        epoch.  Yield ``(r, b, c)``, run r's diagonals at the end of each of
+        its epochs in order; ``b`` and ``c`` are views, valid until the next
+        item is asked for.
+        """
+        R, zero = len(B), len(self.FD) - 1
+        # each run holds the epoch it is in and every one a block from there
+        # can reach; past its last epoch it holds the zero row
+        held = 1 - (1 - _BLOCK) // N
+        steps = np.empty((R, held * N), dtype=np.intp)
+        blocks = np.lib.stride_tricks.sliding_window_view(steps, _BLOCK, axis=1)
+        first = [0] * R  # the epoch each run's steps start with
+
+        def hold(r: int, start: int) -> None:
+            for e in range(start, held):
+                steps[r, e * N : (e + 1) * N] = draw(r) if first[r] + e < epochs else zero
+
+        for r in range(R):
+            hold(r, 0)
+        at = np.zeros(R, dtype=np.intp)  # each run's next step in its steps
+        while min(first) < epochs:
+            taken = self._block(blocks[self.runs, at], B, C)
+            at += taken
+            if at.max() < N:
+                continue
+            for r in np.flatnonzero(at >= N):
+                start, gone = at[r] - taken[r], at[r] // N
+                for i in range(N - start, min(gone, epochs - first[r]) * N - start + 1, N):
+                    if i == taken[r]:
+                        yield r, B[r], C[r]
+                    else:
+                        yield r, self.Bs[i, r], C[r] if self.PD is None else self.Cs[i, r]
+                # drop the epochs run r has left, and hold as many new ones
+                steps[r, : (held - gone) * N] = steps[r, gone * N :]
+                first[r] += gone
+                hold(r, held - gone)
+                at[r] -= gone * N
 
     def _block(self, steps: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Take SGD steps on the rows ``steps`` (R, k) in place on B and C
@@ -801,10 +836,13 @@ def train_runs(
     candidates, 0.0 when there is none.
 
     The R = tables x seeds runs share documents, negatives and step count,
-    so `_LockstepSGD` steps them all in one loop.  A run's arithmetic does
-    not depend on the other runs, so each result equals a one-run call bit
-    for bit.  Results are table-major: run ``t * len(seeds) + s`` is
-    (``tables[t]``, ``seeds[s]``).
+    so `_LockstepSGD` steps them all in one loop, each run through all its
+    epochs as one stream, with its own generator drawing each epoch's order
+    when its buffer needs it.  The loss and dev F1 of an epoch are evaluated
+    on the run's state at that epoch's end, which may lie inside a block.  A
+    run's arithmetic does not depend on the other runs, so each result
+    equals a one-run call bit for bit.  Results are table-major: run
+    ``t * len(seeds) + s`` is (``tables[t]``, ``seeds[s]``).
     """
     if not tables or not seeds:
         raise ValueError("need at least one table and one seed")
@@ -827,26 +865,26 @@ def train_runs(
 
     R = len(tables) * len(seeds)
     table_of = [r // len(seeds) for r in range(R)]
-    offsets = np.array(table_of)[:, None] * N
     B = np.ones((R, words.dim))
     C = np.ones((R, words.dim))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # run (t, s) draws what a one-run call with seed s draws
+    rngs = [np.random.default_rng(seeds[r % len(seeds)]) for r in range(R)]
     sgd = _LockstepSGD(sets, R, config.margin, config.lr)
 
-    def evaluate(r: int) -> tuple[float, Optional[float]]:
+    def evaluate(r: int, b: np.ndarray, c: np.ndarray) -> tuple[float, Optional[float]]:
         t = table_of[r]
-        v, active = _hinges(sets[t], B[r], C[r], config.margin)
+        v, active = _hinges(sets[t], b, c, config.margin)
         # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
-        f1 = None if devs is None else int(np.count_nonzero(_greedy_picks(devs[t], B[r]) == gold)) / max(len(gold), 1)
+        f1 = None if devs is None else int(np.count_nonzero(_greedy_picks(devs[t], b) == gold)) / max(len(gold), 1)
         return float(v[active].sum()), f1
 
+    def draw(r: int) -> np.ndarray:
+        return rngs[r].permutation(N) + table_of[r] * N
+
     # per run: (loss, dev F1) before training, then after each epoch
-    history = [[evaluate(r)] for r in range(R)]
-    for _epoch in range(config.epochs):
-        order = np.stack([rng.permutation(N) for rng in rngs] * len(tables))
-        sgd.epoch(order + offsets, B, C)
-        for r in range(R):
-            history[r].append(evaluate(r))
+    history = [[evaluate(r, B[r], C[r])] for r in range(R)]
+    for r, b, c in sgd.run(draw, N, config.epochs, B, C):
+        history[r].append(evaluate(r, b, c))
 
     return [
         TrainResult(

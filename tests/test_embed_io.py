@@ -307,6 +307,23 @@ class TestTableInvariants:
         with pytest.raises(NonFiniteError, match=f"'w{BLOCK_ROWS + 7}'"):
             EmbeddingTable(2, labels, matrix)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 2])
+    def test_one_non_finite_value_names_its_row(self, value, row):
+        matrix = np.full((2 * BLOCK_ROWS + 3, 3), -2.0, dtype=np.float32)
+        matrix[row, 1] = value
+        labels = [f"w{i}" for i in range(len(matrix))]
+        with pytest.raises(NonFiniteError) as e:
+            EmbeddingTable(3, labels, matrix)
+        assert str(e.value) == f"non-finite value in vector for label 'w{row}'"
+
+    def test_extreme_finite_values_are_accepted(self):
+        # finite, though a float32 sum of them overflows
+        big = np.finfo(np.float32).max
+        matrix = np.tile(np.array([big, -big, big], dtype=np.float32), (BLOCK_ROWS + 1, 1))
+        table = EmbeddingTable(3, [f"w{i}" for i in range(len(matrix))], matrix)
+        assert table.matrix.tobytes() == matrix.tobytes()
+
     def test_rows_are_read_only(self):
         table = EmbeddingTable.from_pairs([("a", [1.0])])
         with pytest.raises(ValueError):

@@ -1363,6 +1363,93 @@ def test_runs_resume_from_their_first_wrong_guess(monkeypatch, train_pairwise):
     assert_same_bits(got, per_step_train_runs(train_docs, tables, words, config, [0, 1, 2], dev_docs))
 
 
+@pytest.fixture
+def blocks_taken(monkeypatch):
+    """Each `_block` call's steps taken per run, in call order."""
+    taken = []
+    block = linking_core._LockstepSGD._block
+
+    def spy(self, steps, B, C):
+        taken.append(block(self, steps, B, C))
+        return taken[-1]
+
+    monkeypatch.setattr(linking_core._LockstepSGD, "_block", spy)
+    return taken
+
+
+def epoch_ends(taken, N, epochs):
+    """Where the runs' epoch ends fell in blocks that took ``taken`` steps:
+    "inside" a block, right after a "redone" step, at a whole block's "end";
+    "several" when one block held more than one end of a run."""
+    at, seen = np.zeros(len(taken[0]), dtype=int), set()
+    for took in taken:
+        reached = np.minimum(at + took, epochs * N)
+        for r in range(len(at)):
+            for i in range(N - at[r] % N, reached[r] - at[r] + 1, N):
+                seen.add("inside" if i < took[r] else "redone" if took[r] < linking_core._BLOCK else "end")
+            if reached[r] // N - at[r] // N > 1:
+                seen.add("several")
+        at = reached
+    return seen
+
+
+@pytest.mark.parametrize("train_pairwise", [False, True])
+def test_blocks_run_through_epoch_ends(blocks_taken, train_pairwise):
+    rng = np.random.default_rng(5)
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    train_docs = [random_doc(rng, labels, wlabels, 4, 3, doc_id=f"t{d}") for d in range(25)]
+    dev_docs = ragged_docs(rng, labels, wlabels, 5, "v")
+    config = TrainConfig(lr=1e-6, epochs=5, train_pairwise=train_pairwise)
+    got = train_runs(train_docs, [entities], words, config, [0, 1], dev_docs)
+    N, k = 100, linking_core._BLOCK
+    # no guess fails, so every block is whole and none stops at an epoch end
+    assert all((took == k).all() for took in blocks_taken)
+    assert len(blocks_taken) == -(-config.epochs * N // k) < config.epochs * -(-N // k)
+    assert_same_bits(got, per_step_train_runs(train_docs, [entities], words, config, [0, 1], dev_docs))
+
+
+@pytest.mark.parametrize("train_pairwise", [False, True])
+@pytest.mark.parametrize(
+    "world, n_docs, lr, epochs, where",
+    [
+        (0, 8, 2.0, 3, "redone"),
+        (4, 40, 0.05, 3, "inside"),
+        (12, 4, 0.05, 20, "several"),
+    ],
+)
+def test_epoch_ends_inside_blocks_keep_their_bits(blocks_taken, world, n_docs, lr, epochs, where, train_pairwise):
+    rng = np.random.default_rng(world)
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    tables = [entities, EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))]
+    train_docs = ragged_docs(rng, labels, wlabels, n_docs, "t")
+    dev_docs = ragged_docs(rng, labels, wlabels, 4, "v")
+    config = TrainConfig(lr=lr, epochs=epochs, train_pairwise=train_pairwise)
+    got = train_runs(train_docs, tables, words, config, [0, 1], dev_docs)
+    N = len(_usable(train_docs))
+    assert where in epoch_ends(blocks_taken, N, epochs)
+    if where == "several":
+        assert N < linking_core._BLOCK
+    assert_same_bits(got, per_step_train_runs(train_docs, tables, words, config, [0, 1], dev_docs))
+
+
+def test_training_memory_does_not_grow_with_epochs():
+    rng = np.random.default_rng(3)
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    train_docs = [random_doc(rng, labels, wlabels, 4, 3, doc_id=f"t{d}") for d in range(250)]
+
+    def peak(epochs):
+        tracemalloc.start()
+        try:
+            train_runs(train_docs, [entities], words, TrainConfig(lr=0.01, epochs=epochs), [0, 1, 2, 3])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # holding every epoch's step order (4 runs x 1,000 steps x 8 bytes per
+    # epoch) would add 1.2 MB from 2 to 40 epochs
+    assert peak(40) < peak(2) + 64 * 1024
+
+
 class TestModelIO:
     def test_round_trip(self, tmp_path, rng):
         model = LinkingModel(
