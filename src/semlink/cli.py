@@ -373,6 +373,7 @@ def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, thet
     """Compare epochs-to-threshold between two embedding tables."""
     seed_list = _seed_list(seeds)
     cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs)
+    evaluation.check_theta(theta)
     train_docs = linking_core.load_documents(train_path)
     dev_docs = linking_core.load_documents(dev_path)
     word_table = embed_io.load_table(words)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .embed_io import EmbeddingTable
-from .errors import AlignmentError, MissingLabelError
+from .errors import AlignmentError, ConfigError, MissingLabelError
 # `train` is kept importable from here: perfbench's tracing test checks that a
 # function imported into a second module is wrapped under both names.
 from .linking_core import LinkingDocument, TrainConfig, TrainResult, train, train_runs  # noqa: F401
@@ -238,6 +238,14 @@ def epochs_to_threshold(result: TrainResult, theta: float) -> Optional[int]:
     return None
 
 
+def check_theta(theta: float) -> None:
+    """A `ConfigError` unless ``theta``, a dev-F1 threshold, is a finite
+    number in [0, 1]: beyond 1 every run is censored, below 0 every run
+    reaches it before training, and NaN or infinity is not valid JSON."""
+    if not 0.0 <= theta <= 1.0:  # NaN fails both comparisons
+        raise ConfigError(f"theta must be a finite number in [0, 1], got {theta}")
+
+
 def convergence_experiment(
     train_docs: Sequence[LinkingDocument],
     dev_docs: Sequence[LinkingDocument],
@@ -256,10 +264,12 @@ def convergence_experiment(
     enter the mean at the epoch budget, which only understates any
     speed-up.  With two or more seeds, a set whose seeds all reach theta in
     the same epoch draws a warning: a seed only reorders the SGD steps, so
-    that agreement says nothing about run-to-run variance.
+    that agreement says nothing about run-to-run variance.  A ``theta``
+    outside [0, 1] is a `ConfigError` (`check_theta`).
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    check_theta(theta)
     seeds = [int(s) for s in seeds]
     tables = {"baseline": wikitext_table, "reinforced": reinforced_table}
     results = train_runs(train_docs, list(tables.values()), words, train_config, seeds, dev_docs)

@@ -367,6 +367,12 @@ def _local_scores(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
     return np.einsum("md,d,md->m", block.vectors, B, block.row_features)
 
 
+def _states_local_scores(block: _CandidateBlock, Bs: np.ndarray) -> np.ndarray:
+    """(k, S) `_local_scores` under each row of ``Bs`` (k, d), with its bits:
+    the einsum runs the same sum of products for each row."""
+    return np.einsum("md,ed,md->em", block.vectors, Bs, block.row_features)
+
+
 def _greedy_picks(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
     """Per-mention index of the first candidate with the highest local score."""
     # the pads of the padded index read -inf; argmax returns the first
@@ -668,6 +674,13 @@ def margin_loss_and_gradient(
     return float(v[active].sum()), gB, gC
 
 
+def _states_products(D: np.ndarray, Ds: np.ndarray) -> np.ndarray:
+    """(k, N, M) ``D @ b`` of the hinge rows ``D`` (N, M, d) for each row b
+    of ``Ds`` (k, d), with its bits: each (M, d) @ (d, 1) slice is the same
+    mat-vec."""
+    return np.matmul(D[None], Ds[:, None, :, None])[..., 0]
+
+
 # SGD steps that one speculative block guesses, builds and tests at once
 _BLOCK = 64
 
@@ -838,11 +851,18 @@ def train_runs(
     The R = tables x seeds runs share documents, negatives and step count,
     so `_LockstepSGD` steps them all in one loop, each run through all its
     epochs as one stream, with its own generator drawing each epoch's order
-    when its buffer needs it.  The loss and dev F1 of an epoch are evaluated
-    on the run's state at that epoch's end, which may lie inside a block.  A
-    run's arithmetic does not depend on the other runs, so each result
-    equals a one-run call bit for bit.  Results are table-major: run
-    ``t * len(seeds) + s`` is (``tables[t]``, ``seeds[s]``).
+    when its buffer needs it.  The loss and dev F1 of an epoch are those of
+    the run's state at that epoch's end, which may lie inside a block.  Each
+    run copies its initial state and its epoch-end states into a buffer of
+    ``min(d, epochs + 1)`` and scores them in one call when it is full, and
+    once more at the end, so a batch's (states, N, M) loss rows are never
+    larger than the (N, M, d) hinge rows.  A batch keeps the bits of
+    `margin_loss_and_gradient` and `_greedy_picks` state by state: its
+    matmul and einsum run each state's own mat-vec and sum of products, and
+    each epoch's loss is still summed alone.  A run's arithmetic does not
+    depend on the other runs, so each result equals a one-run call bit for
+    bit.  Results are table-major: run ``t * len(seeds) + s`` is
+    (``tables[t]``, ``seeds[s]``).
     """
     if not tables or not seeds:
         raise ValueError("need at least one table and one seed")
@@ -871,20 +891,54 @@ def train_runs(
     rngs = [np.random.default_rng(seeds[r % len(seeds)]) for r in range(R)]
     sgd = _LockstepSGD(sets, R, config.margin, config.lr)
 
-    def evaluate(r: int, b: np.ndarray, c: np.ndarray) -> tuple[float, Optional[float]]:
-        t = table_of[r]
-        v, active = _hinges(sets[t], b, c, config.margin)
-        # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
-        f1 = None if devs is None else int(np.count_nonzero(_greedy_picks(devs[t], b) == gold)) / max(len(gold), 1)
-        return float(v[active].sum()), f1
+    # each run's states not yet scored, the first ``kept[r]`` of its rows
+    size = min(words.dim, config.epochs + 1)
+    Bk = np.empty((R, size, words.dim))
+    Ck = np.empty_like(Bk) if config.train_pairwise else None
+    kept = [0] * R
+    # per run: (loss, dev F1) before training, then after each epoch
+    history = [[] for _ in range(R)]
+
+    def keep(r: int, b: np.ndarray, c: np.ndarray) -> None:
+        Bk[r, kept[r]] = b
+        if Ck is not None:
+            Ck[r, kept[r]] = c
+        kept[r] += 1
+        if kept[r] == size:
+            evaluate(r)
+
+    def evaluate(r: int) -> None:
+        t, k = table_of[r], kept[r]
+        instances, Bs = sets[t], Bk[r, :k]
+        # each state's `_hinges`; IEEE addition commutes, so margin may come second
+        v = _states_products(instances.FD, Bs)
+        v += config.margin
+        if Ck is not None:
+            v += _states_products(instances.PD, Ck[r, :k])
+        active = instances.mask & (v > 0.0)
+        # each epoch's loss summed alone, as the pairwise sum of one state's terms
+        losses = [float(v[e][active[e]].sum()) for e in range(k)]
+        f1s = [None] * k
+        if devs is not None:
+            dev = devs[t]
+            # each state's `_greedy_picks`
+            local = _states_local_scores(dev, Bs)
+            picks = np.concatenate((local, np.full((k, 1), -np.inf)), axis=1)[:, dev.padded].argmax(axis=2)
+            # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
+            f1s = [int(hits) / max(len(gold), 1) for hits in np.count_nonzero(picks == gold, axis=1)]
+        history[r].extend(zip(losses, f1s))
+        kept[r] = 0
 
     def draw(r: int) -> np.ndarray:
         return rngs[r].permutation(N) + table_of[r] * N
 
-    # per run: (loss, dev F1) before training, then after each epoch
-    history = [[evaluate(r, B[r], C[r])] for r in range(R)]
+    for r in range(R):
+        keep(r, B[r], C[r])
     for r, b, c in sgd.run(draw, N, config.epochs, B, C):
-        history[r].append(evaluate(r, b, c))
+        keep(r, b, c)
+    for r in range(R):
+        if kept[r]:
+            evaluate(r)
 
     return [
         TrainResult(

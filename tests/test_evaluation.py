@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from semlink.embed_io import EmbeddingTable
-from semlink.errors import AlignmentError, EmptyTrainingError, MissingLabelError
+from semlink.errors import AlignmentError, ConfigError, EmptyTrainingError, MissingLabelError
 from semlink.evaluation import (
     convergence_experiment,
     epochs_to_threshold,
@@ -220,12 +220,22 @@ class TestConvergenceExperiment:
         cfg = TrainConfig(epochs=1, lr=1e-9)  # cannot reach threshold
         report = convergence_experiment(
             bundle.train_docs, bundle.dev_docs, bundle.words,
-            bundle.wikitext, reinforced, cfg, seeds=[1], theta=1.01,
+            bundle.wikitext, reinforced, cfg, seeds=[1], theta=1.0,
         )
         for result in report.sets.values():
             assert result.epochs_to_threshold == [None]
             assert result.censored == 1
             assert result.mean_epochs == cfg.epochs
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), -0.1, 1.01])
+    def test_theta_outside_unit_interval_is_a_config_error(self, theta):
+        bundle, reinforced = small_world()
+        # no training mention: a study that trained first would raise EmptyTrainingError
+        with pytest.raises(ConfigError, match=r"theta must be a finite number in \[0, 1\]"):
+            convergence_experiment(
+                [], bundle.dev_docs, bundle.words,
+                bundle.wikitext, reinforced, TrainConfig(epochs=1), seeds=[1], theta=theta,
+            )
 
     def test_empty_training_propagates(self):
         bundle, reinforced = small_world()
@@ -263,7 +273,7 @@ class TestConvergenceExperiment:
             warnings.simplefilter("always")
             report = convergence_experiment(
                 bundle.train_docs, bundle.dev_docs, bundle.words, bundle.wikitext, reinforced,
-                TrainConfig(epochs=1, lr=1e-9), seeds=[1, 2], theta=1.01,
+                TrainConfig(epochs=1, lr=1e-9), seeds=[1, 2], theta=1.0,
             )
         assert report.sets["baseline"].censored == 2
         assert caught == []

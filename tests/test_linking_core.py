@@ -48,8 +48,12 @@ from semlink.linking_core import (
     train_runs,
     _build_instances,
     _features,
+    _CandidateBlock,
     _greedy_picks,
+    _local_scores,
     _pack_candidates,
+    _states_local_scores,
+    _states_products,
     _strip_prior,
     _usable,
 )
@@ -1430,6 +1434,64 @@ def test_epoch_ends_inside_blocks_keep_their_bits(blocks_taken, world, n_docs, l
     if where == "several":
         assert N < linking_core._BLOCK
     assert_same_bits(got, per_step_train_runs(train_docs, tables, words, config, [0, 1], dev_docs))
+
+
+@pytest.mark.parametrize("train_pairwise", [False, True])
+@pytest.mark.parametrize("dev, epochs", [("usable", 12), ("none", 12), ("no gold", 12), ("usable", 0)])
+def test_epoch_states_scored_in_batches_keep_their_bits(monkeypatch, dev, epochs, train_pairwise):
+    """At d = 5 a run scores its states five at a time: the initial state and
+    12 epoch ends as 5 + 5 + 3, and with no epoch the initial state alone."""
+    rng = np.random.default_rng(8)
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    tables = [entities, EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))]
+    train_docs = ragged_docs(rng, labels, wlabels, 12, "t")
+    dev_docs = {
+        "usable": ragged_docs(rng, labels, wlabels, 5, "v"),
+        "none": None,
+        "no gold": [
+            LinkingDocument(doc.doc_id, [
+                Mention(m.surface, m.context, m.candidates, next(l for l in labels if l not in m.candidates))
+                for m in doc.mentions
+            ])
+            for doc in ragged_docs(rng, labels, wlabels, 5, "v")
+        ],
+    }[dev]
+    config = TrainConfig(lr=0.05, epochs=epochs, train_pairwise=train_pairwise)
+    batches = []
+
+    def spy(D, Ds):
+        batches.append(len(Ds))
+        return _states_products(D, Ds)
+
+    monkeypatch.setattr(linking_core, "_states_products", spy)
+    got = train_runs(train_docs, tables, words, config, [0, 1], dev_docs)
+    # FD's products, and PD's too when pairwise, for each of the 2 x 2 runs
+    per_run = [5, 5, 3] if epochs else [1]
+    assert sorted(batches) == sorted(per_run * 4 * (1 + train_pairwise))
+    if dev == "no gold":
+        assert {f1 for run in got for f1 in [run.initial_dev_f1, *run.dev_f1_trace]} == {0.0}
+    assert_same_bits(got, per_step_train_runs(train_docs, tables, words, config, [0, 1], dev_docs))
+
+
+@given(
+    seed=st.integers(0, 2**16), N=st.integers(1, 60), M=st.integers(1, 10),
+    d=st.integers(1, 300), k=st.integers(1, 40),
+)
+def test_batched_state_forms_keep_per_state_bits(seed, N, M, d, k):
+    """The batched forms that `train_runs` scores epoch-end states with give
+    each state the bits of its own ``D @ b`` and `_local_scores`."""
+    rng = np.random.default_rng(seed)
+    Bs = rng.standard_normal((k, d)) * rng.choice([1e-3, 1.0, 1e3], size=(k, 1))
+    D = rng.standard_normal((N, M, d))
+    counts = rng.integers(1, M + 1, size=N)
+    block = _CandidateBlock(
+        [[f"E{i}" for i in range(c)] for c in counts], rng.standard_normal((N, d)),
+        rng.standard_normal((int(counts.sum()), d)), [0, *itertools.accumulate(counts.tolist())],
+    )
+    products, local = _states_products(D, Bs), _states_local_scores(block, Bs)
+    for e, b in enumerate(Bs):
+        assert products[e].tobytes() == (D @ b).tobytes()
+        assert local[e].tobytes() == _local_scores(block, b).tobytes()
 
 
 def test_training_memory_does_not_grow_with_epochs():

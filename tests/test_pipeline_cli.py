@@ -1167,6 +1167,45 @@ class TestCli:
             assert f"{option[2:]} must be >= 0, got {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-0.1", "1.5"])
+    def test_eval_converge_theta_outside_unit_interval_exits_2_before_any_load(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, theta
+    ):
+        root, paths = fixture_dir
+
+        def no_load(path):
+            pytest.fail(f"table {path} loaded before theta was checked")
+
+        monkeypatch.setattr("semlink.cli.embed_io.load_table", no_load)
+        with pytest.raises(SystemExit) as e:
+            main([
+                "eval", "converge", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+                "--words", str(paths["words"]), "--baseline", str(paths["wikitext"]),
+                "--reinforced", str(paths["wikitext"]), "--epochs", "1", f"--theta={theta}",
+                "--out", str(tmp_path / "study.json"), "--curves", str(tmp_path / "curves.tsv"),
+            ])
+        assert e.value.code == 2
+        assert f"theta must be a finite number in [0, 1], got {float(theta)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("theta", ["0", "1"])
+    def test_eval_converge_accepts_theta_at_the_ends_of_the_unit_interval(self, fixture_dir, tmp_path, theta):
+        root, paths = fixture_dir
+        out = tmp_path / "study.json"
+        r = CliRunner().invoke(cli, [
+            "eval", "converge", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+            "--words", str(paths["words"]), "--baseline", str(paths["wikitext"]),
+            "--reinforced", str(paths["wikitext"]), "--seeds", "1", "--epochs", "2",
+            "--theta", theta, "--out", str(out),
+        ])
+        assert r.exit_code == 0, r.output
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out.read_text("utf-8"), parse_constant=no_constant)
+        assert report["theta"] == float(theta)
+
     def test_eval_converge_out_matches_study(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         out = tmp_path / "study.json"
