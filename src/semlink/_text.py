@@ -8,9 +8,11 @@ file and line.
 Every output file is written through `replacing`: each target gets a temp
 file beside it, renamed over the target only once every temp file is
 written and synced, so a failure that raises leaves every target as it was.
-A killed process may leave some targets renamed and others not; the
-pipeline's manifest has not recorded such a stage, so its rerun writes
-every output of the stage again.  Text outputs are UTF-8 with ``\n``
+Each target's directory is synced after the renames, so a rename is on
+disk before anything written later, such as the manifest entry that
+records it.  A killed process may leave some targets renamed and others
+not; the pipeline's manifest has not recorded such a stage, so its rerun
+writes every output of the stage again.  Text outputs are UTF-8 with ``\n``
 newlines; `write_lines` and `write_files` (several outputs, all or nothing)
 encode the whole text first, so a line with no UTF-8 form is a
 `FormatError` naming the file, line and text.
@@ -101,8 +103,10 @@ def write_files(outputs) -> None:
 def replacing(paths):
     """One binary handle per target of ``paths``, each on a new temp file beside
     it.  Once the body has written them, each is synced and renamed over its
-    target; on any failure that raises, every temp file goes, and every
-    target stays.
+    target, and then each target's directory is synced once (on POSIX); on
+    any failure that raises before the renames, every temp file goes, and
+    every target stays.  A directory sync that fails raises its `OSError`
+    with the targets renamed.
 
     A target's temp name is fixed by the target's name, and a stale file of
     that name, left by a killed writer, is removed first.  So a kill leaves
@@ -132,6 +136,14 @@ def replacing(paths):
             fh.close()
         for fh, target in zip(handles, targets):
             os.replace(fh.name, target)
+        if os.name == "posix":
+            # a rename is durable only once its directory is synced
+            for head in dict.fromkeys(map(os.path.dirname, targets)):
+                fd = os.open(head, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
     except BaseException:
         for fh in handles:
             with contextlib.suppress(OSError):  # close may flush into a full disk

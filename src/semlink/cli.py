@@ -259,19 +259,21 @@ def link_convert(in_path, out_path, window):
 @click.option("--assignments", "assignments_path", type=click.Path(exists=True),
               help="Predictions TSV; defaults to gold labels.")
 def link_score(docs_path, entities, words, model_path, assignments_path):
-    """Document scores for given (or gold) assignments, TSV on stdout."""
+    """Document scores for given (or gold) assignments, TSV on stdout; the
+    assignments must cover exactly the documents' mentions, as in eval f1."""
     docs = linking_core.load_documents(docs_path)
+    if assignments_path:
+        chosen = _read_assignment_tsv(assignments_path)
+        evaluation.check_alignment(chosen, {doc.doc_id: doc.mentions for doc in docs})
+    else:
+        chosen = evaluation.gold_map(docs)
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
     model = linking_core.LinkingModel.load(model_path, relations=False)
-    chosen = _read_assignment_tsv(assignments_path) if assignments_path else None
+    scores = [linking_core.document_score(chosen[doc.doc_id], doc, model, entity_table, word_table)
+              for doc in docs]
     click.echo("doc_id\tscore")
-    for doc in docs:
-        if chosen is None:
-            labels = [m.gold for m in doc.mentions]
-        else:
-            labels = chosen.get(doc.doc_id, [])
-        score = linking_core.document_score(labels, doc, model, entity_table, word_table)
+    for doc, score in zip(docs, scores):
         click.echo(f"{doc.doc_id}\t{score:.6f}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Sized
 
 from .embed_io import EmbeddingTable
 from .errors import AlignmentError, ConfigError, MissingLabelError
@@ -64,23 +64,9 @@ def micro_f1(
 
     ``predictions`` and ``gold`` map doc ids to per-mention labels; a None
     prediction is an abstention.  Both sides must cover exactly the same
-    mentions.
+    mentions (`check_alignment`).
     """
-    missing = sorted(set(gold) - set(predictions))
-    extra = sorted(set(predictions) - set(gold))
-    if missing or extra:
-        raise AlignmentError(
-            "document sets differ",
-            offenders=[f"missing:{d}" for d in missing] + [f"extra:{d}" for d in extra],
-        )
-    ragged = [
-        doc_id
-        for doc_id in gold
-        if len(predictions[doc_id]) != len(gold[doc_id])
-    ]
-    if ragged:
-        raise AlignmentError("mention counts differ", offenders=ragged)
-
+    check_alignment(predictions, gold)
     per_doc: dict[str, DocCounts] = {}
     tp = fp = fn = 0
     for doc_id, gold_labels in gold.items():
@@ -102,6 +88,21 @@ def micro_f1(
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return EvalReport(tp, fp, fn, precision, recall, f1, per_doc)
+
+
+def check_alignment(predictions: Mapping[str, Sized], gold: Mapping[str, Sized]) -> None:
+    """An `AlignmentError` naming the documents unless ``predictions`` and
+    ``gold`` hold the same doc ids with the same number of mentions each."""
+    missing = sorted(set(gold) - set(predictions))
+    extra = sorted(set(predictions) - set(gold))
+    if missing or extra:
+        raise AlignmentError(
+            "document sets differ",
+            offenders=[f"missing:{d}" for d in missing] + [f"extra:{d}" for d in extra],
+        )
+    ragged = [doc_id for doc_id in gold if len(predictions[doc_id]) != len(gold[doc_id])]
+    if ragged:
+        raise AlignmentError("mention counts differ", offenders=ragged)
 
 
 def gold_map(docs: Iterable[LinkingDocument]) -> dict[str, list[str]]:

@@ -58,6 +58,8 @@ STRATEGIES = ("exhaustive", "greedy-local")
 # one field of a model file's "<dim> <K>" header: at most 18 digits, as in a
 # binary table's header, since int() refuses a field of over 4300
 _HEADER_FIELD = re.compile(r"-?[0-9]{1,18}")
+# what splits a TSV field or line as `_text.read_lines` reads it
+_TSV_BREAK = re.compile(r"[\t\n\r]")
 
 
 @dataclass
@@ -361,23 +363,21 @@ def _pack_candidates(
 
 
 def _local_scores(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
-    """(S,) local score of every packed candidate, in the block's row order:
-    one ``einsum("md,d,md->m")``, with the bits of a zero-padded
-    ``einsum("nmd,d,nd->nm")``."""
-    return np.einsum("md,d,md->m", block.vectors, B, block.row_features)
-
-
-def _states_local_scores(block: _CandidateBlock, Bs: np.ndarray) -> np.ndarray:
-    """(k, S) `_local_scores` under each row of ``Bs`` (k, d), with its bits:
-    the einsum runs the same sum of products for each row."""
-    return np.einsum("md,ed,md->em", block.vectors, Bs, block.row_features)
+    """(..., S) local score of every packed candidate, in the block's row
+    order, under B given as one state (d,) or a stack of states (k, d): one
+    ``einsum``, with the bits of a zero-padded ``einsum("nmd,d,nd->nm")``
+    for each state, since it runs the same sum of products for each."""
+    return np.einsum("md,...d,md->...m", block.vectors, B, block.row_features)
 
 
 def _greedy_picks(block: _CandidateBlock, B: np.ndarray) -> np.ndarray:
-    """Per-mention index of the first candidate with the highest local score."""
+    """(..., N) index of each mention's first candidate with the highest
+    local score under B, one state (d,) or a stack (k, d)."""
+    local = _local_scores(block, B)
     # the pads of the padded index read -inf; argmax returns the first
     # maximum, so ties go to the smallest label
-    return np.concatenate((_local_scores(block, B), [-np.inf]))[block.padded].argmax(axis=1)
+    local = np.concatenate((local, np.full((*local.shape[:-1], 1), -np.inf)), axis=-1)
+    return local.take(block.padded, axis=-1).argmax(axis=-1)
 
 
 def _relation_blocks(
@@ -649,12 +649,16 @@ def _build_instances(
 
 
 def _hinges(
-    instances: _TrainingSet, B: np.ndarray, C: np.ndarray, margin: float
+    instances: _TrainingSet, B: np.ndarray, C: Optional[np.ndarray], margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M) hinge violations of every instance and the mask of active ones."""
-    v = margin + instances.FD @ B
+    """(..., N, M) hinge violations of every instance and the mask of active
+    ones, under B (and C) given as one state (d,) or a stack (k, d).  Each
+    state's products are (M, d) @ (d, 1) mat-vecs, with the bits of ``FD @ b``;
+    IEEE addition commutes, so the margin may come second."""
+    v = np.matmul(instances.FD, B[..., None, :, None])[..., 0]
+    v += margin
     if instances.PD is not None:
-        v += instances.PD @ C
+        v += np.matmul(instances.PD, C[..., None, :, None])[..., 0]
     return v, instances.mask & (v > 0.0)
 
 
@@ -672,13 +676,6 @@ def margin_loss_and_gradient(
     gB = instances.FD[active].sum(axis=0)
     gC = instances.PD[active].sum(axis=0) if instances.PD is not None else np.zeros_like(C)
     return float(v[active].sum()), gB, gC
-
-
-def _states_products(D: np.ndarray, Ds: np.ndarray) -> np.ndarray:
-    """(k, N, M) ``D @ b`` of the hinge rows ``D`` (N, M, d) for each row b
-    of ``Ds`` (k, d), with its bits: each (M, d) @ (d, 1) slice is the same
-    mat-vec."""
-    return np.matmul(D[None], Ds[:, None, :, None])[..., 0]
 
 
 # SGD steps that one speculative block guesses, builds and tests at once
@@ -854,14 +851,13 @@ def train_runs(
     when its buffer needs it.  The loss and dev F1 of an epoch are those of
     the run's state at that epoch's end, which may lie inside a block.  Each
     run copies its initial state and its epoch-end states into a buffer of
-    ``min(d, epochs + 1)`` and scores them in one call when it is full, and
-    once more at the end, so a batch's (states, N, M) loss rows are never
-    larger than the (N, M, d) hinge rows.  A batch keeps the bits of
-    `margin_loss_and_gradient` and `_greedy_picks` state by state: its
-    matmul and einsum run each state's own mat-vec and sum of products, and
-    each epoch's loss is still summed alone.  A run's arithmetic does not
-    depend on the other runs, so each result equals a one-run call bit for
-    bit.  Results are table-major: run ``t * len(seeds) + s`` is
+    ``min(d, epochs + 1)`` and scores a full buffer with one `_hinges` and
+    one `_greedy_picks` call, and the rest once more at the end, so a
+    batch's (states, N, M) loss rows are never larger than the (N, M, d)
+    hinge rows.  Each epoch's loss is still summed alone, as
+    `margin_loss_and_gradient` sums one state's.  A run's arithmetic does
+    not depend on the other runs, so each result equals a one-run call bit
+    for bit.  Results are table-major: run ``t * len(seeds) + s`` is
     (``tables[t]``, ``seeds[s]``).
     """
     if not tables or not seeds:
@@ -909,21 +905,12 @@ def train_runs(
 
     def evaluate(r: int) -> None:
         t, k = table_of[r], kept[r]
-        instances, Bs = sets[t], Bk[r, :k]
-        # each state's `_hinges`; IEEE addition commutes, so margin may come second
-        v = _states_products(instances.FD, Bs)
-        v += config.margin
-        if Ck is not None:
-            v += _states_products(instances.PD, Ck[r, :k])
-        active = instances.mask & (v > 0.0)
+        v, active = _hinges(sets[t], Bk[r, :k], None if Ck is None else Ck[r, :k], config.margin)
         # each epoch's loss summed alone, as the pairwise sum of one state's terms
         losses = [float(v[e][active[e]].sum()) for e in range(k)]
         f1s = [None] * k
         if devs is not None:
-            dev = devs[t]
-            # each state's `_greedy_picks`
-            local = _states_local_scores(dev, Bs)
-            picks = np.concatenate((local, np.full((k, 1), -np.inf)), axis=1)[:, dev.padded].argmax(axis=2)
+            picks = _greedy_picks(devs[t], Bk[r, :k])
             # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
             f1s = [int(hits) / max(len(gold), 1) for hits in np.count_nonzero(picks == gold, axis=1)]
         history[r].extend(zip(losses, f1s))
@@ -983,8 +970,9 @@ def save_linking_jsonl(docs: Iterable[LinkingDocument], path) -> None:
 
 
 def load_linking_jsonl(path) -> list[LinkingDocument]:
-    """One document per line; a repeated ``doc_id``, or a candidate listed
-    twice in one mention once priors are stripped, is a `FormatError`."""
+    """One document per line; a repeated ``doc_id`` or one holding a tab or a
+    line break, or a candidate listed twice in one mention once priors are
+    stripped, is a `FormatError` naming the line."""
     docs: dict[str, LinkingDocument] = {}
     for line_no, line in read_lines(path):
         line = line.strip()
@@ -1047,10 +1035,18 @@ def _document_from(record) -> LinkingDocument:
             candidates=_unique([_strip_prior(c) for c in _checked(m["candidates"], list, "candidates")]),
             gold=gold,
         ))
-    doc_id = _checked(record["doc_id"], str, "doc_id")
+    doc_id = _checked_doc_id(_checked(record["doc_id"], str, "doc_id"))
     if not mentions:
         raise FormatError(f"document {doc_id!r} has no mentions")
     return LinkingDocument(doc_id, mentions)
+
+
+def _checked_doc_id(doc_id: str, path=None, line=None) -> str:
+    """``doc_id``; one that holds a tab or a line break, which would split the
+    TSV lines that every output keys by it, is a `FormatError` naming it."""
+    if _TSV_BREAK.search(doc_id):
+        raise FormatError(f"doc_id {doc_id!r} holds a tab or a line break", path=path, line=line)
+    return doc_id
 
 
 def _unique(candidates: list[str]) -> list[str]:
@@ -1102,9 +1098,10 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
     ``--NME--`` becomes None (out-of-KB).  A bare ``-DOCSTART-`` is named
     ``doc<n>``, after its place among the documents, with ``n`` raised past
     every id the file writes and every name already given.  A negative
-    ``window`` is a `ConfigError`; a repeated doc id is a `FormatError`
-    naming its ``-DOCSTART-`` line, and a candidate listed twice on a
-    mention line, once priors are stripped, one naming that line.
+    ``window`` is a `ConfigError`; a repeated doc id, or one holding a tab,
+    is a `FormatError` naming its ``-DOCSTART-`` line, and a candidate
+    listed twice on a mention line, once priors are stripped, one naming
+    that line.
     """
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
@@ -1139,7 +1136,7 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
             continue
         if line.startswith("-DOCSTART-"):
             _flush()
-            doc_id = line[len("-DOCSTART-") :].strip().strip("()")
+            doc_id = _checked_doc_id(line[len("-DOCSTART-") :].strip().strip("()"), path, line_no)
             doc_line = line_no
             written.add(doc_id)
             continue

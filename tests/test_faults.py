@@ -215,15 +215,19 @@ KILL_CHILD = (
     "setattr(os, call, hooked)\n"
     "main(sys.argv[3:])\n"
 )
-# a cold `pipeline run` on the default fixture syncs and renames 15 times each
-KILL_CALLS = 15
+# a cold `pipeline run` on the default fixture renames 15 times, and syncs 15
+# files and, after each of its 12 writes, their directory
+KILL_CALLS = {"fsync": 27, "replace": 15}
 # Every kill point under a profile that runs more examples than the default
 # (README).  Else a few: the first sync, with both of `dict`'s temp files open;
-# semantic.bin's sync; the rename between model.txt and train_trace.json; the
-# last manifest rename; and one past the last, which pins the count.
-KILL_POINTS = ([(call, n) for call in ("fsync", "replace") for n in range(1, KILL_CALLS + 2)]
+# types.tsv's sync; the directory sync after model.txt and train_trace.json
+# are renamed, before the manifest records them; the rename between those
+# two; the last manifest rename; and one past the last of each call, which
+# pins the counts.
+KILL_POINTS = ([(call, n) for call, last in KILL_CALLS.items() for n in range(1, last + 2)]
                if settings.default.max_examples > settings.get_profile("semlink").max_examples
-               else [("fsync", 1), ("fsync", 6), ("replace", 11), ("replace", 15), ("replace", 16)])
+               else [("fsync", 1), ("fsync", 6), ("fsync", 20), ("fsync", 28),
+                     ("replace", 11), ("replace", 15), ("replace", 16)])
 
 
 @pytest.mark.parametrize("call, n", KILL_POINTS)
@@ -235,7 +239,7 @@ def test_killed_run_is_mended_by_its_rerun(inputs, tmp_path, call, n):
     args = argv("pipeline run", inputs, out)
     proc = subprocess.run([sys.executable, "-c", KILL_CHILD, call, str(n), *args],
                           capture_output=True, text=True, env=CHILD_ENV, timeout=120)
-    assert proc.returncode == (0 if n > KILL_CALLS else -signal.SIGKILL), proc.stderr
+    assert proc.returncode == (0 if n > KILL_CALLS[call] else -signal.SIGKILL), proc.stderr
     assert run(args)[0] == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED} == PINNED
     assert sorted(os.listdir(out)) == sorted(PIPELINE_OUTPUTS)

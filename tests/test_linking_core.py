@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -50,11 +51,11 @@ from semlink.linking_core import (
     _features,
     _CandidateBlock,
     _greedy_picks,
+    _hinges,
     _local_scores,
     _pack_candidates,
-    _states_local_scores,
-    _states_products,
     _strip_prior,
+    _TrainingSet,
     _usable,
 )
 
@@ -1459,15 +1460,15 @@ def test_epoch_states_scored_in_batches_keep_their_bits(monkeypatch, dev, epochs
     config = TrainConfig(lr=0.05, epochs=epochs, train_pairwise=train_pairwise)
     batches = []
 
-    def spy(D, Ds):
-        batches.append(len(Ds))
-        return _states_products(D, Ds)
+    def spy(instances, B, C, margin):
+        batches.append(len(B))
+        return _hinges(instances, B, C, margin)
 
-    monkeypatch.setattr(linking_core, "_states_products", spy)
+    monkeypatch.setattr(linking_core, "_hinges", spy)
     got = train_runs(train_docs, tables, words, config, [0, 1], dev_docs)
-    # FD's products, and PD's too when pairwise, for each of the 2 x 2 runs
+    # one call per batch of each of the 2 x 2 runs
     per_run = [5, 5, 3] if epochs else [1]
-    assert sorted(batches) == sorted(per_run * 4 * (1 + train_pairwise))
+    assert sorted(batches) == sorted(per_run * 4)
     if dev == "no gold":
         assert {f1 for run in got for f1 in [run.initial_dev_f1, *run.dev_f1_trace]} == {0.0}
     assert_same_bits(got, per_step_train_runs(train_docs, tables, words, config, [0, 1], dev_docs))
@@ -1475,23 +1476,33 @@ def test_epoch_states_scored_in_batches_keep_their_bits(monkeypatch, dev, epochs
 
 @given(
     seed=st.integers(0, 2**16), N=st.integers(1, 60), M=st.integers(1, 10),
-    d=st.integers(1, 300), k=st.integers(1, 40),
+    d=st.integers(1, 300), k=st.integers(1, 40), pairwise=st.booleans(),
 )
-def test_batched_state_forms_keep_per_state_bits(seed, N, M, d, k):
-    """The batched forms that `train_runs` scores epoch-end states with give
-    each state the bits of its own ``D @ b`` and `_local_scores`."""
+def test_batched_state_forms_keep_per_state_bits(seed, N, M, d, k, pairwise):
+    """`_hinges`, `_local_scores` and `_greedy_picks` on a stack of k states
+    give each state the bits of its own call, and those are the bits of the
+    plain ``margin + D @ b (+ P @ c)`` and ``einsum("md,d,md->m")``."""
     rng = np.random.default_rng(seed)
-    Bs = rng.standard_normal((k, d)) * rng.choice([1e-3, 1.0, 1e3], size=(k, 1))
-    D = rng.standard_normal((N, M, d))
+    Bs, Cs = (rng.standard_normal((k, d)) * rng.choice([1e-3, 1.0, 1e3], size=(k, 1)) for _ in range(2))
+    D, P = rng.standard_normal((N, M, d)), rng.standard_normal((N, M, d)) if pairwise else None
+    instances = _TrainingSet(D, P, rng.random((N, M)) < 0.8)
     counts = rng.integers(1, M + 1, size=N)
     block = _CandidateBlock(
         [[f"E{i}" for i in range(c)] for c in counts], rng.standard_normal((N, d)),
         rng.standard_normal((int(counts.sum()), d)), [0, *itertools.accumulate(counts.tolist())],
     )
-    products, local = _states_products(D, Bs), _states_local_scores(block, Bs)
-    for e, b in enumerate(Bs):
-        assert products[e].tobytes() == (D @ b).tobytes()
-        assert local[e].tobytes() == _local_scores(block, b).tobytes()
+    v, active = _hinges(instances, Bs, Cs, 0.5)
+    local, picks = _local_scores(block, Bs), _greedy_picks(block, Bs)
+    for e, (b, c) in enumerate(zip(Bs, Cs)):
+        plain = 0.5 + D @ b
+        if pairwise:
+            plain += P @ c
+        one = _hinges(instances, b, c, 0.5)
+        assert v[e].tobytes() == one[0].tobytes() == plain.tobytes()
+        assert active[e].tobytes() == one[1].tobytes()
+        plain = np.einsum("md,d,md->m", block.vectors, b, block.row_features)
+        assert local[e].tobytes() == _local_scores(block, b).tobytes() == plain.tobytes()
+        assert picks[e].tobytes() == _greedy_picks(block, b).tobytes()
 
 
 def test_training_memory_does_not_grow_with_epochs():
@@ -1672,6 +1683,16 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match="repeated candidate 'Y'") as e:
             load_aida_tsv(p)
         assert (e.value.path, e.value.line) == (p, 3)
+
+    @pytest.mark.parametrize("doc_id", ["a\tb", "a\nb", "a\rb", "\t"])
+    def test_jsonl_doc_id_with_a_tab_or_line_break_names_file_and_line(self, tmp_path, doc_id):
+        """Every TSV output is keyed by the doc id, so one that would split its line is refused."""
+        good = {"doc_id": "a b", "mentions": [{"surface": "x", "candidates": ["e1"]}]}
+        p = tmp_path / "docs.jsonl"
+        p.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'doc_id': doc_id})}\n", "utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"doc_id {doc_id!r} holds a tab or a line break")) as e:
+            load_linking_jsonl(p)
+        assert (e.value.path, e.value.line) == (p, 2)
 
     @pytest.mark.parametrize("name", ["docs.tsv", "docs.CONLL", "docs.jsonl", "docs"])
     def test_load_documents_reads_by_suffix(self, tmp_path, name):

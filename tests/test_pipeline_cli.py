@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -580,14 +581,16 @@ class TestPipeline:
         real = getattr(os, failing)
 
         def crash(*args):
-            if not (out / "types.tsv").exists():  # the types stage's own output
+            # the types stage's own output, and the sync of its directory
+            if not (out / "types.tsv").exists() or failing == "fsync" and stat.S_ISDIR(os.fstat(args[0]).st_mode):
                 return real(*args)
             raise OSError("simulated crash while writing the manifest")
 
         # a crash after the new text is written but before it is durable, or
         # just before the rename: either way the old manifest must survive.
         # Every output is synced and renamed the same way, so the crash waits
-        # until the types stage has put its output in place.
+        # until the types stage has put its output in place and synced its
+        # directory.
         monkeypatch.setattr(os, failing, crash)
         more = write_config(tmp_path / "q.cfg", paths, out, extra="stages = dict,types\n")
         with pytest.raises(OSError, match="simulated crash"):
@@ -985,6 +988,31 @@ class TestCli:
         assert f"repeated doc_id 'doc_a' [{src}:4]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".tsv"])
+    def test_doc_id_with_a_tab_exits_2_and_writes_nothing(self, fixture_dir, tmp_path, capsys, suffix):
+        """`link infer` keys each output line by the doc id, and `eval f1`
+        would then read four fields; so the id is refused at load."""
+        root, paths = fixture_dir
+        model, out = tmp_path / "model.txt", tmp_path / "p.tsv"
+        identity_model(SIZES.dim).save(model)
+        first, *rest = load_linking_jsonl(paths["eval"])
+        docs = tmp_path / f"docs{suffix}"
+        if suffix == ".jsonl":
+            save_linking_jsonl([LinkingDocument("dev\tx", first.mentions), *rest], docs)
+            line = 1
+        else:
+            m = first.mentions[0]
+            docs.write_text(f"-DOCSTART- (d)\nx\tB\tx\t{m.gold}\t{','.join(m.candidates)}\n"
+                            f"-DOCSTART- (dev\tx)\nx\tB\tx\t{m.gold}\t{','.join(m.candidates)}\n", "utf-8")
+            line = 3
+        with pytest.raises(SystemExit) as e:
+            main(["link", "infer", "--docs", str(docs), "--entities", str(paths["wikitext"]),
+                  "--words", str(paths["words"]), "--model", str(model), "--out", str(out)])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert f"doc_id 'dev\\tx' holds a tab or a line break [{docs}:{line}]" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("ids, expected", [
         (["(doc1)", ""], ["doc1", "doc2"]),
         (["", "(doc0)"], ["doc1", "doc0"]),
@@ -1049,6 +1077,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"of {docs[0].doc_id!r} where {bad_line - 1} belongs" in err
         assert f"[{pred}:{bad_line}]" in err
+
+    @pytest.mark.parametrize("case, needle", [
+        ("missing", "document sets differ: missing:{0}"),
+        ("extra", "document sets differ: extra:ghost"),
+        ("ragged", "mention counts differ: {0}"),
+        ("null gold", "document has mentions without gold: {0}"),
+    ], ids=["missing", "extra", "ragged", "null-gold"])
+    def test_link_score_checks_alignment_before_printing(self, fixture_dir, tmp_path, capsys, case, needle):
+        """As in eval f1, the assignments cover exactly the documents'
+        mentions, and without them every mention needs a gold label."""
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        identity_model(SIZES.dim).save(model)
+        docs = load_linking_jsonl(paths["eval"])
+        labels = {d.doc_id: [m.gold for m in d.mentions] for d in docs}
+        first = docs[0].doc_id
+        docs_path, pred = tmp_path / "eval.jsonl", tmp_path / "pred.tsv"
+        if case == "null gold":
+            docs[0].mentions[-1].gold = None
+        elif case == "missing":
+            del labels[first]
+        elif case == "extra":
+            labels["ghost"] = labels[first]
+        else:
+            labels[first].pop()
+        save_linking_jsonl(docs, docs_path)
+        pred.write_text("".join(f"{d}\t{i}\t{label}\n" for d, ls in labels.items() for i, label in enumerate(ls)),
+                        "utf-8")
+        args = ["link", "score", "--docs", str(docs_path), "--entities", str(paths["wikitext"]),
+                "--words", str(paths["words"]), "--model", str(model)]
+        with pytest.raises(SystemExit) as e:
+            main(args if case == "null gold" else [*args, "--assignments", str(pred)])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert needle.format(first) in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("index", ["0_0", "+1", "\u0662", "-0", " 1", "0" * 19],
                              ids=["underscore", "plus", "arabic-indic-two", "minus", "space", "19-digits"])

@@ -236,6 +236,46 @@ def test_replacing_removes_a_stale_temp_file_and_refuses_a_repeated_target(tmp_p
     assert target.read_bytes() == b"new"
 
 
+def test_replacing_syncs_each_directory_once_after_its_renames(tmp_path, monkeypatch):
+    """The renames reach the disk: after the last rename, each target's
+    directory is synced once, on POSIX only; a failed sync raises."""
+    (tmp_path / "sub").mkdir()
+    targets = [tmp_path / "a", tmp_path / "sub" / "b", tmp_path / "c"]
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", (st.st_dev, st.st_ino) if stat.S_ISDIR(st.st_mode) else "file"))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    write_files([(t, ["x"]) for t in targets])
+    dirs = [(st.st_dev, st.st_ino) for st in (os.stat(tmp_path), os.stat(tmp_path / "sub"))]
+    assert calls == [("fsync", "file")] * 3 + [("replace", n) for n in "abc"] + [("fsync", d) for d in dirs]
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(os, "name", "nt")
+        write_files([(targets[0], ["y"])])
+    assert calls == [("fsync", "file"), ("replace", "a")]
+
+    def failing(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(5, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing)
+    with pytest.raises(OSError, match="Input/output error"):
+        write_lines(targets[1], ["z"])
+    assert targets[1].read_bytes() == b"z\n"
+    assert sorted(os.listdir(tmp_path / "sub")) == ["b"]
+
+
 def test_lines_are_numbered_with_universal_newlines(tmp_path):
     p = tmp_path / "t.txt"
     p.write_bytes(b"a\tb\r\n\r\nc # d\re\n  \nf")
