@@ -3,7 +3,8 @@
 Text inputs are UTF-8 with universal newlines.  `read_lines` streams a
 file's non-empty lines, `tsv_fields` splits one, and `read_all` reads a
 small file whole; a byte that is not UTF-8 is a `FormatError` naming the
-file and line.
+file and line.  `unbroken` refuses a field that holds a tab or a line
+break, and `COUNT_FIELD` is the one form of a count in a header or a field.
 
 Every output file is written through `replacing`: each target gets a temp
 file beside it, renamed over the target only once every temp file is
@@ -44,6 +45,12 @@ _TOKEN_TABLE = bytes(b if b in _TOKEN_BYTES else 0x20 for b in range(256))
 # text, so abbreviation handling is out of scope here.
 _SENTENCE_END_RE = re.compile(r"(?<=[.!?])\s+")
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# what splits a TSV field or line as `read_lines` reads it
+FIELD_BREAK = re.compile("[\t\n\r]")
+# a count field of a header or a TSV line: ASCII digits only, since int() also
+# reads '+1', '1_0' and other scripts' digits, and at most 18 of them, so that
+# neither int() (which refuses over 4300) nor a size computed from it overflows
+COUNT_FIELD = re.compile("[0-9]{1,18}")
 
 
 def tokenize(text):
@@ -175,6 +182,14 @@ def tsv_fields(line, count, path, line_no, expected=None) -> list[str]:
         expected = expected or f"expected {count} tab-separated fields, found {len(fields)}"
         raise FormatError(expected, path=path, line=line_no)
     return fields
+
+
+def unbroken(text: str, what: str, path=None, line=None) -> str:
+    """``text``; one holding a tab or a line break, which would split the TSV
+    field or line it is written to, is a `FormatError` naming it as ``what``."""
+    if FIELD_BREAK.search(text):
+        raise FormatError(f"{what} {text!r} holds a tab or a line break", path=path, line=line)
+    return text
 
 
 def _not_utf8(path) -> FormatError:

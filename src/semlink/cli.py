@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import re
 import sys
 
 import click
@@ -23,8 +22,8 @@ from . import (
     type_dictionary,
     type_extraction,
 )
-from ._text import json_lines, read_all, read_lines, tsv_fields, write_files, write_lines
-from .errors import CapacityError, FormatError, SemlinkError
+from ._text import COUNT_FIELD, json_lines, read_all, read_lines, tsv_fields, write_files, write_lines
+from .errors import CapacityError, FormatError, MissingLabelError, SemlinkError
 
 
 def _printable(label: str) -> str:
@@ -270,14 +269,16 @@ def link_score(docs_path, entities, words, model_path, assignments_path):
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
     model = linking_core.LinkingModel.load(model_path, relations=False)
-    scores = [linking_core.document_score(chosen[doc.doc_id], doc, model, entity_table, word_table)
-              for doc in docs]
+    try:
+        scores = [linking_core.document_score(chosen[doc.doc_id], doc, model, entity_table, word_table)
+                  for doc in docs]
+    except MissingLabelError as e:
+        doc_id, i = next((doc.doc_id, i) for doc in docs for i, label in enumerate(chosen[doc.doc_id])
+                         if label not in entity_table)
+        raise MissingLabelError(f"{e}: mention {i} of {doc_id!r} [{assignments_path or docs_path}]") from None
     click.echo("doc_id\tscore")
     for doc, score in zip(docs, scores):
         click.echo(f"{doc.doc_id}\t{score:.6f}")
-
-
-_MENTION_INDEX = re.compile(r"[0-9]{1,18}")
 
 
 def _read_assignment_tsv(path) -> dict[str, list[str]]:
@@ -286,8 +287,7 @@ def _read_assignment_tsv(path) -> dict[str, list[str]]:
     out: dict[str, list] = {}
     for line_no, line in read_lines(path):
         doc_id, idx, label = tsv_fields(line, 3, path, line_no)
-        # ASCII digits only: int() would also read '0_0', '+1' and other scripts' digits
-        if not _MENTION_INDEX.fullmatch(idx):
+        if not COUNT_FIELD.fullmatch(idx):
             raise FormatError(f"mention index {idx!r} is not 1 to 18 digits 0-9", path=path, line=line_no)
         out.setdefault(doc_id, []).append((int(idx), line_no, label))
     for doc_id, items in out.items():
@@ -352,8 +352,8 @@ def _seed_list(text: str) -> list[int]:
     if not tokens:
         raise FormatError("no seeds given")
     for token in tokens:
-        if not (token.isascii() and token.isdigit()):
-            raise FormatError(f"seed {token!r} is not a non-negative integer")
+        if not COUNT_FIELD.fullmatch(token):
+            raise FormatError(f"seed {token!r} is not 1 to 18 digits 0-9")
     return [int(t) for t in tokens]
 
 

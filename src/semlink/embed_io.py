@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._text import replacing
+from ._text import COUNT_FIELD, replacing
 from .errors import (
     DuplicateLabelError,
     FormatError,
@@ -350,8 +350,7 @@ def _read_header(fh, path) -> tuple[int, int]:
         raise FormatError("header is not ASCII", path=path)
     header = head.decode("ascii").removesuffix("\n")
     parts = header.split(" ")
-    # at most 18 digits each, so neither int() nor numpy's row size overflows
-    if len(parts) != 2 or not all(p.isdigit() and len(p) <= 18 for p in parts):
+    if len(parts) != 2 or not all(COUNT_FIELD.fullmatch(p) for p in parts):
         raise FormatError(f"malformed header {header[:60]!r}", path=path)
     count, dim = int(parts[0]), int(parts[1])
     if dim < 1:

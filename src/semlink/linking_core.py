@@ -32,14 +32,13 @@ import io
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._text import read_lines, write_lines
+from ._text import COUNT_FIELD, FIELD_BREAK, read_lines, unbroken, write_lines
 from .embed_io import BLOCK_ROWS, EmbeddingTable, row_means
 from .errors import (
     CapacityError,
@@ -55,11 +54,6 @@ from .errors import (
 
 EXHAUSTIVE_CAPACITY = 10**6
 STRATEGIES = ("exhaustive", "greedy-local")
-# one field of a model file's "<dim> <K>" header: at most 18 digits, as in a
-# binary table's header, since int() refuses a field of over 4300
-_HEADER_FIELD = re.compile(r"-?[0-9]{1,18}")
-# what splits a TSV field or line as `_text.read_lines` reads it
-_TSV_BREAK = re.compile(r"[\t\n\r]")
 
 
 @dataclass
@@ -140,11 +134,11 @@ class LinkingModel:
         if not lines:
             raise FormatError("empty model file", path=path)
         head = lines[0].split()
-        if len(head) != 2 or not all(_HEADER_FIELD.fullmatch(p) for p in head):
+        if len(head) != 2 or not all(COUNT_FIELD.fullmatch(p) for p in head):
             raise FormatError(f"malformed model header {lines[0]!r}", path=path)
         dim, K = int(head[0]), int(head[1])
-        if dim < 1 or K < 0:
-            raise FormatError(f"model header {lines[0]!r} needs dim >= 1 and K >= 0", path=path)
+        if dim < 1:
+            raise FormatError(f"model header {lines[0]!r} needs dim >= 1", path=path)
         if K and not relations:
             raise RelationArityError(
                 f"model has K = {K} relation diagonals; link infer, link score and eval score none [{path}]")
@@ -342,6 +336,17 @@ def _candidate_rows(mentions: Sequence[Mention], entities: EmbeddingTable) -> tu
     return labels, rows
 
 
+def _naming_mention(error: MissingLabelError, docs, tables, usable: bool) -> MissingLabelError:
+    """``error``, raised by `_candidate_rows` while ``docs`` were packed for
+    each of ``tables`` in turn (only the mentions of `_usable`, with
+    ``usable``), naming the mention it met and its document.  Searched only
+    once packing has failed, so the packs keep one lookup per label."""
+    for table, doc in itertools.product(tables, docs):
+        for i, m in enumerate(doc.mentions):
+            if (m.gold_in_candidates() or not usable) and not all(map(table.__contains__, m.candidates)):
+                return MissingLabelError(f"{error}: mention {i} of {doc.doc_id!r}")
+
+
 def _pack_candidates(
     mentions: Sequence[Mention],
     entities: EmbeddingTable,
@@ -475,7 +480,10 @@ def _check_document(doc: LinkingDocument, model: LinkingModel, entities: Embeddi
     if strategy == "exhaustive" and math.prod(len(m.candidates) for m in doc.mentions) > EXHAUSTIVE_CAPACITY:
         raise CapacityError(f"candidate product exceeds {EXHAUSTIVE_CAPACITY}; use strategy='greedy-local'")
     _check_dims(entities, words)
-    return _candidate_rows(doc.mentions, entities)
+    try:
+        return _candidate_rows(doc.mentions, entities)
+    except MissingLabelError as e:
+        raise _naming_mention(e, [doc], [entities], usable=False) from None
 
 
 def _checked_runs(docs: Sequence[LinkingDocument], model: LinkingModel, entities: EmbeddingTable,
@@ -864,7 +872,10 @@ def train_runs(
         raise ValueError("need at least one table and one seed")
     # which mentions count, and their context features, do not depend on the table
     features = _features(_usable(train_docs), words)
-    built = [_build_instances(train_docs, t, words, config.train_pairwise, features) for t in tables]
+    try:
+        built = [_build_instances(train_docs, t, words, config.train_pairwise, features) for t in tables]
+    except MissingLabelError as e:
+        raise _naming_mention(e, train_docs, tables, usable=True) from None
     sets, skipped = [instances for instances, _ in built], built[0][1]
     N = len(sets[0])
     if not N:
@@ -875,7 +886,10 @@ def train_runs(
             _check_candidates(doc)
         usable = _usable(dev_docs)
         features = _features(usable, words)
-        devs = [_pack_candidates(usable, t, words, features) for t in tables]
+        try:
+            devs = [_pack_candidates(usable, t, words, features) for t in tables]
+        except MissingLabelError as e:
+            raise _naming_mention(e, dev_docs, tables, usable=True) from None
         # sorted candidate labels do not depend on the table
         gold = devs[0].gold_positions(usable)
 
@@ -1032,26 +1046,22 @@ def _document_from(record) -> LinkingDocument:
         mentions.append(Mention(
             surface=_checked(m["surface"], str, "surface"),
             context=context,
-            candidates=_unique([_strip_prior(c) for c in _checked(m["candidates"], list, "candidates")]),
+            candidates=_checked_candidates([_strip_prior(c) for c in _checked(m["candidates"], list, "candidates")]),
             gold=gold,
         ))
-    doc_id = _checked_doc_id(_checked(record["doc_id"], str, "doc_id"))
+    doc_id = unbroken(_checked(record["doc_id"], str, "doc_id"), "doc_id")
     if not mentions:
         raise FormatError(f"document {doc_id!r} has no mentions")
     return LinkingDocument(doc_id, mentions)
 
 
-def _checked_doc_id(doc_id: str, path=None, line=None) -> str:
-    """``doc_id``; one that holds a tab or a line break, which would split the
-    TSV lines that every output keys by it, is a `FormatError` naming it."""
-    if _TSV_BREAK.search(doc_id):
-        raise FormatError(f"doc_id {doc_id!r} holds a tab or a line break", path=path, line=line)
-    return doc_id
-
-
-def _unique(candidates: list[str]) -> list[str]:
-    """``candidates``; a label listed twice, after prior stripping, is a
-    `FormatError` naming it."""
+def _checked_candidates(candidates: list[str]) -> list[str]:
+    """``candidates``; a label listed twice, after prior stripping, or one
+    holding a tab or a line break is a `FormatError` naming it."""
+    # one search over the joined labels; the loop only names the culprit
+    if FIELD_BREAK.search("".join(candidates)):
+        for c in candidates:
+            unbroken(c, "candidate")
     if len(set(candidates)) < len(candidates):
         seen: set[str] = set()
         for c in candidates:
@@ -1092,83 +1102,62 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
     """Load a simplified CoNLL-style linking TSV.
 
     Lines are either ``-DOCSTART- (<doc_id>)``, a bare token, or a mention
-    line ``<token>\\tB\\t<surface>\\t<gold>\\t<cand1,cand2,...>`` with ``I``
-    lines continuing a mention.  Context windows take ``window`` tokens from
-    each side of the mention, excluding the mention itself.  A gold of
-    ``--NME--`` becomes None (out-of-KB).  A bare ``-DOCSTART-`` is named
-    ``doc<n>``, after its place among the documents, with ``n`` raised past
-    every id the file writes and every name already given.  A negative
+    line ``<token>\\tB\\t<surface>\\t<gold>\\t<cand1,cand2,...>``; a
+    ``<token>\\tI`` line right after a mention's last token extends the
+    mention, and is a plain token anywhere else.  Context windows take
+    ``window`` tokens from each side of the mention, excluding the mention
+    itself.  A gold of ``--NME--`` becomes None (out-of-KB).  A document
+    with no mention line is dropped.  A bare ``-DOCSTART-`` is named
+    ``doc<n>``, after its place among the kept documents, with ``n`` raised
+    past every id the file writes and every name already given.  A negative
     ``window`` is a `ConfigError`; a repeated doc id, or one holding a tab,
     is a `FormatError` naming its ``-DOCSTART-`` line, and a candidate
     listed twice on a mention line, once priors are stripped, one naming
-    that line.
+    that line.  The whole file is parsed before any document is built, so
+    of a bad line and a repeated id, the bad line is reported.
     """
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
-    docs: list[tuple[str, list[Mention]]] = []  # (id, or "" for a bare -DOCSTART-)
-    written: set[str] = set()  # every id the file writes, then every one generated
-    kept: set[str] = set()  # written ids of the documents with mentions
-    doc_id = doc_line = None
-    tokens: list[str] = []
-    spans: list[tuple[int, int, str, Optional[str], list[str]]] = []
-
-    def _flush():
-        nonlocal tokens, spans
-        if doc_id is None:
-            return
-        mentions = []
-        for start, end, surface, gold, cands in spans:
-            left = tokens[max(0, start - window) : start]
-            right = tokens[end : end + window]
-            mentions.append(
-                Mention(surface=surface, context=left + right, candidates=cands, gold=gold)
-            )
-        if mentions:
-            if doc_id in kept:
-                raise FormatError(f"repeated doc_id {doc_id!r}", path=path, line=doc_line)
-            if doc_id:
-                kept.add(doc_id)
-            docs.append((doc_id, mentions))
-        tokens, spans = [], []
-
+    # one record per -DOCSTART-: its id ("" if bare), its line, its tokens and
+    # its spans, each [start, end, surface, gold, candidates]
+    records: list[tuple[str, int, list[str], list[list]]] = []
     for line_no, line in read_lines(path):
         if not line.strip():
             continue
         if line.startswith("-DOCSTART-"):
-            _flush()
-            doc_id = _checked_doc_id(line[len("-DOCSTART-") :].strip().strip("()"), path, line_no)
-            doc_line = line_no
-            written.add(doc_id)
+            doc_id = unbroken(line[len("-DOCSTART-") :].strip().strip("()"), "doc_id", path, line_no)
+            records.append((doc_id, line_no, tokens := [], spans := []))
             continue
-        if doc_id is None:
+        if not records:
             raise FormatError("token line before any -DOCSTART-", path=path, line=line_no)
         parts = line.split("\t")
-        token = parts[0].lower()
-        if len(parts) == 1 or parts[1] == "I":
-            tokens.append(token)
-            if len(parts) > 1 and spans and spans[-1][1] == len(tokens) - 1:
-                span = spans[-1]
-                spans[-1] = (span[0], len(tokens), span[2], span[3], span[4])
+        if len(parts) > 1 and parts[1] == "I":
+            if spans and spans[-1][1] == len(tokens):  # an I line right after a span extends it
+                spans[-1][1] += 1
+        elif len(parts) > 1:
+            if parts[1] != "B" or len(parts) < 5:
+                raise FormatError("expected '<token>\\tB\\t<surface>\\t<gold>\\t<cands>'", path=path, line=line_no)
+            try:
+                cands = _checked_candidates([_strip_prior(c) for c in parts[4].split(",") if c])
+            except FormatError as e:
+                raise FormatError(e.reason, path=path, line=line_no) from None
+            gold = parts[3] if parts[3] != "--NME--" else None
+            spans.append([len(tokens), len(tokens) + 1, parts[2], gold, cands])
+        tokens.append(parts[0].lower())
+    written = {doc_id for doc_id, *_ in records}
+    docs: dict[str, LinkingDocument] = {}
+    for doc_id, doc_line, tokens, spans in records:
+        if not spans:
             continue
-        if parts[1] != "B" or len(parts) < 5:
-            raise FormatError(
-                "expected '<token>\\tB\\t<surface>\\t<gold>\\t<cands>'",
-                path=path, line=line_no,
-            )
-        tokens.append(token)
-        gold = parts[3] if parts[3] != "--NME--" else None
-        try:
-            cands = _unique([_strip_prior(c) for c in parts[4].split(",") if c])
-        except FormatError as e:
-            raise FormatError(e.reason, path=path, line=line_no) from None
-        spans.append((len(tokens) - 1, len(tokens), parts[2], gold, cands))
-    _flush()
-    out = []
-    for n, (name, mentions) in enumerate(docs):
-        if not name:
-            while f"doc{n}" in written:
+        if not doc_id:
+            n = len(docs)
+            while f"doc{n}" in written or f"doc{n}" in docs:
                 n += 1
-            name = f"doc{n}"
-            written.add(name)
-        out.append(LinkingDocument(name, mentions))
-    return out
+            doc_id = f"doc{n}"
+        elif doc_id in docs:
+            raise FormatError(f"repeated doc_id {doc_id!r}", path=path, line=doc_line)
+        docs[doc_id] = LinkingDocument(doc_id, [
+            Mention(surface, tokens[max(0, start - window) : start] + tokens[end : end + window], cands, gold)
+            for start, end, surface, gold, cands in spans
+        ])
+    return list(docs.values())

@@ -10,18 +10,13 @@ the remapped form keeping first occurrence, and capped.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from ._text import read_all, read_lines, split_first_sentence, tokenize, tsv_fields, write_lines
+from ._text import FIELD_BREAK, read_all, read_lines, split_first_sentence, tokenize, tsv_fields, unbroken, write_lines
 from .errors import ConfigError, DuplicateEntityError, FormatError
 from .type_dictionary import SemanticTypeDictionary, apply_remap
-
-# a types file's lines end at a newline or a carriage return, and split into
-# fields at tabs
-_FIELD_BREAK = re.compile("[\t\n\r]")
 
 
 @dataclass
@@ -187,10 +182,9 @@ def write_assignments(assignments, path) -> None:
 
 
 def _check_writable(a: EntityTypeAssignment, path) -> None:
-    if _FIELD_BREAK.search(a.entity_id):
-        raise FormatError(f"entity id {a.entity_id!r} holds a tab or a line break", path=path)
+    unbroken(a.entity_id, "entity id", path)
     for word in a.type_words:
-        if not word or "," in word or _FIELD_BREAK.search(word):
+        if not word or "," in word or FIELD_BREAK.search(word):
             raise FormatError(
                 f"type word {word!r} of entity {a.entity_id!r} is empty or holds a comma, "
                 "a tab or a line break",

@@ -3,8 +3,10 @@
 import itertools
 import json
 import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -702,16 +704,32 @@ def test_infer_names_a_candidate_missing_from_the_table(rng, strategy):
     doc = LinkingDocument("d", [
         Mention("m", ["w0"], [labels[0], "ghost"]), Mention("n", ["w1"], [labels[1], labels[2]]),
     ])
-    with pytest.raises(MissingLabelError, match="label 'ghost' not in table"):
+    with pytest.raises(MissingLabelError, match="^label 'ghost' not in table: mention 0 of 'd'$"):
         infer(doc, identity_model(entities.dim), entities, words, strategy)
 
 
 def test_dev_packing_names_a_candidate_missing_from_the_table(rng):
     entities, words, labels, wlabels = toy_world(rng)
     docs = [random_doc(rng, labels, wlabels, 2, 3)]
-    dev = [LinkingDocument("dev", [Mention("m", ["w0"], [labels[0], "ghost"], labels[0])])]
-    with pytest.raises(MissingLabelError, match="label 'ghost' not in table"):
+    dev = [LinkingDocument("dev", [Mention("m", ["w0"], [labels[0], labels[1]], labels[0]),
+                                   Mention("m", ["w0"], [labels[0], "ghost"], labels[0])])]
+    with pytest.raises(MissingLabelError, match="^label 'ghost' not in table: mention 1 of 'dev'$"):
         train(docs, entities, words, TrainConfig(epochs=1), dev)
+
+
+def test_training_packs_name_the_mention_of_a_missing_candidate(rng):
+    """Only mentions with their gold among their candidates are packed, one
+    table after another; the error names the mention that packing met."""
+    entities, words, labels, wlabels = toy_world(rng)
+    partial = EmbeddingTable.from_pairs([(label, entities.vector(label)) for label in labels[:2]])
+    docs = [
+        LinkingDocument("a", [Mention("m", ["w0"], [labels[2], labels[0]])]),  # no gold: not packed
+        LinkingDocument("b", [Mention("m", ["w0"], [labels[0], labels[1]], labels[0]),
+                              Mention("n", ["w1"], [labels[1], labels[2]], labels[1])]),
+    ]
+    train_runs(docs, [entities], words, TrainConfig(epochs=1), [0])
+    with pytest.raises(MissingLabelError, match=f"^label '{labels[2]}' not in table: mention 1 of 'b'$"):
+        train_runs(docs, [entities, partial], words, TrainConfig(epochs=1), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -1548,11 +1566,15 @@ class TestModelIO:
         with pytest.raises(FormatError):
             LinkingModel.load(p)
 
-    @pytest.mark.parametrize("header", ["3 -1", "0 0", "-2 0", "-3 -1"])
-    def test_non_positive_dim_or_negative_k_rejected(self, tmp_path, header):
+    @pytest.mark.parametrize("header, message", [
+        ("3 -1", "malformed model header '3 -1'"), ("0 0", "model header '0 0' needs dim >= 1"),
+        ("-2 0", "malformed model header '-2 0'"), ("-3 -1", "malformed model header '-3 -1'"),
+    ])
+    def test_non_positive_dim_or_negative_k_rejected(self, tmp_path, header, message):
+        # a header field is 1 to 18 digits 0-9, as a binary table's count and dim
         p = tmp_path / "m.txt"
         p.write_text(f"{header}\n1 1 1\n1 1 1\n1 1 1\n", "ascii")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)} "):
             LinkingModel.load(p)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -1683,6 +1705,68 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match="repeated candidate 'Y'") as e:
             load_aida_tsv(p)
         assert (e.value.path, e.value.line) == (p, 3)
+
+    def test_tsv_b_and_i_lines_make_one_span(self, tmp_path):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("-DOCSTART- (d)\na\nb\nNew\tB\tNew York City\tNYC\tNYC,York\nYork\tI\n"
+                     "City\tI\tmore\tfields\nc\nd\tI\ne\n", "utf-8")
+        (m,) = load_aida_tsv(p, window=2)[0].mentions
+        assert (m.surface, m.candidates, m.gold) == ("New York City", ["NYC", "York"], "NYC")
+        # the window skips all three span tokens; the later I line is a plain token
+        assert m.context == ["a", "b", "c", "d"]
+
+    def test_tsv_i_line_after_a_plain_token_stays_a_token(self, tmp_path):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("-DOCSTART- (d)\nYork\tI\nx\tB\tx\tX\tX\ny\nz\tI\n", "utf-8")
+        (m,) = load_aida_tsv(p, window=5)[0].mentions
+        assert m.context == ["york", "y", "z"]
+
+    @given(st.data())
+    def test_conll_written_documents_read_back(self, data):
+        """Documents written as CoNLL by this test read back as the same
+        documents; those with no mention are dropped."""
+        words = st.text("abcdefghij", min_size=1, max_size=4)
+        labels = st.text("ABC_", min_size=1, max_size=3)
+        window = data.draw(st.integers(0, 4))
+        expected, lines = [], []
+        for n in range(data.draw(st.integers(0, 4))):
+            lines.append(f"-DOCSTART- (d{n})")
+            tokens, spans = [], []
+            # each item is a plain token (None) or a mention of 1-3 tokens
+            for item in data.draw(st.lists(st.one_of(st.none(), st.lists(words, min_size=1, max_size=3)),
+                                           max_size=8)):
+                if item is None:
+                    tokens.append(data.draw(words))
+                    lines.append(tokens[-1])
+                    continue
+                candidates = data.draw(st.lists(labels, max_size=3, unique=True))
+                gold = data.draw(st.sampled_from([*candidates, None, "Z"]))
+                spans.append((len(tokens), len(tokens) + len(item), " ".join(item), gold, candidates))
+                tokens += item
+                lines.append(f"{item[0]}\tB\t{spans[-1][2]}\t{gold or '--NME--'}\t{','.join(candidates)}")
+                lines += [f"{word}\tI" for word in item[1:]]
+            if spans:
+                expected.append(LinkingDocument(f"d{n}", [
+                    Mention(surface, tokens[max(0, a - window) : a] + tokens[b : b + window], candidates, gold)
+                    for a, b, surface, gold, candidates in spans
+                ]))
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "corpus.conll"
+            p.write_text("".join(f"{line}\n" for line in lines), "utf-8")
+            assert load_aida_tsv(p, window=window) == expected
+
+    @pytest.mark.parametrize("candidate", ["a\tb", "a\nb", "a\rb", "a\tb:0.5", ["a\tb", 0.5]],
+                             ids=["tab", "newline", "return", "tab-and-prior", "tab-in-pair"])
+    def test_jsonl_candidate_with_a_tab_or_line_break_names_file_and_line(self, tmp_path, candidate):
+        """`link infer` writes each pick as one TSV field, so a label that would split it is refused."""
+        good = {"doc_id": "a", "mentions": [{"surface": "x", "candidates": ["e1"]}]}
+        bad = {"doc_id": "b", "mentions": [good["mentions"][0], {"surface": "x", "candidates": ["e1", candidate]}]}
+        p = tmp_path / "docs.jsonl"
+        p.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", "utf-8")
+        label = candidate[0] if isinstance(candidate, list) else candidate.removesuffix(":0.5")
+        with pytest.raises(FormatError, match=re.escape(f"candidate {label!r} holds a tab or a line break")) as e:
+            load_linking_jsonl(p)
+        assert (e.value.path, e.value.line) == (p, 2)
 
     @pytest.mark.parametrize("doc_id", ["a\tb", "a\nb", "a\rb", "\t"])
     def test_jsonl_doc_id_with_a_tab_or_line_break_names_file_and_line(self, tmp_path, doc_id):

@@ -703,6 +703,19 @@ class TestCli:
         assert outputs[".conll"] == outputs[".jsonl"]
         assert sorted(outputs[".conll"][0]) == ["converge.json", "model.txt", "pred.tsv", "trace.json"]
 
+    @pytest.mark.parametrize("seed", ["-2", "+2", "1_0", "\u0662", "9" * 5000],
+                             ids=["minus", "plus", "underscore", "arabic-indic-two", "5000-digits"])
+    def test_eval_converge_bad_seed_exits_2(self, fixture_dir, tmp_path, capsys, seed):
+        # int() reads '+2', '1_0' and '\u0662', and raises a ValueError past 4300 digits
+        root, paths = fixture_dir
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "converge", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+                  "--words", str(paths["words"]), "--baseline", str(paths["wikitext"]),
+                  "--reinforced", str(paths["wikitext"]), "--seeds", f"1,{seed}", "--out", str(tmp_path / "c.json")])
+        assert e.value.code == 2
+        assert f"seed {seed!r} is not 1 to 18 digits 0-9" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_types_extract_matches_fixture(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         runner = CliRunner()
@@ -888,20 +901,22 @@ class TestCli:
         assert "repeated candidate 'ent0002'" in err and f"{docs}:3" in err
         assert not (tmp_path / "p.tsv").exists()
 
-    @pytest.mark.parametrize("command", ["infer-greedy-local", "infer-exhaustive", "train-dev"])
+    @pytest.mark.parametrize("command", ["infer-greedy-local", "infer-exhaustive", "train-train", "train-dev"])
     def test_candidate_missing_from_the_table_exits_2(self, fixture_dir, tmp_path, capsys, command):
-        # the candidate packing of inference and of the dev set names the label
+        # the candidate packing of inference, of training and of the dev set
+        # names the label, the mention and its document
         root, paths = fixture_dir
         first = json.loads(paths["eval"].read_text("utf-8").splitlines()[0])
-        mention = first["mentions"][0]
+        mention = first["mentions"][1]
         mention["candidates"].append("ghost")
         docs = tmp_path / "docs.jsonl"
         docs.write_text(json.dumps(first) + "\n", "utf-8")
         model = tmp_path / "model.txt"
         identity_model(SIZES.dim).save(model)
         tables = ["--entities", str(paths["wikitext"]), "--words", str(paths["words"])]
-        if command == "train-dev":
-            args = ["link", "train", "--train", str(paths["train"]), "--dev", str(docs), *tables,
+        if command.startswith("train"):
+            train, dev = (docs, paths["dev"]) if command == "train-train" else (paths["train"], docs)
+            args = ["link", "train", "--train", str(train), "--dev", str(dev), *tables,
                     "--epochs", "1", "--out-model", str(tmp_path / "trained.txt")]
         else:
             args = ["link", "infer", "--docs", str(docs), *tables, "--model", str(model),
@@ -909,8 +924,30 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             main(args)
         assert e.value.code == 2
-        assert "label 'ghost' not in table" in capsys.readouterr().err
+        assert f"label 'ghost' not in table: mention 1 of {first['doc_id']!r}\n" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["docs.jsonl", "model.txt"]
+
+    @pytest.mark.parametrize("source", ["assignments", "gold"])
+    def test_link_score_names_the_mention_of_a_label_missing_from_the_table(self, fixture_dir, tmp_path, capsys,
+                                                                             source):
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        identity_model(SIZES.dim).save(model)
+        docs = load_linking_jsonl(paths["eval"])
+        docs[1].mentions[2].gold = "ghost"
+        docs_path, pred = tmp_path / "eval.jsonl", tmp_path / "pred.tsv"
+        save_linking_jsonl(docs, docs_path)
+        pred.write_text("".join(f"{d.doc_id}\t{i}\t{m.gold}\n" for d in docs for i, m in enumerate(d.mentions)),
+                        "utf-8")
+        args = ["link", "score", "--docs", str(docs_path), "--entities", str(paths["wikitext"]),
+                "--words", str(paths["words"]), "--model", str(model)]
+        with pytest.raises(SystemExit) as e:
+            main([*args, "--assignments", str(pred)] if source == "assignments" else args)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        named = pred if source == "assignments" else docs_path
+        assert f"label 'ghost' not in table: mention 2 of {docs[1].doc_id!r} [{named}]\n" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("scores", ["0.9,abc", "@file"])
     def test_eval_runs_bad_score_exits_2(self, tmp_path, capsys, scores):
@@ -1011,6 +1048,24 @@ class TestCli:
         assert e.value.code == 2
         captured = capsys.readouterr()
         assert f"doc_id 'dev\\tx' holds a tab or a line break [{docs}:{line}]" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_candidate_with_a_tab_exits_2_and_writes_nothing(self, fixture_dir, tmp_path, capsys):
+        """`link infer` writes each pick as one TSV field, and `eval f1` would
+        then read four fields; so the label is refused at load."""
+        root, paths = fixture_dir
+        model, out = tmp_path / "model.txt", tmp_path / "p.tsv"
+        identity_model(SIZES.dim).save(model)
+        docs = load_linking_jsonl(paths["eval"])
+        docs[1].mentions[0].candidates = ["a\tb"]
+        docs_path = tmp_path / "docs.jsonl"
+        save_linking_jsonl(docs, docs_path)
+        with pytest.raises(SystemExit) as e:
+            main(["link", "infer", "--docs", str(docs_path), "--entities", str(paths["wikitext"]),
+                  "--words", str(paths["words"]), "--model", str(model), "--out", str(out)])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert f"candidate 'a\\tb' holds a tab or a line break [{docs_path}:2]" in captured.err
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("ids, expected", [
