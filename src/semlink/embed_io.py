@@ -28,9 +28,10 @@ finiteness check and normalisation included, runs in row blocks of
 `BLOCK_ROWS`, so no full-size float64 (or bool) copy is ever made.
 
 `row_means` is the package's one mean of listed rows, shared by context
-features and semantic means.  It gathers a chunk of items' rows with one
-``take``, zero-padded to the chunk's longest list only when a list is
-shorter (the counts are the list lengths), and sums the chunk's positions
+features and semantic means.  It builds one index of every item's rows per
+call, padded to the longest list with row 0, gathers a chunk of items' rows
+with one ``take`` of it, cut to the chunk's longest list, zeroes the pad
+cells (the counts are the list lengths), and sums the chunk's positions
 in one float64 ``np.add.reduce`` over the position axis, starting from
 +0.0, so each mean is the same sequential ``acc += row`` chain as a loop
 over the item's rows, bit for bit: numpy adds along an axis that is not its
@@ -205,27 +206,35 @@ def row_means(
     by ``max(count, 1)``, so an item with no rows gets a zero mean.  A chunk
     takes as many items as fit `BLOCK_ROWS` gathered rows at the widest item.
     """
-    width = max(map(len, rows), default=0)
+    lengths = list(map(len, rows))
+    width = max(lengths, default=0)
+    all_counts = np.array(lengths, dtype=np.intp)
+    # every item's rows, padded with row 0 to the widest item; the pad cells are zeroed once gathered
+    index = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=sum(lengths))
+    is_pad = None
+    if len(index) < len(rows) * width:
+        is_pad = np.arange(width) >= all_counts[:, None]
+        padded = np.zeros(is_pad.shape, dtype=np.intp)
+        padded[~is_pad] = index
+        index = padded
+    index = index.reshape(len(rows), width)
     step = max(1, BLOCK_ROWS // max(width, 1))
     for start in range(0, len(rows), step):
-        part = rows[start : start + step]
-        counts = np.array([len(r) for r in part], dtype=np.intp)
-        shape = (len(part), counts.max(initial=0), matrix.shape[1])
-        gathered = matrix.take([i for r in part for i in r], axis=0)
-        if len(gathered) < shape[0] * shape[1]:
-            # a list is short: zero-pad, the real cells in C order taking the listed rows
-            gathered, listed = np.zeros(shape, dtype=matrix.dtype), gathered
-            gathered[np.arange(shape[1]) < counts[:, None]] = listed
-        gathered = gathered.reshape(shape)
+        part = slice(start, start + step)
+        used = max(lengths[part], default=0)
+        gathered = matrix.take(index[part, :used], axis=0)
+        if is_pad is not None:
+            gathered[is_pad[part, :used]] = 0
+        counts = all_counts[part]
         if matrix.shape[1] > 1:
             acc = np.add.reduce(gathered, axis=1, dtype=np.float64, initial=0.0)
         else:
             # at dim 1 the position axis is the contiguous one, which numpy sums pairwise
-            acc = np.zeros((len(part), 1))
-            for k in range(shape[1]):
+            acc = np.zeros((len(counts), 1))
+            for k in range(used):
                 acc += gathered[:, k]
         acc /= np.maximum(counts, 1)[:, None]
-        yield slice(start, start + len(part)), acc, counts
+        yield slice(start, start + len(counts)), acc, counts
 
 
 def _zero_safe(norms: np.ndarray) -> np.ndarray:

@@ -30,7 +30,9 @@ embedding table and ``types.tsv`` once for every stage, keyed by path.
 sure the file reads back as, so ``semantic`` and ``aggregate`` do not read
 ``types.tsv`` back in the run that wrote it; ``aggregate`` leaves its
 table, so ``link`` and ``eval`` do not read ``reinforced.bin`` back.
-``wikitext`` is not kept, and nothing outlives the run.  A bad
+``aggregate`` blends into the ``wikitext`` table it loaded, so a run holds
+at most one entity-sized table at a time (`aggregate_table` still returns
+a new table), and nothing outlives the run.  A bad
 configuration value, or a path holding a NUL byte, ends in a `ConfigError`
 naming the key, the value and the line or ``--set``.
 """
@@ -215,10 +217,12 @@ class PipelineConfig:
 
 
 def _sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read 1 MiB at a time into one buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    buf = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
 
 
@@ -325,9 +329,12 @@ def _stage_semantic(shared, inputs, params, targets):
 
 def _stage_aggregate(shared, inputs, params, targets):
     cfg = semantic_aggregation.AggregationConfig(T=params["T"], alpha=params["alpha"])
-    wikitext = embed_io.load_table(inputs["wikitext"])  # not cached: freed when the stage returns
+    wikitext = embed_io.load_table(inputs["wikitext"])  # not cached: its matrix becomes the reinforced table's
+    matrix = wikitext.matrix
+    matrix.flags.writeable = True  # loaded just now and held nowhere else
     words = shared.table(inputs["words"])
-    table = semantic_aggregation.aggregate_table(wikitext, shared.assignments(inputs["types_file"]), words, cfg)
+    semantic_aggregation.blend_into(matrix, wikitext.labels, shared.assignments(inputs["types_file"]), words, cfg)
+    table = embed_io.EmbeddingTable(wikitext.dim, wikitext.labels, matrix)
     embed_io.save_table(table, targets[0])
     shared.tables[targets[0]] = table  # link and eval use it without reading it back
     return table

@@ -16,7 +16,10 @@ returns, and work in float64.
 Whole tables go through `semantic_means`, which maps each entity's type
 words to word-table rows and takes their means with `embed_io.row_means`;
 that rule adds the rows in the same order as `semantic_embedding`, which
-stays as the scalar reference, so both give the same bits.  Cosines and
+stays as the scalar reference, so both give the same bits.  `blend_into`
+is the one table blend: it writes the reinforced rows into a matrix in
+place, which the pipeline's ``aggregate`` stage does to the base table it
+loaded, and `aggregate_table` runs it on a copy.  Cosines and
 top-k neighbours use the table's cached row norms (`EmbeddingTable.cosines`,
 `embed_io.top_k`).
 """
@@ -141,30 +144,44 @@ def aggregate_table(
     words: EmbeddingTable,
     cfg: AggregationConfig,
 ) -> EmbeddingTable:
-    """Reinforce every covered entity; uncovered rows pass through bit-exact.
+    """Reinforce every covered entity in a new table; uncovered rows pass
+    through bit-exact, and ``wikitext`` is left as it was.
 
-    Output labels and order are identical to the input table.  A coverage
-    histogram (how many type words each entity contributed) is logged since
-    the same alpha applies regardless of coverage.
+    Output labels and order are identical to the input table.
     """
-    if wikitext.dim != words.dim:
+    matrix = wikitext.matrix.copy()
+    blend_into(matrix, wikitext.labels, assignments, words, cfg)
+    return EmbeddingTable(wikitext.dim, list(wikitext.labels), matrix)
+
+
+def blend_into(
+    matrix: np.ndarray,
+    labels: Sequence[str],
+    assignments: Mapping[str, EntityTypeAssignment],
+    words: EmbeddingTable,
+    cfg: AggregationConfig,
+) -> None:
+    """Overwrite each row of the writable float32 ``matrix`` whose label has
+    type words with `aggregate` of it and its semantic mean, rounded to
+    float32; a row without type words is not written, so it keeps its bits.
+
+    A coverage histogram (how many type words each entity contributed) is
+    logged since the same alpha applies regardless of coverage.
+    """
+    if matrix.shape[1] != words.dim:
         raise DimensionError(
-            f"entity table dim {wikitext.dim} != word table dim {words.dim}"
+            f"entity table dim {matrix.shape[1]} != word table dim {words.dim}"
         )
-    out = np.empty_like(wikitext.matrix)
     coverage: Counter = Counter()
-    rows_in_order = [assignments.get(label) for label in wikitext.labels]
+    rows_in_order = [assignments.get(label) for label in labels]
     for rows, means, counts in semantic_means(rows_in_order, words, cfg.T):
-        base = wikitext.matrix[rows]
-        out[rows] = aggregate(base, means, cfg.alpha)
-        np.copyto(out[rows], base, where=(counts == 0)[:, None])
+        np.copyto(matrix[rows], aggregate(matrix[rows], means, cfg.alpha), where=(counts > 0)[:, None])
         coverage.update(counts.tolist())
     if coverage:
         log.info(
             "reinforced %d entities (T=%d, alpha=%g); coverage histogram %s",
-            len(wikitext), cfg.T, cfg.alpha, dict(sorted(coverage.items())),
+            len(labels), cfg.T, cfg.alpha, dict(sorted(coverage.items())),
         )
-    return EmbeddingTable(wikitext.dim, list(wikitext.labels), out)
 
 
 def cosine(u, v) -> float:

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from semlink import embed_io
+from semlink import embed_io, pipeline
 from semlink.cli import cli
 from semlink.embed_io import (
     BLOCK_ROWS,
@@ -29,6 +29,7 @@ from semlink.errors import (
     NonFiniteError,
     TruncatedError,
 )
+from semlink.type_extraction import EntityTypeAssignment, read_assignments, write_assignments
 
 
 def write_reference_binary(path, entries, per_entry_newline=False):
@@ -637,7 +638,7 @@ def test_load_reads_what_the_per_entry_reader_reads(io_dir, chunk, raw):
 
 
 # ---------------------------------------------------------------------------
-# Memory: no load, save or normalisation holds a second copy of a table
+# Memory: no load, save, normalisation or blend holds a second copy of a table
 
 MiB = 1 << 20
 
@@ -686,3 +687,25 @@ def test_normalized_holds_its_result_and_one_float64_block(big_table_path):
     assert peak <= held + BLOCK_ROWS * table.dim * 8 + MiB // 4
     expected = (table.matrix / table.row_norms()[:, None]).astype(np.float32)
     assert unit.matrix.tobytes() == expected.tobytes()
+
+
+def test_aggregate_stage_holds_one_entity_table(big_table_path, tmp_path):
+    """The stage blends into the base table it loads, so its peak is that
+    table, the word table, the assignments and a few blocks, not two tables."""
+    table = load_binary(big_table_path)
+    rng = np.random.default_rng(6)
+    words = EmbeddingTable(table.dim, [f"w{i}" for i in range(200)],
+                           rng.standard_normal((200, table.dim)).astype(np.float32))
+    save_binary(words, tmp_path / "words.bin")
+    # 0 to 11 type words each, so some entities have none
+    assignments = {label: EntityTypeAssignment(label, [f"w{j}" for j in rng.choice(200, i % 12, replace=False)])
+                   for i, label in enumerate(table.labels)}
+    write_assignments(assignments, tmp_path / "types.tsv")
+    _, words_held, _ = traced(lambda: load_binary(tmp_path / "words.bin"))
+    _, types_held, _ = traced(lambda: read_assignments(tmp_path / "types.tsv"))
+    inputs = {"wikitext": big_table_path, "words": tmp_path / "words.bin", "types_file": tmp_path / "types.tsv"}
+    reinforced, _, peak = traced(
+        lambda: pipeline.run_stage("aggregate", inputs, {"T": 11, "alpha": 0.2}, [tmp_path / "r.bin"])
+    )
+    assert peak <= table.matrix.nbytes + words_held + types_held + 3 * MiB
+    assert reinforced.labels == table.labels

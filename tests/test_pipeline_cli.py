@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -262,6 +263,31 @@ class TestPipeline:
         manual_path = tmp_path / "manual.bin"
         save_binary(manual, manual_path)
         assert manual_path.read_bytes() == (out / "reinforced.bin").read_bytes()
+
+    def test_aggregate_stage_writes_what_aggregate_table_returns(self, tmp_path):
+        # the stage blends into the base table it loads; untyped rows, odd bits included, keep their bits
+        rng = np.random.default_rng(11)
+        words = EmbeddingTable(4, ["a", "b", "c"], rng.standard_normal((3, 4)).astype(np.float32))
+        odd = np.float32([-0.0, 1e-45, np.finfo(np.float32).max, -np.finfo(np.float32).tiny])
+        base = rng.standard_normal((6, 4)).astype(np.float32)
+        base[1], base[2] = odd, -odd
+        wikitext = EmbeddingTable(4, [f"e{i}" for i in range(6)], base)
+        # e1 has no type words and e2 no line; e5's words run past T
+        (tmp_path / "types.tsv").write_text("e0\ta,b\ne1\t\ne3\tc\ne4\tb,b,a\ne5\ta,b,c,a\n")
+        assignments = read_assignments(tmp_path / "types.tsv")
+        save_binary(words, tmp_path / "words.bin")
+        save_binary(wikitext, tmp_path / "wikitext.bin")
+        save_text(wikitext, tmp_path / "wikitext.txt")
+        for alpha in (0.0, 0.2, 1.0):
+            cfg = AggregationConfig(T=3, alpha=alpha)
+            save_binary(aggregate_table(wikitext, assignments, words, cfg), tmp_path / "expected.bin")
+            for source in ("wikitext.bin", "wikitext.txt"):
+                inputs = {"wikitext": tmp_path / source, "words": tmp_path / "words.bin",
+                          "types_file": tmp_path / "types.tsv"}
+                table = pipeline.run_stage("aggregate", inputs, {"T": 3, "alpha": alpha}, [tmp_path / "r.bin"])
+                assert (tmp_path / "r.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes(), (alpha, source)
+                assert table.matrix[1:3].tobytes() == base[1:3].tobytes()
+                assert not table.matrix.flags.writeable
 
     def test_unit_length_words_are_a_converted_table(self, fixture_dir, tmp_path):
         # unit-length word vectors come from `embed convert --normalize`, not a pipeline key

@@ -202,6 +202,18 @@ class TestAggregateTable:
         with pytest.raises(DimensionError):
             aggregate_table(entities, {}, words, AggregationConfig())
 
+    def test_input_table_is_left_as_it_was(self, rng):
+        # the blend runs on a copy: the input keeps its bytes and stays read-only
+        words, entities, assignments = self._setup(rng)
+        before = entities.matrix.tobytes()
+        for alpha in (0.0, 0.2, 1.0):
+            out = aggregate_table(entities, assignments, words, AggregationConfig(T=11, alpha=alpha))
+            assert not np.shares_memory(out.matrix, entities.matrix)
+            assert entities.matrix.tobytes() == before
+            assert not entities.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                entities.matrix[0, 0] = 1.0
+
 
 class TestCosine:
     def test_unit_cases(self):
