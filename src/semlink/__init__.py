@@ -2,10 +2,11 @@
 
 The package splits into embedding I/O (`embed_io`), dictionary building
 (`type_dictionary`), per-entity type extraction (`type_extraction`), the
-semantic/linear aggregation core (`semantic_aggregation`), the bilinear
-linking scorer and trainer (`linking_core`), evaluation and experiment
-drivers (`evaluation`), synthetic fixtures (`fixtures`), and the staged
-pipeline plus CLI (`pipeline`, `cli`).
+semantic/linear aggregation core (`semantic_aggregation`), linking
+documents and their file formats (`corpus`), the bilinear linking scorer and
+trainer (`linking_core`), evaluation and experiment drivers (`evaluation`),
+synthetic fixtures (`fixtures`), and the staged pipeline plus CLI
+(`pipeline`, `cli`).
 """
 
 __version__ = "0.1.0"

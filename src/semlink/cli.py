@@ -13,6 +13,7 @@ import sys
 import click
 
 from . import (
+    corpus,
     embed_io,
     evaluation,
     fixtures,
@@ -227,7 +228,7 @@ def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, 
 @click.option("--out", "out_path", required=True, type=click.Path())
 def link_infer(docs_path, entities, words, model_path, strategy, out_path):
     """Pick one candidate per mention; writes '<doc>\\t<idx>\\t<label>' TSV."""
-    docs = linking_core.load_documents(docs_path)
+    docs = corpus.load_documents(docs_path)
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
     model = linking_core.LinkingModel.load(model_path, relations=False)
@@ -245,8 +246,8 @@ def link_infer(docs_path, entities, words, model_path, strategy, out_path):
 @click.option("--window", default=25, show_default=True, help="Context tokens per side.")
 def link_convert(in_path, out_path, window):
     """Convert a CoNLL-style linking TSV to the JSONL corpus format."""
-    docs = linking_core.load_aida_tsv(in_path, window=window)
-    linking_core.save_linking_jsonl(docs, out_path)
+    docs = corpus.load_aida_tsv(in_path, window=window)
+    corpus.save_linking_jsonl(docs, out_path)
     click.echo(f"converted {len(docs)} documents -> {out_path}")
 
 
@@ -260,7 +261,7 @@ def link_convert(in_path, out_path, window):
 def link_score(docs_path, entities, words, model_path, assignments_path):
     """Document scores for given (or gold) assignments, TSV on stdout; the
     assignments must cover exactly the documents' mentions, as in eval f1."""
-    docs = linking_core.load_documents(docs_path)
+    docs = corpus.load_documents(docs_path)
     if assignments_path:
         chosen = _read_assignment_tsv(assignments_path)
         evaluation.check_alignment(chosen, {doc.doc_id: doc.mentions for doc in docs})
@@ -313,7 +314,7 @@ def eval_group():
 @click.option("--out", "out_path", type=click.Path())
 def eval_f1(docs_path, pred, out_path):
     """Micro precision/recall/F1 of predictions against gold."""
-    docs = linking_core.load_documents(docs_path)
+    docs = corpus.load_documents(docs_path)
     gold = evaluation.gold_map(docs)
     predictions = _read_assignment_tsv(pred)
     report = evaluation.micro_f1(predictions, gold)
@@ -376,8 +377,8 @@ def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, thet
     seed_list = _seed_list(seeds)
     cfg = linking_core.TrainConfig(margin=margin, lr=lr, epochs=epochs)
     evaluation.check_theta(theta)
-    train_docs = linking_core.load_documents(train_path)
-    dev_docs = linking_core.load_documents(dev_path)
+    train_docs = corpus.load_documents(train_path)
+    dev_docs = corpus.load_documents(dev_path)
     word_table = embed_io.load_table(words)
     base_table = embed_io.load_table(baseline)
     reinf_table = embed_io.load_table(reinforced)

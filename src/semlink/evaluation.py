@@ -17,11 +17,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Sized
 
+from .corpus import LinkingDocument
 from .embed_io import EmbeddingTable
 from .errors import AlignmentError, ConfigError, MissingLabelError
 # `train` is kept importable from here: perfbench's tracing test checks that a
 # function imported into a second module is wrapped under both names.
-from .linking_core import LinkingDocument, TrainConfig, TrainResult, train, train_runs  # noqa: F401
+from .linking_core import TrainConfig, TrainResult, train, train_runs  # noqa: F401
 from .semantic_aggregation import cosine
 
 

@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from ._text import json_lines, write_lines
+from .corpus import LinkingDocument, Mention, save_linking_jsonl
 from .embed_io import EmbeddingTable, save_binary
 from .errors import ConfigError
-from .linking_core import LinkingDocument, Mention, save_linking_jsonl
 from .type_dictionary import SemanticTypeDictionary
 from .type_extraction import ArticleRecord, EntityTypeAssignment, write_assignments
 

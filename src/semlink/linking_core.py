@@ -30,15 +30,16 @@ from __future__ import annotations
 import functools
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._text import COUNT_FIELD, FIELD_BREAK, read_lines, unbroken, write_lines
+from ._text import COUNT_FIELD, write_lines
+# the bench takes the JSONL reader and writer from this module
+from .corpus import LinkingDocument, Mention, load_linking_jsonl, save_linking_jsonl  # noqa: F401
 from .embed_io import BLOCK_ROWS, EmbeddingTable, row_means
 from .errors import (
     CapacityError,
@@ -54,31 +55,6 @@ from .errors import (
 
 EXHAUSTIVE_CAPACITY = 10**6
 STRATEGIES = ("exhaustive", "greedy-local")
-
-
-@dataclass
-class Mention:
-    """A text span with its context window, candidate set, and optional gold."""
-
-    surface: str
-    context: list[str] = field(default_factory=list)
-    candidates: list[str] = field(default_factory=list)
-    gold: Optional[str] = None
-
-    def gold_in_candidates(self) -> bool:
-        return self.gold is not None and self.gold in self.candidates
-
-
-@dataclass
-class LinkingDocument:
-    doc_id: str
-    mentions: list[Mention]
-
-    def __post_init__(self):
-        if not self.mentions:
-            raise InvalidDocumentError(f"document {self.doc_id!r} has no mentions")
-
-
 RELATION_WEIGHTINGS = ("uniform", "softmax")
 
 
@@ -131,6 +107,8 @@ class LinkingModel:
         except UnicodeDecodeError as e:
             line_no = data.count(b"\n", 0, e.start) + 1
             raise FormatError(f"non-ASCII byte 0x{data[e.start]:02x}", path=path, line=line_no) from None
+        while lines and not lines[-1].strip():  # trailing blank lines are skipped, as in every text input
+            lines.pop()
         if not lines:
             raise FormatError("empty model file", path=path)
         head = lines[0].split()
@@ -159,7 +137,7 @@ class LinkingModel:
                     path=path, line=line_no + 1,
                 )
             diags.append(np.asarray(values))
-        weighting = lines[need].strip() if len(lines) > need and lines[need].strip() else "uniform"
+        weighting = lines[need].strip() if len(lines) > need else "uniform"
         if weighting not in RELATION_WEIGHTINGS:
             raise FormatError(f"unknown relation weighting {weighting!r}", path=path, line=need + 1)
         try:
@@ -323,46 +301,44 @@ def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
     return features
 
 
-def _candidate_rows(mentions: Sequence[Mention], entities: EmbeddingTable) -> tuple[list[list[str]], list[int]]:
+def _candidate_rows(
+    docs: Sequence[LinkingDocument], entities: EmbeddingTable, usable: bool = False
+) -> tuple[list[list[str]], list[int]]:
     """Each mention's candidates in sorted label order, and their rows in
-    ``entities`` one mention after another.  A candidate missing from
-    ``entities`` is a `MissingLabelError` naming the first."""
-    labels = [sorted(m.candidates) for m in mentions]
-    row_of = entities._index
-    try:
-        rows = [row_of[c] for ls in labels for c in ls]
-    except KeyError as e:
-        raise MissingLabelError(f"label {e.args[0]!r} not in table") from None
+    ``entities`` one mention after another, over the mentions of ``docs``
+    (only those of `_usable`, with ``usable``).  A candidate missing from
+    ``entities`` is a `MissingLabelError` naming it, its mention and its
+    document."""
+    labels, rows, row_of = [], [], entities._index.__getitem__
+    for doc in docs:
+        for i, m in enumerate(doc.mentions):
+            if not usable or m.gold_in_candidates():
+                labels.append(ls := sorted(m.candidates))
+                try:
+                    rows += map(row_of, ls)
+                except KeyError as e:
+                    raise MissingLabelError(f"label {e.args[0]!r} not in table: mention {i} of {doc.doc_id!r}") from None
     return labels, rows
 
 
-def _naming_mention(error: MissingLabelError, docs, tables, usable: bool) -> MissingLabelError:
-    """``error``, raised by `_candidate_rows` while ``docs`` were packed for
-    each of ``tables`` in turn (only the mentions of `_usable`, with
-    ``usable``), naming the mention it met and its document.  Searched only
-    once packing has failed, so the packs keep one lookup per label."""
-    for table, doc in itertools.product(tables, docs):
-        for i, m in enumerate(doc.mentions):
-            if (m.gold_in_candidates() or not usable) and not all(map(table.__contains__, m.candidates)):
-                return MissingLabelError(f"{error}: mention {i} of {doc.doc_id!r}")
-
-
 def _pack_candidates(
-    mentions: Sequence[Mention],
+    docs: Sequence[LinkingDocument],
     entities: EmbeddingTable,
     words: EmbeddingTable,
     features: Optional[np.ndarray] = None,
     candidates: Optional[tuple[list[list[str]], list[int]]] = None,
+    usable: bool = False,
 ) -> _CandidateBlock:
-    """Pack ``mentions`` into the one layout of training, dev F1 and
-    inference: the sorted labels, the (N, d) features, and the (S, d) float64
-    rows of every mention's candidates one after another (S = sum k_i), taken
-    with one ``take``.  ``features`` are the mentions' context features and
+    """Pack the mentions of ``docs`` (only those of `_usable`, with
+    ``usable``) into the one layout of training, dev F1 and inference: the
+    sorted labels, the (N, d) features, and the (S, d) float64 rows of every
+    mention's candidates one after another (S = sum k_i), taken with one
+    ``take``.  ``features`` are the mentions' context features and
     ``candidates`` their `_candidate_rows`, if known."""
     _check_dims(entities, words)
     if features is None:
-        features = _features(mentions, words)
-    labels, rows = _candidate_rows(mentions, entities) if candidates is None else candidates
+        features = _features(_usable(docs) if usable else [m for doc in docs for m in doc.mentions], words)
+    labels, rows = _candidate_rows(docs, entities, usable) if candidates is None else candidates
     vectors = entities.matrix.take(rows, axis=0).astype(np.float64)
     return _CandidateBlock(labels, features, vectors, [0, *itertools.accumulate(map(len, labels))])
 
@@ -480,10 +456,7 @@ def _check_document(doc: LinkingDocument, model: LinkingModel, entities: Embeddi
     if strategy == "exhaustive" and math.prod(len(m.candidates) for m in doc.mentions) > EXHAUSTIVE_CAPACITY:
         raise CapacityError(f"candidate product exceeds {EXHAUSTIVE_CAPACITY}; use strategy='greedy-local'")
     _check_dims(entities, words)
-    try:
-        return _candidate_rows(doc.mentions, entities)
-    except MissingLabelError as e:
-        raise _naming_mention(e, [doc], [entities], usable=False) from None
+    return _candidate_rows([doc], entities)
 
 
 def _checked_runs(docs: Sequence[LinkingDocument], model: LinkingModel, entities: EmbeddingTable,
@@ -512,8 +485,7 @@ def infer_documents(docs: Sequence[LinkingDocument], model: LinkingModel, entiti
     the error that a loop of `infer` calls raises first."""
     out = []
     for run, candidates in _checked_runs(docs, model, entities, words, strategy, pairwise):
-        block = _pack_candidates([m for doc in run for m in doc.mentions], entities, words,
-                                 candidates=candidates)
+        block = _pack_candidates(run, entities, words, candidates=candidates)
         bounds = itertools.pairwise(itertools.accumulate((len(doc.mentions) for doc in run), initial=0))
         if strategy == "greedy-local":
             picks = [ls[p] for ls, p in zip(block.labels, _greedy_picks(block, model.B))]
@@ -622,7 +594,7 @@ def _build_instances(
     other usable gold, are +0.0.
     """
     trainable = _usable(docs)
-    block = _pack_candidates(trainable, entities, words, features)
+    block = _pack_candidates(docs, entities, words, features, usable=True)
     features, S = block.features, len(block.vectors)
     gold_at = block.gold_positions(trainable)[:, None]
     columns = np.arange(block.padded.shape[1] - 1)
@@ -872,10 +844,7 @@ def train_runs(
         raise ValueError("need at least one table and one seed")
     # which mentions count, and their context features, do not depend on the table
     features = _features(_usable(train_docs), words)
-    try:
-        built = [_build_instances(train_docs, t, words, config.train_pairwise, features) for t in tables]
-    except MissingLabelError as e:
-        raise _naming_mention(e, train_docs, tables, usable=True) from None
+    built = [_build_instances(train_docs, t, words, config.train_pairwise, features) for t in tables]
     sets, skipped = [instances for instances, _ in built], built[0][1]
     N = len(sets[0])
     if not N:
@@ -886,10 +855,7 @@ def train_runs(
             _check_candidates(doc)
         usable = _usable(dev_docs)
         features = _features(usable, words)
-        try:
-            devs = [_pack_candidates(usable, t, words, features) for t in tables]
-        except MissingLabelError as e:
-            raise _naming_mention(e, dev_docs, tables, usable=True) from None
+        devs = [_pack_candidates(dev_docs, t, words, features, usable=True) for t in tables]
         # sorted candidate labels do not depend on the table
         gold = devs[0].gold_positions(usable)
 
@@ -963,201 +929,3 @@ def train(
 ) -> TrainResult:
     """One run of `train_runs`: ``entities`` with seed ``config.seed``."""
     return train_runs(train_docs, [entities], words, config, [config.seed], dev_docs)[0]
-
-
-# ---------------------------------------------------------------------------
-# Corpus I/O
-
-
-def save_linking_jsonl(docs: Iterable[LinkingDocument], path) -> None:
-    """One JSON document per line: doc_id plus mention records."""
-    write_lines(path, (
-        json.dumps({
-            "doc_id": doc.doc_id,
-            "mentions": [
-                {"surface": m.surface, "context": m.context, "candidates": m.candidates, "gold": m.gold}
-                for m in doc.mentions
-            ],
-        }, sort_keys=True)
-        for doc in docs
-    ))
-
-
-def load_linking_jsonl(path) -> list[LinkingDocument]:
-    """One document per line; a repeated ``doc_id`` or one holding a tab or a
-    line break, or a candidate listed twice in one mention once priors are
-    stripped, is a `FormatError` naming the line."""
-    docs: dict[str, LinkingDocument] = {}
-    for line_no, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            raise FormatError("invalid JSON", path=path, line=line_no) from None
-        try:
-            doc = _document_from(record)
-        except KeyError as e:
-            raise FormatError(f"missing field {e}", path=path, line=line_no) from None
-        except FormatError as e:
-            raise FormatError(str(e), path=path, line=line_no) from None
-        if doc.doc_id in docs:
-            raise FormatError(f"repeated doc_id {doc.doc_id!r}", path=path, line=line_no)
-        docs[doc.doc_id] = doc
-    return list(docs.values())
-
-
-_JSON_NAMES = {
-    dict: "object", list: "array", str: "string", int: "number", float: "number",
-    bool: "boolean", type(None): "null",
-}
-
-
-_is_str = str.__instancecheck__
-
-
-def _checked(value, kind: type, what: str):
-    """``value`` if it is a ``kind``; a `FormatError` naming ``what`` otherwise."""
-    if not isinstance(value, kind):
-        got = _JSON_NAMES.get(type(value), type(value).__name__)
-        raise FormatError(f"{what} must be a JSON {_JSON_NAMES[kind]}, not {got}")
-    return value
-
-
-def _document_from(record) -> LinkingDocument:
-    """The document of one JSONL record; a `FormatError` names a mistyped field.
-
-    Context tokens are hashed as they are and candidate lists are iterated,
-    so a string in place of a list, or a non-string token, would otherwise
-    pass as characters or as out-of-vocabulary words.
-    """
-    _checked(record, dict, "record")
-    mentions = []
-    for m in _checked(record["mentions"], list, "mentions"):
-        _checked(m, dict, "mention")
-        gold = m.get("gold")
-        if gold is not None:
-            _checked(gold, str, "gold")
-        context = _checked(m.get("context", []), list, "context")
-        # one C-level pass over the tokens; the slow path only names the culprit
-        if not all(map(_is_str, context)):
-            _checked(next(t for t in context if not _is_str(t)), str, "context token")
-        mentions.append(Mention(
-            surface=_checked(m["surface"], str, "surface"),
-            context=context,
-            candidates=_checked_candidates([_strip_prior(c) for c in _checked(m["candidates"], list, "candidates")]),
-            gold=gold,
-        ))
-    doc_id = unbroken(_checked(record["doc_id"], str, "doc_id"), "doc_id")
-    if not mentions:
-        raise FormatError(f"document {doc_id!r} has no mentions")
-    return LinkingDocument(doc_id, mentions)
-
-
-def _checked_candidates(candidates: list[str]) -> list[str]:
-    """``candidates``; a label listed twice, after prior stripping, or one
-    holding a tab or a line break is a `FormatError` naming it."""
-    # one search over the joined labels; the loop only names the culprit
-    if FIELD_BREAK.search("".join(candidates)):
-        for c in candidates:
-            unbroken(c, "candidate")
-    if len(set(candidates)) < len(candidates):
-        seen: set[str] = set()
-        for c in candidates:
-            if c in seen:
-                raise FormatError(f"repeated candidate {c!r}")
-            seen.add(c)
-    return candidates
-
-
-def _strip_prior(candidate) -> str:
-    """Candidates may arrive as ``[label, prior]`` or as 'label:prior' with a
-    prior in [0, 1]; priors are ignored.  Any other ':'-suffix is part of
-    the label.  A label that is not a string is a `FormatError`."""
-    if isinstance(candidate, (list, tuple)):
-        if not candidate:
-            raise FormatError("candidate pair must be [label, prior], got []")
-        return _checked(candidate[0], str, "candidate label")
-    text = _checked(candidate, str, "candidate")
-    head, sep, tail = text.rpartition(":")
-    if sep and head:
-        try:
-            prior = float(tail)
-        except ValueError:
-            return text
-        if 0.0 <= prior <= 1.0:  # false for nan
-            return head
-    return text
-
-
-def load_documents(path, window: int = 25) -> list[LinkingDocument]:
-    """`load_aida_tsv` with ``window`` for a ``.tsv`` or ``.conll`` file, else `load_linking_jsonl`."""
-    if Path(path).suffix.lower() in (".tsv", ".conll"):
-        return load_aida_tsv(path, window=window)
-    return load_linking_jsonl(path)
-
-
-def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
-    """Load a simplified CoNLL-style linking TSV.
-
-    Lines are either ``-DOCSTART- (<doc_id>)``, a bare token, or a mention
-    line ``<token>\\tB\\t<surface>\\t<gold>\\t<cand1,cand2,...>``; a
-    ``<token>\\tI`` line right after a mention's last token extends the
-    mention, and is a plain token anywhere else.  Context windows take
-    ``window`` tokens from each side of the mention, excluding the mention
-    itself.  A gold of ``--NME--`` becomes None (out-of-KB).  A document
-    with no mention line is dropped.  A bare ``-DOCSTART-`` is named
-    ``doc<n>``, after its place among the kept documents, with ``n`` raised
-    past every id the file writes and every name already given.  A negative
-    ``window`` is a `ConfigError`; a repeated doc id, or one holding a tab,
-    is a `FormatError` naming its ``-DOCSTART-`` line, and a candidate
-    listed twice on a mention line, once priors are stripped, one naming
-    that line.  The whole file is parsed before any document is built, so
-    of a bad line and a repeated id, the bad line is reported.
-    """
-    if window < 0:
-        raise ConfigError(f"window must be >= 0, got {window}")
-    # one record per -DOCSTART-: its id ("" if bare), its line, its tokens and
-    # its spans, each [start, end, surface, gold, candidates]
-    records: list[tuple[str, int, list[str], list[list]]] = []
-    for line_no, line in read_lines(path):
-        if not line.strip():
-            continue
-        if line.startswith("-DOCSTART-"):
-            doc_id = unbroken(line[len("-DOCSTART-") :].strip().strip("()"), "doc_id", path, line_no)
-            records.append((doc_id, line_no, tokens := [], spans := []))
-            continue
-        if not records:
-            raise FormatError("token line before any -DOCSTART-", path=path, line=line_no)
-        parts = line.split("\t")
-        if len(parts) > 1 and parts[1] == "I":
-            if spans and spans[-1][1] == len(tokens):  # an I line right after a span extends it
-                spans[-1][1] += 1
-        elif len(parts) > 1:
-            if parts[1] != "B" or len(parts) < 5:
-                raise FormatError("expected '<token>\\tB\\t<surface>\\t<gold>\\t<cands>'", path=path, line=line_no)
-            try:
-                cands = _checked_candidates([_strip_prior(c) for c in parts[4].split(",") if c])
-            except FormatError as e:
-                raise FormatError(e.reason, path=path, line=line_no) from None
-            gold = parts[3] if parts[3] != "--NME--" else None
-            spans.append([len(tokens), len(tokens) + 1, parts[2], gold, cands])
-        tokens.append(parts[0].lower())
-    written = {doc_id for doc_id, *_ in records}
-    docs: dict[str, LinkingDocument] = {}
-    for doc_id, doc_line, tokens, spans in records:
-        if not spans:
-            continue
-        if not doc_id:
-            n = len(docs)
-            while f"doc{n}" in written or f"doc{n}" in docs:
-                n += 1
-            doc_id = f"doc{n}"
-        elif doc_id in docs:
-            raise FormatError(f"repeated doc_id {doc_id!r}", path=path, line=doc_line)
-        docs[doc_id] = LinkingDocument(doc_id, [
-            Mention(surface, tokens[max(0, start - window) : start] + tokens[end : end + window], cands, gold)
-            for start, end, surface, gold, cands in spans
-        ])
-    return list(docs.values())

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from . import embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
+from . import corpus, embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
 from ._text import json_lines, read_lines, write_files, write_lines
 from .errors import ConfigError, FormatError, SemlinkError, StageError
 
@@ -346,8 +346,8 @@ def _stage_link(shared, inputs, params, targets):
     )
     words = shared.table(inputs["words"])
     entities = shared.table(inputs["reinforced"])
-    train_docs = linking_core.load_documents(inputs["train"], params["window"])
-    dev_docs = linking_core.load_documents(inputs["dev"], params["window"]) if "dev" in inputs else None
+    train_docs = corpus.load_documents(inputs["train"], params["window"])
+    dev_docs = corpus.load_documents(inputs["dev"], params["window"]) if "dev" in inputs else None
     result = linking_core.train(train_docs, entities, words, cfg, dev_docs=dev_docs)
     write_files(zip(targets, (result.model.lines(), json_lines(result.trace()))))
     return result
@@ -357,7 +357,7 @@ def _stage_eval(shared, inputs, params, targets):
     words = shared.table(inputs["words"])
     entities = shared.table(inputs["reinforced"])
     model = linking_core.LinkingModel.load(inputs["model"], relations=False)
-    docs = linking_core.load_documents(inputs["eval"], params["window"])
+    docs = corpus.load_documents(inputs["eval"], params["window"])
     picks = linking_core.infer_documents(docs, model, entities, words, strategy=params["strategy"])
     predictions = {doc.doc_id: labels for doc, labels in zip(docs, picks)}
     report = evaluation.micro_f1(predictions, evaluation.gold_map(docs))

@@ -241,9 +241,9 @@ def _read_remap_file(path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise FormatError("expected '<from>\\t<to>'", path=path, line=line_no)
-        # keys keep their surface form (possibly spaced); targets must be
-        # single embeddable labels
-        source = parts[0].strip().lower()
+        # extraction looks words up underscore-joined, so a source is
+        # normalized as a seed word is
+        source = normalize_type_word(parts[0])
         if source in remap:
             raise FormatError(f"repeated remap source {source!r}", path=path, line=line_no)
         remap[source] = normalize_type_word(parts[1])

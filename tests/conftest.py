@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from semlink.corpus import LinkingDocument, Mention
 from semlink.embed_io import EmbeddingTable
 from semlink.linking_core import LinkingModel
 
@@ -91,3 +92,26 @@ def make_table(rng):
 def identity_model(dim, n_relations=0):
     """The untrained model: every diagonal all ones."""
     return LinkingModel(dim, np.ones(dim), np.ones(dim), [np.ones(dim) for _ in range(n_relations)])
+
+
+def toy_world(rng, n_entities=6, dim=4, prefix="E"):
+    labels = [f"{prefix}{i}" for i in range(n_entities)]
+    entities = EmbeddingTable(dim, labels, rng.standard_normal((n_entities, dim)).astype(np.float32))
+    wlabels = [f"w{i}" for i in range(10)]
+    words = EmbeddingTable(dim, wlabels, rng.standard_normal((10, dim)).astype(np.float32))
+    return entities, words, labels, wlabels
+
+
+def random_doc(rng, labels, wlabels, n_mentions, n_cands, with_gold=True, doc_id="d"):
+    mentions = []
+    for _ in range(n_mentions):
+        cands = list(rng.choice(labels, size=n_cands, replace=False))
+        mentions.append(
+            Mention(
+                surface="m",
+                context=list(rng.choice(wlabels, size=6)),
+                candidates=cands,
+                gold=cands[int(rng.integers(n_cands))] if with_gold else None,
+            )
+        )
+    return LinkingDocument(doc_id, mentions)

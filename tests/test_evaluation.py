@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from semlink.corpus import LinkingDocument, Mention
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import AlignmentError, ConfigError, EmptyTrainingError, MissingLabelError
 from semlink.evaluation import (
@@ -21,7 +22,7 @@ from semlink.evaluation import (
     summarize_runs,
 )
 from semlink.fixtures import FixtureSizes, generate_fixture
-from semlink.linking_core import LinkingDocument, Mention, TrainConfig, train
+from semlink.linking_core import TrainConfig, train
 from semlink.semantic_aggregation import AggregationConfig, aggregate, aggregate_table
 
 # frozen Student-t 97.5% quantiles by degrees of freedom (statistics tables)

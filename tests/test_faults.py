@@ -35,9 +35,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from semlink.cli import main
+from semlink.corpus import load_linking_jsonl
 from semlink.embed_io import load_binary
 from semlink.fixtures import FixtureSizes, make_fixtures
-from semlink.linking_core import load_linking_jsonl
 from semlink.pipeline import STAGE_ORDER, STAGES
 
 from test_pipeline_cli import PINNED

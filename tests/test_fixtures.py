@@ -31,7 +31,7 @@ class TestEmptySizes:
     def test_empty_files_are_valid(self, tmp_path):
         paths = make_fixtures(1, FixtureSizes.empty(), tmp_path / "e")
         from semlink.embed_io import load_binary
-        from semlink.linking_core import load_linking_jsonl
+        from semlink.corpus import load_linking_jsonl
 
         assert len(load_binary(paths["words"])) == 0
         assert len(load_binary(paths["wikitext"])) == 0

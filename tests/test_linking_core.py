@@ -1,12 +1,9 @@
 """Bilinear scores vs naive oracles, inference vs enumeration, trainer checks."""
 
 import itertools
-import json
 import re
-import tempfile
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +24,9 @@ from semlink.errors import (
     SemlinkError,
 )
 from semlink.evaluation import gold_map, micro_f1
+from semlink.corpus import LinkingDocument, Mention
 from semlink.linking_core import (
-    LinkingDocument,
     LinkingModel,
-    Mention,
     STRATEGIES,
     TrainConfig,
     TrainResult,
@@ -38,15 +34,11 @@ from semlink.linking_core import (
     document_score,
     infer,
     infer_documents,
-    load_aida_tsv,
-    load_documents,
-    load_linking_jsonl,
     local_score,
     margin_loss_and_gradient,
     pairwise_score,
     relation_pairwise_score,
     relation_weights,
-    save_linking_jsonl,
     train,
     train_runs,
     _build_instances,
@@ -56,12 +48,11 @@ from semlink.linking_core import (
     _hinges,
     _local_scores,
     _pack_candidates,
-    _strip_prior,
     _TrainingSet,
     _usable,
 )
 
-from conftest import identity_model
+from conftest import identity_model, random_doc, toy_world
 
 
 def table_from(rows):
@@ -158,7 +149,7 @@ def test_batched_gathers_equal_per_token_and_per_mention_loops(world):
             # a gather of `chunk` mentions at the widest context
             mp.setattr(embed_io, "BLOCK_ROWS", chunk * max(width, 1))
         features = _features(mentions, words)
-        block = _pack_candidates(mentions, entities, words)
+        block = _pack_candidates([LinkingDocument(str(n), [m]) for n, m in enumerate(mentions)], entities, words)
         singles = [context_feature(m, words) for m in mentions]
     want = np.zeros((len(mentions), words.dim))
     for n, m in enumerate(mentions):
@@ -393,29 +384,6 @@ class TestRelationScore:
         w = relation_weights(model, rng.standard_normal(5), rng.standard_normal(5))
         assert w.sum() == pytest.approx(1.0)
         assert (w > 0).all()
-
-
-def toy_world(rng, n_entities=6, dim=4, prefix="E"):
-    labels = [f"{prefix}{i}" for i in range(n_entities)]
-    entities = EmbeddingTable(dim, labels, rng.standard_normal((n_entities, dim)).astype(np.float32))
-    wlabels = [f"w{i}" for i in range(10)]
-    words = EmbeddingTable(dim, wlabels, rng.standard_normal((10, dim)).astype(np.float32))
-    return entities, words, labels, wlabels
-
-
-def random_doc(rng, labels, wlabels, n_mentions, n_cands, with_gold=True, doc_id="d"):
-    mentions = []
-    for _ in range(n_mentions):
-        cands = list(rng.choice(labels, size=n_cands, replace=False))
-        mentions.append(
-            Mention(
-                surface="m",
-                context=list(rng.choice(wlabels, size=6)),
-                candidates=cands,
-                gold=cands[int(rng.integers(n_cands))] if with_gold else None,
-            )
-        )
-    return LinkingDocument(doc_id, mentions)
 
 
 class TestDocumentScore:
@@ -771,7 +739,7 @@ def reference_score_tensor(doc, model, entities, words, pairwise):
 
 
 def assert_same_score_tensor(doc, model, entities, words, pairwise):
-    block = _pack_candidates(doc.mentions, entities, words)
+    block = _pack_candidates([doc], entities, words)
     got = linking_core._score_tensor(block, model, pairwise)
     want = reference_score_tensor(doc, model, entities, words, pairwise)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -820,7 +788,7 @@ def test_slices_of_one_pack_give_each_documents_reference_tensor(rng, mode):
     model, pairwise = random_model(rng, 7, mode), "diagonal" if mode == "diagonal" else "relations"
     docs = [random_doc(rng, labels, wlabels, n, k, doc_id=f"d{i}")
             for i, (n, k) in enumerate([(1, 3), (4, 2), (2, 4), (5, 3), (3, 1), (2, 2)])]
-    block = _pack_candidates([m for doc in docs for m in doc.mentions], entities, words)
+    block = _pack_candidates(docs, entities, words)
     a = 0
     for doc in docs:
         b = a + len(doc.mentions)
@@ -906,7 +874,8 @@ def test_infer_documents_in_runs_equals_per_document_infer(rng, monkeypatch, str
     packed = []  # the mentions of each pack
     pack = linking_core._pack_candidates
     monkeypatch.setattr(linking_core, "_pack_candidates",
-                        lambda mentions, *a, **kw: packed.append(mentions) or pack(mentions, *a, **kw))
+                        lambda run, *a, **kw: packed.append([m for doc in run for m in doc.mentions])
+                        or pack(run, *a, **kw))
     for pairwise in ("diagonal", "relations"):
         want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
         packed.clear()
@@ -1275,7 +1244,7 @@ def per_step_train_runs(train_docs, tables, words, config, seeds, dev_docs):
     devs = None
     if dev_docs is not None:
         usable = _usable(dev_docs)
-        devs = [_pack_candidates(usable, t, words) for t in tables]
+        devs = [_pack_candidates(dev_docs, t, words, usable=True) for t in tables]
         gold = devs[0].gold_positions(usable)
     N, R = len(sets[0]), len(tables) * len(seeds)
     table_of = [r // len(seeds) for r in range(R)]
@@ -1624,7 +1593,7 @@ class TestModelIO:
 
     @pytest.mark.parametrize("content, line", [
         ("2 0\n1 1\n1 1\nuniform\n7 7 7\ngarbage\n", 5),  # used to load as K = 0
-        ("2 1\n1 1\n1 1\n1 1\nsoftmax\n\n", 6),
+        ("2 1\n1 1\n1 1\n1 1\nsoftmax\n\n7 7\n", 6),  # after a blank line
         ("2 1\n1 1\n1 1\n1 1\n\n7 7\n", 6),  # after a blank weighting line
     ])
     def test_line_after_the_weighting_line_is_an_error(self, tmp_path, content, line):
@@ -1636,6 +1605,16 @@ class TestModelIO:
         p.write_text("".join(content.splitlines(keepends=True)[:line - 1]), "ascii")
         assert LinkingModel.load(p).K == int(content[2])
 
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", " \n\t\n", "\r\n"])
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_trailing_blank_lines_are_skipped(self, tmp_path, K, tail):
+        """`save` output plus blank lines reads as the saved model, as blank lines do in every text input."""
+        p = tmp_path / "m.txt"
+        model = LinkingModel(2, [1, -2], [0.5, 3], [[4, 5]] * K, "softmax" if K else "uniform")
+        model.save(p)
+        p.write_bytes(p.read_bytes() + tail.encode())
+        assert LinkingModel.load(p).lines() == model.lines()
+
     def test_relations_false_refuses_relation_diagonals(self, tmp_path):
         p = tmp_path / "m.txt"
         identity_model(2, 1).save(p)
@@ -1645,168 +1624,3 @@ class TestModelIO:
         assert str(p) in str(e.value)
         identity_model(2).save(p)
         assert LinkingModel.load(p, relations=False).K == 0
-
-
-class TestCorpusIO:
-    def test_jsonl_round_trip(self, rng, tmp_path):
-        entities, words, labels, wlabels = toy_world(rng)
-        docs = [random_doc(rng, labels, wlabels, 2, 3, doc_id=f"d{i}") for i in range(4)]
-        p = tmp_path / "docs.jsonl"
-        save_linking_jsonl(docs, p)
-        again = load_linking_jsonl(p)
-        assert len(again) == 4
-        for d1, d2 in zip(docs, again):
-            assert d1.doc_id == d2.doc_id
-            for m1, m2 in zip(d1.mentions, d2.mentions):
-                assert (m1.surface, m1.context, m1.candidates, m1.gold) == (
-                    m2.surface, m2.context, m2.candidates, m2.gold,
-                )
-
-    def test_jsonl_bad_line(self, tmp_path):
-        p = tmp_path / "docs.jsonl"
-        p.write_text("{not json}\n", "utf-8")
-        with pytest.raises(FormatError):
-            load_linking_jsonl(p)
-
-    def test_aida_style_tsv(self, tmp_path):
-        p = tmp_path / "corpus.tsv"
-        p.write_text(
-            "-DOCSTART- (doc_a)\n"
-            "The\n"
-            "president\n"
-            "visited\tB\tvisited City\tCity_X\tCity_X:0.9,City_Y:0.1\n"
-            "today\n"
-            "-DOCSTART- (doc_b)\n"
-            "A\n"
-            "striker\tB\tstriker\t--NME--\tPlayer_1,Player_2\n",
-            "utf-8",
-        )
-        docs = load_aida_tsv(p, window=2)
-        assert [d.doc_id for d in docs] == ["doc_a", "doc_b"]
-        m = docs[0].mentions[0]
-        assert m.candidates == ["City_X", "City_Y"]  # priors stripped
-        assert m.gold == "City_X"
-        assert m.context == ["the", "president", "today"]
-        assert docs[1].mentions[0].gold is None
-
-    def test_jsonl_repeated_candidate_names_file_and_line(self, tmp_path):
-        # after prior stripping all three forms are 'e2'
-        good = {"doc_id": "a", "mentions": [{"surface": "x", "candidates": ["e1", "e2"]}]}
-        bad = {"doc_id": "b", "mentions": [{"surface": "x", "candidates": ["e1", "e2", "e2:0.5", ["e2", 0.1]]}]}
-        p = tmp_path / "docs.jsonl"
-        p.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", "utf-8")
-        with pytest.raises(FormatError, match="repeated candidate 'e2'") as e:
-            load_linking_jsonl(p)
-        assert (e.value.path, e.value.line) == (p, 2)
-
-    def test_tsv_repeated_candidate_names_file_and_line(self, tmp_path):
-        p = tmp_path / "corpus.tsv"
-        p.write_text("-DOCSTART- (d)\na\nx\tB\tx\tX\tX:0.9,Y,Y:0.1\n", "utf-8")
-        with pytest.raises(FormatError, match="repeated candidate 'Y'") as e:
-            load_aida_tsv(p)
-        assert (e.value.path, e.value.line) == (p, 3)
-
-    def test_tsv_b_and_i_lines_make_one_span(self, tmp_path):
-        p = tmp_path / "corpus.tsv"
-        p.write_text("-DOCSTART- (d)\na\nb\nNew\tB\tNew York City\tNYC\tNYC,York\nYork\tI\n"
-                     "City\tI\tmore\tfields\nc\nd\tI\ne\n", "utf-8")
-        (m,) = load_aida_tsv(p, window=2)[0].mentions
-        assert (m.surface, m.candidates, m.gold) == ("New York City", ["NYC", "York"], "NYC")
-        # the window skips all three span tokens; the later I line is a plain token
-        assert m.context == ["a", "b", "c", "d"]
-
-    def test_tsv_i_line_after_a_plain_token_stays_a_token(self, tmp_path):
-        p = tmp_path / "corpus.tsv"
-        p.write_text("-DOCSTART- (d)\nYork\tI\nx\tB\tx\tX\tX\ny\nz\tI\n", "utf-8")
-        (m,) = load_aida_tsv(p, window=5)[0].mentions
-        assert m.context == ["york", "y", "z"]
-
-    @given(st.data())
-    def test_conll_written_documents_read_back(self, data):
-        """Documents written as CoNLL by this test read back as the same
-        documents; those with no mention are dropped."""
-        words = st.text("abcdefghij", min_size=1, max_size=4)
-        labels = st.text("ABC_", min_size=1, max_size=3)
-        window = data.draw(st.integers(0, 4))
-        expected, lines = [], []
-        for n in range(data.draw(st.integers(0, 4))):
-            lines.append(f"-DOCSTART- (d{n})")
-            tokens, spans = [], []
-            # each item is a plain token (None) or a mention of 1-3 tokens
-            for item in data.draw(st.lists(st.one_of(st.none(), st.lists(words, min_size=1, max_size=3)),
-                                           max_size=8)):
-                if item is None:
-                    tokens.append(data.draw(words))
-                    lines.append(tokens[-1])
-                    continue
-                candidates = data.draw(st.lists(labels, max_size=3, unique=True))
-                gold = data.draw(st.sampled_from([*candidates, None, "Z"]))
-                spans.append((len(tokens), len(tokens) + len(item), " ".join(item), gold, candidates))
-                tokens += item
-                lines.append(f"{item[0]}\tB\t{spans[-1][2]}\t{gold or '--NME--'}\t{','.join(candidates)}")
-                lines += [f"{word}\tI" for word in item[1:]]
-            if spans:
-                expected.append(LinkingDocument(f"d{n}", [
-                    Mention(surface, tokens[max(0, a - window) : a] + tokens[b : b + window], candidates, gold)
-                    for a, b, surface, gold, candidates in spans
-                ]))
-        with tempfile.TemporaryDirectory() as tmp:
-            p = Path(tmp) / "corpus.conll"
-            p.write_text("".join(f"{line}\n" for line in lines), "utf-8")
-            assert load_aida_tsv(p, window=window) == expected
-
-    @pytest.mark.parametrize("candidate", ["a\tb", "a\nb", "a\rb", "a\tb:0.5", ["a\tb", 0.5]],
-                             ids=["tab", "newline", "return", "tab-and-prior", "tab-in-pair"])
-    def test_jsonl_candidate_with_a_tab_or_line_break_names_file_and_line(self, tmp_path, candidate):
-        """`link infer` writes each pick as one TSV field, so a label that would split it is refused."""
-        good = {"doc_id": "a", "mentions": [{"surface": "x", "candidates": ["e1"]}]}
-        bad = {"doc_id": "b", "mentions": [good["mentions"][0], {"surface": "x", "candidates": ["e1", candidate]}]}
-        p = tmp_path / "docs.jsonl"
-        p.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", "utf-8")
-        label = candidate[0] if isinstance(candidate, list) else candidate.removesuffix(":0.5")
-        with pytest.raises(FormatError, match=re.escape(f"candidate {label!r} holds a tab or a line break")) as e:
-            load_linking_jsonl(p)
-        assert (e.value.path, e.value.line) == (p, 2)
-
-    @pytest.mark.parametrize("doc_id", ["a\tb", "a\nb", "a\rb", "\t"])
-    def test_jsonl_doc_id_with_a_tab_or_line_break_names_file_and_line(self, tmp_path, doc_id):
-        """Every TSV output is keyed by the doc id, so one that would split its line is refused."""
-        good = {"doc_id": "a b", "mentions": [{"surface": "x", "candidates": ["e1"]}]}
-        p = tmp_path / "docs.jsonl"
-        p.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'doc_id': doc_id})}\n", "utf-8")
-        with pytest.raises(FormatError, match=re.escape(f"doc_id {doc_id!r} holds a tab or a line break")) as e:
-            load_linking_jsonl(p)
-        assert (e.value.path, e.value.line) == (p, 2)
-
-    @pytest.mark.parametrize("name", ["docs.tsv", "docs.CONLL", "docs.jsonl", "docs"])
-    def test_load_documents_reads_by_suffix(self, tmp_path, name):
-        tsv = "-DOCSTART- (d)\na\nb\nx\tB\tx\tX\tX,Y\nc\nd\n"
-        docs = [LinkingDocument("d", [Mention("x", ["a", "b", "c", "d"], ["X", "Y"], "X")])]
-        p = tmp_path / name
-        if name.lower().endswith((".tsv", ".conll")):
-            p.write_text(tsv, "utf-8")
-            assert load_documents(p, window=1) == load_aida_tsv(p, window=1)
-            assert load_documents(p) == docs
-        else:
-            save_linking_jsonl(docs, p)
-            assert load_documents(p, window=1) == docs
-
-    @pytest.mark.parametrize("text, label", [
-        ("City_X:0.9", "City_X"),
-        ("City_X:0", "City_X"),
-        ("City_X:1.0", "City_X"),
-        ("a:b:0.25", "a:b"),
-        ("Apollo:11", "Apollo:11"),
-        ("x:nan", "x:nan"),
-        ("y:inf", "y:inf"),
-        ("z:-0.5", "z:-0.5"),
-        ("Title:Subtitle", "Title:Subtitle"),
-        (":0.5", ":0.5"),
-        ("plain", "plain"),
-    ])
-    def test_strip_prior_only_strips_probabilities(self, text, label):
-        assert _strip_prior(text) == label
-
-    def test_strip_prior_structured_pair(self):
-        assert _strip_prior(["Apollo:11", 0.3]) == "Apollo:11"
-        assert _strip_prior(("City_X", 0.9)) == "City_X"

@@ -19,13 +19,12 @@ from click.testing import CliRunner
 
 from semlink import pipeline
 from semlink.cli import cli, main
+from semlink.corpus import LinkingDocument, Mention, load_linking_jsonl, save_linking_jsonl
 from semlink.embed_io import EmbeddingTable, load_binary, load_table, save_binary, save_text
 from semlink.errors import ConfigError, RelationArityError, StageError
 from semlink.evaluation import convergence_experiment
 from semlink.fixtures import FixtureSizes, make_fixtures
-from semlink.linking_core import (
-    LinkingDocument, Mention, TrainConfig, infer, load_linking_jsonl, save_linking_jsonl, train,
-)
+from semlink.linking_core import TrainConfig, infer, train
 from semlink.pipeline import PipelineConfig, run_pipeline
 from semlink.semantic_aggregation import AggregationConfig, aggregate_table, semantic_table
 from semlink.type_extraction import read_assignments
@@ -792,8 +791,6 @@ class TestCli:
         runner = CliRunner()
         r = runner.invoke(cli, ["link", "convert", "--in", str(src), "--out", str(out), "--window", "3"])
         assert r.exit_code == 0, r.output
-        from semlink.linking_core import load_linking_jsonl
-
         (doc,) = load_linking_jsonl(out)
         assert doc.mentions[0].candidates == ["City_X", "City_Y"]
         assert doc.mentions[0].context == ["the", "was"]
@@ -851,8 +848,6 @@ class TestCli:
             main(["embed", "convert", "--in", str(bad), "--out", str(tmp_path / "o.bin")])
         assert e.value.code == 2
         # capacity error -> 3 (40 candidates ^ 4 mentions > 1e6)
-        from semlink.linking_core import LinkingDocument, Mention, save_linking_jsonl
-
         labels = [f"ent{i:04d}" for i in range(SIZES.entities)]
         docs_path = tmp_path / "big.jsonl"
         doc = LinkingDocument(

@@ -18,7 +18,7 @@ from semlink.type_dictionary import (
     mine_noun_frequency,
     normalize_type_word,
 )
-from semlink.type_extraction import ArticleRecord
+from semlink.type_extraction import ArticleRecord, extract_types
 
 # Hand-tallied mining fixture: 20 first sentences with an explicit noun set,
 # so the expected counts below were counted by eye, not computed.
@@ -222,6 +222,18 @@ class TestBuildDictionary:
         seeds = _write(tmp_path / "s.txt", "x\n")
         remap = _write(tmp_path / "r.tsv", "x\tx\n")
         with pytest.raises(RemapTargetError):
+            build_dictionary(None, seeds, None, remap)
+
+    def test_phrase_remap_source_normalized_like_a_seed(self, tmp_path):
+        """Extraction looks phrases up underscore-joined, so a spaced source must be too."""
+        seeds = _write(tmp_path / "s.txt", "rugby league\nsport\n")
+        remap = _write(tmp_path / "r.tsv", "Rugby  League\tsport\n")
+        d = build_dictionary(None, seeds, None, remap)
+        assert d.remap == {"rugby_league": "sport"}
+        assert extract_types(ArticleRecord("e", first_sentence="He played rugby league."), d).type_words == ["sport"]
+        # a source that normalizes to its target is a self-map
+        _write(remap, "rugby league\trugby_league\n")
+        with pytest.raises(RemapTargetError, match="maps to itself"):
             build_dictionary(None, seeds, None, remap)
 
     def test_chained_remap_rejected(self, tmp_path):
