@@ -232,7 +232,7 @@ def link_infer(docs_path, entities, words, model_path, strategy, out_path):
     entity_table = embed_io.load_table(entities)
     word_table = embed_io.load_table(words)
     model = linking_core.LinkingModel.load(model_path, relations=False)
-    picks = linking_core.infer_documents(docs, model, entity_table, word_table, strategy=strategy)
+    picks = [linking_core.infer(doc, model, entity_table, word_table, strategy=strategy) for doc in docs]
     write_lines(out_path, (
         f"{doc.doc_id}\t{i}\t{label}" for doc, labels in zip(docs, picks) for i, label in enumerate(labels)
     ))

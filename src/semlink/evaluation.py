@@ -171,7 +171,8 @@ def _t_quantile(p: float, df: int) -> float:
 
 
 def summarize_runs(scores: Sequence[float]) -> MultiRunSummary:
-    """Mean and Student-t 95% half-width: t(0.975, n-1) * s / sqrt(n)."""
+    """Mean and Student-t 95% half-width: t(0.975, n-1) * s / sqrt(n).  A
+    mean or half-width past the float range is a `ConfigError`."""
     scores = [float(s) for s in scores]
     if not scores:
         raise ValueError("need at least one score")
@@ -179,6 +180,8 @@ def summarize_runs(scores: Sequence[float]) -> MultiRunSummary:
         raise ValueError(f"non-finite score in {scores}")
     n = len(scores)
     mean = sum(scores) / n
+    if not math.isfinite(mean):
+        raise ConfigError(f"the mean of {scores} overflows a float")
     if n == 1:
         warnings.warn("confidence interval undefined for a single run; reporting 0")
         return MultiRunSummary(scores, mean, 0.0)
@@ -188,8 +191,13 @@ def summarize_runs(scores: Sequence[float]) -> MultiRunSummary:
             "runs do not differ, not because the estimate is precise"
         )
         return MultiRunSummary(scores, mean, 0.0)
-    s = math.sqrt(sum((x - mean) ** 2 for x in scores) / (n - 1))
-    halfwidth = _t_quantile(0.975, n - 1) * s / math.sqrt(n)
+    try:
+        s = math.sqrt(sum((x - mean) ** 2 for x in scores) / (n - 1))
+        halfwidth = _t_quantile(0.975, n - 1) * s / math.sqrt(n)
+    except OverflowError:  # a squared deviation past the float range
+        halfwidth = math.inf
+    if not math.isfinite(halfwidth):
+        raise ConfigError(f"the 95% half-width of {scores} overflows a float")
     return MultiRunSummary(scores, mean, halfwidth)
 
 

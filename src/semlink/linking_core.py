@@ -40,7 +40,7 @@ import numpy as np
 from ._text import COUNT_FIELD, write_lines
 # the bench takes the JSONL reader and writer from this module
 from .corpus import LinkingDocument, Mention, load_linking_jsonl, save_linking_jsonl  # noqa: F401
-from .embed_io import BLOCK_ROWS, EmbeddingTable, row_means
+from .embed_io import EmbeddingTable, row_means
 from .errors import (
     CapacityError,
     ConfigError,
@@ -281,12 +281,6 @@ class _CandidateBlock:
         """(N,) index of each mention's gold in its sorted labels; ``mentions`` are the block's."""
         return np.array([ls.index(m.gold) for ls, m in zip(self.labels, mentions)], dtype=np.intp)
 
-    def part(self, a: int, b: int) -> "_CandidateBlock":
-        """Mentions a:b of the block; their rows are a view."""
-        o = self.offsets
-        return _CandidateBlock(self.labels[a:b], self.features[a:b], self.vectors[o[a] : o[b]],
-                               [x - o[a] for x in o[a : b + 1]])
-
 
 def _features(mentions: Sequence[Mention], words: EmbeddingTable) -> np.ndarray:
     """(N, d) context features of ``mentions``: the mean of each context's
@@ -326,19 +320,17 @@ def _pack_candidates(
     entities: EmbeddingTable,
     words: EmbeddingTable,
     features: Optional[np.ndarray] = None,
-    candidates: Optional[tuple[list[list[str]], list[int]]] = None,
     usable: bool = False,
 ) -> _CandidateBlock:
     """Pack the mentions of ``docs`` (only those of `_usable`, with
     ``usable``) into the one layout of training, dev F1 and inference: the
     sorted labels, the (N, d) features, and the (S, d) float64 rows of every
     mention's candidates one after another (S = sum k_i), taken with one
-    ``take``.  ``features`` are the mentions' context features and
-    ``candidates`` their `_candidate_rows`, if known."""
+    ``take``.  ``features`` are the mentions' context features, if known."""
     _check_dims(entities, words)
     if features is None:
         features = _features(_usable(docs) if usable else [m for doc in docs for m in doc.mentions], words)
-    labels, rows = _candidate_rows(docs, entities, usable) if candidates is None else candidates
+    labels, rows = _candidate_rows(docs, entities, usable)
     vectors = entities.matrix.take(rows, axis=0).astype(np.float64)
     return _CandidateBlock(labels, features, vectors, [0, *itertools.accumulate(map(len, labels))])
 
@@ -441,9 +433,22 @@ def _score_tensor(block: _CandidateBlock, model: LinkingModel, pairwise: str) ->
     return score
 
 
-def _check_document(doc: LinkingDocument, model: LinkingModel, entities: EmbeddingTable,
-                    words: EmbeddingTable, strategy: str, pairwise: str) -> tuple[list[list[str]], list[int]]:
-    """`infer`'s checks of one document, in its order; the document's `_candidate_rows`."""
+def infer(
+    doc: LinkingDocument,
+    model: LinkingModel,
+    entities: EmbeddingTable,
+    words: EmbeddingTable,
+    strategy: str = "greedy-local",
+    pairwise: str = "diagonal",
+) -> list[str]:
+    """Pick one candidate per mention of ``doc``, which is checked and then
+    packed alone.
+
+    ``greedy-local`` (the default, as in ``link infer`` and the pipeline)
+    takes the per-mention local-score argmax and ignores coherence entirely;
+    ``exhaustive`` maximizes the document score over the full candidate
+    product (ties resolve to the lexicographically smallest label tuple).
+    """
     _check_candidates(doc)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -455,67 +460,13 @@ def _check_document(doc: LinkingDocument, model: LinkingModel, entities: Embeddi
         raise RelationArityError("model has no relations")
     if strategy == "exhaustive" and math.prod(len(m.candidates) for m in doc.mentions) > EXHAUSTIVE_CAPACITY:
         raise CapacityError(f"candidate product exceeds {EXHAUSTIVE_CAPACITY}; use strategy='greedy-local'")
-    _check_dims(entities, words)
-    return _candidate_rows([doc], entities)
-
-
-def _checked_runs(docs: Sequence[LinkingDocument], model: LinkingModel, entities: EmbeddingTable,
-                  words: EmbeddingTable, strategy: str, pairwise: str):
-    """Each run of consecutive ``docs`` of up to BLOCK_ROWS candidates (or one
-    larger document) with its `_candidate_rows`, every document checked as
-    `infer` checks it before its run is given out."""
-    run, labels, rows = [], [], []
-    for doc in docs:
-        doc_labels, doc_rows = _check_document(doc, model, entities, words, strategy, pairwise)
-        if run and len(rows) + len(doc_rows) > BLOCK_ROWS:
-            yield run, (labels, rows)
-            run, labels, rows = [], [], []
-        run.append(doc)
-        labels += doc_labels
-        rows += doc_rows
-    if run:
-        yield run, (labels, rows)
-
-
-def infer_documents(docs: Sequence[LinkingDocument], model: LinkingModel, entities: EmbeddingTable,
-                    words: EmbeddingTable, strategy: str = "greedy-local",
-                    pairwise: str = "diagonal") -> list[list[str]]:
-    """`infer` of each of ``docs``.  Each of `_checked_runs` is packed once,
-    so memory stays at one run's pack; scoring raises nothing, so a fault is
-    the error that a loop of `infer` calls raises first."""
-    out = []
-    for run, candidates in _checked_runs(docs, model, entities, words, strategy, pairwise):
-        block = _pack_candidates(run, entities, words, candidates=candidates)
-        bounds = itertools.pairwise(itertools.accumulate((len(doc.mentions) for doc in run), initial=0))
-        if strategy == "greedy-local":
-            picks = [ls[p] for ls, p in zip(block.labels, _greedy_picks(block, model.B))]
-            out += [picks[a:b] for a, b in bounds]
-            continue
-        # a one-document run is its own slice
-        for part in [block] if len(run) == 1 else itertools.starmap(block.part, bounds):
-            score = _score_tensor(part, model, pairwise)
-            # the C-order first maximum is the lexicographically smallest best tuple
-            best = np.unravel_index(score.argmax(), score.shape)
-            out.append([ls[k] for ls, k in zip(part.labels, best)])
-    return out
-
-
-def infer(
-    doc: LinkingDocument,
-    model: LinkingModel,
-    entities: EmbeddingTable,
-    words: EmbeddingTable,
-    strategy: str = "greedy-local",
-    pairwise: str = "diagonal",
-) -> list[str]:
-    """Pick one candidate per mention: `infer_documents` of one document.
-
-    ``greedy-local`` (the default, as in ``link infer`` and the pipeline)
-    takes the per-mention local-score argmax and ignores coherence entirely;
-    ``exhaustive`` maximizes the document score over the full candidate
-    product (ties resolve to the lexicographically smallest label tuple).
-    """
-    return infer_documents([doc], model, entities, words, strategy, pairwise)[0]
+    block = _pack_candidates([doc], entities, words)
+    if strategy == "greedy-local":
+        return [ls[p] for ls, p in zip(block.labels, _greedy_picks(block, model.B))]
+    score = _score_tensor(block, model, pairwise)
+    # the C-order first maximum is the lexicographically smallest best tuple
+    best = np.unravel_index(score.argmax(), score.shape)
+    return [ls[k] for ls, k in zip(block.labels, best)]
 
 
 @dataclass
@@ -822,7 +773,7 @@ def train_runs(
     its active hinges.  The loss trace holds the full-batch loss evaluated
     after each epoch; the dev trace holds dev micro-F1 at the same points
     when dev documents are supplied: the greedy-local picks of
-    `infer_documents` on the dev mentions whose gold is among their
+    `infer` on the dev mentions whose gold is among their
     candidates, 0.0 when there is none.
 
     The R = tables x seeds runs share documents, negatives and step count,

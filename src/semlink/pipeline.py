@@ -358,8 +358,8 @@ def _stage_eval(shared, inputs, params, targets):
     entities = shared.table(inputs["reinforced"])
     model = linking_core.LinkingModel.load(inputs["model"], relations=False)
     docs = corpus.load_documents(inputs["eval"], params["window"])
-    picks = linking_core.infer_documents(docs, model, entities, words, strategy=params["strategy"])
-    predictions = {doc.doc_id: labels for doc, labels in zip(docs, picks)}
+    predictions = {doc.doc_id: linking_core.infer(doc, model, entities, words, strategy=params["strategy"])
+                   for doc in docs}
     report = evaluation.micro_f1(predictions, evaluation.gold_map(docs))
     write_files([(targets[0], json_lines(report.to_dict())), (targets[1], evaluation.eval_report_tsv(report))])
 

@@ -82,6 +82,13 @@ class PhraseMatcher:
         return best
 
 
+def _check_settings(dictionary: SemanticTypeDictionary, cap: int) -> None:
+    if cap < 1:
+        raise ConfigError(f"cap must be >= 1, got {cap}")
+    if not dictionary.words:
+        raise ConfigError("dictionary is empty")
+
+
 def extract_types(
     article: ArticleRecord,
     dictionary: SemanticTypeDictionary,
@@ -89,10 +96,7 @@ def extract_types(
     matcher: Optional[PhraseMatcher] = None,
 ) -> EntityTypeAssignment:
     """Collect up to ``cap`` distinct (post-remap) type words in text order."""
-    if cap < 1:
-        raise ConfigError(f"cap must be >= 1, got {cap}")
-    if not dictionary.words:
-        raise ConfigError("dictionary is empty")
+    _check_settings(dictionary, cap)
     matcher = matcher or PhraseMatcher(dictionary)
 
     tokens = tokenize(article.first_sentence)
@@ -123,7 +127,10 @@ def extract_corpus(
     dictionary: SemanticTypeDictionary,
     cap: int = 11,
 ) -> dict[str, EntityTypeAssignment]:
-    """One assignment per article, in stream order; duplicate ids are rejected."""
+    """One assignment per article, in stream order; duplicate ids are
+    rejected.  ``cap`` and ``dictionary`` are checked before the first
+    article is read, so an empty corpus is refused as any other."""
+    _check_settings(dictionary, cap)
     matcher = PhraseMatcher(dictionary)
     out: dict[str, EntityTypeAssignment] = {}
     for article in corpus:

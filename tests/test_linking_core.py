@@ -21,7 +21,6 @@ from semlink.errors import (
     MissingLabelError,
     NonFiniteError,
     RelationArityError,
-    SemlinkError,
 )
 from semlink.evaluation import gold_map, micro_f1
 from semlink.corpus import LinkingDocument, Mention
@@ -33,7 +32,6 @@ from semlink.linking_core import (
     context_feature,
     document_score,
     infer,
-    infer_documents,
     local_score,
     margin_loss_and_gradient,
     pairwise_score,
@@ -514,11 +512,12 @@ class TestInfer:
             infer(doc, model, entities, words, "exhaustive")
         assert len(infer(doc, model, entities, words, "greedy-local")) == 4
 
-    def test_empty_candidates_rejected(self, rng):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_empty_candidates_rejected(self, rng, strategy):
         entities, words, labels, wlabels = toy_world(rng)
         doc = LinkingDocument("d", [Mention("m", context=[], candidates=[])])
         with pytest.raises(InvalidDocumentError):
-            infer(doc, identity_model(4), entities, words)
+            infer(doc, identity_model(4), entities, words, strategy)
 
     def test_entity_word_dimension_mismatch(self, rng):
         entities, _, labels, wlabels = toy_world(rng, dim=4)
@@ -770,141 +769,29 @@ def test_score_tensor_equals_reference_on_random_documents(rng, mode, n_mentions
 
 
 # ---------------------------------------------------------------------------
-# One pack for a document set: each document's slice of it scores, and
-# infers, as the document packed alone.
-
-
-def random_model(rng, dim, mode):
-    return LinkingModel(
-        dim, rng.standard_normal(dim), rng.standard_normal(dim),
-        relations=[rng.standard_normal(dim) for _ in range(3)],
-        relation_weighting="softmax" if mode == "softmax" else "uniform",
-    )
-
-
-@pytest.mark.parametrize("mode", ["diagonal", "uniform", "softmax"])
-def test_slices_of_one_pack_give_each_documents_reference_tensor(rng, mode):
-    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=7)
-    model, pairwise = random_model(rng, 7, mode), "diagonal" if mode == "diagonal" else "relations"
-    docs = [random_doc(rng, labels, wlabels, n, k, doc_id=f"d{i}")
-            for i, (n, k) in enumerate([(1, 3), (4, 2), (2, 4), (5, 3), (3, 1), (2, 2)])]
-    block = _pack_candidates(docs, entities, words)
-    a = 0
-    for doc in docs:
-        b = a + len(doc.mentions)
-        got = linking_core._score_tensor(block.part(a, b), model, pairwise)
-        want = reference_score_tensor(doc, model, entities, words, pairwise)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        a = b
-    assert a == len(block.labels)
+# The memory of a loop of `infer` calls.
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("mode", ["diagonal", "uniform", "softmax"])
-def test_infer_documents_equals_per_document_infer_on_random_sets(rng, strategy, mode):
-    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=7)
-    model, pairwise = random_model(rng, 7, mode), "diagonal" if mode == "diagonal" else "relations"
-    for n_docs in range(6):
-        docs = [random_doc(rng, labels, wlabels, int(rng.integers(1, 5)), int(rng.integers(1, 6)), doc_id=f"d{i}")
-                for i in range(n_docs)]
-        want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
-        assert infer_documents(docs, model, entities, words, strategy, pairwise) == want
-
-
-@st.composite
-def document_set_worlds(draw):
-    """0-4 documents over one small linking world, with either strategy."""
-    doc, model, entities, words, mode = draw(small_linking_worlds())
-
-    def mention():
-        context = draw(st.lists(st.sampled_from(words.labels), min_size=1, max_size=4))
-        return Mention("m", context, draw(st.lists(st.sampled_from(entities.labels), min_size=1, max_size=3, unique=True)))
-
-    docs = [doc] + [LinkingDocument(f"d{i}", [mention() for _ in range(draw(st.integers(1, 4)))])
-                    for i in range(draw(st.integers(0, 3)))]
-    return docs[: draw(st.integers(0, len(docs)))], model, entities, words, mode, draw(st.sampled_from(STRATEGIES))
-
-
-@given(document_set_worlds())
-def test_infer_documents_equals_per_document_infer(world):
-    docs, model, entities, words, mode, strategy = world
-    pairwise = "diagonal" if mode == "diagonal" else "relations"
-    want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
-    assert infer_documents(docs, model, entities, words, strategy, pairwise) == want
-
-
-# the mentions of a document with one fault, given the table's labels
-_DOCUMENT_FAULTS = {
-    "missing-label": lambda labels: [Mention("m", ["w0"], [labels[0]]), Mention("n", ["w1"], [labels[1], "ghost"])],
-    "no-candidates": lambda labels: [Mention("m", ["w0"], [labels[0]]), Mention("n", ["w1"], [])],
-    # 8 ** 7 assignments, over EXHAUSTIVE_CAPACITY
-    "over-capacity": lambda labels: [Mention("m", ["w0"], list(labels)) for _ in range(7)],
-}
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("first, third", [(a, b) for a in _DOCUMENT_FAULTS for b in _DOCUMENT_FAULTS if a != b])
-def test_infer_documents_raises_the_error_a_per_document_loop_raises(rng, strategy, first, third):
-    entities, words, labels, wlabels = toy_world(rng, n_entities=8)
-    model = identity_model(entities.dim)
-    docs = [LinkingDocument("d0", _DOCUMENT_FAULTS[first](labels)), random_doc(rng, labels, wlabels, 2, 3, doc_id="d1"),
-            LinkingDocument("d2", _DOCUMENT_FAULTS[third](labels))]
-
-    def raised(call):
-        with pytest.raises(SemlinkError) as e:
-            call()
-        return type(e.value), str(e.value)
-
-    loop = raised(lambda: [infer(doc, model, entities, words, strategy) for doc in docs])
-    assert raised(lambda: infer_documents(docs, model, entities, words, strategy)) == loop
-    # greedy inference has no capacity: there the third document's fault is the first
-    faulty = docs[2] if (strategy, first) == ("greedy-local", "over-capacity") else docs[0]
-    assert loop == raised(lambda: infer(faulty, model, entities, words, strategy))
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("block_rows", [1, 5, 12])
-def test_infer_documents_in_runs_equals_per_document_infer(rng, monkeypatch, strategy, block_rows):
-    # runs of a few candidates: most documents share a run, some are one over the size
-    monkeypatch.setattr(linking_core, "BLOCK_ROWS", block_rows)
-    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=7)
-    model = random_model(rng, 7, "softmax")
-    docs = [random_doc(rng, labels, wlabels, int(rng.integers(1, 4)), int(rng.integers(1, 5)), doc_id=f"d{i}")
-            for i in range(12)]
-    packed = []  # the mentions of each pack
-    pack = linking_core._pack_candidates
-    monkeypatch.setattr(linking_core, "_pack_candidates",
-                        lambda run, *a, **kw: packed.append([m for doc in run for m in doc.mentions])
-                        or pack(run, *a, **kw))
-    for pairwise in ("diagonal", "relations"):
-        want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
-        packed.clear()
-        assert infer_documents(docs, model, entities, words, strategy, pairwise) == want
-        # consecutive runs of documents, each within the size or one document alone
-        assert [m for mentions in packed for m in mentions] == [m for doc in docs for m in doc.mentions]
-        starts = {id(doc.mentions[0]) for doc in docs}
-        for mentions in packed:
-            rows = sum(len(m.candidates) for m in mentions)
-            assert id(mentions[0]) in starts and (rows <= block_rows or sum(id(m) in starts for m in mentions) == 1)
-        assert len(packed) > 1
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_infer_documents_memory_does_not_grow_with_the_set(rng, strategy):
+def test_infer_loop_memory_does_not_grow_with_the_set(rng, strategy):
     entities, words, labels, wlabels = toy_world(rng, n_entities=40, dim=256)
     model = identity_model(256)
     docs = [random_doc(rng, labels, wlabels, 2, 10, doc_id=f"d{i}") for i in range(1000)]
 
     def peak(n_docs):
+        """The peak traced memory of a loop over ``n_docs`` documents, above
+        the picks it returns."""
         tracemalloc.start()
         try:
-            infer_documents(docs[:n_docs], model, entities, words, strategy)
-            return tracemalloc.get_traced_memory()[1]
+            picks = [infer(doc, model, entities, words, strategy) for doc in docs[:n_docs]]
+            held, top = tracemalloc.get_traced_memory()
+            assert len(picks) == n_docs
+            return top - held
         finally:
             tracemalloc.stop()
 
-    # 100 documents fill about four runs, 1000 about forty: a whole-set pack
-    # would hold ten times the rows (20,000 of 2 KB each, twice over)
+    # each document is packed alone: a whole-set pack would hold ten times
+    # the rows at 1000 documents as at 100 (20,000 of 2 KB each, twice over)
     assert peak(1000) < 1.25 * peak(100)
 
 
@@ -1208,7 +1095,7 @@ def test_train_runs_equal_separate_train_calls(study):
 @given(seed=st.integers(0, 2**16), n_tables=st.integers(1, 2), epochs=st.integers(0, 4))
 def test_dev_f1_is_the_precision_of_greedy_inference(seed, n_tables, epochs):
     """When every dev mention has gold among its candidates, a run's dev F1 is
-    the micro-precision of `infer_documents`' greedy picks under its model."""
+    the micro-precision of `infer`'s greedy picks under its model."""
     rng = np.random.default_rng(seed)
     entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
     tables = [entities] + [EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))
@@ -1218,7 +1105,7 @@ def test_dev_f1_is_the_precision_of_greedy_inference(seed, n_tables, epochs):
                 for d in range(int(rng.integers(1, 5)))]
     runs = train_runs(train_docs, tables, words, TrainConfig(lr=0.05, epochs=epochs), [0, 1], dev_docs)
     for r, result in enumerate(runs):
-        picks = infer_documents(dev_docs, result.model, tables[r // 2], words, "greedy-local")
+        picks = [infer(doc, result.model, tables[r // 2], words, "greedy-local") for doc in dev_docs]
         report = micro_f1({doc.doc_id: p for doc, p in zip(dev_docs, picks)}, gold_map(dev_docs))
         dev_f1 = result.dev_f1_trace[-1] if epochs else result.initial_dev_f1
         assert dev_f1 == report.tp / (report.tp + report.fp)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from semlink import pipeline
+from semlink import linking_core, pipeline
 from semlink.cli import cli, main
 from semlink.corpus import LinkingDocument, Mention, load_linking_jsonl, save_linking_jsonl
 from semlink.embed_io import EmbeddingTable, load_binary, load_table, save_binary, save_text
@@ -1008,6 +1008,15 @@ class TestCli:
         if path is not None:
             assert str(path) in captured.err
 
+    @pytest.mark.parametrize("scores", ["1e200,-1e200", "1e308,1e308", "1.5e308,1e308,1e308"])
+    def test_eval_runs_summary_past_the_float_range_exits_2(self, capsys, scores):
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "runs", "--scores", scores])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows a float" in captured.err
+
     def test_eval_f1_short_prediction_line_exits_2(self, fixture_dir, tmp_path, capsys):
         root, paths = fixture_dir
         pred = tmp_path / "pred.tsv"
@@ -1508,6 +1517,9 @@ class TestCli:
         ("embed reinforce --wikitext {wikitext} --words {words} --types {types} --alpha 2 --out {tmp}/r.bin",
          "alpha must be in [0, 1], got 2"),
         ("types extract --corpus {articles} --dictionary {seeds} --cap 0 --out {tmp}/t.tsv", "cap must be >= 1, got 0"),
+        # an empty corpus is refused before any article is read: no {tmp}/fx output appears
+        ("types extract --corpus {no_articles} --dictionary {seeds} --cap 0 --out {tmp}/fx", "cap must be >= 1, got 0"),
+        ("types extract --corpus {no_articles} --dictionary {empty_seeds} --out {tmp}/fx", "dictionary is empty"),
         ("embed neighbors --table {wikitext} --query ent0000 -k 0", "k must be >= 1, got 0"),
         ("dict expand --seeds type00w0 --embeddings {words} --corpus {articles} -k 0 --out {tmp}/x.tsv",
          "k must be >= 1, got 0"),
@@ -1517,7 +1529,8 @@ class TestCli:
         ("fixtures make --out {tmp}/fx --entities 5 --groups 0", "groups must be >= 1, got 0"),
         ("pipeline run --config {empty_seeds_config}", "stage 'types' failed: dictionary is empty"),
         ("link convert --in {articles} --out {tmp}/c.jsonl --window -1", "window must be >= 0, got -1"),
-    ], ids=["reinforce-T", "reinforce-alpha", "extract-cap", "neighbors-k", "expand-k", "fixtures-dim",
+    ], ids=["reinforce-T", "reinforce-alpha", "extract-cap", "extract-cap-no-articles",
+            "extract-empty-dictionary-no-articles", "neighbors-k", "expand-k", "fixtures-dim",
             "fixtures-candidates", "fixtures-entities", "fixtures-groups", "pipeline-empty-seeds",
             "convert-window"])
     def test_out_of_range_value_exits_2(self, fixture_dir, tmp_path, capsys, args, needle):
@@ -1526,7 +1539,9 @@ class TestCli:
         seeds.write_text("", "utf-8")
         config = write_config(tmp_path / "p.cfg", paths, tmp_path / "out",
                               extra=f"stages = dict,types\nseeds = {seeds}\n")
-        where = {**paths, "tmp": tmp_path, "empty_seeds_config": config}
+        (tmp_path / "no_articles").mkdir()
+        where = {**paths, "tmp": tmp_path, "empty_seeds_config": config, "empty_seeds": seeds,
+                 "no_articles": tmp_path / "no_articles"}
         with pytest.raises(SystemExit) as e:
             main([token.format(**where) for token in args.split()])
         assert e.value.code == 2
@@ -1761,3 +1776,20 @@ def test_link_infer_defaults_to_greedy_local(fixture_dir, tmp_path):
         preds[strategy] = pred.read_bytes()
     assert preds[None] == preds["greedy-local"] != preds["exhaustive"]
     assert inspect.signature(infer).parameters["strategy"].default == "greedy-local"
+
+
+def test_eval_stage_and_link_infer_infer_one_document_per_call(fixture_dir, tmp_path, monkeypatch):
+    """Both infer through `linking_core.infer`, one call per document, so a
+    wrapper of that function (the bench tracer's) sees every document."""
+    root, paths = fixture_dir
+    calls = []
+    monkeypatch.setattr(linking_core, "infer", lambda doc, *a, **kw: calls.append(doc.doc_id) or infer(doc, *a, **kw))
+    want = [doc.doc_id for doc in load_linking_jsonl(paths["eval"])]
+    cfg = write_config(tmp_path / "p.cfg", paths, tmp_path / "out")
+    main(["pipeline", "run", "--config", str(cfg)])
+    assert calls == want
+    calls.clear()
+    main(["link", "infer", "--docs", str(paths["eval"]), "--entities", str(paths["wikitext"]),
+          "--words", str(paths["words"]), "--model", str(tmp_path / "out" / "model.txt"),
+          "--out", str(tmp_path / "pred.tsv")])
+    assert calls == want
