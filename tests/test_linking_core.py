@@ -512,12 +512,12 @@ class TestInfer:
             infer(doc, model, entities, words, "exhaustive")
         assert len(infer(doc, model, entities, words, "greedy-local")) == 4
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_empty_candidates_rejected(self, rng, strategy):
+    def test_empty_candidates_rejected(self, rng):
         entities, words, labels, wlabels = toy_world(rng)
         doc = LinkingDocument("d", [Mention("m", context=[], candidates=[])])
-        with pytest.raises(InvalidDocumentError):
-            infer(doc, identity_model(4), entities, words, strategy)
+        for strategy in STRATEGIES:
+            with pytest.raises(InvalidDocumentError):
+                infer(doc, identity_model(4), entities, words, strategy)
 
     def test_entity_word_dimension_mismatch(self, rng):
         entities, _, labels, wlabels = toy_world(rng, dim=4)
@@ -769,7 +769,103 @@ def test_score_tensor_equals_reference_on_random_documents(rng, mode, n_mentions
 
 
 # ---------------------------------------------------------------------------
-# The memory of a loop of `infer` calls.
+# `infer` checks one document in a fixed order, packs it alone, and picks
+# what the scalar scores pick; a loop of it holds one document's pack.
+
+
+def random_model(rng, dim, mode):
+    return LinkingModel(
+        dim, rng.standard_normal(dim), rng.standard_normal(dim),
+        relations=[rng.standard_normal(dim) for _ in range(3)],
+        relation_weighting="softmax" if mode == "softmax" else "uniform",
+    )
+
+
+def local_argmax(doc, model, entities, words):
+    """Each mention's first sorted candidate with the highest `local_score`."""
+    picks = []
+    for m in doc.mentions:
+        f = context_feature(m, words)
+        scores = [local_score(entities.vector(c), model.B, f) for c in sorted(m.candidates)]
+        picks.append(sorted(m.candidates)[int(np.argmax(scores))])
+    return picks
+
+
+@given(small_linking_worlds())
+def test_greedy_infer_equals_the_local_argmax_on_small_worlds(world):
+    # quarter-step values: every local score is exact, so ties agree too
+    doc, model, entities, words, mode = world
+    pairwise = "diagonal" if mode == "diagonal" else "relations"
+    assert infer(doc, model, entities, words, "greedy-local", pairwise) == local_argmax(doc, model, entities, words)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", ["diagonal", "uniform", "softmax"])
+def test_infer_equals_the_scalar_argmax_on_random_documents(rng, strategy, mode):
+    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=7)
+    model, pairwise = random_model(rng, 7, mode), "diagonal" if mode == "diagonal" else "relations"
+    for i in range(6):
+        doc = random_doc(rng, labels, wlabels, int(rng.integers(1, 5)), int(rng.integers(1, 6)), doc_id=f"d{i}")
+        got = infer(doc, model, entities, words, strategy, pairwise)
+        if strategy == "greedy-local":
+            assert got == local_argmax(doc, model, entities, words)
+        else:
+            assert got == enumeration_argmax(doc, model, entities, words, pairwise)[0]
+
+
+# the mentions of a document with one fault, and the same mentions without
+# it, given the table's labels
+_DOCUMENT_FAULTS = {
+    "missing-label": (lambda labels: [Mention("m", ["w0"], [labels[0]]), Mention("n", ["w1"], [labels[1], "ghost"])],
+                      lambda labels: [Mention("m", ["w0"], [labels[0]]), Mention("n", ["w1"], [labels[1]])]),
+    "no-candidates": (lambda labels: [Mention("m", ["w0"], [labels[0]]), Mention("n", ["w1"], [])],
+                      lambda labels: [Mention("m", ["w0"], [labels[0]]), Mention("n", ["w1"], [labels[1]])]),
+    # 8 ** 7 assignments, over EXHAUSTIVE_CAPACITY
+    "over-capacity": (lambda labels: [Mention("m", ["w0"], list(labels)) for _ in range(7)],
+                      lambda labels: [Mention("m", ["w0"], [labels[0]]) for _ in range(7)]),
+}
+# `infer`'s checks in their order, and the error of each
+_FAULT_ERRORS = {"no-candidates": InvalidDocumentError, "over-capacity": CapacityError,
+                 "missing-label": MissingLabelError}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("first, second", [(a, b) for a in _DOCUMENT_FAULTS for b in _DOCUMENT_FAULTS if a != b])
+def test_infer_raises_the_fault_its_checks_meet_first(rng, strategy, first, second):
+    """A document with two faults raises the error of the one that `infer`
+    checks first, wherever its mentions stand; greedy inference has no
+    capacity, so there an over-capacity document is no fault."""
+    entities, words, labels, wlabels = toy_world(rng, n_entities=8)
+    model = identity_model(entities.dim)
+    faults = [f for f in _FAULT_ERRORS if f in (first, second) and (f, strategy) != ("over-capacity", "greedy-local")]
+
+    def raised(*kept):
+        mentions = [m for f in (first, second) for m in _DOCUMENT_FAULTS[f][f not in kept](labels)]
+        with pytest.raises(_FAULT_ERRORS[faults[0]]) as e:
+            infer(LinkingDocument("d", mentions), model, entities, words, strategy)
+        return str(e.value)
+
+    # the message is that of the document with only that fault
+    assert raised(first, second) == raised(faults[0])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", ["diagonal", "uniform", "softmax"])
+def test_infer_packs_its_document_alone_and_looks_up_its_labels_once(rng, monkeypatch, strategy, mode):
+    entities, words, labels, wlabels = toy_world(rng, n_entities=9, dim=7)
+    model, pairwise = random_model(rng, 7, mode), "diagonal" if mode == "diagonal" else "relations"
+    docs = [random_doc(rng, labels, wlabels, int(rng.integers(1, 4)), int(rng.integers(1, 5)), doc_id=f"d{i}")
+            for i in range(8)]
+    want = [infer(doc, model, entities, words, strategy, pairwise) for doc in docs]
+    calls = []  # (function, the documents it was given)
+    for name in ("_pack_candidates", "_candidate_rows"):
+        wrapped = getattr(linking_core, name)
+        monkeypatch.setattr(linking_core, name, lambda docs, *a, _f=wrapped, _n=name, **kw:
+                            calls.append((_n, list(docs))) or _f(docs, *a, **kw))
+    for doc, picks in zip(docs, want):
+        calls.clear()
+        assert infer(doc, model, entities, words, strategy, pairwise) == picks
+        assert calls == [("_pack_candidates", [doc]), ("_candidate_rows", [doc])]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
