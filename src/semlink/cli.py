@@ -274,9 +274,7 @@ def link_score(docs_path, entities, words, model_path, assignments_path):
         scores = [linking_core.document_score(chosen[doc.doc_id], doc, model, entity_table, word_table)
                   for doc in docs]
     except MissingLabelError as e:
-        doc_id, i = next((doc.doc_id, i) for doc in docs for i, label in enumerate(chosen[doc.doc_id])
-                         if label not in entity_table)
-        raise MissingLabelError(f"{e}: mention {i} of {doc_id!r} [{assignments_path or docs_path}]") from None
+        raise MissingLabelError(f"{e} [{assignments_path or docs_path}]") from None
     click.echo("doc_id\tscore")
     for doc, score in zip(docs, scores):
         click.echo(f"{doc.doc_id}\t{score:.6f}")

@@ -172,7 +172,8 @@ def _t_quantile(p: float, df: int) -> float:
 
 def summarize_runs(scores: Sequence[float]) -> MultiRunSummary:
     """Mean and Student-t 95% half-width: t(0.975, n-1) * s / sqrt(n).  A
-    mean or half-width past the float range is a `ConfigError`."""
+    half-width past the float range is a `ConfigError`; the mean of finite
+    scores lies between them, so it always fits."""
     scores = [float(s) for s in scores]
     if not scores:
         raise ValueError("need at least one score")
@@ -180,8 +181,8 @@ def summarize_runs(scores: Sequence[float]) -> MultiRunSummary:
         raise ValueError(f"non-finite score in {scores}")
     n = len(scores)
     mean = sum(scores) / n
-    if not math.isfinite(mean):
-        raise ConfigError(f"the mean of {scores} overflows a float")
+    if not math.isfinite(mean):  # the sum overflowed: add the shares, kept between the scores
+        mean = min(max(sum(x / n for x in scores), min(scores)), max(scores))
     if n == 1:
         warnings.warn("confidence interval undefined for a single run; reporting 0")
         return MultiRunSummary(scores, mean, 0.0)

@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -217,7 +217,9 @@ def document_score(
     pairwise: str = "diagonal",
 ) -> float:
     """Sum of local scores plus pairwise scores over unordered mention pairs;
-    ``features`` are the mentions' context features, (d,) rows or one (n, d) array."""
+    ``features`` are the mentions' context features, (d,) rows or one (n, d)
+    array.  An assigned label missing from ``entities`` is a
+    `MissingLabelError` naming it, its mention and ``doc``."""
     n = len(doc.mentions)
     if len(assignment) != n:
         raise InvalidDocumentError(
@@ -228,7 +230,11 @@ def document_score(
     if pairwise == "relations" and model.K < 1:
         raise RelationArityError("model has no relations")
     feats = _features(doc.mentions, words) if features is None else features
-    vecs = [entities.vector(label).astype(np.float64) for label in assignment]
+    rows = [entities._index.get(label) for label in assignment]
+    if None in rows:
+        i = rows.index(None)
+        raise MissingLabelError(f"label {assignment[i]!r} not in table: mention {i} of {doc.doc_id!r}")
+    vecs = entities.matrix[rows].astype(np.float64)
     total = 0.0
     for vec, feat in zip(vecs, feats):
         total += local_score(vec, model.B, feat)
@@ -580,12 +586,13 @@ def _build_instances(
 
 
 def _hinges(
-    instances: _TrainingSet, B: np.ndarray, C: Optional[np.ndarray], margin: float
+    instances: _TrainingSet, B: np.ndarray, C: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(..., N, M) hinge violations of every instance and the mask of active
-    ones, under B (and C) given as one state (d,) or a stack (k, d).  Each
-    state's products are (M, d) @ (d, 1) mat-vecs, with the bits of ``FD @ b``;
-    IEEE addition commutes, so the margin may come second."""
+    ones, under B and C given as one state (d,) or a stack (k, d); C counts
+    only if ``instances`` have pairwise terms.  Each state's products are
+    (M, d) @ (d, 1) mat-vecs, with the bits of ``FD @ b``; IEEE addition
+    commutes, so the margin may come second."""
     v = np.matmul(instances.FD, B[..., None, :, None])[..., 0]
     v += margin
     if instances.PD is not None:
@@ -644,13 +651,17 @@ class _LockstepSGD:
     handed back to the OS when freed and fault in again on every block.
     """
 
-    def __init__(self, sets: Sequence[_TrainingSet], R: int, margin: float, lr: float):
+    def __init__(self, sets: Sequence[_TrainingSet], seeds: Sequence[int], margin: float, lr: float):
         # table t's instance n is row t * N + n; the last row is zero, and a
         # step on it changes nothing
         zero = np.zeros((1, *sets[0].FD.shape[1:]))
         self.FD = np.concatenate([s.FD for s in sets] + [zero])
         self.PD = np.concatenate([s.PD for s in sets] + [zero]) if sets[0].PD is not None else None
-        self.margin, self.lr = margin, lr
+        self.margin, self.lr, self.N = margin, lr, len(sets[0])
+        # run t * len(seeds) + s steps on table t's rows, in the orders a one-run call with seed s draws
+        self.rngs = [np.random.default_rng(s) for _ in sets for s in seeds]
+        self.starts = [t * self.N for t in range(len(sets)) for _ in seeds]
+        R = len(self.rngs)
         self.runs = np.arange(R)
         self.F = np.empty((R, _BLOCK, *zero.shape[1:]))
         self.P = np.empty_like(self.F) if self.PD is not None else None
@@ -658,16 +669,17 @@ class _LockstepSGD:
         self.Bs = np.empty((_BLOCK + 1, R, zero.shape[2]))
         self.Cs = np.empty_like(self.Bs) if self.PD is not None else self.Bs
 
-    def run(
-        self, draw: Callable[[int], np.ndarray], N: int, epochs: int, B: np.ndarray, C: np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Run r steps through ``epochs`` epochs of N stacked rows in place on
-        B[r] and C[r], at its own pace; ``draw(r)`` gives its rows of its next
-        epoch.  Yield ``(r, b, c)``, run r's diagonals at the end of each of
-        its epochs in order; ``b`` and ``c`` are views, valid until the next
+    def run(self, epochs: int, B: np.ndarray, C: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Run r steps through ``epochs`` epochs of its table's N rows in place
+        on B[r] and C[r], at its own pace, in an order its generator draws
+        afresh each epoch.  Yield ``(r, e, b, c)``, run r's diagonals after
+        its epoch e: every run's initial state (e = 0) first, then each run's
+        epoch ends in order.  ``b`` and ``c`` are views, valid until the next
         item is asked for.
         """
-        R, zero = len(B), len(self.FD) - 1
+        R, N, zero = len(B), self.N, len(self.FD) - 1
+        for r in range(R):
+            yield r, 0, B[r], C[r]
         # each run holds the epoch it is in and every one a block from there
         # can reach; past its last epoch it holds the zero row
         held = 1 - (1 - _BLOCK) // N
@@ -677,7 +689,9 @@ class _LockstepSGD:
 
         def hold(r: int, start: int) -> None:
             for e in range(start, held):
-                steps[r, e * N : (e + 1) * N] = draw(r) if first[r] + e < epochs else zero
+                steps[r, e * N : (e + 1) * N] = (
+                    self.rngs[r].permutation(N) + self.starts[r] if first[r] + e < epochs else zero
+                )
 
         for r in range(R):
             hold(r, 0)
@@ -689,11 +703,13 @@ class _LockstepSGD:
                 continue
             for r in np.flatnonzero(at >= N):
                 start, gone = at[r] - taken[r], at[r] // N
-                for i in range(N - start, min(gone, epochs - first[r]) * N - start + 1, N):
+                for e in range(first[r] + 1, min(first[r] + gone, epochs) + 1):
+                    # the block's steps before epoch e's end
+                    i = (e - first[r]) * N - start
                     if i == taken[r]:
-                        yield r, B[r], C[r]
+                        yield r, e, B[r], C[r]
                     else:
-                        yield r, self.Bs[i, r], C[r] if self.PD is None else self.Cs[i, r]
+                        yield r, e, self.Bs[i, r], C[r] if self.PD is None else self.Cs[i, r]
                 # drop the epochs run r has left, and hold as many new ones
                 steps[r, : (held - gone) * N] = steps[r, gone * N :]
                 first[r] += gone
@@ -781,15 +797,15 @@ def train_runs(
     epochs as one stream, with its own generator drawing each epoch's order
     when its buffer needs it.  The loss and dev F1 of an epoch are those of
     the run's state at that epoch's end, which may lie inside a block.  Each
-    run copies its initial state and its epoch-end states into a buffer of
-    ``min(d, epochs + 1)`` and scores a full buffer with one `_hinges` and
-    one `_greedy_picks` call, and the rest once more at the end, so a
-    batch's (states, N, M) loss rows are never larger than the (N, M, d)
-    hinge rows.  Each epoch's loss is still summed alone, as
-    `margin_loss_and_gradient` sums one state's.  A run's arithmetic does
-    not depend on the other runs, so each result equals a one-run call bit
-    for bit.  Results are table-major: run ``t * len(seeds) + s`` is
-    (``tables[t]``, ``seeds[s]``).
+    state the loop yields, the initial one first, goes to row ``e % size``
+    of its run's buffer of ``size = min(d, epochs + 1)`` rows, which is
+    scored with one `_hinges` and one `_greedy_picks` call when that row is
+    its last or e the last epoch, so a batch's (states, N, M) loss rows are
+    never larger than the (N, M, d) hinge rows.  Each epoch's loss is still
+    summed alone, as `margin_loss_and_gradient` sums one state's.  A run's
+    arithmetic does not depend on the other runs, so each result equals a
+    one-run call bit for bit.  Results are table-major: run
+    ``t * len(seeds) + s`` is (``tables[t]``, ``seeds[s]``).
     """
     if not tables or not seeds:
         raise ValueError("need at least one table and one seed")
@@ -810,53 +826,29 @@ def train_runs(
         # sorted candidate labels do not depend on the table
         gold = devs[0].gold_positions(usable)
 
-    R = len(tables) * len(seeds)
-    table_of = [r // len(seeds) for r in range(R)]
-    B = np.ones((R, words.dim))
-    C = np.ones((R, words.dim))
-    # run (t, s) draws what a one-run call with seed s draws
-    rngs = [np.random.default_rng(seeds[r % len(seeds)]) for r in range(R)]
-    sgd = _LockstepSGD(sets, R, config.margin, config.lr)
-
-    # each run's states not yet scored, the first ``kept[r]`` of its rows
+    B = np.ones((len(tables) * len(seeds), words.dim))
+    C = np.ones_like(B)
+    sgd = _LockstepSGD(sets, seeds, config.margin, config.lr)
+    # each run's states not yet scored: state e is row e % size of its buffer
     size = min(words.dim, config.epochs + 1)
-    Bk = np.empty((R, size, words.dim))
-    Ck = np.empty_like(Bk) if config.train_pairwise else None
-    kept = [0] * R
+    Bk, Ck = np.empty((2, len(B), size, words.dim))
     # per run: (loss, dev F1) before training, then after each epoch
-    history = [[] for _ in range(R)]
-
-    def keep(r: int, b: np.ndarray, c: np.ndarray) -> None:
-        Bk[r, kept[r]] = b
-        if Ck is not None:
-            Ck[r, kept[r]] = c
-        kept[r] += 1
-        if kept[r] == size:
-            evaluate(r)
-
-    def evaluate(r: int) -> None:
-        t, k = table_of[r], kept[r]
-        v, active = _hinges(sets[t], Bk[r, :k], None if Ck is None else Ck[r, :k], config.margin)
+    history = [[] for _ in B]
+    for r, e, b, c in sgd.run(config.epochs, B, C):
+        k = e % size + 1
+        Bk[r, k - 1], Ck[r, k - 1] = b, c
+        if k < size and e < config.epochs:
+            continue
+        t = r // len(seeds)
+        v, active = _hinges(sets[t], Bk[r, :k], Ck[r, :k], config.margin)
         # each epoch's loss summed alone, as the pairwise sum of one state's terms
-        losses = [float(v[e][active[e]].sum()) for e in range(k)]
+        losses = [float(v[i][active[i]].sum()) for i in range(k)]
         f1s = [None] * k
         if devs is not None:
             picks = _greedy_picks(devs[t], Bk[r, :k])
             # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
             f1s = [int(hits) / max(len(gold), 1) for hits in np.count_nonzero(picks == gold, axis=1)]
         history[r].extend(zip(losses, f1s))
-        kept[r] = 0
-
-    def draw(r: int) -> np.ndarray:
-        return rngs[r].permutation(N) + table_of[r] * N
-
-    for r in range(R):
-        keep(r, B[r], C[r])
-    for r, b, c in sgd.run(draw, N, config.epochs, B, C):
-        keep(r, b, c)
-    for r in range(R):
-        if kept[r]:
-            evaluate(r)
 
     return [
         TrainResult(

@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import corpus, embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
-from ._text import json_lines, read_lines, write_files, write_lines
+from ._text import COUNT_FIELD, json_lines, read_lines, write_files, write_lines
 from .errors import ConfigError, FormatError, SemlinkError, StageError
 
 STAGES = {
@@ -83,9 +83,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    # a count's one form, with a '-' allowed so that a negative value meets its range check
+    if not COUNT_FIELD.fullmatch(text.removeprefix("-")):
+        raise ValueError(text)
+    return int(text)
+
+
 # parameter -> (what its value must be, parser raising ValueError otherwise)
 _KINDS = {
-    **{key: ("an integer", int) for key in ("T", "cap", "window", "epochs", "seed")},
+    **{key: ("an integer", _integer) for key in ("T", "cap", "window", "epochs", "seed")},
     **{key: ("a finite number", _finite) for key in ("alpha", "margin", "lr")},
 }
 

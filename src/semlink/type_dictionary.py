@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ._text import read_lines, tokenize, tsv_fields, write_files, write_lines
+from ._text import COUNT_FIELD, read_lines, tokenize, tsv_fields, write_files, write_lines
 from .embed_io import EmbeddingTable, top_k
 from .errors import ConfigError, FormatError, MissingSeedError, RemapTargetError
 
@@ -95,10 +95,9 @@ class NounFrequencyReport:
         counts: dict[str, int] = {}
         for line_no, line in read_lines(path):
             word, count = tsv_fields(line, 2, path, line_no, "expected '<word>\\t<count>'")
-            try:
-                counts[word] = int(count)
-            except ValueError:
-                raise FormatError(f"count {count!r} is not an integer", path=path, line=line_no) from None
+            if not COUNT_FIELD.fullmatch(count):
+                raise FormatError(f"count {count!r} is not an integer", path=path, line=line_no)
+            counts[word] = int(count)
         # no token contains '#', so the header line is never a noun
         total = counts.pop("#total_sentences", 0)
         return cls(counts, total)

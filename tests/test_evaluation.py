@@ -144,6 +144,13 @@ class TestSummarizeRuns:
         with pytest.raises(ValueError, match="non-finite"):
             summarize_runs([0.9, bad, 0.8])
 
+    @pytest.mark.parametrize("scores", [[1e308, 1e308], [sys.float_info.max] * 3])
+    def test_mean_of_scores_whose_sum_overflows(self, scores):
+        with pytest.warns(UserWarning, match="do not differ"):
+            summary = summarize_runs(scores)
+        assert summary.mean == scores[0]
+        assert summary.ci95_halfwidth == 0.0
+
     def test_paper_style_five_runs(self):
         summary = summarize_runs([0.9258, 0.9249, 0.9266, 0.9271, 0.9263])
         assert summary.ci95_halfwidth == pytest.approx(0.0010410743621653712, rel=1e-12)

@@ -675,6 +675,14 @@ def test_infer_names_a_candidate_missing_from_the_table(rng, strategy):
         infer(doc, identity_model(entities.dim), entities, words, strategy)
 
 
+def test_document_score_names_an_assigned_label_missing_from_the_table(rng):
+    entities, words, labels, wlabels = toy_world(rng)
+    doc = random_doc(rng, labels, wlabels, 3, 3)
+    choice = [doc.mentions[0].candidates[0], "ghost", "ghost"]
+    with pytest.raises(MissingLabelError, match="^label 'ghost' not in table: mention 1 of 'd'$"):
+        document_score(choice, doc, identity_model(entities.dim), entities, words)
+
+
 def test_dev_packing_names_a_candidate_missing_from_the_table(rng):
     entities, words, labels, wlabels = toy_world(rng)
     docs = [random_doc(rng, labels, wlabels, 2, 3)]

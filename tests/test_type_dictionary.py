@@ -1,6 +1,7 @@
 """Dictionary mining, seed expansion, curated builds, and remapping."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,14 @@ class TestMineNounFrequency:
         again = type(report).load_tsv(p)
         assert again.counts == report.counts
         assert again.total_sentences == report.total_sentences
+
+    @pytest.mark.parametrize("count", ["x", "1.5", "", "1_0", "+5", "\u0662\u0660", "-3", " 5"])
+    def test_report_count_not_digits_refused(self, tmp_path, count):
+        p = tmp_path / "nouns.tsv"
+        p.write_text(f"#total_sentences\t3\nlawyer\t{count}\n", "utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"count {count!r} is not an integer")) as e:
+            NounFrequencyReport.load_tsv(p)
+        assert e.value.line == 2
 
     def test_default_predicate_smoke(self):
         # the shipped fallback is crude but must get the obvious ones right
