@@ -45,7 +45,9 @@ wherever a partial sum is inexact in float64.)
 
 from __future__ import annotations
 
+import ctypes
 import os
+import sys
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -68,6 +70,20 @@ _F32 = np.dtype("<f4")
 BLOCK_ROWS = 512
 # bytes per read of a binary table
 _CHUNK = 1 << 20
+
+# Fix glibc malloc's mmap and trim thresholds for this process.  By default
+# glibc raises both each time it frees a mapped block, up to 32 MiB, so once
+# one table has been freed the next ones go on the heap, where a small live
+# block above a freed table keeps its pages resident.  How much stays
+# resident then turns on the order of allocations, down to the length of an
+# output path: one ingest run of the benchmark peaked at 72 MB or 81 MB for
+# work paths 2 characters apart.  With fixed thresholds a table (12 MB at
+# 10k x 300) lives in a mapping of its own, unmapped when it is freed, while
+# the `BLOCK_ROWS` float64 temporaries reuse a heap that keeps up to 8 MiB
+# free at its top.  Other C libraries are left alone.
+if sys.platform == "linux" and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
+    _libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+    _libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
 
 
 class EmbeddingTable:

@@ -2,9 +2,11 @@
 
 import math
 import os
+import platform
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -709,3 +711,18 @@ def test_aggregate_stage_holds_one_entity_table(big_table_path, tmp_path):
     )
     assert peak <= table.matrix.nbytes + words_held + types_held + 3 * MiB
     assert reinforced.labels == table.labels
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="fixes glibc malloc's thresholds")
+def test_a_freed_table_stays_resident_nowhere():
+    """Importing embed_io fixes glibc's mmap threshold below a table's size.
+    With the threshold sliding up to each freed mapping, the second table
+    would land on the heap, and its pages would stay after the free."""
+    def resident_mb():
+        return int(re.search(r"VmRSS:\s+(\d+)", Path("/proc/self/status").read_text())[1]) / 1024
+
+    for _ in range(3):
+        before = resident_mb()
+        matrix = np.ones((10_000, 300), dtype=np.float32)  # 12 MB, every page touched
+        del matrix
+        assert resident_mb() - before < 2
