@@ -85,11 +85,11 @@ def dict_mine(corpus, out_path, min_count):
 def dict_expand(seeds, embeddings, corpus, k, out_path):
     """Top-k similar embedding words per seed, restricted to article words."""
     if seeds.startswith("@"):
-        seed_list = [
-            w for w, _c, _l in type_dictionary._read_word_lines(seeds[1:])
-        ]
+        source, seed_list = seeds[1:], [w for w, _c, _l in type_dictionary._read_word_lines(seeds[1:])]
     else:
-        seed_list = [w for w in map(type_dictionary.normalize_type_word, seeds.split(",")) if w]
+        source, seed_list = None, [w for w in map(type_dictionary.normalize_type_word, seeds.split(",")) if w]
+    if not seed_list:
+        raise FormatError("no seeds given", path=source)
     table = embed_io.load_table(embeddings)
     members = type_dictionary.words_in_corpus(type_extraction.read_article_corpus(corpus))
     expansions = type_dictionary.expand_seeds(seed_list, members, table, k=k)
@@ -404,10 +404,15 @@ def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, thet
 @click.option("--out", "out_path", type=click.Path())
 def eval_geometry(baseline, reinforced, pairs, out_path):
     """Per-pair cosine deltas between two embedding tables."""
+    probe = []
+    for line_no, line in read_lines(pairs):
+        if not line.startswith("#"):
+            a, b, kind = tsv_fields(line, 3, pairs, line_no)
+            if kind not in ("same", "different"):
+                raise FormatError(f"pair kind {kind!r} is not 'same' or 'different'", path=pairs, line=line_no)
+            probe.append((a, b, kind))
     base_table = embed_io.load_table(baseline)
     reinf_table = embed_io.load_table(reinforced)
-    probe = [tuple(tsv_fields(line, 3, pairs, line_no))
-             for line_no, line in read_lines(pairs) if not line.startswith("#")]
     report = evaluation.geometry_report(base_table, reinf_table, probe)
     if out_path:
         write_lines(out_path, json_lines(report.to_dict()))

@@ -176,14 +176,16 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
     mention, and is a plain token anywhere else.  Context windows take
     ``window`` tokens from each side of the mention, excluding the mention
     itself.  A gold of ``--NME--`` becomes None (out-of-KB).  A document
-    with no mention line is dropped.  A bare ``-DOCSTART-`` is named
-    ``doc<n>``, after its place among the kept documents, with ``n`` raised
-    past every id the file writes and every name already given.  A negative
-    ``window`` is a `ConfigError`; a repeated doc id, or one holding a tab,
-    is a `FormatError` naming its ``-DOCSTART-`` line, and a candidate
-    listed twice on a mention line, once priors are stripped, one naming
-    that line.  The whole file is parsed before any document is built, so
-    of a bad line and a repeated id, the bad line is reported.
+    with no mention line is dropped.  An id wrapped in parentheses loses
+    that one pair, and any other id is kept as written.  A bare
+    ``-DOCSTART-`` is named ``doc<n>``, after its place among the kept
+    documents, with ``n`` raised past every id the file writes and every
+    name already given.  A negative ``window`` is a `ConfigError`; a
+    repeated doc id, or one holding a tab, is a `FormatError` naming its
+    ``-DOCSTART-`` line, and a candidate listed twice on a mention line,
+    once priors are stripped, one naming that line.  The whole file is
+    parsed before any document is built, so of a bad line and a repeated
+    id, the bad line is reported.
     """
     if window < 0:
         raise ConfigError(f"window must be >= 0, got {window}")
@@ -194,7 +196,10 @@ def load_aida_tsv(path, window: int = 25) -> list[LinkingDocument]:
         if not line.strip():
             continue
         if line.startswith("-DOCSTART-"):
-            doc_id = unbroken(line[len("-DOCSTART-") :].strip().strip("()"), "doc_id", path, line_no)
+            doc_id = line[len("-DOCSTART-") :].strip()
+            if doc_id.startswith("(") and doc_id.endswith(")"):
+                doc_id = doc_id[1:-1]
+            unbroken(doc_id, "doc_id", path, line_no)
             records.append((doc_id, line_no, tokens := [], spans := []))
             continue
         if not records:

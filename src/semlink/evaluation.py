@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Sized
 
 from .corpus import LinkingDocument
@@ -44,17 +44,7 @@ class EvalReport:
     per_doc: dict[str, DocCounts]
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "micro_precision": self.micro_precision,
-            "micro_recall": self.micro_recall,
-            "micro_f1": self.micro_f1,
-            "per_doc": {
-                d: {"tp": c.tp, "fp": c.fp, "fn": c.fn} for d, c in sorted(self.per_doc.items())
-            },
-        }
+        return asdict(self)
 
 
 def micro_f1(
@@ -206,10 +196,8 @@ def summarize_runs(scores: Sequence[float]) -> MultiRunSummary:
 class ConvergenceSetResult:
     """Per-seed training traces for one embedding table."""
 
-    name: str
     seeds: list[int]
     dev_f1_traces: list[list[float]]
-    loss_traces: list[list[float]]
     epochs_to_threshold: list[Optional[int]]  # None = censored
     mean_epochs: float
     censored: int
@@ -222,20 +210,7 @@ class ConvergenceReport:
     sets: dict[str, ConvergenceSetResult]
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "max_epochs": self.max_epochs,
-            "sets": {
-                name: {
-                    "seeds": r.seeds,
-                    "epochs_to_threshold": r.epochs_to_threshold,
-                    "mean_epochs": r.mean_epochs,
-                    "censored": r.censored,
-                    "dev_f1_traces": r.dev_f1_traces,
-                }
-                for name, r in self.sets.items()
-            },
-        }
+        return asdict(self)
 
 
 def epochs_to_threshold(result: TrainResult, theta: float) -> Optional[int]:
@@ -296,10 +271,8 @@ def convergence_experiment(
             )
         effective = [train_config.epochs if e is None else e for e in reached]
         sets[name] = ConvergenceSetResult(
-            name=name,
             seeds=seeds,
             dev_f1_traces=[result.dev_f1_trace for result in runs],
-            loss_traces=[result.loss_trace for result in runs],
             epochs_to_threshold=reached,
             mean_epochs=sum(effective) / len(effective),
             censored=reached.count(None),

@@ -68,8 +68,6 @@ class FixtureSizes:
 
 @dataclass
 class FixtureBundle:
-    seed: int
-    sizes: FixtureSizes
     words: EmbeddingTable
     wikitext: EmbeddingTable
     dictionary: SemanticTypeDictionary
@@ -189,8 +187,6 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
         train_docs, dev_docs, eval_docs = [], [], []
 
     return FixtureBundle(
-        seed=seed,
-        sizes=sizes,
         words=words,
         wikitext=wikitext,
         dictionary=dictionary,

@@ -62,7 +62,6 @@ class PhraseMatcher:
                 node = node.setdefault(token, {})
             node[PhraseMatcher._WORD] = word
         self._root = root
-        self._dictionary = dictionary
 
     def starts(self, tokens: list[str]) -> list[int]:
         """Positions whose token is the first token of some dictionary word."""

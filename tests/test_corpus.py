@@ -65,6 +65,14 @@ class TestCorpusIO:
         assert m.context == ["the", "president", "today"]
         assert docs[1].mentions[0].gold is None
 
+    @pytest.mark.parametrize("written, doc_id", [
+        ("(f(x))", "f(x)"), ("(doc)", "doc"), ("doc7", "doc7"), ("f(x)", "f(x)"), ("((a))", "(a)"),
+    ])
+    def test_tsv_doc_id_loses_only_its_wrapping_parentheses(self, tmp_path, written, doc_id):
+        p = tmp_path / "corpus.tsv"
+        p.write_text(f"-DOCSTART- {written}\nx\tB\tx\tX\tX\n", "utf-8")
+        assert [d.doc_id for d in load_aida_tsv(p)] == [doc_id]
+
     def test_jsonl_repeated_candidate_names_file_and_line(self, tmp_path):
         # after prior stripping all three forms are 'e2'
         good = {"doc_id": "a", "mentions": [{"surface": "x", "candidates": ["e1", "e2"]}]}

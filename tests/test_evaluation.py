@@ -211,7 +211,6 @@ class TestConvergenceExperiment:
         base = report.sets["baseline"]
         reinf = report.sets["reinforced"]
         assert base.dev_f1_traces == reinf.dev_f1_traces
-        assert base.loss_traces == reinf.loss_traces
         assert base.epochs_to_threshold == reinf.epochs_to_threshold
 
     def test_bit_reproducible(self):

@@ -106,6 +106,11 @@ PINNED = {
     "eval.json": "f16032900a90b9de6b5d6dd9a88c51e1d1da99ce90a2833ae6157a84d5feb2ce",
     "eval.tsv": "237f77c197e5c94e6a9ca7357e17b5e1be947b597c38668799e8d43f781d8585",
 }
+# sha256 of each output of `test_study_outputs_keep_their_bytes`
+STUDY_PINNED = {
+    "converge.json": "c0550fd42f5d522504c2b692b247a163875af4fe10bb17610754fe30edadd405",
+    "runs stdout": "17eb576b3b98b852169631c3dbc9701d48fd3b81485992482c5bfcf203c14784",
+}
 
 
 class TestPipeline:
@@ -127,6 +132,20 @@ class TestPipeline:
     def test_outputs_keep_their_bytes(self, default_run):
         _, out = default_run
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED} == PINNED
+
+    def test_study_outputs_keep_their_bytes(self, default_run, tmp_path, capsys):
+        """`eval converge --out` with default options on the default run's
+        tables, and `eval runs` stdout, keep their bytes."""
+        paths, out = default_run
+        with pytest.warns(UserWarning, match="only reorder the SGD steps"):
+            main(["eval", "converge", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+                  "--words", str(paths["words"]), "--baseline", str(paths["wikitext"]),
+                  "--reinforced", str(out / "reinforced.bin"), "--out", str(tmp_path / "converge.json")])
+        capsys.readouterr()
+        main(["eval", "runs", "--scores", "0.9,0.92,0.91"])
+        outputs = {"converge.json": (tmp_path / "converge.json").read_bytes(),
+                   "runs stdout": capsys.readouterr().out.encode()}
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == STUDY_PINNED
 
     def test_cli_chain_writes_the_pipeline_bytes(self, default_run, tmp_path, capsys, monkeypatch):
         """The README's command chain, with the same inputs and default
@@ -821,6 +840,20 @@ class TestCli:
         assert all(line.split("\t")[0] == seed_word for line in lines[1:])
         assert 1 <= len(lines) - 1 <= 5
 
+    @pytest.mark.parametrize("seeds", [",", "", "@"], ids=["comma", "empty", "word-less-file"])
+    def test_dict_expand_no_seeds_exits_2_and_writes_nothing(self, fixture_dir, tmp_path, capsys, seeds):
+        root, paths = fixture_dir
+        word_less, out = tmp_path / "seeds.txt", tmp_path / "expanded.tsv"
+        word_less.write_text("# curated seeds\n\n", "utf-8")
+        seeds = f"@{word_less}" if seeds == "@" else seeds
+        with pytest.raises(SystemExit) as e:
+            main(["dict", "expand", "--seeds", seeds, "--embeddings", str(paths["words"]),
+                  "--corpus", str(paths["articles"]), "--out", str(out)])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no seeds given" + (f" [{word_less}]" if seeds[:1] == "@" else "") + "\n"
+        assert captured.out == "" and not out.exists()
+
     def test_dict_mine_and_build(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
         runner = CliRunner()
@@ -1274,6 +1307,18 @@ class TestCli:
             ])
         assert e.value.code == 2
         assert f"{pairs}:2" in capsys.readouterr().err
+
+    def test_eval_geometry_unknown_pair_kind_exits_2_and_writes_nothing(self, fixture_dir, tmp_path, capsys):
+        root, paths = fixture_dir
+        pairs, out = tmp_path / "pairs.tsv", tmp_path / "geometry.json"
+        pairs.write_text("ent0000\tent0006\tsame\nent0000\tent0001\tsmae\n", "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "geometry", "--baseline", str(paths["wikitext"]), "--reinforced", str(paths["wikitext"]),
+                  "--pairs", str(pairs), "--out", str(out)])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert f"pair kind 'smae' is not 'same' or 'different' [{pairs}:2]" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("seeds, token", [("", None), (" , ", None), ("1,x", "'x'"),
                                               ("-1", "'-1'"), ("2,1.5", "'1.5'")])
