@@ -8,7 +8,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import shutil
 import sys
+import tempfile
 
 import click
 
@@ -23,7 +26,7 @@ from . import (
     type_dictionary,
     type_extraction,
 )
-from ._text import COUNT_FIELD, json_lines, read_all, read_lines, tsv_fields, write_files, write_lines
+from ._text import COUNT_FIELD, json_lines, read_all, read_lines, replacing, tsv_fields, write_files, write_lines
 from .errors import CapacityError, FormatError, MissingLabelError, SemlinkError
 
 
@@ -165,12 +168,25 @@ def embed_convert(in_path, out_path, normalize):
 @click.option("--types", "types_path", required=True, type=click.Path(exists=True))
 @click.option("--T", "t_value", default=11, show_default=True)
 @click.option("--alpha", default=0.2, show_default=True)
+@click.option("--out-semantic", type=click.Path(), help="Also keep the semantic vectors alone here (binary).")
 @click.option("--out", "out_path", required=True, type=click.Path())
-def embed_reinforce(wikitext, words, types_path, t_value, alpha, out_path):
+def embed_reinforce(wikitext, words, types_path, t_value, alpha, out_semantic, out_path):
     """Blend semantic type means into entity vectors."""
-    out_table = pipeline.run_stage("aggregate", {"words": words, "wikitext": wikitext, "types_file": types_path},
-                                   {"T": t_value, "alpha": alpha}, [out_path])
-    click.echo(f"reinforced {len(out_table)} entities (T={t_value}, alpha={alpha})")
+    semantic_aggregation.AggregationConfig(T=t_value, alpha=alpha)  # ConfigError before any file is read
+    if out_semantic and embed_io._is_text(out_semantic):
+        raise click.BadParameter("the semantic table is written in binary form, not text", param_hint="--out-semantic")
+    with tempfile.TemporaryDirectory() as scratch:
+        # both tables are made in scratch, then put in place together or not at all
+        made = [f"{scratch}/reinforced{os.path.splitext(out_path)[1]}", f"{scratch}/semantic.bin"]
+        pipeline.run_stage("semantic", {"words": words, "types_file": types_path}, {"T": t_value, "alpha": alpha},
+                           made[1:])
+        table = pipeline.run_stage("aggregate", {"wikitext": wikitext, "semantic": made[1]}, {"alpha": alpha},
+                                   made[:1])
+        with replacing([out_path, out_semantic] if out_semantic else [out_path]) as handles:
+            for fh, path in zip(handles, made):
+                with open(path, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+    click.echo(f"reinforced {len(table)} entities (T={t_value}, alpha={alpha})")
 
 
 @embed.command("neighbors")

@@ -41,12 +41,15 @@ class LinkingDocument:
 
 
 def save_linking_jsonl(docs: Iterable[LinkingDocument], path) -> None:
-    """One JSON document per line: doc_id plus mention records."""
+    """One JSON document per line: doc_id plus mention records.  A candidate
+    that would read back with its ':'-suffix taken for a prior is written as
+    a ``[label, prior]`` pair, whose label reads back unchanged."""
     write_lines(path, (
         json.dumps({
             "doc_id": doc.doc_id,
             "mentions": [
-                {"surface": m.surface, "context": m.context, "candidates": m.candidates, "gold": m.gold}
+                {"surface": m.surface, "context": m.context, "gold": m.gold,
+                 "candidates": [c if _strip_prior(c) == c else [c, 1.0] for c in m.candidates]}
                 for m in doc.mentions
             ],
         }, sort_keys=True)

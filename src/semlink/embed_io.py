@@ -298,17 +298,34 @@ def _encode_label(label: str) -> bytes:
 
 
 def load_binary(path) -> EmbeddingTable:
-    """Load a word2vec-style binary embedding file.
+    """Load a word2vec-style binary embedding file, as one block of `_binary_blocks`."""
+    (table,) = _binary_blocks(path, None)  # to the end, so the file is closed here
+    return table
+
+
+def read_blocks(path) -> Iterator[EmbeddingTable]:
+    """The table at ``path`` as consecutive tables of at most `BLOCK_ROWS`
+    entries; a text table comes as one."""
+    return iter([load_text(path)]) if _is_text(path) else _binary_blocks(path, BLOCK_ROWS)
+
+
+def _binary_blocks(path, rows: Optional[int]) -> Iterator[EmbeddingTable]:
+    """A binary table as consecutive tables of ``rows`` entries (of all of
+    them for None; an empty table is one empty block), the last one shorter.
 
     The file is read in chunks of `_CHUNK` bytes, and each vector's bytes are
-    copied straight into the table's matrix, so a load holds the table plus
-    about one chunk and one entry.  The labels are decoded together once the
-    last entry is read.
+    copied straight into its block's matrix, so a read holds one block plus
+    about one chunk and one entry.  A block's labels are decoded together
+    once its last entry is read, and the block is then checked as any table
+    is; the last block only once no byte is found past its last entry.  A
+    label repeated in a later block is a `DuplicateLabelError` naming the
+    file.
     """
     with open(path, "rb") as fh:
         count, dim = _read_header(fh, path)
         vec_bytes = dim * 4
-        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        end = os.fstat(fh.fileno()).st_size
+        body = end - fh.tell()
         # every entry takes at least a 1-byte label, the space and its vector
         if count * (2 + vec_bytes) > body:
             raise TruncatedError(
@@ -316,49 +333,54 @@ def load_binary(path) -> EmbeddingTable:
                 f"but only {body} bytes follow it",
                 path=path,
             )
-        raws: list[bytes] = []
-        matrix = np.empty((count, dim), dtype=_F32)
-        out = memoryview(matrix.reshape(-1).view(np.uint8))
+        size, seen = rows or count, set()
         buf, pos = b"", 0
-        for i in range(count):
-            sp = buf.find(b" ", pos)
-            while sp < 0:
-                # buf[pos:] is the start of a label: keep it and read on; the
-                # consumed bytes are dropped before the next chunk is read
-                searched = len(buf) - pos
-                buf, pos = buf[pos:], 0
-                buf += fh.read(_CHUNK)
-                if len(buf) == searched:
-                    raise TruncatedError(f"file ends inside entry {i}", path=path)
-                sp = buf.find(b" ", searched)
-            raw = buf[pos:sp]
-            if not raw:
-                raise FormatError(f"empty label in entry {i}", path=path)
-            if b"\n" in raw:
-                raise FormatError(f"label in entry {i} contains a newline", path=path)
-            pos = sp + 1
-            if len(buf) - pos < vec_bytes:
-                buf, pos = buf[pos:], 0
-                buf += fh.read(max(_CHUNK, vec_bytes - len(buf)))
-                if len(buf) < vec_bytes:
-                    raise TruncatedError(f"file ends inside vector of entry {i}", path=path)
-            out[i * vec_bytes : (i + 1) * vec_bytes] = memoryview(buf)[pos : pos + vec_bytes]
-            raws.append(raw)
-            pos += vec_bytes
-            if pos == len(buf):
-                buf, pos = fh.read(_CHUNK), 0
-            # entries may carry a single trailing newline
-            if pos < len(buf) and buf[pos] == 0x0A:
-                pos += 1
-        trailing = len(buf) - pos
-        while chunk := fh.read(_CHUNK):
-            trailing += len(chunk)
-    if trailing:
-        raise FormatError(f"{trailing} trailing bytes after last entry", path=path)
-    # no label holds 0x20, and 0x20 never sits inside a UTF-8 sequence, so
-    # this splits into each label's own decoding
-    labels = _decode_label(b" ".join(raws)).split(" ") if raws else []
-    return _loaded_table(path, dim, labels, matrix)
+        for start in range(0, max(count, 1), max(size, 1)):
+            raws: list[bytes] = []
+            matrix = np.empty((min(size, count - start), dim), dtype=_F32)
+            out = memoryview(matrix.reshape(-1).view(np.uint8))
+            for j in range(len(matrix)):
+                sp = buf.find(b" ", pos)
+                while sp < 0:
+                    # buf[pos:] is the start of a label: keep it and read on; the
+                    # consumed bytes are dropped before the next chunk is read
+                    searched = len(buf) - pos
+                    buf, pos = buf[pos:], 0
+                    buf += fh.read(_CHUNK)
+                    if len(buf) == searched:
+                        raise TruncatedError(f"file ends inside entry {start + j}", path=path)
+                    sp = buf.find(b" ", searched)
+                raw = buf[pos:sp]
+                if not raw:
+                    raise FormatError(f"empty label in entry {start + j}", path=path)
+                if b"\n" in raw:
+                    raise FormatError(f"label in entry {start + j} contains a newline", path=path)
+                pos = sp + 1
+                if len(buf) - pos < vec_bytes:
+                    buf, pos = buf[pos:], 0
+                    buf += fh.read(max(_CHUNK, vec_bytes - len(buf)))
+                    if len(buf) < vec_bytes:
+                        raise TruncatedError(f"file ends inside vector of entry {start + j}", path=path)
+                out[j * vec_bytes : (j + 1) * vec_bytes] = memoryview(buf)[pos : pos + vec_bytes]
+                raws.append(raw)
+                pos += vec_bytes
+                if pos == len(buf):
+                    buf, pos = fh.read(_CHUNK), 0
+                # entries may carry a single trailing newline
+                if pos < len(buf) and buf[pos] == 0x0A:
+                    pos += 1
+            # after the last entry: what buf holds past pos and what is unread
+            if start + size >= count and (trailing := end - fh.tell() + len(buf) - pos):
+                raise FormatError(f"{trailing} trailing bytes after last entry", path=path)
+            # no label holds 0x20, and 0x20 never sits inside a UTF-8 sequence, so
+            # this splits into each label's own decoding
+            labels = _decode_label(b" ".join(raws)).split(" ") if raws else []
+            table = _loaded_table(path, dim, labels, matrix)
+            if repeated := seen.intersection(table.labels):
+                raise DuplicateLabelError(f"duplicate label {min(repeated)!r}", path=path)
+            if rows:
+                seen.update(table.labels)
+            yield table
 
 
 def _read_header(fh, path) -> tuple[int, int]:

@@ -9,8 +9,9 @@ change without rerunning it.  An input that an earlier stage writes
 (`_ARTIFACTS`) is read from ``out`` when that stage is enabled and from its
 configured path otherwise.  Every input of every enabled stage is checked
 before any stage runs: a missing key or a path that is not a file ends in a
-`ConfigError` with nothing written.  `types extract`, `embed reinforce` and
-`link train` run their stage's runner alone, through `run_stage`.
+`ConfigError` with nothing written.  `types extract` and `link train` run
+their stage's runner alone, through `run_stage`, and `embed reinforce` runs
+the ``semantic`` runner and then the ``aggregate`` one.
 
 Every stage records content hashes in ``manifest.json``: its inputs by
 configuration key and its outputs by file name under ``out``, so a copied
@@ -25,14 +26,16 @@ outputs and the manifest as they were and aborts the run with a
 
 One run does each piece of work once: each file is hashed at most once (a
 stage's outputs again when it records them), and `_RunCache` reads each
-embedding table and ``types.tsv`` once for every stage, keyed by path.
-``types`` leaves its assignments there, which `write_assignments` makes
-sure the file reads back as, so ``semantic`` and ``aggregate`` do not read
-``types.tsv`` back in the run that wrote it; ``aggregate`` leaves its
-table, so ``link`` and ``eval`` do not read ``reinforced.bin`` back.
-``aggregate`` blends into the ``wikitext`` table it loaded, so a run holds
-at most one entity-sized table at a time (`aggregate_table` still returns
-a new table), and nothing outlives the run.  A bad
+embedding table once for every stage, keyed by path.  ``types`` hands its
+assignments to ``semantic`` there, which `write_assignments` makes sure the
+file reads back as, so ``semantic`` does not read ``types.tsv`` back in the
+run that wrote it.  ``semantic`` takes every semantic mean, and
+``aggregate`` only blends: it reads ``semantic.bin`` in blocks of
+`embed_io.BLOCK_ROWS` entries and blends each into the ``wikitext`` table
+it loaded, so a run holds at most one entity-sized table at a time
+(`aggregate_table` still returns a new table).  ``aggregate`` leaves its
+table, so ``link`` and ``eval`` do not read ``reinforced.bin`` back, and
+nothing outlives the run.  A bad
 configuration value, or a path holding a NUL byte, ends in a `ConfigError`
 naming the key, the value and the line or ``--set``.
 """
@@ -56,7 +59,7 @@ STAGES = {
     "dict": (("seeds",), ("extensions", "remap", "words"), ("dictionary.txt", "remap.tsv"), ()),
     "types": (("corpus", "dictionary"), ("remap",), ("types.tsv",), ("cap",)),
     "semantic": (("words", "types_file"), (), ("semantic.bin",), ("T", "alpha")),
-    "aggregate": (("words", "wikitext", "types_file"), (), ("reinforced.bin",), ("T", "alpha")),
+    "aggregate": (("wikitext", "semantic"), (), ("reinforced.bin",), ("alpha",)),
     "link": (("words", "reinforced", "train"), ("dev",), ("model.txt", "train_trace.json"),
              ("margin", "lr", "epochs", "seed", "window")),
     "eval": (("words", "reinforced", "model", "eval"), (), ("eval.json", "eval.tsv"), ("strategy", "window")),
@@ -69,6 +72,7 @@ _ARTIFACTS = {
     "dictionary": ("dictionary.txt", "dict"),
     "remap": ("remap.tsv", "dict"),
     "types_file": ("types.tsv", "types"),
+    "semantic": ("semantic.bin", "semantic"),
     "reinforced": ("reinforced.bin", "aggregate"),
     "model": ("model.txt", "link"),
 }
@@ -111,6 +115,7 @@ class PipelineConfig:
     remap: Optional[Path] = None
     dictionary: Optional[Path] = None
     types_file: Optional[Path] = None
+    semantic: Optional[Path] = None
     reinforced: Optional[Path] = None
     model: Optional[Path] = None
     train: Optional[Path] = None
@@ -293,7 +298,8 @@ class _Manifest:
 
 
 class _RunCache:
-    """One run's shared reads: embedding tables and type assignments, by path."""
+    """One run's shared reads: embedding tables by path, and the assignments
+    that ``types`` hands to ``semantic``."""
 
     def __init__(self):
         self.tables: dict = {}
@@ -303,11 +309,6 @@ class _RunCache:
         if path not in self.tables:
             self.tables[path] = embed_io.load_table(path)
         return self.tables[path]
-
-    def assignments(self, path: Path) -> dict:
-        if path not in self.types:
-            self.types[path] = type_extraction.read_assignments(path)
-        return self.types[path]
 
 
 # runner(shared, inputs, params, targets) -> what its command reports; `params` is what the stage records
@@ -324,23 +325,24 @@ def _stage_types(shared, inputs, params, targets):
     articles = type_extraction.read_article_corpus(inputs["corpus"])
     assignments = type_extraction.extract_corpus(articles, d, cap=params["cap"])
     type_extraction.write_assignments(assignments, targets[0])
-    shared.types[targets[0]] = assignments  # what the file reads back: semantic and aggregate use it
+    shared.types[targets[0]] = assignments  # what the file reads back: semantic uses it
     return assignments
 
 
 def _stage_semantic(shared, inputs, params, targets):
-    words = shared.table(inputs["words"])
-    table = semantic_aggregation.semantic_table(shared.assignments(inputs["types_file"]), words, params["T"])
+    path = inputs["types_file"]
+    # the last reader of the assignments, so it takes them from the cache
+    assignments = shared.types.pop(path) if path in shared.types else type_extraction.read_assignments(path)
+    table = semantic_aggregation.semantic_table(assignments, shared.table(inputs["words"]), params["T"])
     embed_io.save_binary(table, targets[0])
 
 
 def _stage_aggregate(shared, inputs, params, targets):
-    cfg = semantic_aggregation.AggregationConfig(T=params["T"], alpha=params["alpha"])
     wikitext = embed_io.load_table(inputs["wikitext"])  # not cached: its matrix becomes the reinforced table's
     matrix = wikitext.matrix
     matrix.flags.writeable = True  # loaded just now and held nowhere else
-    words = shared.table(inputs["words"])
-    semantic_aggregation.blend_into(matrix, wikitext.labels, shared.assignments(inputs["types_file"]), words, cfg)
+    for block in embed_io.read_blocks(inputs["semantic"]):
+        semantic_aggregation.blend_into(matrix, wikitext, block, params["alpha"])
     table = embed_io.EmbeddingTable(wikitext.dim, wikitext.labels, matrix)
     embed_io.save_table(table, targets[0])
     shared.tables[targets[0]] = table  # link and eval use it without reading it back

@@ -13,15 +13,18 @@ order; table storage stays float32.  Vectors are plain arrays: `aggregate`
 and `cosine` take array-likes, such as the rows `EmbeddingTable.vector`
 returns, and work in float64.
 
-Whole tables go through `semantic_means`, which maps each entity's type
-words to word-table rows and takes their means with `embed_io.row_means`;
-that rule adds the rows in the same order as `semantic_embedding`, which
-stays as the scalar reference, so both give the same bits.  `blend_into`
-is the one table blend: it writes the reinforced rows into a matrix in
-place, which the pipeline's ``aggregate`` stage does to the base table it
-loaded, and `aggregate_table` runs it on a copy.  Cosines and
-top-k neighbours use the table's cached row norms (`EmbeddingTable.cosines`,
-`embed_io.top_k`).
+The two steps of the method are two table functions.  `semantic_table`
+maps each entity's type words to word-table rows and takes their means with
+`embed_io.row_means`, which adds the rows in the same order as
+`semantic_embedding`, the scalar reference, so both give the same bits; it
+stores them as float32, as the pipeline's ``semantic`` stage writes them.
+`blend_into` is the one blend: it writes `aggregate` of each base row and
+its float32 semantic row, matched by label, into a matrix in place.  The
+``aggregate`` stage blends each block of ``semantic.bin`` into the base
+table it loaded, and `aggregate_table` runs `semantic_table` and then the
+blend on a copy, so the library and the pipeline share one rule.  Cosines
+and top-k neighbours use the table's cached row norms
+(`EmbeddingTable.cosines`, `embed_io.top_k`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import embed_io
 from .embed_io import EmbeddingTable, row_means, top_k
 from .errors import ConfigError, DimensionError, MissingWordVectorError
 from .type_extraction import EntityTypeAssignment
@@ -130,11 +134,20 @@ def semantic_means(
 def semantic_table(
     assignments: Mapping[str, EntityTypeAssignment], words: EmbeddingTable, T: int
 ) -> EmbeddingTable:
-    """Float32 semantic means of the entities that have type words, in order."""
+    """Float32 semantic means of the entities that have type words, in order.
+
+    A coverage histogram (how many type words each entity contributed, 0 for
+    none) is logged, since the same alpha applies regardless of coverage.
+    """
     typed = [(entity_id, a) for entity_id, a in assignments.items() if a.type_words]
     matrix = np.empty((len(typed), words.dim), dtype=np.float32)
-    for rows, means, _counts in semantic_means([a for _, a in typed], words, T):
+    coverage = Counter({0: len(assignments) - len(typed)})
+    for rows, means, counts in semantic_means([a for _, a in typed], words, T):
         matrix[rows] = means
+        coverage.update(counts.tolist())
+    if assignments:
+        log.info("semantic means of %d entities (T=%d); coverage histogram %s",
+                 len(assignments), T, dict(sorted((+coverage).items())))
     return EmbeddingTable(words.dim, [entity_id for entity_id, _ in typed], matrix)
 
 
@@ -144,44 +157,36 @@ def aggregate_table(
     words: EmbeddingTable,
     cfg: AggregationConfig,
 ) -> EmbeddingTable:
-    """Reinforce every covered entity in a new table; uncovered rows pass
-    through bit-exact, and ``wikitext`` is left as it was.
+    """`semantic_table` of the entities in ``wikitext``, blended into a copy
+    of it by `blend_into`; rows without type words pass through bit-exact,
+    and ``wikitext`` is left as it was.
 
     Output labels and order are identical to the input table.
     """
     matrix = wikitext.matrix.copy()
-    blend_into(matrix, wikitext.labels, assignments, words, cfg)
+    semantic = semantic_table({k: a for k, a in assignments.items() if k in wikitext}, words, cfg.T)
+    blend_into(matrix, wikitext, semantic, cfg.alpha)
     return EmbeddingTable(wikitext.dim, list(wikitext.labels), matrix)
 
 
-def blend_into(
-    matrix: np.ndarray,
-    labels: Sequence[str],
-    assignments: Mapping[str, EntityTypeAssignment],
-    words: EmbeddingTable,
-    cfg: AggregationConfig,
-) -> None:
-    """Overwrite each row of the writable float32 ``matrix`` whose label has
-    type words with `aggregate` of it and its semantic mean, rounded to
-    float32; a row without type words is not written, so it keeps its bits.
-
-    A coverage histogram (how many type words each entity contributed) is
-    logged since the same alpha applies regardless of coverage.
+def blend_into(matrix: np.ndarray, base: EmbeddingTable, semantic: EmbeddingTable, alpha: float) -> None:
+    """Overwrite each row of the writable float32 ``matrix``, laid out as the
+    rows of ``base``, whose label has a row in ``semantic`` with `aggregate`
+    of the two, rounded to float32.  Other rows keep their bits, and a
+    semantic label that ``base`` lacks is skipped.  The float64 temporaries
+    of `aggregate` cover a quarter of `embed_io.BLOCK_ROWS` rows at a time.
     """
-    if matrix.shape[1] != words.dim:
+    if matrix.shape[1] != semantic.dim:
         raise DimensionError(
-            f"entity table dim {matrix.shape[1]} != word table dim {words.dim}"
+            f"entity table dim {matrix.shape[1]} != semantic table dim {semantic.dim}"
         )
-    coverage: Counter = Counter()
-    rows_in_order = [assignments.get(label) for label in labels]
-    for rows, means, counts in semantic_means(rows_in_order, words, cfg.T):
-        np.copyto(matrix[rows], aggregate(matrix[rows], means, cfg.alpha), where=(counts > 0)[:, None])
-        coverage.update(counts.tolist())
-    if coverage:
-        log.info(
-            "reinforced %d entities (T=%d, alpha=%g); coverage histogram %s",
-            len(labels), cfg.T, cfg.alpha, dict(sorted(coverage.items())),
-        )
+    found = map(base._index.get, semantic.labels)
+    pairs = [(row, i) for i, row in enumerate(found) if row is not None]
+    targets, sources = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
+    step = max(1, embed_io.BLOCK_ROWS // 4)
+    for start in range(0, len(pairs), step):
+        into = targets[start : start + step]
+        matrix[into] = aggregate(matrix[into], semantic.matrix[sources[start : start + step]], alpha)
 
 
 def cosine(u, v) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ._text import COUNT_FIELD, read_lines, tokenize, tsv_fields, write_files, write_lines
+from ._text import COUNT_FIELD, read_lines, tokenize, tsv_fields, unbroken, write_files, write_lines
 from .embed_io import EmbeddingTable, top_k
 from .errors import ConfigError, FormatError, MissingSeedError, RemapTargetError
 
@@ -87,8 +87,10 @@ class NounFrequencyReport:
         return items
 
     def save_tsv(self, path) -> None:
+        """Nouns most frequent first; a noun holding a tab or a line break is refused."""
         ranked = sorted(self.counts.items(), key=lambda wc: (-wc[1], wc[0]))
-        write_lines(path, [f"#total_sentences\t{self.total_sentences}"] + [f"{w}\t{c}" for w, c in ranked])
+        write_lines(path, [f"#total_sentences\t{self.total_sentences}"]
+                    + [f"{unbroken(w, 'noun', path)}\t{c}" for w, c in ranked])
 
     @classmethod
     def load_tsv(cls, path) -> "NounFrequencyReport":
@@ -146,7 +148,12 @@ class SemanticTypeDictionary:
         return len(self.words)
 
     def save(self, words_path, remap_path=None) -> None:
-        """Serialize deterministically: sorted words, sorted remap pairs."""
+        """Serialize deterministically: sorted words, sorted remap pairs.  A
+        word that the words file would read back as another (a ``#``, which
+        starts a comment, or whitespace) is refused."""
+        for word in sorted(self.words):
+            if "#" in word or normalize_type_word(word) != word:
+                raise FormatError(f"dictionary word {word!r} would not read back as itself", path=words_path)
         cats = self.categories
         outputs = [(words_path, [f"{w}\t{cats[w]}" if cats.get(w) else w for w in sorted(self.words)])]
         if remap_path is not None:

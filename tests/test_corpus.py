@@ -191,6 +191,25 @@ class TestCorpusIO:
     def test_strip_prior_only_strips_probabilities(self, text, label):
         assert _strip_prior(text) == label
 
+    def test_jsonl_candidate_that_looks_like_a_prior_reads_back(self, tmp_path):
+        """A candidate whose ':'-suffix would read as a prior is written as a
+        [label, prior] pair; the other candidates keep their plain form."""
+        docs = [LinkingDocument("d", [Mention("apollo", ["moon"], ["Apollo", "Apollo:1", "Apollo:11"], "Apollo:1")])]
+        p = tmp_path / "docs.jsonl"
+        save_linking_jsonl(docs, p)
+        assert load_linking_jsonl(p) == docs
+        assert load_linking_jsonl(p)[0].mentions[0].gold_in_candidates()
+        (record,) = map(json.loads, p.read_text("utf-8").splitlines())
+        assert record["mentions"][0]["candidates"] == ["Apollo", ["Apollo:1", 1.0], "Apollo:11"]
+
+    @given(st.lists(st.text("ab:.01", min_size=1, max_size=6), min_size=1, max_size=5, unique=True))
+    def test_jsonl_written_candidates_read_back(self, candidates):
+        docs = [LinkingDocument("d", [Mention("x", ["y"], candidates, candidates[-1])])]
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "docs.jsonl"
+            save_linking_jsonl(docs, p)
+            assert load_linking_jsonl(p) == docs
+
     def test_strip_prior_structured_pair(self):
         assert _strip_prior(["Apollo:11", 0.3]) == "Apollo:11"
         assert _strip_prior(("City_X", 0.9)) == "City_X"

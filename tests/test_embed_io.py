@@ -639,6 +639,33 @@ def test_load_reads_what_the_per_entry_reader_reads(io_dir, chunk, raw):
         assert load_outcome(path) == load_outcome(path, reference_load_binary)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 6])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_read_blocks_are_the_table_in_consecutive_blocks(tmp_path, rng, n, rows):
+    table = EmbeddingTable(3, [f"v{i}" for i in range(n)], rng.standard_normal((n, 3)).astype(np.float32))
+    save_binary(table, tmp_path / "t.bin")
+    save_text(table, tmp_path / "t.txt")
+    with mock.patch.object(embed_io, "BLOCK_ROWS", rows):
+        blocks = list(embed_io.read_blocks(tmp_path / "t.bin"))
+        text_blocks = list(embed_io.read_blocks(tmp_path / "t.txt")) if n else None
+    # an empty table is one empty block
+    assert [len(b) for b in blocks] == [min(rows, n - start) for start in range(0, max(n, 1), rows)]
+    assert sum((b.labels for b in blocks), []) == table.labels
+    assert np.concatenate([b.matrix for b in blocks]).tobytes() == table.matrix.tobytes()
+    if n:  # an empty text table has no dimension to read back
+        assert text_blocks == [table]  # a text table is one block
+
+
+@pytest.mark.parametrize("labels, rows", [(b"a b a", 2), (b"a b a", 3), (b"a b c b", 2)])
+def test_read_blocks_refuse_a_label_of_an_earlier_block(tmp_path, labels, rows):
+    labels = labels.split()
+    path = tmp_path / "t.bin"
+    path.write_bytes(f"{len(labels)} 1\n".encode() + b"".join(label + b" " + struct.pack("<f", 1.0) for label in labels))
+    with mock.patch.object(embed_io, "BLOCK_ROWS", rows), pytest.raises(DuplicateLabelError) as e:
+        list(embed_io.read_blocks(path))
+    assert e.value.path == path
+
+
 # ---------------------------------------------------------------------------
 # Memory: no load, save, normalisation or blend holds a second copy of a table
 
@@ -692,8 +719,10 @@ def test_normalized_holds_its_result_and_one_float64_block(big_table_path):
 
 
 def test_aggregate_stage_holds_one_entity_table(big_table_path, tmp_path):
-    """The stage blends into the base table it loads, so its peak is that
-    table, the word table, the assignments and a few blocks, not two tables."""
+    """The stage blends each block of the semantic table into the base table
+    it loads, so its peak stays within that table, the word table and the
+    assignments the semantic table comes from, and a few blocks: not two
+    tables."""
     table = load_binary(big_table_path)
     rng = np.random.default_rng(6)
     words = EmbeddingTable(table.dim, [f"w{i}" for i in range(200)],
@@ -705,9 +734,11 @@ def test_aggregate_stage_holds_one_entity_table(big_table_path, tmp_path):
     write_assignments(assignments, tmp_path / "types.tsv")
     _, words_held, _ = traced(lambda: load_binary(tmp_path / "words.bin"))
     _, types_held, _ = traced(lambda: read_assignments(tmp_path / "types.tsv"))
-    inputs = {"wikitext": big_table_path, "words": tmp_path / "words.bin", "types_file": tmp_path / "types.tsv"}
+    pipeline.run_stage("semantic", {"words": tmp_path / "words.bin", "types_file": tmp_path / "types.tsv"},
+                       {"T": 11, "alpha": 0.2}, [tmp_path / "semantic.bin"])
+    inputs = {"wikitext": big_table_path, "semantic": tmp_path / "semantic.bin"}
     reinforced, _, peak = traced(
-        lambda: pipeline.run_stage("aggregate", inputs, {"T": 11, "alpha": 0.2}, [tmp_path / "r.bin"])
+        lambda: pipeline.run_stage("aggregate", inputs, {"alpha": 0.2}, [tmp_path / "r.bin"])
     )
     assert peak <= table.matrix.nbytes + words_held + types_held + 3 * MiB
     assert reinforced.labels == table.labels

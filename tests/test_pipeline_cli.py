@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import re
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from semlink import linking_core, pipeline
+from semlink import embed_io, linking_core, pipeline
 from semlink.cli import cli, main
 from semlink.corpus import LinkingDocument, Mention, load_linking_jsonl, save_linking_jsonl
 from semlink.embed_io import EmbeddingTable, load_binary, load_table, save_binary, save_text
@@ -100,9 +101,9 @@ PINNED = {
     "remap.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "types.tsv": "efe54a18de0533f006822236c70dce2b3ca6dc9b5e4de89e841b8bb62892605f",
     "semantic.bin": "abddd57ed2cac86e3820386955d51183680f46d98ca3c9a26482aca7d2344aa8",
-    "reinforced.bin": "80a1630f336fc3b99a107763f72e03269064f72a8266a0b77022adf0ae8267b8",
-    "model.txt": "ec1a25aec897f603466776432d9224b3edacd3c69058843fb0b2e04bbde52f7d",
-    "train_trace.json": "6ff417dd34987f63c711dd8d6deb3198c93b0e67a14629fe1b34e15661dcb444",
+    "reinforced.bin": "57db0a587d743a4e3a7fcbf564f9d96c0106f573ddcc1f9f98b06bddb3b7a813",
+    "model.txt": "4aeb063f51e709ab30b31d323f72daff9c627bda6d4e50c36ce61a28c8afaf9e",
+    "train_trace.json": "f497a47552ed282709152eaca45c3977ae4e3652d2ce6a01ddecf2ef24581a6e",
     "eval.json": "f16032900a90b9de6b5d6dd9a88c51e1d1da99ce90a2833ae6157a84d5feb2ce",
     "eval.tsv": "237f77c197e5c94e6a9ca7357e17b5e1be947b597c38668799e8d43f781d8585",
 }
@@ -160,7 +161,7 @@ class TestPipeline:
             (f"types extract --corpus {paths['articles']} --dictionary dictionary.txt --remap remap.tsv "
              "--out types.tsv", "extracted types for 60 entities (60 non-empty)"),
             (f"embed reinforce --wikitext {paths['wikitext']} --words {paths['words']} --types types.tsv "
-             "--out reinforced.bin", "reinforced 60 entities (T=11, alpha=0.2)"),
+             "--out-semantic semantic.bin --out reinforced.bin", "reinforced 60 entities (T=11, alpha=0.2)"),
             (f"link train --train {paths['train']} --dev {paths['dev']} --entities reinforced.bin "
              f"--words {paths['words']} --out-model model.txt --out-trace train_trace.json",
              "trained 20 epochs, final loss 181.9074"),
@@ -172,7 +173,7 @@ class TestPipeline:
         for argv, summary in chain:
             main(argv.split())
             assert capsys.readouterr().out == summary + "\n", argv
-        for name in ("dictionary.txt", "remap.tsv", "types.tsv", "reinforced.bin", "model.txt",
+        for name in ("dictionary.txt", "remap.tsv", "types.tsv", "semantic.bin", "reinforced.bin", "model.txt",
                      "train_trace.json", "eval.json"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
@@ -299,13 +300,53 @@ class TestPipeline:
         for alpha in (0.0, 0.2, 1.0):
             cfg = AggregationConfig(T=3, alpha=alpha)
             save_binary(aggregate_table(wikitext, assignments, words, cfg), tmp_path / "expected.bin")
-            for source in ("wikitext.bin", "wikitext.txt"):
-                inputs = {"wikitext": tmp_path / source, "words": tmp_path / "words.bin",
-                          "types_file": tmp_path / "types.tsv"}
-                table = pipeline.run_stage("aggregate", inputs, {"T": 3, "alpha": alpha}, [tmp_path / "r.bin"])
+            pipeline.run_stage("semantic", {"words": tmp_path / "words.bin", "types_file": tmp_path / "types.tsv"},
+                               {"T": 3, "alpha": alpha}, [tmp_path / "semantic.bin"])
+            # a text semantic table is read as one block
+            save_text(load_binary(tmp_path / "semantic.bin"), tmp_path / "semantic.txt")
+            for source, semantic in itertools.product(("wikitext.bin", "wikitext.txt"), ("semantic.bin", "semantic.txt")):
+                inputs = {"wikitext": tmp_path / source, "semantic": tmp_path / semantic}
+                table = pipeline.run_stage("aggregate", inputs, {"alpha": alpha}, [tmp_path / "r.bin"])
                 assert (tmp_path / "r.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes(), (alpha, source)
                 assert table.matrix[1:3].tobytes() == base[1:3].tobytes()
                 assert not table.matrix.flags.writeable
+
+    def test_aggregate_stage_skips_a_semantic_label_the_base_lacks(self, tmp_path):
+        base = EmbeddingTable(2, ["e0", "e1"], np.float32([[1, 2], [3, 4]]))
+        save_binary(base, tmp_path / "wikitext.bin")
+        save_binary(EmbeddingTable(2, ["ghost", "e1"], np.float32([[9, 9], [5, 6]])), tmp_path / "semantic.bin")
+        table = pipeline.run_stage("aggregate", {"wikitext": tmp_path / "wikitext.bin",
+                                                 "semantic": tmp_path / "semantic.bin"}, {"alpha": 0.5},
+                                   [tmp_path / "r.bin"])
+        assert table == EmbeddingTable(2, ["e0", "e1"], np.float32([[1, 2], [4, 5]]))
+
+    @pytest.mark.parametrize("fault, needle", [
+        ("repeated", "duplicate label 'e0000'"),
+        ("non-finite", "non-finite value in vector for label 'e0550'"),
+        ("truncated", "file ends inside vector of entry 599"),
+    ])
+    def test_bad_semantic_block_exits_2_naming_the_file_and_writes_nothing(self, tmp_path, capsys, fault, needle):
+        # 600 entries: two blocks, the fault in the second
+        n = embed_io.BLOCK_ROWS + 88
+        labels = [f"e{i:04d}".encode() for i in range(n)]
+        rows = np.arange(2 * n, dtype="<f4").reshape(n, 2)
+        save_binary(EmbeddingTable(2, [label.decode() for label in labels], rows.copy()), tmp_path / "wikitext.bin")
+        if fault == "repeated":
+            labels[-1] = labels[0]
+        if fault == "non-finite":
+            rows[550, 1] = np.inf
+        data = f"{n} 2\n".encode() + b"".join(label + b" " + row.tobytes() for label, row in zip(labels, rows))
+        semantic = tmp_path / "semantic.bin"
+        semantic.write_bytes(data[:-5] if fault == "truncated" else data)
+        out = tmp_path / "out"
+        (tmp_path / "p.cfg").write_text(f"stages = aggregate\nwikitext = {tmp_path / 'wikitext.bin'}\n"
+                                        f"semantic = {semantic}\nout = {out}\n", "utf-8")
+        with pytest.raises(SystemExit) as e:
+            main(["pipeline", "run", "--config", str(tmp_path / "p.cfg")])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "stage 'aggregate' failed" in err and str(semantic) in err and needle in err, err
+        assert list(out.iterdir()) == []
 
     def test_unit_length_words_are_a_converted_table(self, fixture_dir, tmp_path):
         # unit-length word vectors come from `embed convert --normalize`, not a pipeline key
@@ -562,7 +603,7 @@ class TestPipeline:
             assert r.exit_code == 0, r.output
             runs[name] = r.stdout, r.stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert runs["quiet"][1] == runs["warning"][1] == ""
-        assert re.fullmatch(r"INFO semlink\.semantic_aggregation: reinforced \d+ entities \(T=11, alpha=0\.2\); "
+        assert re.fullmatch(r"INFO semlink\.semantic_aggregation: semantic means of \d+ entities \(T=11\); "
                             r"coverage histogram \{[0-9:, ]+\}\n", runs["verbose"][1]), runs["verbose"][1]
         assert runs["quiet"][0] == runs["warning"][0] == runs["verbose"][0] != ""
         assert runs["quiet"][2] == runs["warning"][2] == runs["verbose"][2]
@@ -721,6 +762,28 @@ class TestCli:
                   "--types", str(paths["types"]), "--out", str(tmp_path / name)])
             save(expected, tmp_path / f"expected-{name}")
             assert (tmp_path / name).read_bytes() == (tmp_path / f"expected-{name}").read_bytes(), name
+
+    @pytest.mark.parametrize("fault, code, needle", [
+        ("truncated wikitext", 2, "file ends inside vector"),
+        ("--out-semantic is --out", 2, "output named twice"),
+        ("text --out-semantic", 1, "Invalid value for --out-semantic"),
+    ])
+    def test_embed_reinforce_writes_both_outputs_or_neither(self, fixture_dir, tmp_path, capsys, fault, code, needle):
+        root, paths = fixture_dir
+        wikitext = tmp_path / "wikitext.bin"
+        data = Path(paths["wikitext"]).read_bytes()
+        wikitext.write_bytes(data[:-5] if fault == "truncated wikitext" else data)
+        out = tmp_path / "r.bin"
+        semantic = {"--out-semantic is --out": out, "text --out-semantic": tmp_path / "s.txt"}.get(fault, tmp_path / "s.bin")
+        out.write_bytes(b"old reinforced")
+        semantic.write_bytes(b"old semantic")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(SystemExit) as e:
+            main(["embed", "reinforce", "--wikitext", str(wikitext), "--words", str(paths["words"]),
+                  "--types", str(paths["types"]), "--out-semantic", str(semantic), "--out", str(out)])
+        assert e.value.code == code
+        assert needle in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_conll_corpus_reads_as_its_converted_jsonl(self, fixture_dir, tmp_path, capsys):
         """Every command that reads documents takes a .conll corpus as `link

@@ -192,8 +192,9 @@ class TestAggregateTable:
         for i, label in enumerate(entities.labels):
             if label not in assignments:
                 continue
-            sem = semantic_embedding(assignments[label], words, cfg)
-            expected = aggregate(entities.matrix[i].astype(np.float64), sem.vector, 0.2)
+            # the semantic vector as the semantic table stores it, in float32
+            sem = semantic_embedding(assignments[label], words, cfg).vector.astype(np.float32)
+            expected = aggregate(entities.matrix[i].astype(np.float64), sem, 0.2)
             np.testing.assert_array_equal(out.matrix[i], expected.astype(np.float32))
 
     def test_dimension_mismatch(self, rng):
@@ -299,13 +300,14 @@ def same_bits(a, b) -> bool:
 
 
 def reference_aggregate_table(wikitext, assignments, words, cfg):
-    """Row-at-a-time reinforcement through `semantic_embedding` and `aggregate`."""
+    """Row-at-a-time reinforcement through `semantic_embedding`, rounded to
+    float32 as the semantic table stores it, and `aggregate`."""
     out = wikitext.matrix.copy()
     for i, label in enumerate(wikitext.labels):
         assignment = assignments.get(label)
         if assignment is not None and assignment.type_words:
-            sem = semantic_embedding(assignment, words, cfg)
-            out[i] = aggregate(wikitext.matrix[i], sem.vector, cfg.alpha).astype(np.float32)
+            sem = semantic_embedding(assignment, words, cfg).vector.astype(np.float32)
+            out[i] = aggregate(wikitext.matrix[i], sem, cfg.alpha).astype(np.float32)
     return out
 
 

@@ -103,7 +103,7 @@ def command_stage_calls(path=CLI, stages=pipeline.STAGES) -> tuple[list[str], li
 def test_commands_pass_each_stage_its_recorded_params():
     problems, called = command_stage_calls()
     assert problems == []
-    assert sorted(called) == ["aggregate", "link", "types"]
+    assert sorted(called) == ["aggregate", "link", "semantic", "types"]
 
 
 def test_guard_sees_bad_command_calls(tmp_path):

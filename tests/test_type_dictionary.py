@@ -2,9 +2,12 @@
 
 import logging
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semlink._text import tokenize
 from semlink.embed_io import EmbeddingTable
@@ -119,6 +122,25 @@ class TestMineNounFrequency:
         again = type(report).load_tsv(p)
         assert again.counts == report.counts
         assert again.total_sentences == report.total_sentences
+
+    @pytest.mark.parametrize("noun", ["a\tb", "a\nb", "a\rb"])
+    def test_report_noun_with_a_tab_or_line_break_refused(self, tmp_path, noun):
+        p = tmp_path / "nouns.tsv"
+        with pytest.raises(FormatError, match=re.escape(f"noun {noun!r} holds a tab or a line break")) as e:
+            NounFrequencyReport({"lawyer": 2, noun: 1}, 3).save_tsv(p)
+        assert e.value.path == p and not p.exists()
+
+    @given(st.dictionaries(st.text("ab#\t\n\r", min_size=1, max_size=3), st.integers(0, 5), max_size=4))
+    def test_saved_report_is_refused_or_reads_back(self, counts):
+        report = NounFrequencyReport(counts, 7)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "nouns.tsv"
+            try:
+                report.save_tsv(p)
+            except FormatError:
+                assert not p.exists()
+                return
+            assert NounFrequencyReport.load_tsv(p) == report
 
     @pytest.mark.parametrize("count", ["x", "1.5", "", "1_0", "+5", "\u0662\u0660", "-3", " 5"])
     def test_report_count_not_digits_refused(self, tmp_path, count):
@@ -278,6 +300,26 @@ class TestBuildDictionary:
         build_dictionary(None, seeds, None, remap).save(out2w, out2r)
         assert out1w.read_bytes() == out2w.read_bytes()
         assert out1r.read_bytes() == out2r.read_bytes()
+
+    @pytest.mark.parametrize("word", ["c#", "a b", "x  ", "a\tb", "#"])
+    def test_word_the_words_file_would_rewrite_is_refused(self, tmp_path, word):
+        """`c#`, `a b` and `x  ` would read back as `c`, `a_b` and `x`."""
+        d = SemanticTypeDictionary(words={"lawyer", word}, remap={"attorney": "lawyer"})
+        with pytest.raises(FormatError, match=re.escape(f"dictionary word {word!r} would not read back as itself")):
+            d.save(tmp_path / "w.txt", tmp_path / "r.tsv")
+        assert list(tmp_path.iterdir()) == []
+
+    @given(st.sets(st.text("ab_#é \t\u00a0", min_size=1, max_size=4), max_size=4))
+    def test_saved_words_are_refused_or_read_back(self, words):
+        d = SemanticTypeDictionary(words=words)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "w.txt"
+            try:
+                d.save(p)
+            except FormatError:
+                assert not p.exists()
+                return
+            assert SemanticTypeDictionary.load(p).words == words
 
     def test_serialization_round_trip(self, tmp_path):
         seeds = _write(tmp_path / "s.txt", "lawyer\nceo\ttitle\n")
