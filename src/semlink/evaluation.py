@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Sized
 
 from .corpus import LinkingDocument
@@ -282,15 +282,15 @@ def convergence_experiment(
 
 @dataclass
 class PairDelta:
-    label_a: str
-    label_b: str
+    a: str
+    b: str
     kind: str  # "same" or "different"
     cosine_baseline: float
     cosine_reinforced: float
+    delta: float = field(init=False)
 
-    @property
-    def delta(self) -> float:
-        return self.cosine_reinforced - self.cosine_baseline
+    def __post_init__(self):
+        self.delta = self.cosine_reinforced - self.cosine_baseline
 
 
 @dataclass
@@ -299,20 +299,7 @@ class GeometryReport:
     mean_delta: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "mean_delta": self.mean_delta,
-            "pairs": [
-                {
-                    "a": r.label_a,
-                    "b": r.label_b,
-                    "kind": r.kind,
-                    "cosine_baseline": r.cosine_baseline,
-                    "cosine_reinforced": r.cosine_reinforced,
-                    "delta": r.delta,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"mean_delta": self.mean_delta, "pairs": [asdict(r) for r in self.rows]}
 
 
 def geometry_report(
@@ -363,7 +350,7 @@ def geometry_report_tsv(report: GeometryReport) -> list[str]:
     lines = ["label_a\tlabel_b\tkind\tcos_baseline\tcos_reinforced\tdelta"]
     for r in report.rows:
         lines.append(
-            f"{r.label_a}\t{r.label_b}\t{r.kind}"
+            f"{r.a}\t{r.b}\t{r.kind}"
             f"\t{r.cosine_baseline:.6f}\t{r.cosine_reinforced:.6f}\t{r.delta:.6f}"
         )
     for kind, d in report.mean_delta.items():

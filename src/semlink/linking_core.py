@@ -69,6 +69,8 @@ class LinkingModel:
     relation_weighting: str = "uniform"  # or "softmax"
 
     def __post_init__(self):
+        if self.dim < 1:  # `load` refuses a '0 K' header, so `save` could not write one back
+            raise DimensionError(f"model dim must be >= 1, got {self.dim}")
         self.B = np.asarray(self.B, dtype=np.float64)
         self.C = np.asarray(self.C, dtype=np.float64)
         self.relations = [np.asarray(r, dtype=np.float64) for r in self.relations]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -106,44 +106,26 @@ def aggregate(wikitext, semantic, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * base + alpha * sem
 
 
-def semantic_means(
-    assignments: Sequence[Optional[EntityTypeAssignment]],
-    words: EmbeddingTable,
-    T: int,
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Semantic means of many entities, ``(rows, means, counts)`` per row block.
-
-    ``means`` is the float64 ``(rows, dim)`` block of what `semantic_embedding`
-    returns for each assignment, bit for bit; ``counts`` holds how many type
-    words each row used.  A ``None`` or empty assignment gets a zero row and
-    count 0.  Missing word vectors raise here, before any block is produced.
-    """
-    row_of = words._index.get
-    rows = []
-    for assignment in assignments:
-        used = assignment.type_words[:T] if assignment is not None else []
-        found = list(map(row_of, used))
-        if None in found:
-            raise MissingWordVectorError(
-                f"no vector for type word {used[found.index(None)]!r} of entity {assignment.entity_id!r}"
-            )
-        rows.append(found)
-    return row_means(words.matrix, rows)
-
-
 def semantic_table(
     assignments: Mapping[str, EntityTypeAssignment], words: EmbeddingTable, T: int
 ) -> EmbeddingTable:
     """Float32 semantic means of the entities that have type words, in order.
 
-    A coverage histogram (how many type words each entity contributed, 0 for
-    none) is logged, since the same alpha applies regardless of coverage.
+    Each entity's first ``T`` type words are looked up as word-table rows, and
+    a missing word vector raises before any mean is taken.  A coverage
+    histogram (how many type words each entity contributed, 0 for none) is
+    logged, since the same alpha applies regardless of coverage.
     """
     typed = [(entity_id, a) for entity_id, a in assignments.items() if a.type_words]
+    rows = [list(map(words._index.get, a.type_words[:T])) for _, a in typed]
+    for (_, a), found in zip(typed, rows):
+        if None in found:
+            word = a.type_words[found.index(None)]
+            raise MissingWordVectorError(f"no vector for type word {word!r} of entity {a.entity_id!r}")
     matrix = np.empty((len(typed), words.dim), dtype=np.float32)
     coverage = Counter({0: len(assignments) - len(typed)})
-    for rows, means, counts in semantic_means([a for _, a in typed], words, T):
-        matrix[rows] = means
+    for part, means, counts in row_means(words.matrix, rows):
+        matrix[part] = means
         coverage.update(counts.tolist())
     if assignments:
         log.info("semantic means of %d entities (T=%d); coverage histogram %s",

@@ -5,6 +5,8 @@ import os
 import platform
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -400,6 +402,12 @@ def test_binary_round_trip_in_small_chunks(io_dir, chunk, table):
 @given(table=tables(TEXT_CHAR))
 def test_text_round_trip(io_dir, table):
     path = io_dir / "t.txt"
+    path.unlink(missing_ok=True)
+    if not len(table):
+        with pytest.raises(FormatError, match="no rows has no text form"):
+            save_text(table, path)
+        assert not path.exists()
+        return
     save_text(table, path)
     assert same_table(load_text(path, dim=table.dim), table)
 
@@ -644,7 +652,8 @@ def test_load_reads_what_the_per_entry_reader_reads(io_dir, chunk, raw):
 def test_read_blocks_are_the_table_in_consecutive_blocks(tmp_path, rng, n, rows):
     table = EmbeddingTable(3, [f"v{i}" for i in range(n)], rng.standard_normal((n, 3)).astype(np.float32))
     save_binary(table, tmp_path / "t.bin")
-    save_text(table, tmp_path / "t.txt")
+    if n:  # an empty table has no text form
+        save_text(table, tmp_path / "t.txt")
     with mock.patch.object(embed_io, "BLOCK_ROWS", rows):
         blocks = list(embed_io.read_blocks(tmp_path / "t.bin"))
         text_blocks = list(embed_io.read_blocks(tmp_path / "t.txt")) if n else None
@@ -757,3 +766,33 @@ def test_a_freed_table_stays_resident_nowhere():
         matrix = np.ones((10_000, 300), dtype=np.float32)  # 12 MB, every page touched
         del matrix
         assert resident_mb() - before < 2
+
+
+FREE_HEAP_CHILD = """
+import re, sys
+import numpy as np
+from semlink.embed_io import load_binary
+
+def resident_mb():
+    return int(re.search(r"VmRSS:\\s+(\\d+)", open("/proc/self/status").read())[1]) / 1024
+
+blocks = [np.ones(25_000) for _ in range(40)]  # 8 MB in 200 kB heap blocks, every page touched
+pin = np.ones(1_000)  # a live block above them, so their free pages are not the heap's top
+held = resident_mb()
+del blocks
+kept = held - resident_mb()
+load_binary(sys.argv[1])
+print(kept, held - resident_mb())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="returns glibc's free heap pages")
+def test_a_binary_load_returns_the_free_heap_pages(tmp_path):
+    """Free heap below a block still in use stays resident at any trim
+    threshold; a binary load hands those pages back before it reads its table."""
+    save_binary(EmbeddingTable(2, ["a"], np.ones((1, 2), dtype=np.float32)), tmp_path / "t.bin")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", FREE_HEAP_CHILD, str(tmp_path / "t.bin")],
+                         env=env, capture_output=True, text=True, check=True)
+    freed, returned = map(float, out.stdout.split())
+    assert freed < 1 and returned > 6

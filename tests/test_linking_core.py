@@ -1501,7 +1501,33 @@ def test_training_memory_does_not_grow_with_epochs():
     assert peak(40) < peak(2) + 64 * 1024
 
 
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    # module-scoped: every example of a property test reuses one directory
+    return tmp_path_factory.mktemp("model_properties")
+
+
 class TestModelIO:
+    @given(data=st.data())
+    def test_model_is_refused_or_reads_back(self, model_dir, data):
+        """A generated model is refused at construction, or `load` of its saved
+        file gives the same lines and bit-equal diagonals, -0.0 and subnormals
+        included."""
+        dim, K = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2))
+        values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -2.5e-310])
+        B, C, *relations = [data.draw(st.lists(values, min_size=dim, max_size=dim)) for _ in range(2 + K)]
+        try:
+            model = LinkingModel(dim, B, C, relations, data.draw(st.sampled_from(linking_core.RELATION_WEIGHTINGS)))
+        except DimensionError as e:
+            assert dim < 1 and str(e) == f"model dim must be >= 1, got {dim}"
+            return
+        p = model_dir / "model.txt"
+        model.save(p)
+        again = LinkingModel.load(p)
+        assert again.lines() == model.lines()
+        assert [d.tobytes() for d in (again.B, again.C, *again.relations)] == \
+            [d.tobytes() for d in (model.B, model.C, *model.relations)]
+
     def test_round_trip(self, tmp_path, rng):
         model = LinkingModel(
             3,

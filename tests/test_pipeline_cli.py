@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
-from semlink import embed_io, linking_core, pipeline
+from semlink import cli as cli_module, embed_io, linking_core, pipeline
 from semlink.cli import cli, main
 from semlink.corpus import LinkingDocument, Mention, load_linking_jsonl, save_linking_jsonl
 from semlink.embed_io import EmbeddingTable, load_binary, load_table, save_binary, save_text
@@ -112,6 +113,11 @@ STUDY_PINNED = {
     "converge.json": "c0550fd42f5d522504c2b692b247a163875af4fe10bb17610754fe30edadd405",
     "runs stdout": "17eb576b3b98b852169631c3dbc9701d48fd3b81485992482c5bfcf203c14784",
 }
+# sha256 of each output of `test_geometry_outputs_keep_their_bytes`
+GEOMETRY_PINNED = {
+    "geometry.json": "42cfa15c95a334eb2027862da29158df608de546aedeeea3ed84564e1eff6601",
+    "geometry stdout": "39e76770e7774128c7c5cc8e178c3043d3daa7ac2552cb5075aa8b2ed130b259",
+}
 
 
 class TestPipeline:
@@ -147,6 +153,21 @@ class TestPipeline:
         outputs = {"converge.json": (tmp_path / "converge.json").read_bytes(),
                    "runs stdout": capsys.readouterr().out.encode()}
         assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == STUDY_PINNED
+
+    def test_geometry_outputs_keep_their_bytes(self, default_run, tmp_path, capsys):
+        """`eval geometry --out` on the default run's tables, with three pairs
+        of each kind (the default fixture puts entity e in group e % 12), keeps
+        the bytes of its JSON and of its stdout."""
+        paths, out = default_run
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# a\tb\tkind\nent0000\tent0012\tsame\nent0001\tent0013\tsame\nent0005\tent0041\tsame\n"
+                         "ent0000\tent0001\tdifferent\nent0002\tent0030\tdifferent\nent0007\tent0059\tdifferent\n",
+                         "utf-8")
+        main(["eval", "geometry", "--baseline", str(paths["wikitext"]), "--reinforced", str(out / "reinforced.bin"),
+              "--pairs", str(pairs), "--out", str(tmp_path / "geometry.json")])
+        outputs = {"geometry.json": (tmp_path / "geometry.json").read_bytes(),
+                   "geometry stdout": capsys.readouterr().out.encode()}
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == GEOMETRY_PINNED
 
     def test_cli_chain_writes_the_pipeline_bytes(self, default_run, tmp_path, capsys, monkeypatch):
         """The README's command chain, with the same inputs and default
@@ -734,6 +755,16 @@ class TestCli:
         r2 = runner.invoke(cli, ["embed", "convert", "--in", str(out_txt), "--out", str(out_bin)])
         assert r2.exit_code == 0
         assert load_binary(out_bin) == load_binary(paths["words"])
+
+    def test_embed_convert_of_an_empty_table_to_text_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        empty, out = tmp_path / "e.bin", tmp_path / "e.txt"
+        save_binary(EmbeddingTable(3, [], np.zeros((0, 3), dtype=np.float32)), empty)
+        with pytest.raises(SystemExit) as e:
+            main(["embed", "convert", "--in", str(empty), "--out", str(out)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"a table with no rows has no text form (dim 3) [{out}]" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_embed_reinforce_and_neighbors(self, fixture_dir, tmp_path):
         root, paths = fixture_dir
@@ -1853,6 +1884,65 @@ def test_link_infer_one_over_capacity_document_exits_3_and_writes_nothing(fixtur
     assert e.value.code == 3
     assert (pred.read_bytes() if pred.exists() else None) == existing
     assert sorted(os.listdir(tmp_path)) == sorted(["docs.jsonl", "model.txt"] + ["pred.tsv"] * (existing is not None))
+
+
+@pytest.fixture(scope="module")
+def predictions_dir(tmp_path_factory):
+    # module-scoped: every example of the property reuses one directory
+    root = tmp_path_factory.mktemp("predictions")
+    rng = np.random.default_rng(3)
+    save_binary(EmbeddingTable(2, ["w0", "w1"], rng.standard_normal((2, 2)).astype(np.float32)), root / "words.bin")
+    identity_model(2).save(root / "model.txt")
+    return root
+
+
+# doc ids and labels of ':' suffixes, spaces, non-ASCII, and characters that
+# str.splitlines takes for line breaks but the TSV reader does not; a tab is refused
+PREDICTION_TEXT = st.text(st.sampled_from(["a", "b", "0", "1", ":", " ", "\xe9", "\x0b", "\x0c", "\u2028", "\t"]),
+                          min_size=1, max_size=4)
+
+
+@st.composite
+def prediction_worlds(draw):
+    pool = draw(st.lists(PREDICTION_TEXT, min_size=1, max_size=6, unique=True))
+    mentions = st.builds(Mention, st.just("m"), st.lists(st.sampled_from(["w0", "w1", "x"]), max_size=3),
+                         st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    docs = [LinkingDocument(doc_id, draw(st.lists(mentions, min_size=1, max_size=3)))
+            for doc_id in draw(st.lists(PREDICTION_TEXT, min_size=1, max_size=3))]
+    # the entity table holds every label a binary table can carry, with one of them left out at times
+    labels = [label for label in pool if " " not in label]
+    labels = labels[: len(labels) - draw(st.integers(0, min(1, len(labels))))]
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                            min_size=len(labels), max_size=len(labels)))
+    return docs, EmbeddingTable.from_pairs(list(zip(labels, vectors)), 2)
+
+
+@given(prediction_worlds())
+def test_link_infer_predictions_are_refused_or_read_back(predictions_dir, world):
+    """`link infer` either writes a predictions TSV that reads back as the
+    picks of each document, or refuses its input with exit 2 and writes
+    nothing: a doc id or candidate holding a tab, a repeated doc id, or a
+    candidate the entity table lacks."""
+    docs, entities = world
+    root = predictions_dir
+    pred = root / "pred.tsv"
+    pred.unlink(missing_ok=True)
+    save_linking_jsonl(docs, root / "docs.jsonl")
+    save_binary(entities, root / "entities.bin")
+    ids = [doc.doc_id for doc in docs]
+    candidates = [c for doc in docs for m in doc.mentions for c in m.candidates]
+    readable = len(set(ids)) == len(ids) and not any("\t" in text for text in ids + candidates)
+    try:
+        main(["link", "infer", "--docs", str(root / "docs.jsonl"), "--entities", str(root / "entities.bin"),
+              "--words", str(root / "words.bin"), "--model", str(root / "model.txt"), "--out", str(pred)])
+    except SystemExit as e:
+        assert e.code == 2
+        assert not pred.exists()
+        assert not readable or not all(c in entities for c in candidates)
+        return
+    words, model = load_binary(root / "words.bin"), linking_core.LinkingModel.load(root / "model.txt")
+    assert readable
+    assert cli_module._read_assignment_tsv(pred) == {doc.doc_id: infer(doc, model, entities, words) for doc in docs}
 
 
 @pytest.mark.parametrize("existing", [None, b"old\n"], ids=["absent", "present"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semlink import embed_io
+from semlink import embed_io, semantic_aggregation
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import DimensionError, MissingLabelError, MissingWordVectorError
 from semlink.fixtures import FixtureSizes, generate_fixture
@@ -18,7 +18,6 @@ from semlink.semantic_aggregation import (
     cosine,
     neighbor_report,
     semantic_embedding,
-    semantic_means,
     semantic_table,
 )
 from semlink.type_extraction import EntityTypeAssignment
@@ -347,7 +346,7 @@ def aggregation_worlds(draw):
 
 
 def block_rows(block, assignments, T):
-    """A gather bound that makes `semantic_means` take ``block`` rows at a time."""
+    """A gather bound that makes `embed_io.row_means` take ``block`` entities at a time."""
     width = max((len(a.type_words[:T]) for a in assignments.values()), default=0)
     return block * max(width, 1)
 
@@ -372,39 +371,31 @@ def test_blocked_aggregate_table_matches_scalar_reference(world):
 
 
 @given(aggregation_worlds())
-def test_blocked_semantic_means_match_semantic_embedding(world):
+def test_blocked_semantic_table_matches_semantic_embedding(world):
     words, entities, assignments, cfg, block = world
-    rows = [assignments.get(label) for label in entities.labels]
+    parts = []
 
-    def blocked():
-        means = np.empty((len(rows), words.dim))
-        counts = np.empty(len(rows), dtype=int)
-        parts = []
-        for part, block_means, block_counts in semantic_means(rows, words, cfg.T):
-            means[part], counts[part] = block_means, block_counts
+    def spied_row_means(matrix, rows):
+        for part, means, counts in embed_io.row_means(matrix, rows):
             parts.append(part.stop - part.start)
-        assert parts[:-1] == [block] * (len(parts) - 1) and parts[-1:] <= [block]
-        return means, counts, semantic_table(assignments, words, cfg.T)
+            yield part, means, counts
 
     def scalar():
-        results = [
-            semantic_embedding(a or EntityTypeAssignment("absent"), words, cfg) for a in rows
-        ]
         typed = [a for a in assignments.values() if a.type_words]
         vectors = [semantic_embedding(a, words, cfg).vector for a in typed]
-        return results, typed, np.array(vectors, dtype=np.float32).reshape(len(typed), words.dim)
+        return [a.entity_id for a in typed], np.array(vectors, dtype=np.float32).reshape(len(typed), words.dim)
 
-    with mock.patch.object(embed_io, "BLOCK_ROWS", block_rows(block, assignments, cfg.T)):
-        got, got_error = _outcome(blocked)
+    with mock.patch.object(embed_io, "BLOCK_ROWS", block_rows(block, assignments, cfg.T)), \
+            mock.patch.object(semantic_aggregation, "row_means", spied_row_means):
+        got, got_error = _outcome(lambda: semantic_table(assignments, words, cfg.T))
     want, want_error = _outcome(scalar)
     assert got_error == want_error
     if want_error is None:
-        (means, counts, table), (results, typed, typed_vectors) = got, want
-        # float64 means bit for bit: same additions in the same order
-        assert same_bits(means, np.array([r.vector for r in results]).reshape(means.shape))
-        assert counts.tolist() == [len(r.used_words) for r in results]
-        assert table.labels == [a.entity_id for a in typed]
-        assert same_bits(table.matrix, typed_vectors)
+        assert parts[:-1] == [block] * (len(parts) - 1) and parts[-1:] <= [block]
+        labels, vectors = want
+        assert got.labels == labels
+        # the float64 means rounded once to float32: same additions in the same order
+        assert same_bits(got.matrix, vectors)
 
 
 def reference_neighbor_report(table, query, k):
@@ -465,16 +456,16 @@ def test_huge_T_allocates_only_the_type_words_used():
         mentions_per_doc=3, dim=16, filler_words=40,
     ))
     cfg = AggregationConfig(T=10**6, alpha=0.2)
-    rows = [bundle.assignments.get(label) for label in bundle.wikitext.labels]
     tracemalloc.start()
     try:
-        blocks = list(semantic_means(rows, bundle.words, cfg.T))
+        semantic = semantic_table(bundle.assignments, bundle.words, cfg.T)
         table = aggregate_table(bundle.wikitext, bundle.assignments, bundle.words, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    means = np.concatenate([block_means for _, block_means, _ in blocks])
-    want = [semantic_embedding(a, bundle.words, cfg).vector for a in rows]
-    assert same_bits(means, np.array(want))
+    typed = [a for a in bundle.assignments.values() if a.type_words]
+    want = [semantic_embedding(a, bundle.words, cfg).vector for a in typed]
+    assert semantic.labels == [a.entity_id for a in typed]
+    assert same_bits(semantic.matrix, np.array(want, dtype=np.float32))
     assert same_bits(table.matrix, reference_aggregate_table(bundle.wikitext, bundle.assignments, bundle.words, cfg))
