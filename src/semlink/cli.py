@@ -131,7 +131,7 @@ def types():
 @click.option("--corpus", required=True, type=click.Path(exists=True))
 @click.option("--dictionary", required=True, type=click.Path(exists=True))
 @click.option("--remap", type=click.Path(exists=True))
-@click.option("--cap", default=11, show_default=True)
+@click.option("--cap", default=pipeline.PipelineConfig.cap, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def types_extract(corpus, dictionary, remap, cap, out_path):
     """Extract up to CAP dictionary words per entity."""
@@ -166,8 +166,8 @@ def embed_convert(in_path, out_path, normalize):
 @click.option("--wikitext", required=True, type=click.Path(exists=True))
 @click.option("--words", required=True, type=click.Path(exists=True))
 @click.option("--types", "types_path", required=True, type=click.Path(exists=True))
-@click.option("--T", "t_value", default=11, show_default=True)
-@click.option("--alpha", default=0.2, show_default=True)
+@click.option("--T", "t_value", default=pipeline.PipelineConfig.T, show_default=True)
+@click.option("--alpha", default=pipeline.PipelineConfig.alpha, show_default=True)
 @click.option("--out-semantic", type=click.Path(), help="Also keep the semantic vectors alone here (binary).")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def embed_reinforce(wikitext, words, types_path, t_value, alpha, out_semantic, out_path):
@@ -214,10 +214,10 @@ def link():
 @click.option("--dev", "dev_path", type=click.Path(exists=True))
 @click.option("--entities", required=True, type=click.Path(exists=True))
 @click.option("--words", required=True, type=click.Path(exists=True))
-@click.option("--margin", default=1.0, show_default=True)
-@click.option("--lr", default=0.01, show_default=True)
-@click.option("--epochs", default=20, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--margin", default=pipeline.PipelineConfig.margin, show_default=True)
+@click.option("--lr", default=pipeline.PipelineConfig.lr, show_default=True)
+@click.option("--epochs", default=pipeline.PipelineConfig.epochs, show_default=True)
+@click.option("--seed", default=pipeline.PipelineConfig.seed, show_default=True)
 @click.option("--out-model", required=True, type=click.Path())
 @click.option("--out-trace", type=click.Path())
 def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, out_model, out_trace):
@@ -236,7 +236,7 @@ def link_train(train_path, dev_path, entities, words, margin, lr, epochs, seed, 
 @click.option("--entities", required=True, type=click.Path(exists=True))
 @click.option("--words", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--strategy", default="greedy-local", show_default=True,
+@click.option("--strategy", default=pipeline.PipelineConfig.strategy, show_default=True,
               type=click.Choice(linking_core.STRATEGIES),
               help="exhaustive adds pairwise coherence with the model's C; it expects a model whose C was "
                    "trained pairwise, but no command trains C yet: link train leaves C at all ones, and "
@@ -259,7 +259,7 @@ def link_infer(docs_path, entities, words, model_path, strategy, out_path):
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True),
               help="Simplified CoNLL-style TSV with B/I mention lines.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--window", default=25, show_default=True, help="Context tokens per side.")
+@click.option("--window", default=pipeline.PipelineConfig.window, show_default=True, help="Context tokens per side.")
 def link_convert(in_path, out_path, window):
     """Convert a CoNLL-style linking TSV to the JSONL corpus format."""
     docs = corpus.load_aida_tsv(in_path, window=window)

@@ -455,8 +455,9 @@ def _encode_labels(labels: list[str]) -> list[bytes]:
     return [_encode_label(label) for label in labels]
 
 
-def load_text(path, dim: Optional[int] = None) -> EmbeddingTable:
-    """Load a one-entry-per-line text embedding file."""
+def load_text(path) -> EmbeddingTable:
+    """Load a one-entry-per-line text embedding file; an empty one is refused."""
+    dim: Optional[int] = None
     labels: list[str] = []
     rows: list[np.ndarray] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -481,7 +482,7 @@ def load_text(path, dim: Optional[int] = None) -> EmbeddingTable:
                 raise FormatError("unparseable float", path=path, line=line_no) from None
             labels.append(label)
     if dim is None:
-        raise FormatError("empty text table and no dimension given", path=path)
+        raise FormatError("empty text table", path=path)
     matrix = np.array(rows, dtype=_F32).reshape(len(rows), dim)
     return _loaded_table(path, dim, labels, matrix)
 

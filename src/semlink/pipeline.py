@@ -1,6 +1,9 @@
 """End-to-end pipeline: dict -> types -> semantic -> aggregate -> link -> eval.
 
-Configuration is a flat key=value text file with CLI overrides.  `STAGES`
+Configuration is a flat key=value text file with CLI overrides.
+`PipelineConfig` declares each key once: its field's annotation is the kind
+of value the key takes and its default is the default, which the stage
+commands' options share.  `STAGES`
 declares each stage once: its required and optional input keys, the files
 it writes under ``out`` and the configuration keys it records as its
 parameters.  A stage's runner sees only those (``params``, with the code
@@ -25,19 +28,19 @@ outputs and the manifest as they were and aborts the run with a
 `StageError` naming the stage.
 
 One run does each piece of work once: each file is hashed at most once (a
-stage's outputs again when it records them), and `_RunCache` reads each
-embedding table once for every stage, keyed by path.  ``types`` hands its
-assignments to ``semantic`` there, which `write_assignments` makes sure the
-file reads back as, so ``semantic`` does not read ``types.tsv`` back in the
-run that wrote it.  ``semantic`` takes every semantic mean, and
-``aggregate`` only blends: it reads ``semantic.bin`` in blocks of
-`embed_io.BLOCK_ROWS` entries and blends each into the ``wikitext`` table
-it loaded, so a run holds at most one entity-sized table at a time
-(`aggregate_table` still returns a new table).  ``aggregate`` leaves its
-table, so ``link`` and ``eval`` do not read ``reinforced.bin`` back, and
-nothing outlives the run.  A bad
-configuration value, or a path holding a NUL byte, ends in a `ConfigError`
-naming the key, the value and the line or ``--set``.
+stage's outputs again when it records them), and the run's one ``shared``
+dict, keyed by path, holds each embedding table a stage read (`_table`, once
+per run) and what a stage hands on.  ``types`` hands its assignments to
+``semantic`` there, which `write_assignments` makes sure the file reads back
+as, so ``semantic`` does not read ``types.tsv`` back in the run that wrote
+it.  ``semantic`` takes every semantic mean, and ``aggregate`` only blends:
+it reads ``semantic.bin`` in blocks of `embed_io.BLOCK_ROWS` entries and
+blends each into the ``wikitext`` table it loaded, so a run holds at most
+one entity-sized table at a time (`aggregate_table` still returns a new
+table).  ``aggregate`` hands that table on under ``reinforced.bin``'s path,
+so ``link`` and ``eval`` do not read it back, and nothing outlives the run.
+A bad configuration value, or a path holding a NUL byte, ends in a
+`ConfigError` naming the key, the value and the line or ``--set``.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from . import corpus, embed_io, evaluation, linking_core, semantic_aggregation, type_dictionary, type_extraction
 from ._text import COUNT_FIELD, json_lines, read_lines, write_files, write_lines
@@ -77,9 +80,6 @@ _ARTIFACTS = {
     "model": ("model.txt", "link"),
 }
 
-_PATH_KEYS = {key for required, optional, _, _ in STAGES.values() for key in required + optional}
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -94,11 +94,8 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-# parameter -> (what its value must be, parser raising ValueError otherwise)
-_KINDS = {
-    **{key: ("an integer", _integer) for key in ("T", "cap", "window", "epochs", "seed")},
-    **{key: ("a finite number", _finite) for key in ("alpha", "margin", "lr")},
-}
+# a field's annotation -> (what its value must be, parser raising ValueError otherwise)
+_KINDS = {int: ("an integer", _integer), float: ("a finite number", _finite)}
 
 
 @dataclass
@@ -123,14 +120,14 @@ class PipelineConfig:
     eval: Optional[Path] = None
 
     # parameters
-    T: int = 11
-    alpha: float = 0.2
+    T: int = semantic_aggregation.AggregationConfig.T
+    alpha: float = semantic_aggregation.AggregationConfig.alpha
     cap: int = 11
     window: int = 25
-    margin: float = 1.0
-    lr: float = 0.01
-    epochs: int = 20
-    seed: int = 0
+    margin: float = linking_core.TrainConfig.margin
+    lr: float = linking_core.TrainConfig.lr
+    epochs: int = linking_core.TrainConfig.epochs
+    seed: int = linking_core.TrainConfig.seed
     strategy: str = "greedy-local"
 
     @classmethod
@@ -140,38 +137,34 @@ class PipelineConfig:
         Errors name the key, the value and where it came from: the file and
         line, or ``--set``.
         """
-        values: dict = {}
-        origins: dict = {}
+        values: dict = {}  # key -> (value, where it was set)
         try:
             for line_no, line in read_lines(path, comments=True):
                 if "=" not in line:
                     raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-                origins[key.strip()] = f"{path}:{line_no}"
+                values[key.strip()] = (value.strip(), f"{path}:{line_no}")
         except FormatError as e:  # a byte that is not UTF-8
             raise ConfigError(f"{path}:{e.line}: {e.reason}") from None
         for key, value in (overrides or {}).items():
-            values[key.strip()] = value
-            origins[key.strip()] = "--set"
-        return cls._coerce(values, origins)
+            values[key.strip()] = (value, "--set")
+        return cls._coerce(values)
 
     @classmethod
-    def _coerce(cls, values: dict, origins: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
+    def _coerce(cls, values: dict) -> "PipelineConfig":
+        annotations = get_type_hints(cls)
         cfg = cls()
-        for key, value in values.items():
-            where = origins[key]
-            if key not in known:
+        for key, (value, where) in values.items():
+            if key not in annotations:
                 raise ConfigError(f"{where}: unknown configuration key {key!r}")
             if key == "stages":
                 cfg.stages = [s.strip() for s in str(value).split(",") if s.strip()]
-            elif key in _PATH_KEYS or key == "out":
+            elif annotations[key] in (Path, Optional[Path]):
                 if "\0" in str(value):
                     raise ConfigError(f"{where}: {key} = {value!r} holds a NUL byte")
                 setattr(cfg, key, Path(value) if value not in (None, "") else None)
-            elif key in _KINDS:
-                kind, parse = _KINDS[key]
+            elif annotations[key] in _KINDS:
+                kind, parse = _KINDS[annotations[key]]
                 try:
                     setattr(cfg, key, parse(str(value)))
                 except ValueError:
@@ -297,23 +290,16 @@ class _Manifest:
         self.write()
 
 
-class _RunCache:
-    """One run's shared reads: embedding tables by path, and the assignments
-    that ``types`` hands to ``semantic``."""
-
-    def __init__(self):
-        self.tables: dict = {}
-        self.types: dict = {}
-
-    def table(self, path: Path) -> embed_io.EmbeddingTable:
-        if path not in self.tables:
-            self.tables[path] = embed_io.load_table(path)
-        return self.tables[path]
+def _table(shared: dict, path: Path) -> embed_io.EmbeddingTable:
+    """The embedding table at ``path``, read at most once per run."""
+    if path not in shared:
+        shared[path] = embed_io.load_table(path)
+    return shared[path]
 
 
 # runner(shared, inputs, params, targets) -> what its command reports; `params` is what the stage records
 def _stage_dict(shared, inputs, params, targets):
-    vocab = set(shared.table(inputs["words"]).labels) if "words" in inputs else None
+    vocab = set(_table(shared, inputs["words"]).labels) if "words" in inputs else None
     d = type_dictionary.build_dictionary(
         None, inputs["seeds"], inputs.get("extensions"), inputs.get("remap"), embedding_vocab=vocab
     )
@@ -325,27 +311,26 @@ def _stage_types(shared, inputs, params, targets):
     articles = type_extraction.read_article_corpus(inputs["corpus"])
     assignments = type_extraction.extract_corpus(articles, d, cap=params["cap"])
     type_extraction.write_assignments(assignments, targets[0])
-    shared.types[targets[0]] = assignments  # what the file reads back: semantic uses it
+    shared[targets[0]] = assignments  # what the file reads back: semantic uses it
     return assignments
 
 
 def _stage_semantic(shared, inputs, params, targets):
     path = inputs["types_file"]
-    # the last reader of the assignments, so it takes them from the cache
-    assignments = shared.types.pop(path) if path in shared.types else type_extraction.read_assignments(path)
-    table = semantic_aggregation.semantic_table(assignments, shared.table(inputs["words"]), params["T"])
+    # the last reader of the assignments, so it takes them out of `shared`
+    assignments = shared.pop(path) if path in shared else type_extraction.read_assignments(path)
+    table = semantic_aggregation.semantic_table(assignments, _table(shared, inputs["words"]), params["T"])
     embed_io.save_binary(table, targets[0])
 
 
 def _stage_aggregate(shared, inputs, params, targets):
-    wikitext = embed_io.load_table(inputs["wikitext"])  # not cached: its matrix becomes the reinforced table's
-    matrix = wikitext.matrix
-    matrix.flags.writeable = True  # loaded just now and held nowhere else
+    table = embed_io.load_table(inputs["wikitext"])  # not shared: it becomes the reinforced table
+    table.matrix.flags.writeable = True  # loaded just now and held nowhere else
     for block in embed_io.read_blocks(inputs["semantic"]):
-        semantic_aggregation.blend_into(matrix, wikitext, block, params["alpha"])
-    table = embed_io.EmbeddingTable(wikitext.dim, wikitext.labels, matrix)
+        semantic_aggregation.blend_into(table.matrix, table, block, params["alpha"])
+    table.matrix.flags.writeable = False
     embed_io.save_table(table, targets[0])
-    shared.tables[targets[0]] = table  # link and eval use it without reading it back
+    shared[targets[0]] = table  # link and eval use it without reading it back
     return table
 
 
@@ -353,8 +338,8 @@ def _stage_link(shared, inputs, params, targets):
     cfg = linking_core.TrainConfig(
         margin=params["margin"], lr=params["lr"], epochs=params["epochs"], seed=params["seed"]
     )
-    words = shared.table(inputs["words"])
-    entities = shared.table(inputs["reinforced"])
+    words = _table(shared, inputs["words"])
+    entities = _table(shared, inputs["reinforced"])
     train_docs = corpus.load_documents(inputs["train"], params["window"])
     dev_docs = corpus.load_documents(inputs["dev"], params["window"]) if "dev" in inputs else None
     result = linking_core.train(train_docs, entities, words, cfg, dev_docs=dev_docs)
@@ -363,8 +348,8 @@ def _stage_link(shared, inputs, params, targets):
 
 
 def _stage_eval(shared, inputs, params, targets):
-    words = shared.table(inputs["words"])
-    entities = shared.table(inputs["reinforced"])
+    words = _table(shared, inputs["words"])
+    entities = _table(shared, inputs["reinforced"])
     model = linking_core.LinkingModel.load(inputs["model"], relations=False)
     docs = corpus.load_documents(inputs["eval"], params["window"])
     predictions = {doc.doc_id: linking_core.infer(doc, model, entities, words, strategy=params["strategy"])
@@ -379,7 +364,7 @@ _RUNNERS = {"dict": _stage_dict, "types": _stage_types, "semantic": _stage_seman
 
 def run_stage(stage: str, inputs: dict, params: dict, targets: list):
     """One stage alone, as its command runs it: no manifest, no shared tables, ``None`` inputs dropped."""
-    return _RUNNERS[stage](_RunCache(), {k: v for k, v in inputs.items() if v is not None}, params, targets)
+    return _RUNNERS[stage]({}, {k: v for k, v in inputs.items() if v is not None}, params, targets)
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, str]:
@@ -388,7 +373,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out / "manifest.json")
-    shared = _RunCache()
+    shared: dict = {}  # path -> a table a stage read, or what a stage hands on
     status: dict[str, str] = {}
     for stage in config.stages:
         _, _, outputs, param_keys = STAGES[stage]

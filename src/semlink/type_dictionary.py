@@ -149,15 +149,24 @@ class SemanticTypeDictionary:
 
     def save(self, words_path, remap_path=None) -> None:
         """Serialize deterministically: sorted words, sorted remap pairs.  A
-        word that the words file would read back as another (a ``#``, which
-        starts a comment, or whitespace) is refused."""
-        for word in sorted(self.words):
-            if "#" in word or normalize_type_word(word) != word:
-                raise FormatError(f"dictionary word {word!r} would not read back as itself", path=words_path)
+        word or remap entry that its file would read back as another (empty,
+        or holding a ``#``, which starts a comment, whitespace or a capital),
+        and a category of a word the dictionary lacks, are refused before
+        anything is written."""
+        remap = sorted(self.remap.items()) if remap_path is not None else []
+        entries = [("dictionary word", word, words_path) for word in sorted(self.words)]
+        for src, dst in remap:
+            entries += [("remap source", src, remap_path), ("remap target", dst, remap_path)]
+        for what, word, path in entries:
+            if not word or "#" in word or normalize_type_word(word) != word:
+                raise FormatError(f"{what} {word!r} would not read back as itself", path=path)
+        stray = sorted(set(self.categories) - self.words)
+        if stray:
+            raise FormatError(f"category of {stray[0]!r}, which is not a dictionary word", path=words_path)
         cats = self.categories
         outputs = [(words_path, [f"{w}\t{cats[w]}" if cats.get(w) else w for w in sorted(self.words)])]
         if remap_path is not None:
-            outputs.append((remap_path, [f"{src}\t{self.remap[src]}" for src in sorted(self.remap)]))
+            outputs.append((remap_path, [f"{src}\t{dst}" for src, dst in remap]))
         write_files(outputs)
 
     @classmethod

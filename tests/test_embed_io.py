@@ -250,12 +250,11 @@ class TestText:
         assert tb.labels == tt.labels
         np.testing.assert_allclose(tb.matrix, tt.matrix, atol=1e-6)
 
-    def test_empty_needs_dim(self, tmp_path):
+    def test_empty_refused(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("", "utf-8")
         with pytest.raises(FormatError):
             load_text(p)
-        assert len(load_text(p, dim=4)) == 0
 
 
 class TestLookup:
@@ -409,13 +408,10 @@ def test_text_round_trip(io_dir, table):
         assert not path.exists()
         return
     save_text(table, path)
-    assert same_table(load_text(path, dim=table.dim), table)
+    assert same_table(load_text(path), table)
 
 
-@pytest.mark.parametrize("save, load", [
-    (save_binary, lambda path, dim: load_binary(path)),
-    (save_text, lambda path, dim: load_text(path, dim=dim)),
-], ids=["binary", "text"])
+@pytest.mark.parametrize("save, load", [(save_binary, load_binary), (save_text, load_text)], ids=["binary", "text"])
 @given(table=tables(ANY_CHAR, min_rows=1))
 def test_save_refuses_or_round_trips(io_dir, save, load, table):
     """A label the format cannot carry is refused on save, never written
@@ -427,7 +423,7 @@ def test_save_refuses_or_round_trips(io_dir, save, load, table):
     except FormatError:
         assert not path.exists()  # no partial file that loads as fewer rows
         return
-    assert same_table(load(path, table.dim), table)
+    assert same_table(load(path), table)
 
 
 DAMAGES = ["value", "repeat", "truncate", "overwrite", "copy", "insert", "header", "garbage"]

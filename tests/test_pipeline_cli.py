@@ -10,6 +10,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import typing
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -332,6 +333,15 @@ class TestPipeline:
                 assert table.matrix[1:3].tobytes() == base[1:3].tobytes()
                 assert not table.matrix.flags.writeable
 
+    def test_aggregate_stage_returns_the_read_only_table_it_wrote(self, fixture_dir, tmp_path):
+        root, paths = fixture_dir
+        pipeline.run_stage("semantic", {"words": paths["words"], "types_file": paths["types"]},
+                           {"T": 11, "alpha": 0.2}, [tmp_path / "semantic.bin"])
+        table = pipeline.run_stage("aggregate", {"wikitext": paths["wikitext"], "semantic": tmp_path / "semantic.bin"},
+                                   {"alpha": 0.2}, [tmp_path / "r.bin"])
+        assert not table.matrix.flags.writeable
+        assert table == load_table(tmp_path / "r.bin")
+
     def test_aggregate_stage_skips_a_semantic_label_the_base_lacks(self, tmp_path):
         base = EmbeddingTable(2, ["e0", "e1"], np.float32([[1, 2], [3, 4]]))
         save_binary(base, tmp_path / "wikitext.bin")
@@ -539,7 +549,7 @@ class TestPipeline:
         "key, value",
         [("T", "abc"), ("alpha", "x"), ("epochs", "1.5"), ("lr", "nan"), ("margin", "inf"),
          # forms int() reads that a count's one form does not: 1_1, +5 and other scripts' digits
-         ("T", "1_1"), ("epochs", "\u0662\u0660"), ("cap", "+5"), ("seed", "--1")],
+         ("T", "1_1"), ("epochs", "\u0662\u0660"), ("cap", "+5"), ("seed", "--1"), ("window", "2.5")],
     )
     def test_bad_config_value_names_key_value_and_file(self, tmp_path, key, value):
         p = tmp_path / "c.cfg"
@@ -552,6 +562,15 @@ class TestPipeline:
         with pytest.raises(ConfigError) as e:
             PipelineConfig.from_file(p, {key: value})
         assert "--set" in str(e.value) and key in str(e.value)
+
+    @pytest.mark.parametrize("key", [key for key, kind in typing.get_type_hints(PipelineConfig).items()
+                                     if kind in (int, float)])
+    def test_every_number_key_refuses_a_word(self, tmp_path, key):
+        # read from the fields, so a number key added later is covered too
+        p = tmp_path / "c.cfg"
+        p.write_text(f"out = {tmp_path / 'o'}\n", "utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"--set: {key} = 'x' is not a")):
+            PipelineConfig.from_file(p, {key: "x"})
 
     def test_config_file_not_utf8(self, tmp_path):
         p = tmp_path / "c.cfg"

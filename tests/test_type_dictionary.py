@@ -13,6 +13,7 @@ from semlink._text import tokenize
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import FormatError, MissingSeedError, RemapTargetError
 from semlink.type_dictionary import (
+    CATEGORIES,
     NounFrequencyReport,
     SemanticTypeDictionary,
     apply_remap,
@@ -320,6 +321,41 @@ class TestBuildDictionary:
                 assert not p.exists()
                 return
             assert SemanticTypeDictionary.load(p).words == words
+
+    @pytest.mark.parametrize("remap, categories, needle", [
+        ({"A b": "x"}, {}, "remap source 'A b' would not read back"),  # would read back as 'a_b'
+        ({"y": "x#z"}, {}, "remap target 'x#z' would not read back"),  # as 'x'
+        ({"s": "X"}, {}, "remap target 'X' would not read back"),  # as 'x'
+        ({"c#": "x"}, {}, "remap source 'c#' would not read back"),  # a file load refuses
+        ({"q\tr": "x"}, {}, "remap source 'q\\tr' would not read back"),  # likewise
+        ({}, {"y": "title"}, "category of 'y', which is not a dictionary word"),  # would be dropped
+    ])
+    def test_remap_or_category_the_files_would_not_carry_is_refused(self, tmp_path, remap, categories, needle):
+        d = SemanticTypeDictionary(words={"x"}, remap=remap, categories=categories)
+        with pytest.raises(FormatError, match=re.escape(needle)):
+            d.save(tmp_path / "w.txt", tmp_path / "r.tsv")
+        assert list(tmp_path.iterdir()) == []
+
+    @given(st.data())
+    def test_saved_dictionary_is_refused_or_reads_back(self, data):
+        word = st.text("ab_#A \t", max_size=3)
+        words = data.draw(st.sets(word, max_size=3))
+        remap = data.draw(st.dictionaries(word, word, max_size=3))
+        categories = data.draw(st.dictionaries(st.sampled_from(sorted(words) + ["b"]), st.sampled_from(CATEGORIES),
+                                               max_size=2))
+        try:
+            d = SemanticTypeDictionary(words=words, remap=remap, categories=categories)
+        except (FormatError, RemapTargetError):
+            return  # refused in memory already
+        with tempfile.TemporaryDirectory() as tmp:
+            w, r = Path(tmp) / "w.txt", Path(tmp) / "r.tsv"
+            try:
+                d.save(w, r)
+            except FormatError:
+                assert not w.exists() and not r.exists()
+                return
+            again = SemanticTypeDictionary.load(w, r)
+            assert (again.words, again.remap, again.categories) == (words, remap, categories)
 
     def test_serialization_round_trip(self, tmp_path):
         seeds = _write(tmp_path / "s.txt", "lawyer\nceo\ttitle\n")
