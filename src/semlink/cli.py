@@ -381,8 +381,8 @@ def _seed_list(text: str) -> list[int]:
 @click.option("--seeds", default="1,2,3,4,5", show_default=True)
 @click.option("--theta", default=0.95, show_default=True)
 @click.option("--epochs", default=50, show_default=True)
-@click.option("--lr", default=0.01, show_default=True)
-@click.option("--margin", default=1.0, show_default=True)
+@click.option("--lr", default=linking_core.TrainConfig.lr, show_default=True)
+@click.option("--margin", default=linking_core.TrainConfig.margin, show_default=True)
 @click.option("--out", "out_path", type=click.Path())
 @click.option("--curves", type=click.Path(), help="Write per-epoch dev-F1 curves TSV here.")
 def eval_converge(train_path, dev_path, words, baseline, reinforced, seeds, theta,

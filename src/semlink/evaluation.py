@@ -245,12 +245,14 @@ def convergence_experiment(
     """Train once per (embedding table, seed) and compare epochs-to-theta.
 
     All runs are one `train_runs` call, so they train in lockstep and the
-    context features are computed once; each run equals a separate `train`
-    call with that table and seed.  Censored runs (threshold never reached)
-    enter the mean at the epoch budget, which only understates any
-    speed-up.  With two or more seeds, a set whose seeds all reach theta in
-    the same epoch draws a warning: a seed only reorders the SGD steps, so
-    that agreement says nothing about run-to-run variance.  A ``theta``
+    context features are computed once; each run's weights and dev F1 equal
+    a separate `train` call's with that table and seed.  The study reads
+    dev F1 only, so the call scores no training loss.  Censored runs
+    (threshold never reached) enter the mean at the epoch budget, which
+    only understates any speed-up.  With two or more seeds, a set whose
+    seeds all reach theta in the same epoch draws a warning: a seed only
+    reorders the SGD steps, so that agreement says nothing about run-to-run
+    variance.  A ``theta``
     outside [0, 1] is a `ConfigError` (`check_theta`).
     """
     if not seeds:
@@ -258,7 +260,7 @@ def convergence_experiment(
     check_theta(theta)
     seeds = [int(s) for s in seeds]
     tables = {"baseline": wikitext_table, "reinforced": reinforced_table}
-    results = train_runs(train_docs, list(tables.values()), words, train_config, seeds, dev_docs)
+    results = train_runs(train_docs, list(tables.values()), words, train_config, seeds, dev_docs, losses=False)
     sets = {}
     for t, name in enumerate(tables):
         runs = results[t * len(seeds) : (t + 1) * len(seeds)]

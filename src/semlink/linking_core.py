@@ -500,9 +500,9 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     model: LinkingModel
-    loss_trace: list[float]        # full-batch loss after each epoch
+    loss_trace: list[float]        # full-batch loss after each epoch (if losses scored)
     dev_f1_trace: list[float]      # dev micro-F1 after each epoch (if dev given)
-    initial_loss: float
+    initial_loss: Optional[float]  # None when losses are not scored
     initial_dev_f1: Optional[float]
     skipped_mentions: int
 
@@ -781,6 +781,7 @@ def train_runs(
     config: TrainConfig,
     seeds: Sequence[int],
     dev_docs: Optional[Sequence[LinkingDocument]] = None,
+    losses: bool = True,
 ) -> list[TrainResult]:
     """Train one model per (entity table, seed), all runs in lockstep.
 
@@ -788,11 +789,13 @@ def train_runs(
     Each run visits the instances one at a time, in an order its seed draws
     afresh each epoch (``config.seed`` is not used); each step scores all of
     an instance's negatives at once and applies the summed subgradient of
-    its active hinges.  The loss trace holds the full-batch loss evaluated
-    after each epoch; the dev trace holds dev micro-F1 at the same points
-    when dev documents are supplied: the greedy-local picks of
-    `infer` on the dev mentions whose gold is among their
-    candidates, 0.0 when there is none.
+    its active hinges.  With ``losses`` (the default), the loss trace holds
+    the full-batch loss evaluated after each epoch; without, no loss is
+    scored, the loss trace is empty and the initial loss None.  The dev
+    trace holds dev micro-F1 at the same points when dev documents are
+    supplied: the greedy-local picks of `infer` on the dev mentions whose
+    gold is among their candidates, 0.0 when there is none.  Scoring the
+    losses or not moves no bit of the other fields.
 
     The R = tables x seeds runs share documents, negatives and step count,
     so `_LockstepSGD` steps them all in one loop, each run through all its
@@ -801,10 +804,11 @@ def train_runs(
     the run's state at that epoch's end, which may lie inside a block.  Each
     state the loop yields, the initial one first, goes to row ``e % size``
     of its run's buffer of ``size = min(d, epochs + 1)`` rows, which is
-    scored with one `_hinges` and one `_greedy_picks` call when that row is
-    its last or e the last epoch, so a batch's (states, N, M) loss rows are
-    never larger than the (N, M, d) hinge rows.  Each epoch's loss is still
-    summed alone, as `margin_loss_and_gradient` sums one state's.  A run's
+    scored with one `_hinges` call (with ``losses``) and one `_greedy_picks`
+    call (with dev documents) when that row is its last or e the last epoch,
+    so a batch's (states, N, M) loss rows are never larger than the
+    (N, M, d) hinge rows.  Each epoch's loss is still summed alone, as
+    `margin_loss_and_gradient` sums one state's.  A run's
     arithmetic does not depend on the other runs, so each result equals a
     one-run call bit for bit.  Results are table-major: run
     ``t * len(seeds) + s`` is (``tables[t]``, ``seeds[s]``).
@@ -842,20 +846,21 @@ def train_runs(
         if k < size and e < config.epochs:
             continue
         t = r // len(seeds)
-        v, active = _hinges(sets[t], Bk[r, :k], Ck[r, :k], config.margin)
-        # each epoch's loss summed alone, as the pairwise sum of one state's terms
-        losses = [float(v[i][active[i]].sum()) for i in range(k)]
-        f1s = [None] * k
+        scores, f1s = [None] * k, [None] * k
+        if losses:
+            v, active = _hinges(sets[t], Bk[r, :k], Ck[r, :k], config.margin)
+            # each epoch's loss summed alone, as the pairwise sum of one state's terms
+            scores = [float(v[i][active[i]].sum()) for i in range(k)]
         if devs is not None:
             picks = _greedy_picks(devs[t], Bk[r, :k])
             # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
             f1s = [int(hits) / max(len(gold), 1) for hits in np.count_nonzero(picks == gold, axis=1)]
-        history[r].extend(zip(losses, f1s))
+        history[r].extend(zip(scores, f1s))
 
     return [
         TrainResult(
             LinkingModel(words.dim, B[r].copy(), C[r].copy()),
-            loss_trace=[loss for loss, _ in epochs],
+            loss_trace=[loss for loss, _ in epochs] if losses else [],
             dev_f1_trace=[f1 for _, f1 in epochs] if devs is not None else [],
             initial_loss=initial_loss,
             initial_dev_f1=initial_dev_f1,

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from semlink import linking_core
 from semlink.corpus import LinkingDocument, Mention
 from semlink.embed_io import EmbeddingTable
 from semlink.errors import AlignmentError, ConfigError, EmptyTrainingError, MissingLabelError
@@ -221,6 +222,19 @@ class TestConvergenceExperiment:
         r1 = convergence_experiment(*args, theta=0.95)
         r2 = convergence_experiment(*args, theta=0.95)
         assert r1.to_dict() == r2.to_dict()
+
+    def test_study_scores_no_training_loss(self, monkeypatch):
+        """The study reads dev F1 only, so it never takes a hinge loss."""
+        bundle, reinforced = small_world()
+        args = (bundle.train_docs, bundle.dev_docs, bundle.words,
+                bundle.wikitext, reinforced, TrainConfig(epochs=4, lr=0.01), [1, 2])
+        want = convergence_experiment(*args, theta=0.95).to_dict()
+
+        def refuse(*args):
+            raise AssertionError("the study scored a training loss")
+
+        monkeypatch.setattr(linking_core, "_hinges", refuse)
+        assert convergence_experiment(*args, theta=0.95).to_dict() == want
 
     def test_censoring_reported_not_raised(self):
         bundle, reinforced = small_world()

@@ -1416,6 +1416,28 @@ def test_epoch_ends_inside_blocks_keep_their_bits(blocks_taken, world, n_docs, l
 
 
 @pytest.mark.parametrize("train_pairwise", [False, True])
+@pytest.mark.parametrize(
+    "world, n_docs, lr, epochs, where",
+    [(0, 8, 2.0, 3, "redone"), (4, 40, 0.05, 3, "inside"), (12, 4, 0.05, 20, "several")],
+)
+def test_unscored_losses_move_no_other_bit(blocks_taken, world, n_docs, lr, epochs, where, train_pairwise):
+    """``losses=False`` leaves the loss fields empty, and the weights, dev F1
+    and skipped mentions keep the bits of the default call."""
+    rng = np.random.default_rng(world)
+    entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
+    tables = [entities, EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))]
+    train_docs = ragged_docs(rng, labels, wlabels, n_docs, "t")
+    dev_docs = ragged_docs(rng, labels, wlabels, 4, "v")
+    config = TrainConfig(lr=lr, epochs=epochs, train_pairwise=train_pairwise)
+    got = train_runs(train_docs, tables, words, config, [0, 1], dev_docs, losses=False)
+    assert where in epoch_ends(blocks_taken, len(_usable(train_docs)), epochs)
+    assert all(run.loss_trace == [] and run.initial_loss is None for run in got)
+    want = train_runs(train_docs, tables, words, config, [0, 1], dev_docs)
+    assert all(len(run.loss_trace) == epochs for run in want)
+    assert_same_bits(got, [replace(run, loss_trace=[], initial_loss=None) for run in want])
+
+
+@pytest.mark.parametrize("train_pairwise", [False, True])
 @pytest.mark.parametrize("dev, epochs", [("usable", 12), ("none", 12), ("no gold", 12), ("usable", 0)])
 def test_epoch_states_scored_in_batches_keep_their_bits(monkeypatch, dev, epochs, train_pairwise):
     """At d = 5 a run scores its states five at a time: the initial state and

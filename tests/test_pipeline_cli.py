@@ -2004,6 +2004,14 @@ def test_link_infer_defaults_to_greedy_local(fixture_dir, tmp_path):
     assert inspect.signature(infer).parameters["strategy"].default == "greedy-local"
 
 
+def test_eval_converge_trains_with_train_config_defaults():
+    """The study trains with `TrainConfig`'s margin and step size unless told
+    otherwise; only its epoch budget differs, on purpose."""
+    defaults = {p.name: p.default for p in cli.commands["eval"].commands["converge"].params}
+    assert (defaults["margin"], defaults["lr"]) == (TrainConfig.margin, TrainConfig.lr)
+    assert defaults["epochs"] == 50 != TrainConfig.epochs
+
+
 def test_eval_stage_and_link_infer_infer_one_document_per_call(fixture_dir, tmp_path, monkeypatch):
     """Both infer through `linking_core.infer`, one call per document, so a
     wrapper of that function (the bench tracer's) sees every document."""
