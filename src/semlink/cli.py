@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 capacity exceeded.
+Exit codes: 0 ok, 1 usage error, 2 data error, 3 capacity exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -196,8 +196,9 @@ def embed_reinforce(wikitext, words, types_path, t_value, alpha, out_semantic, o
 def embed_neighbors(table_path, query, k):
     """Top-k cosine neighbours of a label, as TSV on stdout."""
     table = embed_io.load_table(table_path)
+    report = semantic_aggregation.neighbor_report(table, query, k)
     click.echo("label\tcosine")
-    for label, score in semantic_aggregation.neighbor_report(table, query, k):
+    for label, score in report:
         click.echo(f"{_printable(label)}\t{score:.6f}")
 
 
@@ -507,12 +508,10 @@ def main(argv=None) -> None:
         sys.exit(1)
     except click.exceptions.Abort:
         sys.exit(1)
-    except CapacityError as e:
+    except (SemlinkError, OSError, MemoryError) as e:
         click.echo(f"error: {e}", err=True)
-        sys.exit(3)
-    except (SemlinkError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        # a StageError exits with the code of the error that failed its stage
+        sys.exit(3 if isinstance(getattr(e, "cause", e), (CapacityError, MemoryError)) else 2)
 
 
 if __name__ == "__main__":

@@ -200,9 +200,9 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
 
 def make_fixtures(seed: int, sizes: FixtureSizes, out_dir) -> dict[str, Path]:
     """Generate and write the full fixture set; returns the path map."""
+    bundle = generate_fixture(seed, sizes)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = generate_fixture(seed, sizes)
 
     paths = {
         "words": out / "words.bin",

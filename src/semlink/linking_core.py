@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -671,17 +671,15 @@ class _LockstepSGD:
         self.Bs = np.empty((_BLOCK + 1, R, zero.shape[2]))
         self.Cs = np.empty_like(self.Bs) if self.PD is not None else self.Bs
 
-    def run(self, epochs: int, B: np.ndarray, C: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    def run(self, epochs: int, B: np.ndarray, C: np.ndarray, Bh: np.ndarray, Ch: np.ndarray) -> None:
         """Run r steps through ``epochs`` epochs of its table's N rows in place
         on B[r] and C[r], at its own pace, in an order its generator draws
-        afresh each epoch.  Yield ``(r, e, b, c)``, run r's diagonals after
-        its epoch e: every run's initial state (e = 0) first, then each run's
-        epoch ends in order.  ``b`` and ``c`` are views, valid until the next
-        item is asked for.
+        afresh each epoch.  Run r's diagonals before training go to
+        ``Bh[r, 0]`` and ``Ch[r, 0]``, and those after its epoch e to
+        ``Bh[r, e]`` and ``Ch[r, e]``.
         """
         R, N, zero = len(B), self.N, len(self.FD) - 1
-        for r in range(R):
-            yield r, 0, B[r], C[r]
+        Bh[:, 0], Ch[:, 0] = B, C
         # each run holds the epoch it is in and every one a block from there
         # can reach; past its last epoch it holds the zero row
         held = 1 - (1 - _BLOCK) // N
@@ -708,10 +706,8 @@ class _LockstepSGD:
                 for e in range(first[r] + 1, min(first[r] + gone, epochs) + 1):
                     # the block's steps before epoch e's end
                     i = (e - first[r]) * N - start
-                    if i == taken[r]:
-                        yield r, e, B[r], C[r]
-                    else:
-                        yield r, e, self.Bs[i, r], C[r] if self.PD is None else self.Cs[i, r]
+                    Bh[r, e] = B[r] if i == taken[r] else self.Bs[i, r]
+                    Ch[r, e] = C[r] if i == taken[r] or self.PD is None else self.Cs[i, r]
                 # drop the epochs run r has left, and hold as many new ones
                 steps[r, : (held - gone) * N] = steps[r, gone * N :]
                 first[r] += gone
@@ -800,17 +796,18 @@ def train_runs(
     The R = tables x seeds runs share documents, negatives and step count,
     so `_LockstepSGD` steps them all in one loop, each run through all its
     epochs as one stream, with its own generator drawing each epoch's order
-    when its buffer needs it.  The loss and dev F1 of an epoch are those of
-    the run's state at that epoch's end, which may lie inside a block.  Each
-    state the loop yields, the initial one first, goes to row ``e % size``
-    of its run's buffer of ``size = min(d, epochs + 1)`` rows, which is
-    scored with one `_hinges` call (with ``losses``) and one `_greedy_picks`
-    call (with dev documents) when that row is its last or e the last epoch,
-    so a batch's (states, N, M) loss rows are never larger than the
-    (N, M, d) hinge rows.  Each epoch's loss is still summed alone, as
-    `margin_loss_and_gradient` sums one state's.  A run's
-    arithmetic does not depend on the other runs, so each result equals a
-    one-run call bit for bit.  Results are table-major: run
+    when it needs it.  The loss and dev F1 of an epoch are those of the
+    run's state at that epoch's end, which may lie inside a block.  The SGD
+    first writes every run's states, the initial one first, into one
+    (R, epochs + 1, d) record; then each run's states are scored in batches
+    of ``size = min(d, epochs + 1)``, one `_hinges` call (with ``losses``)
+    and one `_greedy_picks` call (with dev documents) per batch, so a
+    batch's (states, N, M) loss rows are never larger than the (N, M, d)
+    hinge rows.  The record takes 16 d (epochs + 1) bytes per run; one that
+    cannot be allocated raises `MemoryError` before the first step.  Each
+    epoch's loss is still summed alone, as `margin_loss_and_gradient` sums
+    one state's.  A run's arithmetic does not depend on the other runs, so
+    each result equals a one-run call bit for bit.  Results are table-major: run
     ``t * len(seeds) + s`` is (``tables[t]``, ``seeds[s]``).
     """
     if not tables or not seeds:
@@ -832,42 +829,36 @@ def train_runs(
         # sorted candidate labels do not depend on the table
         gold = devs[0].gold_positions(usable)
 
-    B = np.ones((len(tables) * len(seeds), words.dim))
-    C = np.ones_like(B)
-    sgd = _LockstepSGD(sets, seeds, config.margin, config.lr)
-    # each run's states not yet scored: state e is row e % size of its buffer
-    size = min(words.dim, config.epochs + 1)
-    Bk, Ck = np.empty((2, len(B), size, words.dim))
-    # per run: (loss, dev F1) before training, then after each epoch
-    history = [[] for _ in B]
-    for r, e, b, c in sgd.run(config.epochs, B, C):
-        k = e % size + 1
-        Bk[r, k - 1], Ck[r, k - 1] = b, c
-        if k < size and e < config.epochs:
-            continue
-        t = r // len(seeds)
-        scores, f1s = [None] * k, [None] * k
-        if losses:
-            v, active = _hinges(sets[t], Bk[r, :k], Ck[r, :k], config.margin)
-            # each epoch's loss summed alone, as the pairwise sum of one state's terms
-            scores = [float(v[i][active[i]].sum()) for i in range(k)]
-        if devs is not None:
-            picks = _greedy_picks(devs[t], Bk[r, :k])
-            # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
-            f1s = [int(hits) / max(len(gold), 1) for hits in np.count_nonzero(picks == gold, axis=1)]
-        history[r].extend(zip(scores, f1s))
-
-    return [
-        TrainResult(
+    R, size = len(tables) * len(seeds), min(words.dim, config.epochs + 1)
+    B, C = np.ones((2, R, words.dim))
+    # every run's diagonals before training, then after each epoch
+    try:
+        Bh, Ch = np.empty((2, R, config.epochs + 1, words.dim))
+    except ValueError as e:  # numpy's refusal of a size past the address space
+        raise MemoryError(str(e)) from e
+    _LockstepSGD(sets, seeds, config.margin, config.lr).run(config.epochs, B, C, Bh, Ch)
+    results = []
+    for r, (t, _) in enumerate(itertools.product(range(len(tables)), seeds)):
+        scores, f1s = [], []
+        for a in range(0, config.epochs + 1, size):
+            b, c = Bh[r, a : a + size], Ch[r, a : a + size]
+            if losses:
+                v, active = _hinges(sets[t], b, c, config.margin)
+                # each epoch's loss summed alone, as the pairwise sum of one state's terms
+                scores += [float(v[i][active[i]].sum()) for i in range(len(b))]
+            if devs is not None:
+                picks = _greedy_picks(devs[t], b)
+                # greedy-local micro-F1, plain accuracy since every mention gets a pick; 0.0 with none
+                f1s += [int(hits) / max(len(gold), 1) for hits in np.count_nonzero(picks == gold, axis=1)]
+        results.append(TrainResult(
             LinkingModel(words.dim, B[r].copy(), C[r].copy()),
-            loss_trace=[loss for loss, _ in epochs] if losses else [],
-            dev_f1_trace=[f1 for _, f1 in epochs] if devs is not None else [],
-            initial_loss=initial_loss,
-            initial_dev_f1=initial_dev_f1,
+            loss_trace=scores[1:],
+            dev_f1_trace=f1s[1:],
+            initial_loss=scores[0] if losses else None,
+            initial_dev_f1=f1s[0] if devs is not None else None,
             skipped_mentions=skipped,
-        )
-        for r, ((initial_loss, initial_dev_f1), *epochs) in enumerate(history)
-    ]
+        ))
+    return results
 
 
 def train(

@@ -23,9 +23,10 @@ date.  A rerun with identical inputs and parameters skips the stage; any
 edit to semlink's source changes the fingerprint and reruns every stage, as
 does a manifest of an older layout, once.  Every output, the manifest
 included, replaces its old file only once it is whole (`_text.replacing`),
-so a stage that fails, on bad data or on a write, leaves its previous
-outputs and the manifest as they were and aborts the run with a
-`StageError` naming the stage.
+so a stage that fails, on bad data, on a write or out of memory, leaves
+its previous outputs and the manifest as they were and aborts the run
+with a `StageError` naming the stage and holding the error as its
+``cause``.
 
 One run does each piece of work once: each file is hashed at most once (a
 stage's outputs again when it records them), and the run's one ``shared``
@@ -386,7 +387,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, str]:
             continue
         try:
             _RUNNERS[stage](shared, inputs, params, [out / name for name in outputs])
-        except (SemlinkError, OSError) as e:
+        except (SemlinkError, OSError, MemoryError) as e:
             raise StageError(stage, e) from e
         manifest.record(stage, input_hashes, params, outputs)
         status[stage] = "done"

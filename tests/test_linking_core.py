@@ -1441,7 +1441,9 @@ def test_unscored_losses_move_no_other_bit(blocks_taken, world, n_docs, lr, epoc
 @pytest.mark.parametrize("dev, epochs", [("usable", 12), ("none", 12), ("no gold", 12), ("usable", 0)])
 def test_epoch_states_scored_in_batches_keep_their_bits(monkeypatch, dev, epochs, train_pairwise):
     """At d = 5 a run scores its states five at a time: the initial state and
-    12 epoch ends as 5 + 5 + 3, and with no epoch the initial state alone."""
+    12 epoch ends as 5 + 5 + 3, and with no epoch the initial state alone.
+    Dev F1 is scored in the same batches, with or without losses, and not at
+    all without dev documents."""
     rng = np.random.default_rng(8)
     entities, words, labels, wlabels = toy_world(rng, n_entities=10, dim=5)
     tables = [entities, EmbeddingTable(5, labels, rng.standard_normal((10, 5)).astype(np.float32))]
@@ -1458,17 +1460,29 @@ def test_epoch_states_scored_in_batches_keep_their_bits(monkeypatch, dev, epochs
         ],
     }[dev]
     config = TrainConfig(lr=0.05, epochs=epochs, train_pairwise=train_pairwise)
-    batches = []
+    batches, picked = [], []
 
     def spy(instances, B, C, margin):
         batches.append(len(B))
         return _hinges(instances, B, C, margin)
 
+    def spy_picks(block, B):
+        picked.append(len(B))
+        return _greedy_picks(block, B)
+
     monkeypatch.setattr(linking_core, "_hinges", spy)
+    monkeypatch.setattr(linking_core, "_greedy_picks", spy_picks)
     got = train_runs(train_docs, tables, words, config, [0, 1], dev_docs)
     # one call per batch of each of the 2 x 2 runs
     per_run = [5, 5, 3] if epochs else [1]
     assert sorted(batches) == sorted(per_run * 4)
+    assert sorted(picked) == (sorted(per_run * 4) if dev_docs is not None else [])
+    batches.clear()
+    picked.clear()
+    unscored = train_runs(train_docs, tables, words, config, [0, 1], dev_docs, losses=False)
+    assert batches == []
+    assert sorted(picked) == (sorted(per_run * 4) if dev_docs is not None else [])
+    assert_same_bits(unscored, [replace(run, loss_trace=[], initial_loss=None) for run in got])
     if dev == "no gold":
         assert {f1 for run in got for f1 in [run.initial_dev_f1, *run.dev_f1_trace]} == {0.0}
     assert_same_bits(got, per_step_train_runs(train_docs, tables, words, config, [0, 1], dev_docs))

@@ -1905,6 +1905,73 @@ def test_link_infer_one_over_capacity_document_exits_3_and_writes_nothing(fixtur
     assert sorted(os.listdir(tmp_path)) == sorted(["docs.jsonl", "model.txt"] + ["pred.tsv"] * (existing is not None))
 
 
+def test_pipeline_run_over_capacity_exits_3_as_link_infer_does(tmp_path, capsys):
+    paths = make_fixtures(0, FixtureSizes(candidates=40, mentions_per_doc=4, train_docs=3, dev_docs=2, eval_docs=2),
+                          tmp_path / "fx")
+    config = write_config(tmp_path / "p.cfg", paths, tmp_path / "out")
+    with pytest.raises(SystemExit) as e:
+        main(["pipeline", "run", "--config", str(config), "--set", "strategy=exhaustive"])
+    assert e.value.code == 3
+    assert "error: stage 'eval' failed: candidate product exceeds 1000000" in capsys.readouterr().err
+
+
+def test_allocation_failure_exits_3_without_a_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from semlink.cli import main; main()",
+         "fixtures", "make", "--out", str(tmp_path / "fx"), "--entities", "1000000000000"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: Unable to allocate") and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "fx").exists()
+
+
+def test_stage_out_of_memory_names_the_stage_and_exits_3(fixture_dir, tmp_path, capsys, monkeypatch):
+    root, paths = fixture_dir
+    config = write_config(tmp_path / "p.cfg", paths, tmp_path / "out")
+
+    def fail(*args):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setitem(pipeline._RUNNERS, "link", fail)
+    with pytest.raises(StageError) as e:
+        run_pipeline(PipelineConfig.from_file(config))
+    assert e.value.stage == "link" and isinstance(e.value.cause, MemoryError)
+    with pytest.raises(SystemExit) as e:
+        main(["pipeline", "run", "--config", str(config)])
+    assert e.value.code == 3
+    assert capsys.readouterr().err == "error: stage 'link' failed: Unable to allocate 1.00 TiB\n"
+
+
+@pytest.mark.parametrize("epochs", ["1000000000000", "100000000000000000000"], ids=["past-memory", "past-address-space"])
+def test_link_train_epochs_whose_record_cannot_be_held_exits_3_before_a_step(
+        fixture_dir, tmp_path, capsys, monkeypatch, epochs):
+    root, paths = fixture_dir
+
+    def no_step(*args):
+        raise AssertionError("the SGD ran")
+
+    monkeypatch.setattr(linking_core._LockstepSGD, "run", no_step)
+    with pytest.raises(SystemExit) as e:
+        main(["link", "train", "--train", str(paths["train"]), "--entities", str(paths["wikitext"]),
+              "--words", str(paths["words"]), "--epochs", epochs, "--out-model", str(tmp_path / "m.txt")])
+    assert e.value.code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [["--query", "no-such-label"], ["--query", "ent0000", "-k", "0"]],
+                         ids=["missing-query", "k-0"])
+def test_embed_neighbors_prints_nothing_before_its_checks(fixture_dir, capsys, args):
+    root, paths = fixture_dir
+    with pytest.raises(SystemExit) as e:
+        main(["embed", "neighbors", "--table", str(paths["wikitext"]), *args])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.fixture(scope="module")
 def predictions_dir(tmp_path_factory):
     # module-scoped: every example of the property reuses one directory
