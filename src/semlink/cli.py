@@ -473,25 +473,20 @@ def fixtures_group():
 @fixtures_group.command("make")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", default=7, show_default=True)
-@click.option("--entities", default=60, show_default=True)
-@click.option("--groups", default=12, show_default=True)
-@click.option("--dim", default=32, show_default=True)
-@click.option("--train-docs", default=40, show_default=True)
-@click.option("--dev-docs", default=15, show_default=True)
-@click.option("--eval-docs", default=15, show_default=True)
-@click.option("--mentions-per-doc", default=5, show_default=True)
-@click.option("--candidates", default=4, show_default=True)
-def fixtures_make(out_dir, seed, entities, groups, dim, train_docs, dev_docs,
-                  eval_docs, mentions_per_doc, candidates):
+@click.option("--entities", default=fixtures.FixtureSizes.entities, show_default=True)
+@click.option("--groups", default=fixtures.FixtureSizes.groups, show_default=True)
+@click.option("--dim", default=fixtures.FixtureSizes.dim, show_default=True)
+@click.option("--train-docs", default=fixtures.FixtureSizes.train_docs, show_default=True)
+@click.option("--dev-docs", default=fixtures.FixtureSizes.dev_docs, show_default=True)
+@click.option("--eval-docs", default=fixtures.FixtureSizes.eval_docs, show_default=True)
+@click.option("--mentions-per-doc", default=fixtures.FixtureSizes.mentions_per_doc, show_default=True)
+@click.option("--candidates", default=fixtures.FixtureSizes.candidates, show_default=True)
+def fixtures_make(out_dir, seed, **sizes):
     """Write a deterministic synthetic corpus + embeddings + linking set."""
-    if entities == 0:
-        sizes = fixtures.FixtureSizes.empty(dim=dim)
+    if sizes["entities"] == 0:
+        sizes = fixtures.FixtureSizes.empty(dim=sizes["dim"])
     else:
-        sizes = fixtures.FixtureSizes(
-            entities=entities, groups=groups, dim=dim,
-            train_docs=train_docs, dev_docs=dev_docs, eval_docs=eval_docs,
-            mentions_per_doc=mentions_per_doc, candidates=candidates,
-        )
+        sizes = fixtures.FixtureSizes(**sizes)
     paths = fixtures.make_fixtures(seed, sizes, out_dir)
     for name in sorted(paths):
         click.echo(f"{name}: {paths[name]}")

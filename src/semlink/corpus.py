@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from ._text import FIELD_BREAK, read_lines, unbroken, write_lines
+from ._text import read_lines, unbroken, write_lines
 from .errors import ConfigError, FormatError, InvalidDocumentError
 
 
@@ -88,9 +88,6 @@ _JSON_NAMES = {
 }
 
 
-_is_str = str.__instancecheck__
-
-
 def _checked(value, kind: type, what: str):
     """``value`` if it is a ``kind``; a `FormatError` naming ``what`` otherwise."""
     if not isinstance(value, kind):
@@ -115,9 +112,8 @@ def _document_from(record) -> LinkingDocument:
         if gold is not None:
             _checked(gold, str, "gold")
         context = _checked(m.get("context", []), list, "context")
-        # one C-level pass over the tokens; the slow path only names the culprit
-        if not all(map(_is_str, context)):
-            _checked(next(t for t in context if not _is_str(t)), str, "context token")
+        for token in context:
+            _checked(token, str, "context token")
         mentions.append(Mention(
             surface=_checked(m["surface"], str, "surface"),
             context=context,
@@ -130,16 +126,13 @@ def _document_from(record) -> LinkingDocument:
 def _checked_candidates(candidates: list[str]) -> list[str]:
     """``candidates``; a label listed twice, after prior stripping, or one
     holding a tab or a line break is a `FormatError` naming it."""
-    # one search over the joined labels; the loop only names the culprit
-    if FIELD_BREAK.search("".join(candidates)):
-        for c in candidates:
-            unbroken(c, "candidate")
-    if len(set(candidates)) < len(candidates):
-        seen: set[str] = set()
-        for c in candidates:
-            if c in seen:
-                raise FormatError(f"repeated candidate {c!r}")
-            seen.add(c)
+    for c in candidates:
+        unbroken(c, "candidate")
+    seen: set[str] = set()
+    for c in candidates:
+        if c in seen:
+            raise FormatError(f"repeated candidate {c!r}")
+        seen.add(c)
     return candidates
 
 

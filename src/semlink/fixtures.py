@@ -86,6 +86,12 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
     rng = np.random.default_rng(seed)
     d = sizes.dim
+    # allocated first, so a size that cannot be held fails before any work;
+    # rounded to float32 row by row, so no float64 copy of the table is held
+    try:
+        entity_matrix = np.empty((sizes.entities, d), dtype=np.float32)
+    except ValueError as e:  # numpy's refusal of a size past the address space
+        raise MemoryError(str(e)) from e
 
     # group directions: coordinate axes while they last, random units after
     group_dirs = []
@@ -119,8 +125,6 @@ def generate_fixture(seed: int, sizes: FixtureSizes) -> FixtureBundle:
     dictionary = SemanticTypeDictionary(words={w for g in group_words for w in g})
 
     entity_labels: list[str] = []
-    # rounded to float32 row by row, so no float64 copy of the table is held
-    entity_matrix = np.empty((sizes.entities, d), dtype=np.float32)
     articles: list[ArticleRecord] = []
     assignments: dict[str, EntityTypeAssignment] = {}
     entity_group: dict[str, int] = {}

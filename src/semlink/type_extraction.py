@@ -170,21 +170,9 @@ def write_assignments(assignments, path) -> None:
     the word, raised before anything is written.
     """
     items = list(assignments.values() if hasattr(assignments, "values") else assignments)
-    lines = [f"{a.entity_id}\t{','.join(a.type_words)}" for a in items]
-    words = [a.type_words for a in items]
-    text = "".join(lines)
-    # every line holds its one tab, no line break, one comma between two
-    # words and no empty word; else find the first that does not read back
-    if not (
-        text.count("\t") == len(lines)
-        and "\n" not in text
-        and "\r" not in text
-        and text.count(",") == sum(map(len, words)) - sum(map(bool, words))
-        and all(map(all, words))
-    ):
-        for a in items:
-            _check_writable(a, path)
-    write_lines(path, lines)
+    for a in items:
+        _check_writable(a, path)
+    write_lines(path, [f"{a.entity_id}\t{','.join(a.type_words)}" for a in items])
 
 
 def _check_writable(a: EntityTypeAssignment, path) -> None:

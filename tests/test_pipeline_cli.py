@@ -1016,6 +1016,7 @@ class TestCli:
         ({"context": "the quick brown fox"}, {}, "context must be a JSON array, not string"),
         ({"context": [1, 2, 3]}, {}, "context token must be a JSON string, not number"),
         ({"context": [["x"]]}, {}, "context token must be a JSON string, not array"),
+        ({"context": ["x", 1, ["x"]]}, {}, "context token must be a JSON string, not number"),
         ({"candidates": "ent0001"}, {}, "candidates must be a JSON array, not string"),
         ({"candidates": [7]}, {}, "candidate must be a JSON string, not number"),
         ({"candidates": [[]]}, {}, "candidate pair must be [label, prior], got []"),
@@ -1028,9 +1029,12 @@ class TestCli:
         ({}, "as list", "record must be a JSON object, not array"),
         ({}, {"mentions": []}, "has no mentions"),
         ({"candidates": ["ent0001", "ent0002", "ent0001:0.5"]}, {}, "repeated candidate 'ent0001'"),
-    ], ids=["string-context", "number-tokens", "array-token", "string-candidates", "number-candidate",
-            "empty-pair", "number-pair-label", "null-surface", "number-gold", "object-mentions",
-            "string-mention", "number-doc-id", "array-record", "empty-mentions", "repeated-candidate"])
+        # a CoNLL field cannot hold a tab, so the tab is named though the repeat comes first
+        ({"candidates": ["ent0001", "ent0001", "a\tb"]}, {}, "candidate 'a\\tb' holds a tab or a line break"),
+    ], ids=["string-context", "number-tokens", "array-token", "number-then-array-token", "string-candidates",
+            "number-candidate", "empty-pair", "number-pair-label", "null-surface", "number-gold", "object-mentions",
+            "string-mention", "number-doc-id", "array-record", "empty-mentions", "repeated-candidate",
+            "repeat-then-tab"])
     def test_link_infer_mistyped_record_exits_2(self, fixture_dir, tmp_path, capsys, mention, record, fault):
         root, paths = fixture_dir
         first, second = paths["eval"].read_text("utf-8").splitlines()[:2]
@@ -1117,6 +1121,29 @@ class TestCli:
         named = pred if source == "assignments" else docs_path
         assert f"label 'ghost' not in table: mention 2 of {docs[1].doc_id!r} [{named}]\n" in captured.err
         assert captured.out == ""
+
+    def test_link_score_scores_a_label_outside_the_candidates(self, fixture_dir, tmp_path, capsys):
+        """An assigned label must be in the entity table, not among the
+        mention's candidates, and is scored as `document_score` scores it."""
+        root, paths = fixture_dir
+        model = tmp_path / "model.txt"
+        identity_model(SIZES.dim).save(model)
+        docs = load_linking_jsonl(paths["eval"])
+        entities, words = load_table(paths["wikitext"]), load_table(paths["words"])
+        chosen = {d.doc_id: [m.gold for m in d.mentions] for d in docs}
+        doc = docs[1]
+        gold = list(chosen[doc.doc_id])
+        chosen[doc.doc_id][2] = next(e for e in entities.labels if e not in doc.mentions[2].candidates)
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("".join(f"{d}\t{i}\t{label}\n" for d, ls in chosen.items() for i, label in enumerate(ls)),
+                        "utf-8")
+        main(["link", "score", "--docs", str(paths["eval"]), "--entities", str(paths["wikitext"]),
+              "--words", str(paths["words"]), "--model", str(model), "--assignments", str(pred)])
+        printed = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        loaded = linking_core.LinkingModel.load(model, relations=False)
+        score = linking_core.document_score(chosen[doc.doc_id], doc, loaded, entities, words)
+        assert printed[doc.doc_id] == f"{score:.6f}"
+        assert printed[doc.doc_id] != f"{linking_core.document_score(gold, doc, loaded, entities, words):.6f}"
 
     @pytest.mark.parametrize("scores", ["0.9,abc", "@file"])
     def test_eval_runs_bad_score_exits_2(self, tmp_path, capsys, scores):
@@ -1915,15 +1942,21 @@ def test_pipeline_run_over_capacity_exits_3_as_link_infer_does(tmp_path, capsys)
     assert "error: stage 'eval' failed: candidate product exceeds 1000000" in capsys.readouterr().err
 
 
-def test_allocation_failure_exits_3_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("size, start", [
+    (["--entities", "1000000000000"], "error: Unable to allocate"),
+    (["--entities", "1000000000000000000"], "error: "),
+    (["--dim", "100000000000000000000"], "error: "),
+], ids=["past-memory", "past-address-space", "dim-past-address-space"])
+def test_allocation_failure_exits_3_without_a_traceback(tmp_path, size, start):
+    # past the address space, numpy refuses the shape with a ValueError, not a MemoryError
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-c", "from semlink.cli import main; main()",
-         "fixtures", "make", "--out", str(tmp_path / "fx"), "--entities", "1000000000000"],
+         "fixtures", "make", "--out", str(tmp_path / "fx"), *size],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 3
-    assert proc.stderr.startswith("error: Unable to allocate") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(start) and proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stdout == "" and not (tmp_path / "fx").exists()
 
 

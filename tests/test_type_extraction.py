@@ -275,6 +275,8 @@ def types_dir(tmp_path_factory):
 
 
 @given(st.dictionaries(_ASSIGNMENT_TEXT.filter(bool), st.lists(_ASSIGNMENT_TEXT, max_size=3), max_size=4))
+# two entities it cannot hold, a word fault before an entity-id fault
+@example({"e1": ["w"], "e2": ["w,x"], "e\t3": ["w"]})
 def test_write_assignments_refuses_or_reads_back(types_dir, entries):
     """A types file reads back as what was written, or the write is refused
     naming the first entity that it cannot hold, and nothing is written."""
